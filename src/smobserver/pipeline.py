@@ -29,7 +29,7 @@ from .numerics import spectral_norm, symmetrize
 from .scenario import (ScenarioConfig, default_zbar0, input_bounds,
                        input_norm_bound, y_derivative_bound)
 from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
-                  epsilon1_uniform_bounds, solve_uio_gain, step_uio)
+                  solve_uio_gain, step_uio)
 from .weak import (StepInputs, WeakState, build_Ku, gamma_k, gamma_terms,
                    gk_matrix, measurement_update, optimize_beta, propagate,
                    update_is_informative)
@@ -143,9 +143,7 @@ def build_design(cfg: ScenarioConfig) -> DesignArtifacts:
     ev = Epsilon1Evaluator(err, uio.E, quad_step, cfg.horizon)
     eps1_ts, eps1_grid = ev.grid(ev.ts[min(len(ev.ts) - 1,
                                            cfg.n_steps * cfg.quad_substeps)])
-    eps1_lo, eps1_hi = epsilon1_uniform_bounds(
-        err, uio.E, cfg.horizon, grid_step=quad_step,
-        eps1_floor=cfg.eps1_floor)
+    eps1_lo, eps1_hi = ev.uniform_bounds(cfg.eps1_floor)
     n_fine = lcm(cfg.plant_substeps, lcm(cfg.hgo_substeps, cfg.quad_substeps))
     return DesignArtifacts(
         cfg=cfg, sys=sys, dec=dec, l=l, uio=uio, hgo_cfg=hgo_cfg, err=err,

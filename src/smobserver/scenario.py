@@ -13,7 +13,7 @@ import yaml
 from .decomposition import LtiSystem
 from .errors import InvalidParameterError, ScenarioFormatError
 from .generators import ShapeGenerator, SignalGenerator
-from .numerics import spectral_norm
+from .numerics import expm, power_norms, spectral_norm
 
 FORMAT_TAG = "smobserver-scenario/1"
 
@@ -165,6 +165,14 @@ class ScenarioConfig:
         if d.get("format") != FORMAT_TAG:
             raise ScenarioFormatError(
                 f"unsupported scenario format {d.get('format')!r}")
+        try:
+            return cls._from_fields(d)
+        except KeyError as exc:
+            raise ScenarioFormatError(
+                f"scenario is missing required key {exc}") from exc
+
+    @classmethod
+    def _from_fields(cls, d: dict) -> "ScenarioConfig":
         hgo = d.get("hgo", {})
         cert = d.get("cert", {})
         return cls(
@@ -210,7 +218,11 @@ class ScenarioConfig:
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            try:
+                data = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:
+                raise ScenarioFormatError(
+                    f"scenario file is not valid YAML: {exc}") from exc
         if not isinstance(data, dict):
             raise ScenarioFormatError("scenario file is not a mapping")
         return cls.from_dict(data)
@@ -250,16 +262,9 @@ def state_norm_bound(cfg: ScenarioConfig, grid_step: float = 0.01) -> float:
     ||x(t)|| <= ||e^{At}|| (||xhat0|| + sqrt(lam_max K0))
                + int_0^t ||e^{As}|| ds * ||B|| * sup||w||.
     """
-    A = cfg.A
     h = grid_step
     n_steps = int(np.ceil(cfg.horizon / h)) + 1
-    import scipy.linalg as sla
-    Eh = sla.expm(A * h)
-    norms = np.empty(n_steps + 1)
-    P = np.eye(A.shape[0])
-    for j in range(n_steps + 1):
-        norms[j] = np.linalg.norm(P, 2)
-        P = Eh @ P
+    norms, _ = power_norms(expm(cfg.A * h), n_steps + 1)
     x0_norm = float(np.linalg.norm(cfg.xhat0)) \
         + float(np.sqrt(max(np.linalg.eigvalsh(cfg.K0)[-1], 0.0)))
     w_max = input_norm_bound(cfg)

@@ -7,7 +7,7 @@ module stays independent of how the decomposition was produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -15,7 +15,8 @@ from scipy.signal import place_poles
 
 from .errors import (InvalidDesignError, InvalidParameterError,
                      NoStableObserverError)
-from .numerics import norm_envelope_grid, simpson, spectral_norm, zoh
+from .numerics import (norm_envelope_grid, power_norms, simpson,
+                       spectral_norm, zoh)
 
 #: residual tolerance on the gain constraint F G_l = [B1' 0 ... 0]
 GAIN_RESIDUAL_TOL = 1e-8
@@ -100,6 +101,9 @@ class UioDesign:
     Gl: np.ndarray
     F: np.ndarray
     E: np.ndarray
+    #: ZOH discretizations (Ed, Fd) of this design, keyed by step size
+    zoh_cache: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if self.E.size and np.max(np.linalg.eigvals(self.E).real) >= 0.0:
@@ -155,18 +159,15 @@ def solve_uio_gain(A1, C1, B1p, D1p, l, poles) -> UioDesign:
     return UioDesign(l=l, Ol=Ol, Gl=Gl, F=F, E=E)
 
 
-_step_cache: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
-
-
 def step_uio(des: UioDesign, x1hat: np.ndarray, zhat: np.ndarray,
              h: float) -> np.ndarray:
     """Advance x1hat over step h with the derivative stack zhat held constant."""
     if h <= 0.0:
         raise InvalidParameterError("step size must be positive")
-    key = (id(des), float(h))
-    if key not in _step_cache:
-        _step_cache[key] = zoh(des.E, des.F, h)
-    Ed, Fd = _step_cache[key]
+    pair = des.zoh_cache.get(h)
+    if pair is None:
+        pair = des.zoh_cache[h] = zoh(des.E, des.F, h)
+    Ed, Fd = pair
     return Ed @ np.asarray(x1hat, dtype=float) + Fd @ np.asarray(zhat, dtype=float)
 
 
@@ -228,6 +229,11 @@ class Epsilon1Evaluator:
     time agree across different output spacings to rounding accuracy,
     which keeps refinement studies of the estimator grids meaningful.
     ``grid_step`` only sets the output nodes in ``ts``.
+
+    The half-step samples come from :func:`power_norms` in fixed-size
+    batches.  On first use eps1 is evaluated at every output node at once;
+    only the scalar I2 recursion steps node by node.  A design builds one
+    evaluator and reads both its grid and :meth:`uniform_bounds` from it.
     """
 
     def __init__(self, params: ErrorBoundParams, E: np.ndarray,
@@ -248,44 +254,47 @@ class Epsilon1Evaluator:
         h2 = 0.5 * self.h_int
         n_cells = int(np.ceil(self.ts[-1] / self.h_int - 1e-9)) + 1
         Eh2 = zoh(self.E, np.zeros((self.E.shape[0], 0)), h2)[0]
-        gh = np.empty(2 * n_cells + 1)
-        P = np.eye(self.E.shape[0])
-        for j in range(2 * n_cells + 1):
-            gh[j] = np.linalg.norm(P, 2)
-            P = Eh2 @ P
+        gh, _ = power_norms(Eh2, 2 * n_cells + 1)
         self.gh = gh              # ||e^{E s}|| at s = j * h_int / 2
         self.n_cells = n_cells
         # cumulative integral of the quadratic model over full cells
         cell = (h2 / 3.0) * (gh[0:-2:2] + 4.0 * gh[1:-1:2] + gh[2::2])
         self.cum1 = np.concatenate([[0.0], np.cumsum(cell)])
         self._vals: np.ndarray | None = None   # cached eps1 at output nodes
+        self._psi: np.ndarray | None = None    # cached Psi at output nodes
 
-    # -- internal-grid helpers --------------------------------------------
+    # -- internal-grid helpers, elementwise over arrays of cells/times ------
+    #
+    # Squares and cubes use np.float_power, which is libm pow like Python's
+    # float ``**``; numpy's ``**`` on arrays rounds them differently.  With
+    # libm pow the arrays equal a scalar node-by-node evaluation bit for bit.
 
-    def _cell_coeffs(self, j: int) -> tuple[float, float, float]:
-        """Quadratic model of g on cell j in the local coordinate
+    def _cell_coeffs(self, j: np.ndarray):
+        """Quadratic model of g on cells j in the local coordinate
         w = (u - midpoint)/h2, w in [-1, 1]."""
         g0, g1, g2 = self.gh[2 * j], self.gh[2 * j + 1], self.gh[2 * j + 2]
         return g1, 0.5 * (g2 - g0), 0.5 * (g2 - 2.0 * g1 + g0)
 
-    def _g_at(self, t: float) -> float:
-        """||e^{Et}|| from the cell's quadratic model."""
-        j = min(int(t / self.h_int), self.n_cells - 1)
+    def _g_at(self, t: np.ndarray) -> np.ndarray:
+        """||e^{Et}|| from the cells' quadratic models."""
+        j = np.minimum((t / self.h_int).astype(np.intp), self.n_cells - 1)
         A, B, C = self._cell_coeffs(j)
         w = (t - (j + 0.5) * self.h_int) / (0.5 * self.h_int)
         return A + B * w + C * w * w
 
-    def _plain_piece(self, j: int, a: float, b: float) -> float:
+    def _plain_piece(self, j: np.ndarray, a: np.ndarray,
+                     b: np.ndarray) -> np.ndarray:
         """int_a^b g(u) du for [a, b] inside cell j (quadratic model)."""
         A, B, C = self._cell_coeffs(j)
         h2 = 0.5 * self.h_int
         mid = (j + 0.5) * self.h_int
         wa, wb = (a - mid) / h2, (b - mid) / h2
-        return h2 * (A * (wb - wa) + B * (wb ** 2 - wa ** 2) / 2.0
-                     + C * (wb ** 3 - wa ** 3) / 3.0)
+        pw = np.float_power
+        return h2 * (A * (wb - wa) + B * (pw(wb, 2) - pw(wa, 2)) / 2.0
+                     + C * (pw(wb, 3) - pw(wa, 3)) / 3.0)
 
-    def _kernel_piece(self, j: int, a: float, b: float, T: float,
-                      r: float) -> float:
+    def _kernel_piece(self, j: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      T: np.ndarray, r: float) -> np.ndarray:
         """int_a^b g(u) e^{r (u - T)} du for [a, b] inside cell j, u <= T.
 
         Uses exact moments of the quadratic model against the exponential;
@@ -294,52 +303,64 @@ class Epsilon1Evaluator:
         A, B, C = self._cell_coeffs(j)
         h2 = 0.5 * self.h_int
         mid = (j + 0.5) * self.h_int
+        pw = np.float_power
         # q as a polynomial in v = u - T: q = c0 + c1 v + c2 v^2
         v1 = mid - T
         c2 = C / h2 ** 2
         c1 = B / h2 - 2.0 * C * v1 / h2 ** 2
-        c0 = A - B * v1 / h2 + C * v1 ** 2 / h2 ** 2
+        c0 = A - B * v1 / h2 + C * pw(v1, 2) / h2 ** 2
         va, vb = a - T, b - T
         d = r * (vb - va)
-        if d < 1e-3:
-            # kernel almost constant on the piece: 5-node Simpson is exact
-            # to far below working precision here
-            vs = np.linspace(va, vb, 5)
-            q = c0 + c1 * vs + c2 * vs ** 2
-            f = q * np.exp(r * vs)
-            return (vb - va) / 12.0 * (f[0] + 4.0 * f[1] + 2.0 * f[2]
-                                       + 4.0 * f[3] + f[4])
+        out = np.empty(d.shape)
+        # kernel almost constant on the piece: 5-node Simpson is exact to
+        # far below working precision here
+        flat = d < 1e-3
+        fa, fb = va[flat, None], vb[flat, None]
+        vs = np.arange(5.0) * ((fb - fa) / 4.0) + fa
+        vs[:, -1:] = fb
+        q = c0[flat, None] + c1[flat, None] * vs + c2[flat, None] * vs ** 2
+        f = q * np.exp(r * vs)
+        out[flat] = (fb - fa)[:, 0] / 12.0 * (
+            f[:, 0] + 4.0 * f[:, 1] + 2.0 * f[:, 2] + 4.0 * f[:, 3] + f[:, 4])
+        steep = ~flat
+        va, vb = va[steep], vb[steep]
         e_a, e_b = np.exp(r * va), np.exp(r * vb)
-        m0 = e_a * np.expm1(d) / r
+        m0 = e_a * np.expm1(d[steep]) / r
         m1 = (vb * e_b - va * e_a - m0) / r
-        m2 = (vb ** 2 * e_b - va ** 2 * e_a - 2.0 * m1) / r
-        return c0 * m0 + c1 * m1 + c2 * m2
+        m2 = (pw(vb, 2) * e_b - pw(va, 2) * e_a - 2.0 * m1) / r
+        out[steep] = c0[steep] * m0 + c1[steep] * m1 + c2[steep] * m2
+        return out
 
-    def _i1(self, t: float) -> float:
+    def _i1(self, t: np.ndarray) -> np.ndarray:
         """int_0^t g(u) du."""
-        j = min(int(t / self.h_int + 1e-12), self.n_cells)
+        j = np.minimum((t / self.h_int + 1e-12).astype(np.intp), self.n_cells)
         out = self.cum1[j]
         left = j * self.h_int
-        if t > left + 1e-15 and j < self.n_cells:
-            out += self._plain_piece(j, left, t)
-        return float(out)
+        part = (t > left + 1e-15) & (j < self.n_cells)
+        out[part] += self._plain_piece(j[part], left[part], t[part])
+        return out
 
-    def _i2_increment(self, t0: float, t1: float, r: float) -> float:
-        """int_{t0}^{t1} g(u) e^{r(u - t1)} du across internal cells."""
-        out = 0.0
-        j = int(t0 / self.h_int + 1e-12)
+    def _i2_increments(self, r: float) -> np.ndarray:
+        """int_{t0}^{t1} g(u) e^{r(u - t1)} du for every pair of adjacent
+        output nodes, summed piece by piece over the internal cells."""
+        t0, t1 = self.ts[:-1], self.ts[1:]
+        out = np.zeros(t0.shape)
+        j = (t0 / self.h_int + 1e-12).astype(np.intp)
         u = t0
-        while u < t1 - 1e-15 and j < self.n_cells:
-            right = min((j + 1) * self.h_int, t1)
-            if right > u + 1e-15:
-                out += self._kernel_piece(j, u, right, t1, r)
-            u = right
-            j += 1
+        live = (u < t1 - 1e-15) & (j < self.n_cells)
+        while live.any():
+            right = np.minimum((j + 1) * self.h_int, t1)
+            hit = live & (right > u + 1e-15)
+            out[hit] += self._kernel_piece(j[hit], u[hit], right[hit],
+                                           t1[hit], r)
+            u, j = right, j + 1
+            live &= (u < t1 - 1e-15) & (j < self.n_cells)
         return out
 
     def _compute(self) -> np.ndarray:
-        """eps1 at every output node, via the exact kernel recursion
-        I2(t_{m+1}) = e^{-r h} I2(t_m) + local increment."""
+        """eps1 (and Psi, for :meth:`psi`) at every output node, via the
+        exact kernel recursion I2(t_{m+1}) = e^{-r h} I2(t_m) + local
+        increment."""
         if self._vals is not None:
             return self._vals
         p = self.params
@@ -347,16 +368,16 @@ class Epsilon1Evaluator:
         coef = (p.K * np.sqrt(p.l + 1.0) / p.eps ** p.l) * p.zbar0 \
             - p.eps ** p.l * p.delta
         scale = p.F_norm * np.sqrt(p.n_y * (p.l + 1.0))
-        vals = np.empty(self.ts.size)
-        i2 = 0.0
-        for m, t in enumerate(self.ts):
-            if m:
-                i2 = np.exp(-r * (t - self.ts[m - 1])) * i2 \
-                    + self._i2_increment(self.ts[m - 1], t, r)
-            psi = p.delta * self._i1(t) + coef * i2
-            vals[m] = self._g_at(t) * p.init_norm + scale * psi
-        self._vals = vals
-        return vals
+        decay = np.exp(-r * np.diff(self.ts)).tolist()
+        inc = self._i2_increments(r).tolist()
+        i2 = np.empty(self.ts.size)
+        i2[0] = acc = 0.0
+        for m in range(len(inc)):
+            acc = decay[m] * acc + inc[m]
+            i2[m + 1] = acc
+        self._psi = p.delta * self._i1(self.ts) + coef * i2
+        self._vals = self._g_at(self.ts) * p.init_norm + scale * self._psi
+        return self._vals
 
     def _index(self, t: float) -> int:
         m = int(round(t / self.h))
@@ -366,21 +387,9 @@ class Epsilon1Evaluator:
         return m
 
     def psi(self, t: float) -> float:
-        p = self.params
         m = self._index(t)
-        scale = p.F_norm * np.sqrt(p.n_y * (p.l + 1.0))
-        lead = self._g_at(self.ts[m]) * p.init_norm
-        if scale == 0.0:
-            # recompute directly: psi cannot be recovered from eps1
-            r = p.a / p.eps
-            coef = (p.K * np.sqrt(p.l + 1.0) / p.eps ** p.l) * p.zbar0 \
-                - p.eps ** p.l * p.delta
-            i2 = 0.0
-            for i in range(1, m + 1):
-                i2 = np.exp(-r * self.h) * i2 \
-                    + self._i2_increment(self.ts[i - 1], self.ts[i], r)
-            return float(p.delta * self._i1(self.ts[m]) + coef * i2)
-        return float((self._compute()[m] - lead) / scale)
+        self._compute()
+        return float(self._psi[m])
 
     def at(self, t: float) -> float:
         return float(self._compute()[self._index(t)])
@@ -389,6 +398,24 @@ class Epsilon1Evaluator:
         """eps1 at every output grid time up to t_end."""
         m_end = self._index(t_end)
         return self.ts[:m_end + 1].copy(), self._compute()[:m_end + 1].copy()
+
+    def uniform_bounds(self, eps1_floor: float = 1e-6) -> tuple[float, float]:
+        """(inf, sup) of eps1 over the output grid, sup merged with the
+        t->inf limit.
+
+        The asymptotic value is delta * ||F|| sqrt(n_y(l+1)) * int_0^inf
+        ||e^{Es}|| ds; the transient integral vanishes because its kernel
+        concentrates where ||e^{Et}|| has died out.
+        """
+        p = self.params
+        vals = self._compute()
+        _, norms_tail = norm_envelope_grid(self.E, self.h, shift=0.0)
+        tail_integral = simpson(norms_tail, self.h)
+        limit = p.delta * p.F_norm * np.sqrt(p.n_y * (p.l + 1.0)) \
+            * tail_integral
+        hi = max(float(np.max(vals)), limit)
+        lo = max(float(np.min(vals)), eps1_floor)
+        return lo, hi
 
 
 def epsilon1(t: float, p: ErrorBoundParams, E: np.ndarray,
@@ -407,17 +434,7 @@ def epsilon1(t: float, p: ErrorBoundParams, E: np.ndarray,
 def epsilon1_uniform_bounds(p: ErrorBoundParams, E: np.ndarray,
                             horizon: float, grid_step: float = 0.005,
                             eps1_floor: float = 1e-6) -> tuple[float, float]:
-    """(inf, sup) of eps1 over [0, horizon], sup merged with the t->inf limit.
-
-    The asymptotic value is delta * ||F|| sqrt(n_y(l+1)) * int_0^inf
-    ||e^{Es}|| ds; the transient integral vanishes because its kernel
-    concentrates where ||e^{Et}|| has died out.
-    """
-    ev = Epsilon1Evaluator(p, E, grid_step, horizon)
-    ts, vals = ev.grid(ev.ts[-1])
-    ts_tail, norms_tail = norm_envelope_grid(E, grid_step, shift=0.0)
-    tail_integral = simpson(norms_tail, grid_step)
-    limit = p.delta * p.F_norm * np.sqrt(p.n_y * (p.l + 1.0)) * tail_integral
-    hi = max(float(np.max(vals)), limit)
-    lo = max(float(np.min(vals)), eps1_floor)
-    return lo, hi
+    """(inf, sup) of eps1 over [0, horizon]; see
+    :meth:`Epsilon1Evaluator.uniform_bounds`."""
+    return Epsilon1Evaluator(p, E, grid_step, horizon).uniform_bounds(
+        eps1_floor)

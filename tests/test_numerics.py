@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import smobserver.numerics as numerics
 from smobserver.numerics import (canonical_basis, compensated_sup, expm,
                                  golden_section, norm_envelope_grid,
-                                 null_basis, numerical_rank, range_basis,
-                                 simpson, simpson_matrix, spectral_norm,
-                                 unit_ball_volume, zoh)
+                                 null_basis, numerical_rank, power_norms,
+                                 range_basis, simpson, simpson_matrix,
+                                 spectral_norm, unit_ball_volume, zoh)
 
 
 def test_expm_matches_scalar_series():
@@ -117,3 +118,65 @@ def test_norm_envelope_grid_scalar_decay():
 def test_compensated_sup_scalar():
     # ||e^{-t}|| e^{-0t} peaks at t = 0
     assert compensated_sup(np.array([[-1.0]]), 0.0) == pytest.approx(1.0)
+
+
+# -- batched matrix-power norms against the per-matrix loop ----------------
+
+def _loop_power_norms(Eh, count, P=None):
+    """Reference: one np.linalg.norm(P, 2) per power."""
+    P = np.eye(Eh.shape[0]) if P is None else P
+    norms = np.empty(count)
+    for j in range(count):
+        norms[j] = np.linalg.norm(P, 2)
+        P = Eh @ P
+    return norms, P
+
+
+def _loop_norm_envelope_grid(A, h, decay_floor=1e-6, t_max=1e4, shift=0.0):
+    """Reference: recompute the whole grid at every doubling of T."""
+    T = max(64 * h, 1.0)
+    while True:
+        ts = np.arange(0.0, T + 0.5 * h, h)
+        norms, _ = _loop_power_norms(expm(A * h), ts.shape[0])
+        comp = norms * np.exp(-shift * ts)
+        if comp[-1] <= decay_floor * comp.max() or T >= t_max:
+            return ts, norms
+        T *= 2.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("drift", [-1.5, 0.3])
+def test_power_norms_equal_per_matrix_loop(n, drift):
+    """Stable (drift < 0) and unstable random systems, bit for bit."""
+    rng = np.random.default_rng(10 * n + (drift > 0))
+    A = rng.normal(size=(n, n)) + drift * np.eye(n)
+    Eh = expm(A * 0.02)
+    norms, P = power_norms(Eh, 700)
+    ref, P_ref = _loop_power_norms(Eh, 700)
+    assert np.array_equal(norms, ref)
+    assert np.array_equal(P, P_ref)
+
+
+def test_power_norms_across_chunks_and_extension(monkeypatch):
+    monkeypatch.setattr(numerics, "POWER_NORM_CHUNK", 7)
+    rng = np.random.default_rng(3)
+    Eh = expm(rng.normal(size=(4, 4)) * 0.1)
+    head, P = power_norms(Eh, 23)
+    tail, P = power_norms(Eh, 16, P)
+    ref, P_ref = _loop_power_norms(Eh, 39)
+    assert np.array_equal(np.concatenate([head, tail]), ref)
+    assert np.array_equal(P, P_ref)
+
+
+@pytest.mark.parametrize("A, h, shift, t_max", [
+    (np.array([[-1.0, 4.0], [0.0, -0.3]]), 0.05, 0.0, 1e4),
+    (np.array([[-0.2, 1.0], [-1.0, -0.2]]), 0.01, -0.15, 1e4),
+    (np.array([[0.4, 0.0], [1.0, -2.0]]), 0.05, 0.0, 8.0),  # stops at t_max
+])
+def test_norm_envelope_grid_extension_equals_fresh_grid(A, h, shift, t_max):
+    ts, norms = norm_envelope_grid(A, h, shift=shift, t_max=t_max)
+    ts_ref, norms_ref = _loop_norm_envelope_grid(A, h, shift=shift,
+                                                 t_max=t_max)
+    assert ts.shape[0] > 64
+    assert np.array_equal(ts, ts_ref)
+    assert np.array_equal(norms, norms_ref)

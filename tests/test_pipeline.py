@@ -3,6 +3,7 @@ estimation loop ordering, Monte Carlo batching, trace emission, and the CLI."""
 
 import numpy as np
 import pytest
+import yaml
 
 from smobserver.cli import main as cli_main
 from smobserver.decomposition import LtiSystem
@@ -189,6 +190,22 @@ def test_cli_run_and_certify(tmp_path, cfg_mixed):
 
 def test_cli_missing_scenario_exits_3(tmp_path):
     assert cli_main(["run", "--scenario", str(tmp_path / "nope.yaml"),
+                     "--out", str(tmp_path / "o")]) == 3
+
+
+def test_cli_malformed_yaml_exits_3(tmp_path):
+    scen = tmp_path / "bad.yaml"
+    scen.write_text("A: [[1.0, 2.0]\nB: {\n", encoding="utf-8")
+    assert cli_main(["run", "--scenario", str(scen),
+                     "--out", str(tmp_path / "o")]) == 3
+
+
+def test_cli_scenario_without_A_exits_3(tmp_path, cfg_mixed):
+    d = cfg_mixed.to_dict()
+    del d["A"]
+    scen = tmp_path / "no_A.yaml"
+    scen.write_text(yaml.safe_dump(d, sort_keys=False), encoding="utf-8")
+    assert cli_main(["run", "--scenario", str(scen),
                      "--out", str(tmp_path / "o")]) == 3
 
 

@@ -1,13 +1,17 @@
 """Tests of the unknown-input observer synthesis and the analytic error
 envelope eps1(t)."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from smobserver.errors import InvalidParameterError
-from smobserver.numerics import expm, spectral_norm
+from smobserver.numerics import expm, spectral_norm, zoh
+from smobserver.pipeline import build_design
 from smobserver.uio import (Epsilon1Evaluator, ErrorBoundParams,
-                            GAIN_RESIDUAL_TOL, build_markov_matrices,
+                            GAIN_RESIDUAL_TOL, UioDesign,
+                            build_markov_matrices,
                             derivative_error_envelope, epsilon1,
                             epsilon1_uniform_bounds, gain_target,
                             solve_uio_gain, step_uio)
@@ -165,3 +169,143 @@ def test_psi_recoverable(design_ex2):
     t = 0.5
     lead = np.linalg.norm(expm(design.uio.E * t), 2) * p.init_norm
     assert ev.at(t) == pytest.approx(lead + scale * ev.psi(t), rel=1e-6)
+
+
+def test_step_uio_discretization_belongs_to_its_design():
+    """A new design must not step with the discretization of a collected
+    one, even when it is allocated at that design's address."""
+    x1, z = np.zeros(1), np.ones(1)
+    for i in range(50):
+        E, F = np.array([[-1.0 - i]]), np.array([[1.0 + i]])
+        des = UioDesign(l=0, Ol=np.ones((1, 1)), Gl=np.ones((1, 1)), F=F, E=E)
+        assert np.array_equal(step_uio(des, x1, z, 0.1), zoh(E, F, 0.1)[1] @ z)
+        del des
+        gc.collect()
+
+
+def test_build_design_builds_one_eps1_evaluator(cfg_mixed, monkeypatch):
+    built = []
+    init = Epsilon1Evaluator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Epsilon1Evaluator, "__init__", counting_init)
+    design = build_design(cfg_mixed)
+    assert len(built) == 1
+    monkeypatch.undo()
+    bounds = epsilon1_uniform_bounds(
+        design.err, design.uio.E, cfg_mixed.horizon,
+        grid_step=cfg_mixed.dt / cfg_mixed.quad_substeps,
+        eps1_floor=cfg_mixed.eps1_floor)
+    assert (design.eps1_lo, design.eps1_hi) == bounds
+
+
+# -- vectorized eps1 against the node-by-node loop -------------------------
+
+def _loop_eps1(ev, counts):
+    """Reference: the per-node scalar evaluation of eps1 on ``ev.ts``.
+
+    ``counts["simpson"]`` records how many pieces took the flat-kernel
+    Simpson branch."""
+    h2 = 0.5 * ev.h_int
+
+    def coeffs(j):
+        g0, g1, g2 = ev.gh[2 * j], ev.gh[2 * j + 1], ev.gh[2 * j + 2]
+        return g1, 0.5 * (g2 - g0), 0.5 * (g2 - 2.0 * g1 + g0)
+
+    def g_at(t):
+        j = min(int(t / ev.h_int), ev.n_cells - 1)
+        A, B, C = coeffs(j)
+        w = (t - (j + 0.5) * ev.h_int) / (0.5 * ev.h_int)
+        return A + B * w + C * w * w
+
+    def plain_piece(j, a, b):
+        A, B, C = coeffs(j)
+        mid = (j + 0.5) * ev.h_int
+        wa, wb = (a - mid) / h2, (b - mid) / h2
+        return h2 * (A * (wb - wa) + B * (wb ** 2 - wa ** 2) / 2.0
+                     + C * (wb ** 3 - wa ** 3) / 3.0)
+
+    def kernel_piece(j, a, b, T, r):
+        A, B, C = coeffs(j)
+        mid = (j + 0.5) * ev.h_int
+        v1 = mid - T
+        c2 = C / h2 ** 2
+        c1 = B / h2 - 2.0 * C * v1 / h2 ** 2
+        c0 = A - B * v1 / h2 + C * v1 ** 2 / h2 ** 2
+        va, vb = a - T, b - T
+        d = r * (vb - va)
+        if d < 1e-3:
+            counts["simpson"] += 1
+            vs = np.linspace(va, vb, 5)
+            q = c0 + c1 * vs + c2 * vs ** 2
+            f = q * np.exp(r * vs)
+            return (vb - va) / 12.0 * (f[0] + 4.0 * f[1] + 2.0 * f[2]
+                                       + 4.0 * f[3] + f[4])
+        e_a, e_b = np.exp(r * va), np.exp(r * vb)
+        m0 = e_a * np.expm1(d) / r
+        m1 = (vb * e_b - va * e_a - m0) / r
+        m2 = (vb ** 2 * e_b - va ** 2 * e_a - 2.0 * m1) / r
+        return c0 * m0 + c1 * m1 + c2 * m2
+
+    def i1(t):
+        j = min(int(t / ev.h_int + 1e-12), ev.n_cells)
+        out = ev.cum1[j]
+        left = j * ev.h_int
+        if t > left + 1e-15 and j < ev.n_cells:
+            out += plain_piece(j, left, t)
+        return float(out)
+
+    def i2_increment(t0, t1, r):
+        out = 0.0
+        j = int(t0 / ev.h_int + 1e-12)
+        u = t0
+        while u < t1 - 1e-15 and j < ev.n_cells:
+            right = min((j + 1) * ev.h_int, t1)
+            if right > u + 1e-15:
+                out += kernel_piece(j, u, right, t1, r)
+            u = right
+            j += 1
+        return out
+
+    p = ev.params
+    r = p.a / p.eps
+    coef = (p.K * np.sqrt(p.l + 1.0) / p.eps ** p.l) * p.zbar0 \
+        - p.eps ** p.l * p.delta
+    scale = p.F_norm * np.sqrt(p.n_y * (p.l + 1.0))
+    vals = np.empty(ev.ts.size)
+    i2 = 0.0
+    for m, t in enumerate(ev.ts):
+        if m:
+            i2 = np.exp(-r * (t - ev.ts[m - 1])) * i2 \
+                + i2_increment(ev.ts[m - 1], t, r)
+        psi = p.delta * i1(t) + coef * i2
+        vals[m] = g_at(t) * p.init_norm + scale * psi
+    return vals
+
+
+@pytest.mark.parametrize("E, grid_step, horizon, eps, simpson", [
+    # ten internal cells per output step
+    (np.array([[-3.0]]), 0.05, 2.0, 0.05, False),
+    # output nodes just off the cell boundaries: sliver pieces
+    (np.array([[-2.0, 1.0], [0.0, -3.0]]), 0.0050001, 1.0, 0.05, True),
+    # fast E: internal cells finer than the default step
+    (np.array([[-40.0, 5.0], [0.0, -25.0]]), 0.0123, 1.5, 0.01, False),
+])
+def test_eps1_vectorized_equals_node_loop(E, grid_step, horizon, eps,
+                                          simpson):
+    ev = Epsilon1Evaluator(_scalar_params(eps=eps), E, grid_step, horizon)
+    counts = {"simpson": 0}
+    ref = _loop_eps1(ev, counts)
+    assert (counts["simpson"] > 0) == simpson
+    assert np.array_equal(ev.grid(ev.ts[-1])[1], ref)
+
+
+def test_eps1_design_grid_equals_node_loop(design_ex1):
+    cfg = design_ex1.cfg
+    ev = Epsilon1Evaluator(design_ex1.err, design_ex1.uio.E,
+                           cfg.dt / cfg.quad_substeps, cfg.horizon)
+    assert np.array_equal(ev.grid(ev.ts[-1])[1],
+                          _loop_eps1(ev, {"simpson": 0}))
