@@ -113,6 +113,9 @@ def step_hgo(cfg: HgoConfig, st: HgoState, y_sample: np.ndarray,
 
     Uses the exact ZOH discretization of the bank dynamics, so the update is
     unconditionally stable regardless of how stiff 1/eps makes the system.
+    The estimator folds the same discretization into the lifted center
+    recurrence (``pipeline.CenterLift``); this one-step form is its
+    reference.
     """
     if h <= 0.0:
         raise InvalidParameterError("step size must be positive")

@@ -1,6 +1,14 @@
-"""End-to-end observer pipeline: plant simulation, the full estimation loop
+"""End-to-end observer pipeline: the center pass, the full estimation loop
 (derivative bank + unknown-input observer + weak-block observer + fusion),
 certificate evaluation, Monte Carlo containment suites, and trace emission.
+
+The plant, the derivative bank and the unknown-input observer form one
+linear time-invariant system driven by the input samples, and none of
+their centers feeds back into a shape quantity.  ``build_design`` lifts
+that system once to the quadrature grid (:class:`CenterLift`), and
+:func:`center_pass` advances any batch of runs with one matrix product per
+quad node.  The single run is the pass with one column; a Monte Carlo
+sweep runs it with the whole batch.
 
 The shape-matrix side of the estimator (error envelopes, predicted and
 updated shape matrices, gains, mixing weights) is independent of the
@@ -12,7 +20,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 import scipy.linalg as sla
@@ -22,17 +29,16 @@ from .decomposition import (Decomposition, LtiSystem, build_decomposition,
                             select_derivative_order)
 from .ellipsoid import MEMBERSHIP_SLACK, Ellipsoid, axis_bounds, volume
 from .errors import InvalidDesignError, InvalidParameterError
-from .fusion import fuse
-from .hgo import (HgoConfig, assemble_z_hat, decay_constants,
-                  design_hgo, initial_state, step_hgo)
-from .numerics import spectral_norm, symmetrize
+from .fusion import FusedEstimate, fuse
+from .hgo import HgoConfig, _discretization, decay_constants, design_hgo
+from .numerics import spectral_norm, symmetrize, zoh
 from .scenario import (ScenarioConfig, default_zbar0, input_bounds,
                        input_norm_bound, y_derivative_bound)
 from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
-                  solve_uio_gain, step_uio)
-from .weak import (StepInputs, WeakState, build_Ku, gamma_k, gamma_terms,
-                   gk_matrix, measurement_update, optimize_beta, propagate,
-                   update_is_informative)
+                  solve_uio_gain)
+from .weak import (StepInputs, WeakState, build_Ku, gamma_terms, gk_matrix,
+                   measurement_update, optimize_beta, propagate,
+                   quad_kernels, update_is_informative)
 
 
 # -- plant simulation ------------------------------------------------------
@@ -62,7 +68,9 @@ def simulate_plant(sys: LtiSystem, x0: np.ndarray, w_fn, dt: float,
     """Fixed-step RK4 trajectory on the grid of spacing dt/substeps.
 
     Returns (ts, xs) with xs[j] = x(ts[j]); w_fn maps an array of times to
-    an array of stacked input samples.
+    an array of stacked input samples.  The estimator takes its plant
+    states from :func:`center_pass`; this node-by-node loop is the
+    reference it is tested against.
     """
     if substeps < 1:
         raise InvalidParameterError("substeps must be >= 1")
@@ -78,6 +86,83 @@ def simulate_plant(sys: LtiSystem, x0: np.ndarray, w_fn, dt: float,
         xs[j + 1] = (R @ xs[j] + W1 @ w_nodes[j] + W2 @ w_half[j]
                      + W3 @ w_nodes[j + 1])
     return ts, xs
+
+
+# -- lifted center recurrence ----------------------------------------------
+
+@dataclass(frozen=True)
+class CenterLift:
+    """The plant, the derivative bank and the unknown-input observer as one
+    linear recurrence, lifted to the quadrature grid.
+
+    Over one fine step h the augmented state s = [x; vec(Z); x1hat] (the
+    bank state Z stacked derivative-order major, as ``assemble_z_hat``
+    does) advances as
+
+        s+ = M s + G0 w(t) + Gh w(t + h/2) + G1 w(t + h),
+
+    with the plant's RK4 recurrence and the exact ZOH steps of the bank and
+    of the observer: ``step_hgo`` and ``step_uio`` read the bank state and
+    the output at the start of the step.  Over one quad stride of p fine
+    steps this lifts to
+
+        s(t + p h) = Mp s(t) + W u,
+
+    where Mp = M^p and u stacks the p + 1 node samples of w, then its p
+    half-node samples.
+    """
+
+    Mp: np.ndarray       # (ds, ds)
+    W: np.ndarray        # (ds, (2p + 1) n_w)
+    n_x: int
+    n_z: int             # (l + 1) n_y bank states
+    #: (n_q, 2p + 1) positions of each quad stride's input samples in one
+    #: sample interval's [n_fine + 1 nodes; n_fine half-nodes]
+    gather: np.ndarray
+
+    @property
+    def x1(self) -> slice:
+        return slice(self.n_x + self.n_z, None)
+
+
+def build_center_lift(sys: LtiSystem, hgo_cfg: HgoConfig, uio: UioDesign,
+                      h: float, stride: int, n_q: int) -> CenterLift:
+    """Lift the fine-step recurrence of :class:`CenterLift` to ``stride``
+    fine steps, for ``n_q`` strides per sample interval."""
+    n, n_y, n_w = sys.n_x, sys.n_y, sys.n_w
+    R, W1, W2, W3 = rk4_recurrence(sys.A, sys.B, h)
+    Ad, Bd = _discretization(hgo_cfg.l, hgo_cfg.eps, hgo_cfg.theta, float(h))
+    Ed, Fd = zoh(uio.E, uio.F, h)
+    n_z = Ad.shape[0] * n_y
+    ds = n + n_z + Ed.shape[0]
+    z, x1 = slice(n, n + n_z), slice(n + n_z, ds)
+    Bz = np.kron(Bd, np.eye(n_y))          # output -> vec(Z)
+    M = np.zeros((ds, ds))
+    M[:n, :n] = R
+    M[z, :n] = Bz @ sys.C
+    M[z, z] = np.kron(Ad, np.eye(n_y))
+    M[x1, z] = Fd
+    M[x1, x1] = Ed
+    G0, Gh, G1 = (np.zeros((ds, n_w)) for _ in range(3))
+    G0[:n], G0[z] = W1, Bz @ sys.D
+    Gh[:n] = W2
+    G1[:n] = W3
+    powers = [np.eye(ds)]
+    for _ in range(stride):
+        powers.append(M @ powers[-1])
+    nodes = np.zeros((stride + 1, ds, n_w))
+    half = np.empty((stride, ds, n_w))
+    for m in range(stride):
+        P = powers[stride - 1 - m]
+        nodes[m] += P @ G0
+        nodes[m + 1] += P @ G1
+        half[m] = P @ Gh
+    W = np.concatenate([nodes, half]).transpose(1, 0, 2).reshape(ds, -1)
+    first = stride * np.arange(n_q)[:, None]
+    n_fine = stride * n_q
+    gather = np.hstack([first + np.arange(stride + 1),
+                        n_fine + 1 + first + np.arange(stride)])
+    return CenterLift(Mp=powers[stride], W=W, n_x=n, n_z=n_z, gather=gather)
 
 
 # -- per-scenario design ---------------------------------------------------
@@ -101,6 +186,7 @@ class DesignArtifacts:
     h_fine: float
     quad_stride: int         # fine nodes per quad node
     y_deriv_bound: float
+    lift: CenterLift
 
 
 def _default_poles(n1: int) -> tuple[float, ...]:
@@ -144,14 +230,71 @@ def build_design(cfg: ScenarioConfig) -> DesignArtifacts:
     eps1_ts, eps1_grid = ev.grid(ev.ts[min(len(ev.ts) - 1,
                                            cfg.n_steps * cfg.quad_substeps)])
     eps1_lo, eps1_hi = ev.uniform_bounds(cfg.eps1_floor)
-    n_fine = lcm(cfg.plant_substeps, lcm(cfg.hgo_substeps, cfg.quad_substeps))
+    stride = cfg.n_fine // cfg.quad_substeps
     return DesignArtifacts(
         cfg=cfg, sys=sys, dec=dec, l=l, uio=uio, hgo_cfg=hgo_cfg, err=err,
         eps1_ts=eps1_ts, eps1_grid=eps1_grid,
         eps1_lo=eps1_lo, eps1_hi=eps1_hi,
-        n_fine=n_fine, h_fine=cfg.dt / n_fine,
-        quad_stride=n_fine // cfg.quad_substeps,
-        y_deriv_bound=ybound)
+        n_fine=cfg.n_fine, h_fine=cfg.h_fine, quad_stride=stride,
+        y_deriv_bound=ybound,
+        lift=build_center_lift(sys, hgo_cfg, uio, cfg.h_fine, stride,
+                               cfg.quad_substeps))
+
+
+# -- center pass -----------------------------------------------------------
+
+#: how far ||x1 - x1hat|| may exceed eps1 before the envelope counts as broken
+EPS1_SLACK = 1e-9
+
+
+@dataclass
+class CenterSample:
+    """Centers of a batch of runs over one sample interval [t_{k-1}, t_k]."""
+
+    k: int
+    x: np.ndarray          # (n, runs) plant state at t_k
+    y: np.ndarray          # (n_y, runs) output at t_k
+    x1hat_q: np.ndarray    # (n_q + 1, n1, runs) observer on the quad nodes
+    eps1_gap: np.ndarray   # (n_q, runs) eps1 - ||x1 - x1hat|| after t_{k-1}
+
+
+def center_pass(design: DesignArtifacts, X0: np.ndarray, w_family):
+    """Yield the plant, bank and observer centers of a batch of runs, one
+    :class:`CenterSample` per sample time k = 1..n_steps.
+
+    ``X0`` (n x runs) holds the initial states and ``w_family`` maps an
+    array of times to (len, n_w, runs) input samples; it is called once
+    per sample interval, on its fine nodes followed by its half-nodes.
+    Every run starts the observer at the split of ``xhat0`` and the bank at
+    its measured output.  Each quad stride is one product with the lifted
+    map of :class:`CenterLift`, so no Python loop runs over fine nodes.
+    """
+    cfg, sys, lift = design.cfg, design.sys, design.lift
+    n, x1 = lift.n_x, lift.x1
+    n1 = design.dec.n1
+    X0 = np.asarray(X0, dtype=float)
+    runs = X0.shape[1]
+    n_fine, h, n_q = design.n_fine, design.h_fine, cfg.quad_substeps
+    s = np.zeros((lift.Mp.shape[0], runs))
+    s[:n] = X0
+    s[n:n + sys.n_y] = sys.C @ X0 + sys.D @ w_family(np.zeros(1))[0]
+    s[x1] = (design.dec.P1 @ cfg.xhat0)[:n1, None]
+    T1 = design.dec.P1[:n1]
+    offsets = np.arange(n_fine + 1)
+    for k in range(1, cfg.n_steps + 1):
+        nodes = h * ((k - 1) * n_fine + offsets)
+        w = w_family(np.concatenate([nodes, nodes[:-1] + 0.5 * h]))
+        U = np.matmul(lift.W, w[lift.gather].reshape(n_q, -1, runs))
+        S = np.empty((n_q + 1,) + s.shape)
+        S[0] = s
+        for q in range(n_q):
+            S[q + 1] = s = lift.Mp @ s + U[q]
+        err = np.matmul(T1, S[1:, :n]) - S[1:, x1]
+        gap = (design.eps1_grid[(k - 1) * n_q + 1:k * n_q + 1, None]
+               - np.linalg.norm(err, axis=1))
+        yield CenterSample(k=k, x=S[-1, :n],
+                           y=sys.C @ S[-1, :n] + sys.D @ w[n_fine],
+                           x1hat_q=S[:, x1], eps1_gap=gap)
 
 
 # -- traces ----------------------------------------------------------------
@@ -212,26 +355,26 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
     """Execute the full estimation loop over the scenario horizon.
 
     The per-step order follows the published pseudocode: advance the
-    continuous blocks on the inner grid, then per sample time select the
-    stacking gain and mixing weight, propagate, gate the measurement update
-    on G_k, update or skip, and fuse.
+    continuous blocks (plant, derivative bank, unknown-input observer) to
+    the next sample time, then select the stacking gain and mixing weight,
+    propagate, gate the measurement update on G_k, update or skip, and
+    fuse.  The continuous blocks are the :func:`center_pass` of one run, so
+    a run and a Monte Carlo batch share one center simulator.
     """
     if design is None:
         design = build_design(cfg)
-    dec, uio, hgo_cfg = design.dec, design.uio, design.hgo_cfg
+    dec = design.dec
     n1, n2 = dec.n1, dec.n2
-    sys = design.sys
     log = step_log if step_log is not None else []
 
     if x0 is None:
         x0 = cfg.x0_true if cfg.x0_true is not None else cfg.xhat0
     if w_fn is None:
         w_fn = _make_w_fn(cfg)
+    x0 = np.asarray(x0, dtype=float).ravel()
 
-    ts_fine, xs_fine = simulate_plant(sys, x0, w_fn, cfg.dt, design.n_fine,
-                                      cfg.horizon)
-    w_fine = np.asarray(w_fn(ts_fine), dtype=float)
-    ys_fine = xs_fine @ sys.C.T + w_fine @ sys.D.T
+    def w_one(ts):
+        return np.asarray(w_fn(ts), dtype=float)[:, :, None]
 
     # t = 0 setup: split the initial ellipsoid through the coordinate change
     log.append("setup")
@@ -239,9 +382,7 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
     Kp0 = symmetrize(dec.P1 @ cfg.K0 @ dec.P1.T)
     x1hat = xp0[:n1].copy()
     st2 = WeakState(x2hat=xp0[n1:], P2hat=Kp0[n1:, n1:], k=0, t_k=0.0)
-    hgo_st = initial_state(hgo_cfg, ys_fine[0])
 
-    quad_stride = design.quad_stride
     n_q = cfg.quad_substeps
     ts_q = design.eps1_ts
     cw_q = cfg.cw(ts_q)
@@ -253,20 +394,17 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
     pred_shapes: list[np.ndarray] = []
     Gk_seq: list[np.ndarray] = []
     alphas, betas = [], []
-    x1hat_q = np.empty((cfg.n_steps * n_q + 1, n1))
-    x1hat_q[0] = x1hat
     eps1_margin = np.inf
     eps1_ok = True
     worst_q = 0.0
     containment_ok = True
 
-    def emit_row(k, alpha, beta, gamma, skipped):
+    def emit_row(k, x_true_k, alpha, beta, gamma, skipped):
         nonlocal worst_q, containment_ok
         t_k = k * cfg.dt
         e1 = float(design.eps1_grid[k * n_q])
         fu = fuse(x1hat, e1, st2, dec.P1)
         fused_list.append(fu)
-        x_true_k = xs_fine[k * design.n_fine]
         q = fu.ellipsoid.quadratic_form(x_true_k)
         worst_q = max(worst_q, q)
         contained = q <= 1.0 + MEMBERSHIP_SLACK
@@ -281,34 +419,15 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
             contained=contained, skipped=skipped))
 
     log.append("fuse")
-    emit_row(0, np.nan, np.nan, np.nan, skipped=True)
+    emit_row(0, x0, np.nan, np.nan, np.nan, skipped=True)
 
-    h = design.h_fine
-    for k in range(1, cfg.n_steps + 1):
-        # continuous blocks on the inner grid
+    for smp in center_pass(design, x0[:, None], w_one):
+        k = smp.k
         log.append("continuous")
-        base = (k - 1) * design.n_fine
-        for j in range(design.n_fine):
-            z = assemble_z_hat(hgo_cfg, hgo_st)
-            x1hat = step_uio(uio, x1hat, z, h)
-            hgo_st = step_hgo(hgo_cfg, hgo_st, ys_fine[base + j], h)
-            if (j + 1) % quad_stride == 0:
-                qi = (k - 1) * n_q + (j + 1) // quad_stride
-                x1hat_q[qi] = x1hat
-                # envelope validity on the inner grid
-                x1_true = (dec.P1 @ xs_fine[base + j + 1])[:n1]
-                gap = design.eps1_grid[qi] - np.linalg.norm(x1_true - x1hat)
-                eps1_margin = min(eps1_margin, float(gap))
-                if gap < -1e-9:
-                    eps1_ok = False
-
-        sl = slice((k - 1) * n_q, k * n_q + 1)
-        inp = StepInputs(
-            x1hat_samples=x1hat_q[sl],
-            eps1_samples=design.eps1_grid[sl],
-            cw_samples=cw_q[sl],
-            Kw_samples=Kw_q[sl],
-            y_k=ys_fine[k * design.n_fine])
+        eps1_margin = min(eps1_margin, float(np.min(smp.eps1_gap)))
+        eps1_ok = eps1_ok and not np.any(smp.eps1_gap < -EPS1_SLACK)
+        x1hat = smp.x1hat_q[-1, :, 0]
+        x_true_k = smp.x[:, 0]
 
         if n2 == 0:
             log.append("fuse")
@@ -318,9 +437,16 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
             pred_shapes.append(st2.P2hat)
             alphas.append(np.nan)
             betas.append(np.nan)
-            emit_row(k, np.nan, np.nan, np.nan, skipped=True)
+            emit_row(k, x_true_k, np.nan, np.nan, np.nan, skipped=True)
             continue
 
+        sl = slice((k - 1) * n_q, k * n_q + 1)
+        inp = StepInputs(
+            x1hat_samples=smp.x1hat_q[:, :, 0],
+            eps1_samples=design.eps1_grid[sl],
+            cw_samples=cw_q[sl],
+            Kw_samples=Kw_q[sl],
+            y_k=smp.y[:, 0])
         log.append("gamma")
         gpair = gamma_terms(inp.Kw_samples[-1], float(inp.eps1_samples[-1]), n1)
         gam = gpair[0]
@@ -346,7 +472,7 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
         alphas.append(alpha)
         betas.append(beta)
         log.append("fuse")
-        emit_row(k, alpha, beta, gam, skipped)
+        emit_row(k, x_true_k, alpha, beta, gam, skipped)
 
     report = None
     if with_certificate:
@@ -429,21 +555,27 @@ class _InputFamily:
     freqs: np.ndarray   # (terms, runs)
     phases: np.ndarray  # (terms, runs)
 
+    def __post_init__(self):
+        Kw = self.cfg.Kw
+        self._chol = (np.linalg.cholesky(Kw.matrix) if Kw.kind == "const"
+                      else None)
+
     def __call__(self, ts) -> np.ndarray:
         """(len(ts), n_w, runs) admissible input samples."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         cfg = self.cfg
-        s = self.amps[None, :, None, :] * np.sin(
-            self.freqs[None, :, None, :] * ts[:, None, None, None]
-            + self.phases[None, :, None, :]) * self.units[None, :, :, :]
-        dev = s.sum(axis=1)  # (T, n_w, runs), ||dev|| <= 1 pointwise
-        if cfg.Kw.kind == "const":
-            L = np.linalg.cholesky(cfg.Kw.matrix)
-            scaled = np.einsum("ab,tbr->tar", L, dev)
+        wave = self.freqs * ts[:, None, None]             # (T, terms, runs)
+        wave += self.phases
+        np.sin(wave, out=wave)
+        wave *= self.amps
+        dev = np.einsum("tjr,jar->tar", wave, self.units)  # ||dev|| <= 1
+        del wave
+        if self._chol is not None:
+            w = np.einsum("ab,tbr->tar", self._chol, dev)
         else:
-            diag = np.sqrt(np.stack([np.diag(M) for M in cfg.Kw(ts)]))
-            scaled = diag[:, :, None] * dev
-        return cfg.cw(ts)[:, :, None] + scaled
+            w = np.sqrt(cfg.Kw.entries(ts))[:, :, None] * dev
+        w += cfg.cw(ts)[:, :, None]
+        return w
 
 
 def _sample_input_family(rng: np.random.Generator, cfg: ScenarioConfig,
@@ -460,6 +592,14 @@ def _sample_input_family(rng: np.random.Generator, cfg: ScenarioConfig,
                         phases=phases)
 
 
+def _quadratic_forms(fu: FusedEstimate, X: np.ndarray,
+                     centers: np.ndarray) -> np.ndarray:
+    """(X - c)^T P^{-1} (X - c) per column, for the fused shape P."""
+    cf = sla.cho_factor(fu.ellipsoid.shape, lower=True)
+    d = X - centers
+    return np.sum(d * sla.cho_solve(cf, d), axis=0)
+
+
 def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
                             boundary: bool = False,
                             x0s: np.ndarray | None = None,
@@ -467,8 +607,12 @@ def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
     """Batched containment sweep over random admissible runs.
 
     Shapes, gains, and mixing weights are input-independent, so they are
-    taken from one nominal pipeline execution; only the centers are
-    recomputed per run, vectorized across the whole batch.
+    taken from one nominal pipeline execution.  Only the centers are
+    recomputed per run: the plant, derivative bank and observer come from
+    the same :func:`center_pass` as the single run, with the whole batch
+    as its columns, and the weak-block centers replay the nominal gains.
+    The batch streams one sample interval at a time, so memory does not
+    grow with the horizon.
 
     ``x0s`` (n x runs) and ``w_family`` (times -> (len, n_w, runs) samples)
     override the random draws with explicit batches.
@@ -479,117 +623,57 @@ def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
                 "per_run_worst_q": []}
     design = build_design(cfg)
     nominal = run_algorithm1(cfg, design=design, with_certificate=False)
-    dec, uio, hgo_cfg = design.dec, design.uio, design.hgo_cfg
-    sys, n1, n2 = design.sys, design.dec.n1, design.dec.n2
+    dec, n2 = design.dec, design.dec.n2
     rng = np.random.default_rng(seed)
     X = (_sample_initial_states(rng, cfg, runs, boundary)
          if x0s is None else np.asarray(x0s, dtype=float))   # (n, runs)
     family = (_sample_input_family(rng, cfg, runs)
               if w_family is None else w_family)
 
-    h = design.h_fine
-    n_fine = design.n_fine
-    n_nodes = cfg.n_steps * n_fine
-    ts_fine = h * np.arange(n_nodes + 1)
-    R, W1, W2, W3 = rk4_recurrence(sys.A, sys.B, h)
-    from .hgo import _discretization
-    from .numerics import zoh
-    Ad, Bd = _discretization(hgo_cfg.l, hgo_cfg.eps, hgo_cfg.theta, float(h))
-    Ed, Fd = zoh(uio.E, uio.F, h)
-
     # quadrature kernels for the weak-center propagation (shared per step)
     n_q = cfg.quad_substeps
     h_q = cfg.dt / n_q
-    EhQ = sla.expm(dec.A4 * h_q) if n2 else np.eye(0)
-    kernels = np.empty((n_q + 1, n2, n2))
-    P = np.eye(n2)
-    for j in range(n_q, -1, -1):
-        kernels[j] = P
-        P = EhQ @ P
-    Em = kernels[0] if n2 else np.eye(0)
+    kernels = quad_kernels(dec.A4, h_q, n_q)
+    Em = kernels[0]
     # Simpson weights on the quad grid
     wts = np.ones(n_q + 1)
     wts[1:-1:2] = 4.0
     wts[2:-1:2] = 2.0
     wts *= h_q / 3.0
     KB = np.einsum("jab,bc->jac", kernels, dec.B2p)  # (n_q+1, n2, n1+n_w)
+    cw_q = cfg.cw(design.eps1_ts)
+    X2 = np.tile((dec.P1 @ cfg.xhat0)[dec.n1:, None], (1, runs))
 
-    ts_q = design.eps1_ts
-    cw_q = cfg.cw(ts_q)
-
-    # precompute inputs on the fine grid (and half nodes) per Delta-t block
-    xp0 = dec.P1 @ cfg.xhat0
-    x1h = np.tile(xp0[:n1][:, None], (1, runs))
-    X2 = np.tile(xp0[n1:][:, None], (1, runs))
-    w_nodes0 = family(np.array([0.0]))[0]                    # (n_w, runs)
-    Y0 = sys.C @ X + sys.D @ w_nodes0
-    Z = np.zeros((hgo_cfg.l + 1, sys.n_y, runs))
-    Z[0] = Y0
-
-    quad_stride = design.quad_stride
-    contained = np.ones(runs, dtype=bool)
-    per_run_worst = np.zeros(runs)
+    q0 = _quadratic_forms(nominal.fused[0], X,
+                          nominal.fused[0].ellipsoid.center[:, None])
+    per_run_worst = np.maximum(0.0, q0)
+    contained = q0 <= 1.0 + MEMBERSHIP_SLACK
     eps1_violations = 0
     eps1_margin = np.inf
 
-    x1h_q = np.empty((n_q + 1, n1, runs))
-    x1h_q[0] = x1h
-    # state at t=0 containment
-    fu0 = nominal.fused[0]
-    cf0 = sla.cho_factor(fu0.ellipsoid.shape, lower=True)
-    d0 = X - fu0.ellipsoid.center[:, None]
-    q0 = np.sum(d0 * sla.cho_solve(cf0, d0), axis=0)
-    per_run_worst = np.maximum(per_run_worst, q0)
-    contained &= q0 <= 1.0 + MEMBERSHIP_SLACK
-
-    for k in range(1, cfg.n_steps + 1):
-        base = (k - 1) * n_fine
-        block_ts = ts_fine[base:base + n_fine + 1]
-        w_nodes = family(block_ts)                 # (n_fine+1, n_w, runs)
-        w_half = family(block_ts[:-1] + 0.5 * h)
-        for j in range(n_fine):
-            zflat = Z.reshape((hgo_cfg.l + 1) * sys.n_y, runs)
-            x1h = Ed @ x1h + Fd @ zflat
-            y_j = sys.C @ X + sys.D @ w_nodes[j]
-            Z = np.einsum("ab,bcr->acr", Ad, Z) + Bd[:, :, None] * y_j[None]
-            X = (R @ X + W1 @ w_nodes[j] + W2 @ w_half[j]
-                 + W3 @ w_nodes[j + 1])
-            if (j + 1) % quad_stride == 0:
-                qi_local = (j + 1) // quad_stride
-                x1h_q[qi_local] = x1h
-                qi = (k - 1) * n_q + qi_local
-                x1_true = (dec.P1 @ X)[:n1]
-                errs = np.linalg.norm(x1_true - x1h, axis=0)
-                gap = design.eps1_grid[qi] - errs
-                eps1_margin = min(eps1_margin, float(np.min(gap)))
-                eps1_violations += int(np.sum(gap < -1e-9))
-
+    for smp in center_pass(design, X, family):
+        k = smp.k
+        eps1_margin = min(eps1_margin, float(np.min(smp.eps1_gap)))
+        eps1_violations += int(np.sum(smp.eps1_gap < -EPS1_SLACK))
         if n2:
             sl = slice((k - 1) * n_q, k * n_q + 1)
             u = np.concatenate(
-                [x1h_q, np.tile(cw_q[sl][:, :, None], (1, 1, runs))],
+                [smp.x1hat_q, np.tile(cw_q[sl][:, :, None], (1, 1, runs))],
                 axis=1)                                  # (n_q+1, n1+nw, runs)
             drive = np.einsum("jam,jmr->jar", KB, u)
             X2_pred = Em @ X2 + np.einsum("j,jar->ar", wts, drive)
-            row = nominal.traces[k]
-            if not row.skipped:
+            if not nominal.traces[k].skipped:
                 # replay the nominal gain on this run's innovation
                 Ok = _nominal_gain(nominal, design, k)
-                y_k = sys.C @ X + sys.D @ w_nodes[n_fine]
-                u_k = u[-1]
-                innov = y_k - dec.C2 @ X2_pred - dec.D2p @ u_k
+                innov = smp.y - dec.C2 @ X2_pred - dec.D2p @ u[-1]
                 X2 = X2_pred + Ok @ innov
             else:
                 X2 = X2_pred
 
-        fu = nominal.fused[k]
-        center = dec.P1.T @ np.concatenate([x1h, X2], axis=0)
-        cf = sla.cho_factor(fu.ellipsoid.shape, lower=True)
-        d = X - center
-        q = np.sum(d * sla.cho_solve(cf, d), axis=0)
+        center = dec.P1.T @ np.concatenate([smp.x1hat_q[-1], X2], axis=0)
+        q = _quadratic_forms(nominal.fused[k], smp.x, center)
         per_run_worst = np.maximum(per_run_worst, q)
         contained &= q <= 1.0 + MEMBERSHIP_SLACK
-        x1h_q[0] = x1h
 
     rate = float(np.mean(contained))
     return {

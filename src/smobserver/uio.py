@@ -161,7 +161,11 @@ def solve_uio_gain(A1, C1, B1p, D1p, l, poles) -> UioDesign:
 
 def step_uio(des: UioDesign, x1hat: np.ndarray, zhat: np.ndarray,
              h: float) -> np.ndarray:
-    """Advance x1hat over step h with the derivative stack zhat held constant."""
+    """Advance x1hat over step h with the derivative stack zhat held constant.
+
+    The estimator folds the same step into the lifted center recurrence
+    (``pipeline.CenterLift``); this one-step form is its reference.
+    """
     if h <= 0.0:
         raise InvalidParameterError("step size must be positive")
     pair = des.zoh_cache.get(h)

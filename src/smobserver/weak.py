@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (DegenerateInputError, InvalidParameterError,
                      SingularInnovationError, SingularNoiseError)
@@ -116,8 +116,33 @@ def build_Ku(gamma, eps1_t: float, Kw_t: np.ndarray,
             raise InvalidParameterError("build_Ku requires gamma > 1")
         g2 = g1 / (g1 - 1.0)
     Kw_t = np.atleast_2d(np.asarray(Kw_t, dtype=float))
-    return symmetrize(sla.block_diag(
-        g1 * eps1_t ** 2 * np.eye(n1), g2 * Kw_t))
+    Ku = np.zeros((n1 + Kw_t.shape[0],) * 2)
+    diag = np.arange(n1)
+    Ku[diag, diag] = g1 * eps1_t ** 2
+    Ku[n1:, n1:] = g2 * Kw_t
+    return symmetrize(Ku)
+
+
+@lru_cache(maxsize=64)
+def _quad_kernels(a4: bytes, n2: int, h: float, substeps: int) -> np.ndarray:
+    Eh = expm(np.frombuffer(a4).reshape(n2, n2) * h)
+    kernels = np.empty((substeps + 1, n2, n2))
+    P = np.eye(n2)
+    for j in range(substeps, -1, -1):
+        kernels[j] = P
+        P = Eh @ P
+    kernels.setflags(write=False)
+    return kernels
+
+
+def quad_kernels(A4: np.ndarray, h: float, substeps: int) -> np.ndarray:
+    """Kernels e^{A4 (t_k - tau_j)} = e^{A4 h}^(m-j), j = 0..m, on the
+    quadrature grid of one step (m = substeps); kernels[0] = e^{A4 m h}.
+
+    The result is read-only and cached by the value of (A4, h, substeps).
+    """
+    A4 = np.ascontiguousarray(np.atleast_2d(A4), dtype=float)
+    return _quad_kernels(A4.tobytes(), A4.shape[0], float(h), int(substeps))
 
 
 def alpha_k(M2k: np.ndarray, A4: np.ndarray, P2: np.ndarray,
@@ -158,13 +183,7 @@ def propagate(st: WeakState, dec, inp: StepInputs, dt: float,
     A4, B2p = dec.A4, dec.B2p
     n1 = dec.n1
     h = dt / substeps
-    Eh = expm(A4 * h)
-    # kernels e^{A4 (t_k - tau_j)} = Eh^(m-j), j = 0..m
-    kernels = np.empty((substeps + 1, n2, n2))
-    P = np.eye(n2)
-    for j in range(substeps, -1, -1):
-        kernels[j] = P
-        P = Eh @ P
+    kernels = quad_kernels(A4, h, substeps)
     Em = kernels[0]  # Eh^m = e^{A4 dt}
 
     g = gamma_terms(inp.Kw_samples[-1], float(inp.eps1_samples[-1]), n1)

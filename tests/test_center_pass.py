@@ -1,0 +1,147 @@
+"""Oracle tests of the lifted center recurrence: the plant, the derivative
+bank and the unknown-input observer stepped node by node with their public
+one-step functions, against ``center_pass`` on one run and on a batch."""
+
+import numpy as np
+import pytest
+
+import smobserver.hgo as hgo
+import smobserver.pipeline as pipeline
+import smobserver.uio as uio
+from smobserver.ellipsoid import Ellipsoid
+from smobserver.hgo import assemble_z_hat, initial_state, step_hgo
+from smobserver.pipeline import (build_design, center_pass,
+                                 monte_carlo_containment, run_algorithm1,
+                                 simulate_plant)
+from smobserver.uio import step_uio
+
+#: agreement asked of the lifted pass, relative to each block's maximum
+RTOL = 1e-10
+
+
+def node_by_node(design, x0, w_fn):
+    """Reference centers of one run: the plant on the fine grid, then the
+    bank and the observer one fine node at a time.
+
+    Returns the plant state at every sample time, the output at every
+    sample time after t = 0, the observer on every quad node, and
+    eps1 - ||x1 - x1hat|| on every quad node after t = 0.
+    """
+    cfg, sys, dec = design.cfg, design.sys, design.dec
+    n1, h, stride = dec.n1, design.h_fine, design.quad_stride
+    ts, xs = simulate_plant(sys, x0, w_fn, cfg.dt, design.n_fine, cfg.horizon)
+    ys = xs @ sys.C.T + np.asarray(w_fn(ts)) @ sys.D.T
+    st = initial_state(design.hgo_cfg, ys[0])
+    x1hat = (dec.P1 @ cfg.xhat0)[:n1]
+    x1hat_q, gaps = [x1hat], []
+    for i in range(ts.size - 1):
+        z = assemble_z_hat(design.hgo_cfg, st)
+        x1hat = step_uio(design.uio, x1hat, z, h)
+        st = step_hgo(design.hgo_cfg, st, ys[i], h)
+        if (i + 1) % stride == 0:
+            x1hat_q.append(x1hat)
+            x1_true = (dec.P1 @ xs[i + 1])[:n1]
+            gaps.append(design.eps1_grid[len(gaps) + 1]
+                        - np.linalg.norm(x1_true - x1hat))
+    samples = slice(0, None, design.n_fine)
+    return xs[samples], ys[samples][1:], np.array(x1hat_q), np.array(gaps)
+
+
+def lifted(design, X0, w_family):
+    """center_pass's output in the layout of :func:`node_by_node`, with a
+    trailing run axis."""
+    n_q = design.cfg.quad_substeps
+    xs, ys, x1hat_q, gaps = [X0], [], [], []
+    for smp in center_pass(design, X0, w_family):
+        xs.append(smp.x)
+        ys.append(smp.y)
+        x1hat_q.append(smp.x1hat_q if not x1hat_q else smp.x1hat_q[1:])
+        gaps.append(smp.eps1_gap)
+        assert smp.x1hat_q.shape[0] == n_q + 1
+    return (np.array(xs), np.array(ys), np.concatenate(x1hat_q),
+            np.concatenate(gaps))
+
+
+def assert_blocks_close(ref, got):
+    for name, r, g in zip(("x", "y", "x1hat", "eps1 gap"), ref, got):
+        assert r.shape == g.shape, name
+        scale = np.max(np.abs(r))
+        if name == "eps1 gap":
+            # the gap subtracts ||x1 - x1hat|| from eps1: judge its error
+            # against the size of the states it is made of
+            scale = np.max(np.abs(ref[2]))
+        assert np.max(np.abs(r - g)) <= RTOL * scale, name
+
+
+def scenarios(cfg_mixed, cfg_ex1, cfg_ex2):
+    return (cfg_mixed, cfg_ex1.with_overrides(horizon=3.0),
+            cfg_ex2.with_overrides(horizon=3.0))
+
+
+def test_center_pass_matches_node_by_node_one_run(cfg_mixed, cfg_ex1,
+                                                  cfg_ex2):
+    for cfg in scenarios(cfg_mixed, cfg_ex1, cfg_ex2):
+        design = build_design(cfg)
+        ref = node_by_node(design, cfg.xhat0, cfg.w_true)
+        got = lifted(design, cfg.xhat0[:, None],
+                     lambda ts: cfg.w_true(np.asarray(ts))[:, :, None])
+        assert_blocks_close(ref, tuple(a[..., 0] for a in got))
+
+
+def test_center_pass_matches_node_by_node_batch(cfg_mixed, cfg_ex1, cfg_ex2):
+    """Three runs with distinct initial states and inputs: every column of
+    the batch equals its own node-by-node run."""
+    runs = 3
+    for cfg in scenarios(cfg_mixed, cfg_ex1, cfg_ex2):
+        design = build_design(cfg)
+        rng = np.random.default_rng(11)
+        X0 = Ellipsoid(cfg.xhat0, cfg.K0).sample(rng, runs).T
+        family = pipeline._sample_input_family(rng, cfg, runs)
+        got = lifted(design, X0, family)
+        assert len({float(v) for v in X0[0]}) == runs
+        for r in range(runs):
+            ref = node_by_node(design, X0[:, r],
+                               lambda ts, r=r: family(ts)[:, :, r])
+            assert_blocks_close(ref, tuple(a[..., r] for a in got))
+
+
+def test_estimate_steps_no_fine_node(monkeypatch, cfg_mixed):
+    """The estimate and the Monte Carlo sweep take their centers from the
+    lifted pass only: the one-step functions are never called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-fine-node step called")
+
+    monkeypatch.setattr(hgo, "step_hgo", forbidden)
+    monkeypatch.setattr(uio, "step_uio", forbidden)
+    monkeypatch.setattr(pipeline, "simulate_plant", forbidden)
+    cfg = cfg_mixed.with_overrides(horizon=0.5)
+    assert run_algorithm1(cfg).ok
+    assert monte_carlo_containment(cfg, runs=2, seed=0)["runs"] == 2
+
+
+@pytest.mark.parametrize("kind", ["const", "diag"])
+def test_input_family_matches_broadcast_formula(cfg_ex1, kind):
+    """The contracted family equals the plain (T, terms, n_w, runs)
+    broadcast of c_w + L sum_j a_j u_j sin(w_j t + p_j)."""
+    from smobserver.generators import ShapeGenerator, SignalGenerator, Term
+    cfg = cfg_ex1
+    if kind == "diag":
+        cfg = cfg.with_overrides(Kw=ShapeGenerator(
+            kind="diag", entries=SignalGenerator(components=(
+                (Term(kind="const", value=3.0),
+                 Term(kind="sin", amp=0.5, freq=0.3)),
+                (Term(kind="const", value=5.0),)))))
+    fam = pipeline._sample_input_family(np.random.default_rng(4), cfg, 7)
+    ts = 0.01 * np.arange(31)
+    s = (fam.amps[None, :, None, :]
+         * np.sin(fam.freqs[None, :, None, :] * ts[:, None, None, None]
+                  + fam.phases[None, :, None, :])
+         * fam.units[None, :, :, :]).sum(axis=1)
+    if kind == "const":
+        scaled = np.einsum("ab,tbr->tar", np.linalg.cholesky(cfg.Kw.matrix),
+                           s)
+    else:
+        diag = np.sqrt(np.stack([np.diag(M) for M in cfg.Kw(ts)]))
+        scaled = diag[:, :, None] * s
+    ref = cfg.cw(ts)[:, :, None] + scaled
+    assert np.array_equal(fam(ts), ref)

@@ -87,6 +87,64 @@ def test_scenario_rejects_escaping_input(cfg_mixed):
         cfg_mixed.with_overrides(w_true=big)
 
 
+def _with_fast_ripple(cfg, amp=5.0):
+    """cfg's w_true plus amp sin(10 pi t): zero at every multiple of
+    dt = 0.1, outside the bound between them."""
+    comp = cfg.w_true.components[0] + (
+        Term(kind="sin", amp=amp, freq=10.0 * np.pi),)
+    return SignalGenerator(components=(comp,))
+
+
+def test_scenario_rejects_input_escaping_between_samples(cfg_mixed):
+    """The plant consumes w_true at every fine node and half-node, so the
+    bound is checked there, not only at the sample times."""
+    rippled = _with_fast_ripple(cfg_mixed)
+    ts = cfg_mixed.dt * np.arange(cfg_mixed.n_steps + 1)
+    dev = rippled(ts) - cfg_mixed.cw(ts)
+    assert np.max(dev[:, 0] ** 2 / cfg_mixed.Kw.matrix[0, 0]) <= 1.0
+    with pytest.raises(ScenarioFormatError, match="bounding ellipsoid"):
+        cfg_mixed.with_overrides(w_true=rippled)
+
+
+@pytest.mark.parametrize("chunk", [7, 4096])
+def test_input_check_reports_first_escape_across_chunks(monkeypatch,
+                                                        cfg_mixed, chunk):
+    """A small ripple leaves the bound only near the peak of the declared
+    deviation, some thousand fine nodes in; the chunked check reports the
+    first escaping node or half-node of the whole grid."""
+    import smobserver.scenario as scenario
+    monkeypatch.setattr(scenario, "INPUT_CHECK_CHUNK", chunk)
+    rippled = _with_fast_ripple(cfg_mixed, amp=0.25)
+    h = cfg_mixed.h_fine
+    nodes = h * np.arange(cfg_mixed.n_steps * cfg_mixed.n_fine + 1)
+    ts = np.sort(np.concatenate([nodes, nodes[:-1] + 0.5 * h]))
+    q = (rippled(ts) - cfg_mixed.cw(ts))[:, 0] ** 2 / cfg_mixed.Kw.matrix[0, 0]
+    first = ts[np.argmax(q > 1.0 + 1e-9)]
+    assert first > 1.0
+    with pytest.raises(ScenarioFormatError, match=f"t={first:.4f}"):
+        cfg_mixed.with_overrides(w_true=rippled)
+
+
+def test_cli_rejects_input_escaping_between_samples(tmp_path, cfg_mixed):
+    import yaml
+    from smobserver.cli import main as cli_main
+    d = cfg_mixed.to_dict()
+    d["w_true"] = _with_fast_ripple(cfg_mixed).to_dict()
+    scen = tmp_path / "ripple.yaml"
+    scen.write_text(yaml.safe_dump(d, sort_keys=False), encoding="utf-8")
+    assert cli_main(["run", "--scenario", str(scen),
+                     "--out", str(tmp_path / "o")]) == 3
+
+
+def test_scenario_checks_diag_shape_on_fine_grid(cfg_mixed):
+    Kw = ShapeGenerator(kind="diag", entries=SignalGenerator(components=((
+        Term(kind="const", value=0.5), Term(kind="sin", amp=0.2, freq=3.0)),)))
+    cfg = cfg_mixed.with_overrides(Kw=Kw)
+    assert cfg.Kw.kind == "diag"
+    with pytest.raises(ScenarioFormatError):
+        cfg.with_overrides(w_true=_with_fast_ripple(cfg_mixed))
+
+
 def test_scenario_rejects_odd_quadrature(cfg_mixed):
     with pytest.raises(ScenarioFormatError):
         cfg_mixed.with_overrides(quad_substeps=7)

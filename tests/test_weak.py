@@ -10,7 +10,8 @@ from smobserver.numerics import expm
 from smobserver.weak import (StepInputs, WeakState, alpha_k, build_Ku,
                              gamma_k, gamma_terms, gk_matrix,
                              measurement_update, optimize_beta, propagate,
-                             update_is_informative, woodbury_shape)
+                             quad_kernels, update_is_informative,
+                             woodbury_shape)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,30 @@ def test_build_ku_block_layout():
     assert np.allclose(np.diag(Ku), [0.5, 0.5, 6.0, 10.0])
     with pytest.raises(InvalidParameterError):
         build_Ku(1.0, 0.5, np.eye(1), 1)
+
+
+def test_build_ku_equals_block_diag():
+    import scipy.linalg as sla
+    Kw = np.array([[3.0, 0.4], [0.4, 5.0]])
+    for gamma in (2.0, gamma_terms(Kw, 0.7, 3)):
+        g1, g2 = gamma if isinstance(gamma, tuple) else (2.0, 2.0)
+        ref = sla.block_diag(g1 * 0.7 ** 2 * np.eye(3), g2 * Kw)
+        assert np.array_equal(build_Ku(gamma, 0.7, Kw, 3), ref)
+
+
+def test_quad_kernels_match_power_loop_and_cache_by_value():
+    A4 = np.array([[-1.0, 0.3], [0.0, -2.0]])
+    h, m = 0.005, 20
+    kernels = quad_kernels(A4, h, m)
+    Eh, P = expm(A4 * h), np.eye(2)
+    for j in range(m, -1, -1):
+        assert np.array_equal(kernels[j], P)
+        P = Eh @ P
+    # an equal matrix in a new array hits the cache; another value does not
+    assert quad_kernels(A4.copy(), h, m) is kernels
+    assert quad_kernels(A4 + 1e-3, h, m) is not kernels
+    assert not kernels.flags.writeable
+    assert quad_kernels(np.zeros((0, 0)), h, m).shape == (m + 1, 0, 0)
 
 
 def test_alpha_k_is_grid_argmin():
