@@ -14,9 +14,9 @@ from .decomposition import (Decomposition, LtiSystem, build_decomposition,
                             weakly_unobservable_subspace)
 from .ellipsoid import (Ellipsoid, affine_image, axis_bounds,
                         cartesian_product_bound, contains, minkowski_outer,
-                        optimal_product_gain, support, volume)
+                        optimal_product_gain, stacking_gain, support, volume)
 from .errors import ObserverError
-from .fusion import FusedEstimate, fuse, optimal_mu
+from .fusion import FusedEstimate, fuse
 from .generators import ShapeGenerator, SignalGenerator, Term
 from .hgo import HgoConfig, HgoState, decay_constants, design_hgo, step_hgo
 from .pipeline import (DesignArtifacts, RunResult, TraceRow, build_design,
@@ -27,8 +27,8 @@ from .scenario import (BUILTIN_SCENARIOS, CertOptions, HgoSettings,
                        ScenarioConfig, example1, example2)
 from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign, epsilon1,
                   epsilon1_uniform_bounds, solve_uio_gain, step_uio)
-from .weak import (StepInputs, WeakState, gamma_k, measurement_update,
-                   optimize_beta, propagate)
+from .weak import (StepInputs, WeakState, measurement_update, optimize_beta,
+                   propagate)
 
 __version__ = "0.1.0"
 
@@ -37,10 +37,10 @@ __all__ = [
     "Decomposition", "LtiSystem", "build_decomposition",
     "select_derivative_order", "weakly_unobservable_subspace",
     "Ellipsoid", "affine_image", "axis_bounds", "cartesian_product_bound",
-    "contains", "minkowski_outer", "optimal_product_gain", "support",
-    "volume",
+    "contains", "minkowski_outer", "optimal_product_gain", "stacking_gain",
+    "support", "volume",
     "ObserverError",
-    "FusedEstimate", "fuse", "optimal_mu",
+    "FusedEstimate", "fuse",
     "ShapeGenerator", "SignalGenerator", "Term",
     "HgoConfig", "HgoState", "decay_constants", "design_hgo", "step_hgo",
     "DesignArtifacts", "RunResult", "TraceRow", "build_design",
@@ -51,7 +51,7 @@ __all__ = [
     "example1", "example2",
     "Epsilon1Evaluator", "ErrorBoundParams", "UioDesign", "epsilon1",
     "epsilon1_uniform_bounds", "solve_uio_gain", "step_uio",
-    "StepInputs", "WeakState", "gamma_k", "measurement_update",
-    "optimize_beta", "propagate",
+    "StepInputs", "WeakState", "measurement_update", "optimize_beta",
+    "propagate",
     "__version__",
 ]

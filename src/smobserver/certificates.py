@@ -107,6 +107,21 @@ class CertificateReport:
                 d[k] = float(v)
         return d
 
+    def shape_inconsistency(self, P2_shapes) -> str | None:
+        """The first realized weak-block shape with an eigenvalue outside
+        [p2_lo, p2_hi], described; None when the run respects both bounds."""
+        for k, P2 in enumerate(P2_shapes):
+            if P2.size == 0:
+                continue
+            lam = np.linalg.eigvalsh(P2)
+            if self.p2_lo > 0.0 and lam[0] < self.p2_lo * (1.0 - 1e-9):
+                return (f"step {k}: lambda_min {lam[0]:.6g} "
+                        f"< p2_lo {self.p2_lo:.6g}")
+            if np.isfinite(self.p2_hi) and lam[-1] > self.p2_hi * (1.0 + 1e-9):
+                return (f"step {k}: lambda_max {lam[-1]:.6g} "
+                        f"> p2_hi {self.p2_hi:.6g}")
+        return None
+
 
 def gamma_bounds(const: AssumptionConstants, eps1_lo: float, eps1_hi: float,
                  n1: int, n_w: int) -> tuple[float, float, float, float]:

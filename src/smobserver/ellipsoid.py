@@ -118,6 +118,24 @@ def optimal_product_gain(Q1: np.ndarray, Q2: np.ndarray) -> float:
     return float(np.sqrt(t2 / t1) + 1.0)
 
 
+def stacking_gain(t2: float, eps1: float, n1: int) -> tuple[float, float]:
+    """(g, g/(g-1)) for stacking E(., eps1^2 I_n1) with a block of trace t2.
+
+    g = 1 + s with s = sqrt(t2 / n1) / eps1 minimizes the trace of the
+    product bound.  Both factors are formed from s directly, so an enormous
+    eps1 (s underflowing next to 1) still yields a finite, correct
+    g/(g-1) = 1 + 1/s.
+    """
+    if eps1 <= 0.0:
+        raise InvalidParameterError("eps1 must be positive")
+    if t2 <= 0.0 or n1 <= 0:
+        raise DegenerateInputError("stacking gain needs positive traces")
+    s = float(np.sqrt(t2 / n1) / eps1)
+    if s <= 0.0:
+        raise DegenerateInputError("stacking ratio underflowed to zero")
+    return 1.0 + s, 1.0 + 1.0 / s
+
+
 def cartesian_product_bound(e1: Ellipsoid, e2: Ellipsoid,
                             g: float | None = None) -> tuple[Ellipsoid, float]:
     """Outer ellipsoid of the Cartesian product of two ellipsoids.

@@ -5,11 +5,11 @@ full state space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
-from .ellipsoid import Ellipsoid
+from .ellipsoid import Ellipsoid, stacking_gain
 from .errors import InvalidParameterError
 from .numerics import symmetrize
 from .weak import WeakState
@@ -17,9 +17,11 @@ from .weak import WeakState
 
 @dataclass(frozen=True)
 class FusedEstimate:
-    """Full-state bounding ellipsoid plus the stacking gain used."""
+    """Full-state bound: one shape for a batch of runs, the center of each
+    run ((n,) or (n, runs)), and the stacking gain used."""
 
-    ellipsoid: Ellipsoid
+    center: np.ndarray
+    shape: np.ndarray
     mu: float
 
     def __post_init__(self):
@@ -28,25 +30,10 @@ class FusedEstimate:
         if self.mu < 1.0:
             raise InvalidParameterError("fusion gain mu must exceed 1")
 
-
-def mu_terms(eps1_k: float, P2hat: np.ndarray, n1: int) -> tuple[float, float]:
-    """(mu, mu/(mu-1)) for the trace-minimizing stacking gain.
-
-    mu = 1 + s with s = sqrt(tr P2 / (n1 eps1^2)); both factors come from s
-    directly so extreme eps1 values cannot underflow mu - 1 to zero.
-    """
-    t2 = float(np.trace(np.atleast_2d(P2hat)))
-    if t2 <= 0.0 or n1 <= 0 or eps1_k <= 0.0:
-        raise InvalidParameterError("mu_terms needs positive traces")
-    s = float(np.sqrt(t2 / n1) / eps1_k)
-    if s <= 0.0:
-        raise InvalidParameterError("fusion stacking ratio underflowed")
-    return 1.0 + s, 1.0 + 1.0 / s
-
-
-def optimal_mu(eps1_k: float, P2hat: np.ndarray, n1: int) -> float:
-    """Trace-minimizing stacking gain: sqrt(tr P2 / (n1 eps1^2)) + 1."""
-    return mu_terms(eps1_k, P2hat, n1)[0]
+    @cached_property
+    def ellipsoid(self) -> Ellipsoid:
+        """E(center, shape) of a single run."""
+        return Ellipsoid(self.center, self.shape)
 
 
 def fuse(x1hat: np.ndarray, eps1_k: float, st2: WeakState, P1: np.ndarray,
@@ -55,9 +42,10 @@ def fuse(x1hat: np.ndarray, eps1_k: float, st2: WeakState, P1: np.ndarray,
 
     xhat = P1^{-1} col(x1hat, x2hat) and Phat = P1^{-1} diag(mu eps1^2 I,
     mu/(mu-1) P2hat) P1^{-T}; any mu > 1 preserves containment, the default
-    is the trace-optimal value.
+    is the trace-optimal :func:`stacking_gain`.  The centers may carry a
+    trailing run axis; the shape is formed once for all of them.
     """
-    x1hat = np.atleast_1d(np.asarray(x1hat, dtype=float)).ravel()
+    x1hat = np.atleast_1d(np.asarray(x1hat, dtype=float))
     P1 = np.atleast_2d(np.asarray(P1, dtype=float))
     n1 = x1hat.shape[0]
     n2 = st2.x2hat.shape[0]
@@ -65,20 +53,21 @@ def fuse(x1hat: np.ndarray, eps1_k: float, st2: WeakState, P1: np.ndarray,
         raise InvalidParameterError("eps1_k must be positive")
     if P1.shape != (n1 + n2, n1 + n2):
         raise InvalidParameterError("P1 dimension mismatch")
+    Pinv = np.linalg.inv(P1)
     if n2 == 0:
         # nothing to stack: the x1 ellipsoid is already the full estimate
-        Pinv = np.linalg.inv(P1)
         K = symmetrize(Pinv @ (eps1_k ** 2 * np.eye(n1)) @ Pinv.T)
-        return FusedEstimate(
-            ellipsoid=Ellipsoid(Pinv @ x1hat, K), mu=np.inf)
+        return FusedEstimate(center=Pinv @ x1hat, shape=K, mu=np.inf)
     if mu is None:
-        mu, mu2 = mu_terms(eps1_k, st2.P2hat, n1)
+        mu, mu2 = stacking_gain(float(np.trace(st2.P2hat)), eps1_k, n1)
     else:
         if mu <= 1.0:
             raise InvalidParameterError("fusion gain mu must exceed 1")
         mu2 = mu / (mu - 1.0)
-    Pinv = np.linalg.inv(P1)
     center = Pinv @ np.concatenate([x1hat, st2.x2hat])
-    K = sla.block_diag(mu * eps1_k ** 2 * np.eye(n1), mu2 * st2.P2hat)
+    K = np.zeros((n1 + n2,) * 2)
+    diag = np.arange(n1)
+    K[diag, diag] = mu * eps1_k ** 2
+    K[n1:, n1:] = mu2 * st2.P2hat
     shape = symmetrize(Pinv @ K @ Pinv.T)
-    return FusedEstimate(ellipsoid=Ellipsoid(center, shape), mu=float(mu))
+    return FusedEstimate(center=center, shape=shape, mu=float(mu))

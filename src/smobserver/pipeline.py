@@ -1,19 +1,17 @@
-"""End-to-end observer pipeline: the center pass, the full estimation loop
+"""End-to-end observer pipeline: the center pass, the estimator loop
 (derivative bank + unknown-input observer + weak-block observer + fusion),
 certificate evaluation, Monte Carlo containment suites, and trace emission.
 
-The plant, the derivative bank and the unknown-input observer form one
-linear time-invariant system driven by the input samples, and none of
-their centers feeds back into a shape quantity.  ``build_design`` lifts
-that system once to the quadrature grid (:class:`CenterLift`), and
-:func:`center_pass` advances any batch of runs with one matrix product per
-quad node.  The single run is the pass with one column; a Monte Carlo
-sweep runs it with the whole batch.
-
-The shape-matrix side of the estimator (error envelopes, predicted and
-updated shape matrices, gains, mixing weights) is independent of the
-realized input and initial state; the Monte Carlo driver exploits this by
-computing shapes once and batching all run-dependent centers.
+Every shape quantity of the estimator (error envelopes, predicted and
+updated shape matrices, gains, mixing weights, the fused shape) depends on
+the system only; the realized input and initial state reach the centers
+alone.  :func:`estimate` is the one estimator loop: per sample step it
+computes the shapes once and advances the centers of a whole batch of
+runs.  The plant, the derivative bank and the unknown-input observer form
+one linear time-invariant system, lifted once to the quadrature grid
+(:class:`CenterLift`) and advanced by :func:`center_pass`.  A single run
+(:func:`run_algorithm1`) is the loop with one column; a Monte Carlo sweep
+(:func:`monte_carlo_containment`) is the loop with one column per run.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
                   solve_uio_gain)
 from .weak import (StepInputs, WeakState, build_Ku, gamma_terms, gk_matrix,
                    measurement_update, optimize_beta, propagate,
-                   quad_kernels, update_is_informative)
+                   update_is_informative)
 
 
 # -- plant simulation ------------------------------------------------------
@@ -321,7 +319,11 @@ class TraceRow:
 
 @dataclass
 class RunResult:
-    """Everything a single pipeline execution produces."""
+    """Everything a single pipeline execution produces.
+
+    ``fused`` and ``weak_states`` hold the loop's per-step records of a batch
+    of one: their centers keep a run axis of length 1.
+    """
 
     traces: list
     report: CertificateReport | None
@@ -342,10 +344,106 @@ class RunResult:
         return self.eps1_ok and self.containment_ok
 
 
-def _make_w_fn(cfg: ScenarioConfig):
-    def w_fn(ts):
-        return cfg.w_true(np.asarray(ts, dtype=float))
-    return w_fn
+# -- the estimator loop ----------------------------------------------------
+
+@dataclass
+class EstimateStep:
+    """Step k of :func:`estimate`: the shape-side quantities, shared by every
+    run of the batch, and the centers of each run."""
+
+    k: int
+    x: np.ndarray            # (n, runs) plant state at t_k
+    eps1: float
+    eps1_gap: np.ndarray     # (n_q, runs) since t_{k-1}; empty at k = 0
+    weak: WeakState | None = None  # x2 block after the update or skip
+    fused: FusedEstimate | None = None  # one shape, centers (n, runs)
+    q: np.ndarray | None = None  # (runs,) fused quadratic form of x
+    P2_pred: np.ndarray | None = None
+    Gk: np.ndarray | None = None
+    alpha: float = np.nan
+    beta: float = np.nan
+    gamma: float = np.nan
+    skipped: bool = True
+
+
+def _quadratic_forms(shape: np.ndarray, X: np.ndarray,
+                     centers: np.ndarray) -> np.ndarray:
+    """(X - c)^T P^{-1} (X - c) per column."""
+    cf = sla.cho_factor(shape, lower=True)
+    d = X - centers
+    return np.sum(d * sla.cho_solve(cf, d), axis=0)
+
+
+def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
+             log: list | None = None):
+    """Run the estimator on a batch of runs, yielding one
+    :class:`EstimateStep` per sample time k = 0..n_steps.
+
+    ``X0`` (n x runs) and ``w_family`` are as for :func:`center_pass`.  The
+    per-step order follows the published pseudocode: advance the continuous
+    blocks (plant, derivative bank, unknown-input observer) to the next
+    sample time, select the stacking gain, propagate, gate the measurement
+    update on G_k, update or skip, and fuse.  Every shape, gain and weight
+    depends on the system only, so each is computed once per step; the
+    centers of all runs advance together.  Each stage appends its name to
+    ``log``.
+    """
+    cfg, dec = design.cfg, design.dec
+    n1, n2, n_q = dec.n1, dec.n2, cfg.quad_substeps
+    log = [] if log is None else log
+    X0 = np.asarray(X0, dtype=float)
+    runs = X0.shape[1]
+    ts_q = design.eps1_ts
+    cw_q, Kw_q = cfg.cw(ts_q), cfg.Kw(ts_q)
+
+    # t = 0 setup: split the initial ellipsoid through the coordinate change
+    log.append("setup")
+    xp0 = np.tile((dec.P1 @ cfg.xhat0)[:, None], (1, runs))
+    Kp0 = symmetrize(dec.P1 @ cfg.K0 @ dec.P1.T)
+    st2 = WeakState(x2hat=xp0[n1:], P2hat=Kp0[n1:, n1:])
+    log.append("fuse")
+    e1 = float(design.eps1_grid[0])
+    fu = fuse(xp0[:n1], e1, st2, dec.P1)
+    yield EstimateStep(k=0, x=X0, eps1=e1, eps1_gap=np.empty((0, runs)),
+                       weak=st2, fused=fu,
+                       q=_quadratic_forms(fu.shape, X0, fu.center))
+
+    for smp in center_pass(design, X0, w_family):
+        k, t_k = smp.k, smp.k * cfg.dt
+        log.append("continuous")
+        step = EstimateStep(k=k, x=smp.x,
+                            eps1=float(design.eps1_grid[k * n_q]),
+                            eps1_gap=smp.eps1_gap)
+        if n2 == 0:
+            st2 = WeakState(x2hat=st2.x2hat, P2hat=st2.P2hat, k=k, t_k=t_k)
+            step.P2_pred = st2.P2hat
+        else:
+            sl = slice((k - 1) * n_q, k * n_q + 1)
+            inp = StepInputs(x1hat_samples=smp.x1hat_q,
+                             eps1_samples=design.eps1_grid[sl],
+                             cw_samples=cw_q[sl], Kw_samples=Kw_q[sl],
+                             y_k=smp.y)
+            log.append("gamma")
+            gpair = gamma_terms(Kw_q[k * n_q], step.eps1, n1)
+            step.gamma = gpair[0]
+            log.append("propagate")
+            x2_pred, step.P2_pred, step.alpha, _ = propagate(
+                st2, dec, inp, cfg.dt, n_q)
+            st2 = WeakState(x2hat=x2_pred, P2hat=step.P2_pred, k=k, t_k=t_k)
+            step.Gk = gk_matrix(dec, build_Ku(gpair, step.eps1,
+                                              Kw_q[k * n_q], n1))
+            log.append("gate")
+            step.beta = 0.0
+            if update_is_informative(dec, step.Gk):
+                log.append("update")
+                step.beta = optimize_beta(step.P2_pred, dec.C2, step.Gk)
+                st2 = measurement_update(st2, dec, inp, step.beta, step.Gk)
+                step.skipped = False
+        log.append("fuse")
+        step.weak = st2
+        step.fused = fuse(smp.x1hat_q[-1], step.eps1, st2, dec.P1)
+        step.q = _quadratic_forms(step.fused.shape, smp.x, step.fused.center)
+        yield step
 
 
 def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
@@ -354,136 +452,62 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
                    step_log: list | None = None) -> RunResult:
     """Execute the full estimation loop over the scenario horizon.
 
-    The per-step order follows the published pseudocode: advance the
-    continuous blocks (plant, derivative bank, unknown-input observer) to
-    the next sample time, then select the stacking gain and mixing weight,
-    propagate, gate the measurement update on G_k, update or skip, and
-    fuse.  The continuous blocks are the :func:`center_pass` of one run, so
-    a run and a Monte Carlo batch share one center simulator.
+    The run is :func:`estimate` with one column: this function adds the
+    trace rows, the per-step records and the certificate.  ``step_log``
+    receives the stage names in the published order.
     """
     if design is None:
         design = build_design(cfg)
-    dec = design.dec
-    n1, n2 = dec.n1, dec.n2
-    log = step_log if step_log is not None else []
-
     if x0 is None:
         x0 = cfg.x0_true if cfg.x0_true is not None else cfg.xhat0
-    if w_fn is None:
-        w_fn = _make_w_fn(cfg)
+    w_fn = cfg.w_true if w_fn is None else w_fn
     x0 = np.asarray(x0, dtype=float).ravel()
 
     def w_one(ts):
         return np.asarray(w_fn(ts), dtype=float)[:, :, None]
 
-    # t = 0 setup: split the initial ellipsoid through the coordinate change
-    log.append("setup")
-    xp0 = dec.P1 @ cfg.xhat0
-    Kp0 = symmetrize(dec.P1 @ cfg.K0 @ dec.P1.T)
-    x1hat = xp0[:n1].copy()
-    st2 = WeakState(x2hat=xp0[n1:], P2hat=Kp0[n1:, n1:], k=0, t_k=0.0)
-
-    n_q = cfg.quad_substeps
-    ts_q = design.eps1_ts
-    cw_q = cfg.cw(ts_q)
-    Kw_q = cfg.Kw(ts_q)
-
     traces: list[TraceRow] = []
     fused_list: list[FusedEstimate] = []
-    weak_list: list[WeakState] = [st2]
+    weak_list: list[WeakState] = []
     pred_shapes: list[np.ndarray] = []
     Gk_seq: list[np.ndarray] = []
     alphas, betas = [], []
-    eps1_margin = np.inf
-    eps1_ok = True
-    worst_q = 0.0
-    containment_ok = True
+    eps1_margin, worst_q = np.inf, 0.0
+    log = step_log if step_log is not None else []
 
-    def emit_row(k, x_true_k, alpha, beta, gamma, skipped):
-        nonlocal worst_q, containment_ok
-        t_k = k * cfg.dt
-        e1 = float(design.eps1_grid[k * n_q])
-        fu = fuse(x1hat, e1, st2, dec.P1)
-        fused_list.append(fu)
-        q = fu.ellipsoid.quadratic_form(x_true_k)
-        worst_q = max(worst_q, q)
-        contained = q <= 1.0 + MEMBERSHIP_SLACK
-        containment_ok = containment_ok and contained
-        lo, hi = axis_bounds(fu.ellipsoid)
+    for step in estimate(design, x0[:, None], w_one, log):
+        ell = step.fused.ellipsoid
+        lo, hi = axis_bounds(ell)
         traces.append(TraceRow(
-            t=t_k, x_true=x_true_k.copy(), xhat=fu.ellipsoid.center.copy(),
-            lo=lo, hi=hi,
-            trP=float(np.trace(fu.ellipsoid.shape)),
-            vol=volume(fu.ellipsoid), eps1=e1,
-            alpha=alpha, beta=beta, gamma=gamma, mu=fu.mu,
-            contained=contained, skipped=skipped))
+            t=step.k * cfg.dt, x_true=step.x[:, 0].copy(),
+            xhat=ell.center.copy(), lo=lo, hi=hi,
+            trP=float(np.trace(ell.shape)), vol=volume(ell), eps1=step.eps1,
+            alpha=step.alpha, beta=step.beta, gamma=step.gamma,
+            mu=step.fused.mu,
+            contained=bool(step.q[0] <= 1.0 + MEMBERSHIP_SLACK),
+            skipped=step.skipped))
+        fused_list.append(step.fused)
+        weak_list.append(step.weak)
+        worst_q = max(worst_q, float(step.q[0]))
+        eps1_margin = min(eps1_margin, np.min(step.eps1_gap, initial=np.inf))
+        if step.k:
+            pred_shapes.append(step.P2_pred)
+            alphas.append(step.alpha)
+            betas.append(step.beta)
+        if step.Gk is not None:
+            Gk_seq.append(step.Gk)
 
-    log.append("fuse")
-    emit_row(0, x0, np.nan, np.nan, np.nan, skipped=True)
-
-    for smp in center_pass(design, x0[:, None], w_one):
-        k = smp.k
-        log.append("continuous")
-        eps1_margin = min(eps1_margin, float(np.min(smp.eps1_gap)))
-        eps1_ok = eps1_ok and not np.any(smp.eps1_gap < -EPS1_SLACK)
-        x1hat = smp.x1hat_q[-1, :, 0]
-        x_true_k = smp.x[:, 0]
-
-        if n2 == 0:
-            log.append("fuse")
-            st2 = WeakState(x2hat=st2.x2hat, P2hat=st2.P2hat, k=k,
-                            t_k=k * cfg.dt)
-            weak_list.append(st2)
-            pred_shapes.append(st2.P2hat)
-            alphas.append(np.nan)
-            betas.append(np.nan)
-            emit_row(k, x_true_k, np.nan, np.nan, np.nan, skipped=True)
-            continue
-
-        sl = slice((k - 1) * n_q, k * n_q + 1)
-        inp = StepInputs(
-            x1hat_samples=smp.x1hat_q[:, :, 0],
-            eps1_samples=design.eps1_grid[sl],
-            cw_samples=cw_q[sl],
-            Kw_samples=Kw_q[sl],
-            y_k=smp.y[:, 0])
-        log.append("gamma")
-        gpair = gamma_terms(inp.Kw_samples[-1], float(inp.eps1_samples[-1]), n1)
-        gam = gpair[0]
-        log.append("propagate")
-        x2_pred, P2_pred, alpha, _ = propagate(st2, dec, inp, cfg.dt, n_q)
-        st_pred = WeakState(x2hat=x2_pred, P2hat=P2_pred, k=k, t_k=k * cfg.dt)
-        pred_shapes.append(P2_pred)
-        Ku_k = build_Ku(gpair, float(inp.eps1_samples[-1]),
-                        inp.Kw_samples[-1], n1)
-        Gk = gk_matrix(dec, Ku_k)
-        Gk_seq.append(Gk)
-        log.append("gate")
-        if update_is_informative(dec, Gk):
-            log.append("update")
-            beta = optimize_beta(P2_pred, dec.C2, Gk)
-            st2 = measurement_update(st_pred, dec, inp, beta)
-            skipped = False
-        else:
-            st2 = st_pred
-            beta = 0.0
-            skipped = True
-        weak_list.append(st2)
-        alphas.append(alpha)
-        betas.append(beta)
-        log.append("fuse")
-        emit_row(k, x_true_k, alpha, beta, gam, skipped)
-
+    alphas, betas = np.asarray(alphas), np.asarray(betas)
     report = None
     if with_certificate:
-        report = certify_design(design, np.asarray(alphas),
-                                np.asarray(betas), Gk_seq)
+        report = certify_design(design, alphas, betas, Gk_seq)
     return RunResult(
         traces=traces, report=report, fused=fused_list,
         weak_states=weak_list, pred_shapes=pred_shapes, Gk_seq=Gk_seq,
-        alphas=np.asarray(alphas), betas=np.asarray(betas),
-        step_log=log, eps1_ok=eps1_ok, containment_ok=containment_ok,
-        eps1_margin=float(eps1_margin), worst_q=float(worst_q))
+        alphas=alphas, betas=betas, step_log=log,
+        eps1_ok=bool(eps1_margin >= -EPS1_SLACK),
+        containment_ok=all(row.contained for row in traces),
+        eps1_margin=float(eps1_margin), worst_q=worst_q)
 
 
 # -- certificates ----------------------------------------------------------
@@ -592,27 +616,16 @@ def _sample_input_family(rng: np.random.Generator, cfg: ScenarioConfig,
                         phases=phases)
 
 
-def _quadratic_forms(fu: FusedEstimate, X: np.ndarray,
-                     centers: np.ndarray) -> np.ndarray:
-    """(X - c)^T P^{-1} (X - c) per column, for the fused shape P."""
-    cf = sla.cho_factor(fu.ellipsoid.shape, lower=True)
-    d = X - centers
-    return np.sum(d * sla.cho_solve(cf, d), axis=0)
-
-
 def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
                             boundary: bool = False,
                             x0s: np.ndarray | None = None,
                             w_family=None) -> dict:
     """Batched containment sweep over random admissible runs.
 
-    Shapes, gains, and mixing weights are input-independent, so they are
-    taken from one nominal pipeline execution.  Only the centers are
-    recomputed per run: the plant, derivative bank and observer come from
-    the same :func:`center_pass` as the single run, with the whole batch
-    as its columns, and the weak-block centers replay the nominal gains.
-    The batch streams one sample interval at a time, so memory does not
-    grow with the horizon.
+    The sweep is :func:`estimate` with one column per run: every shape,
+    gain and weight is computed once per step and shared, and only the
+    centers differ between columns.  It streams one sample interval at a
+    time, so memory does not grow with the horizon.
 
     ``x0s`` (n x runs) and ``w_family`` (times -> (len, n_w, runs) samples)
     override the random draws with explicit batches.
@@ -622,58 +635,21 @@ def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
                 "eps1_violations": 0, "seed": seed,
                 "per_run_worst_q": []}
     design = build_design(cfg)
-    nominal = run_algorithm1(cfg, design=design, with_certificate=False)
-    dec, n2 = design.dec, design.dec.n2
     rng = np.random.default_rng(seed)
     X = (_sample_initial_states(rng, cfg, runs, boundary)
          if x0s is None else np.asarray(x0s, dtype=float))   # (n, runs)
     family = (_sample_input_family(rng, cfg, runs)
               if w_family is None else w_family)
 
-    # quadrature kernels for the weak-center propagation (shared per step)
-    n_q = cfg.quad_substeps
-    h_q = cfg.dt / n_q
-    kernels = quad_kernels(dec.A4, h_q, n_q)
-    Em = kernels[0]
-    # Simpson weights on the quad grid
-    wts = np.ones(n_q + 1)
-    wts[1:-1:2] = 4.0
-    wts[2:-1:2] = 2.0
-    wts *= h_q / 3.0
-    KB = np.einsum("jab,bc->jac", kernels, dec.B2p)  # (n_q+1, n2, n1+n_w)
-    cw_q = cfg.cw(design.eps1_ts)
-    X2 = np.tile((dec.P1 @ cfg.xhat0)[dec.n1:, None], (1, runs))
-
-    q0 = _quadratic_forms(nominal.fused[0], X,
-                          nominal.fused[0].ellipsoid.center[:, None])
-    per_run_worst = np.maximum(0.0, q0)
-    contained = q0 <= 1.0 + MEMBERSHIP_SLACK
+    per_run_worst = np.zeros(runs)
+    contained = np.ones(runs, dtype=bool)
     eps1_violations = 0
     eps1_margin = np.inf
-
-    for smp in center_pass(design, X, family):
-        k = smp.k
-        eps1_margin = min(eps1_margin, float(np.min(smp.eps1_gap)))
-        eps1_violations += int(np.sum(smp.eps1_gap < -EPS1_SLACK))
-        if n2:
-            sl = slice((k - 1) * n_q, k * n_q + 1)
-            u = np.concatenate(
-                [smp.x1hat_q, np.tile(cw_q[sl][:, :, None], (1, 1, runs))],
-                axis=1)                                  # (n_q+1, n1+nw, runs)
-            drive = np.einsum("jam,jmr->jar", KB, u)
-            X2_pred = Em @ X2 + np.einsum("j,jar->ar", wts, drive)
-            if not nominal.traces[k].skipped:
-                # replay the nominal gain on this run's innovation
-                Ok = _nominal_gain(nominal, design, k)
-                innov = smp.y - dec.C2 @ X2_pred - dec.D2p @ u[-1]
-                X2 = X2_pred + Ok @ innov
-            else:
-                X2 = X2_pred
-
-        center = dec.P1.T @ np.concatenate([smp.x1hat_q[-1], X2], axis=0)
-        q = _quadratic_forms(nominal.fused[k], smp.x, center)
-        per_run_worst = np.maximum(per_run_worst, q)
-        contained &= q <= 1.0 + MEMBERSHIP_SLACK
+    for step in estimate(design, X, family):
+        eps1_margin = min(eps1_margin, np.min(step.eps1_gap, initial=np.inf))
+        eps1_violations += int(np.sum(step.eps1_gap < -EPS1_SLACK))
+        per_run_worst = np.maximum(per_run_worst, step.q)
+        contained &= step.q <= 1.0 + MEMBERSHIP_SLACK
 
     rate = float(np.mean(contained))
     return {
@@ -687,17 +663,6 @@ def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
         "eps1_margin": float(eps1_margin),
         "per_run_worst_q": [float(v) for v in per_run_worst],
     }
-
-
-def _nominal_gain(nominal: RunResult, design: DesignArtifacts,
-                  k: int) -> np.ndarray:
-    """Reconstruct the measurement gain used at step k of the nominal run."""
-    dec = design.dec
-    beta = float(nominal.betas[k - 1])
-    P_pred = nominal.pred_shapes[k - 1]
-    Gk = nominal.Gk_seq[k - 1]
-    S = symmetrize(dec.C2 @ P_pred @ dec.C2.T / (1.0 - beta) + Gk / beta)
-    return P_pred @ dec.C2.T @ np.linalg.inv(S) / (1.0 - beta)
 
 
 # -- emission --------------------------------------------------------------

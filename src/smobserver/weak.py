@@ -1,6 +1,10 @@
 """Discrete-time ellipsoidal set-membership observer for the weakly
 unobservable block: reachable-set propagation, measurement update, and the
 per-step parameter selectors alpha_k, beta_k, gamma_k.
+
+Shapes and gains depend on the system only.  Centers may carry a trailing
+run axis: ``propagate`` and ``measurement_update`` then compute the shape
+once and advance every run's center with it.
 """
 
 from __future__ import annotations
@@ -11,8 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DegenerateInputError, InvalidParameterError,
-                     SingularInnovationError, SingularNoiseError)
+from .ellipsoid import stacking_gain
+from .errors import (InvalidParameterError, SingularInnovationError,
+                     SingularNoiseError)
 from .numerics import (expm, golden_section, is_spd, min_eigval,
                        simpson_matrix, spectral_norm, symmetrize)
 
@@ -25,7 +30,10 @@ BETA_LO, BETA_HI = 1e-6, 1.0 - 1e-6
 
 @dataclass
 class WeakState:
-    """Ellipsoidal estimate E(x2hat, P2hat) of the x2 block at step k."""
+    """Ellipsoidal estimate E(x2hat, P2hat) of the x2 block at step k.
+
+    ``x2hat`` is (n2,) for one run or (n2, runs) for a batch sharing P2hat.
+    """
 
     x2hat: np.ndarray
     P2hat: np.ndarray
@@ -33,7 +41,7 @@ class WeakState:
     t_k: float = 0.0
 
     def __post_init__(self):
-        self.x2hat = np.atleast_1d(np.asarray(self.x2hat, dtype=float)).ravel()
+        self.x2hat = np.atleast_1d(np.asarray(self.x2hat, dtype=float))
         self.P2hat = np.atleast_2d(np.asarray(self.P2hat, dtype=float))
         n2 = self.x2hat.shape[0]
         if self.P2hat.shape != (n2, n2):
@@ -51,14 +59,15 @@ class StepInputs:
     """Per-step data on the quadrature grid of [t_{k-1}, t_k].
 
     All sample arrays share the leading axis (substeps + 1 nodes, endpoints
-    included).  ``Kw_samples`` holds one SPD shape matrix per node.
+    included).  ``Kw_samples`` holds one SPD shape matrix per node.  For a
+    batch, ``x1hat_samples`` and ``y_k`` carry a trailing run axis.
     """
 
-    x1hat_samples: np.ndarray  # (m+1, n1)
+    x1hat_samples: np.ndarray  # (m+1, n1[, runs])
     eps1_samples: np.ndarray   # (m+1,)
     cw_samples: np.ndarray     # (m+1, n_w)
     Kw_samples: np.ndarray     # (m+1, n_w, n_w)
-    y_k: np.ndarray
+    y_k: np.ndarray            # (n_y[, runs])
 
     def __post_init__(self):
         self.x1hat_samples = np.atleast_2d(
@@ -66,7 +75,7 @@ class StepInputs:
         self.eps1_samples = np.asarray(self.eps1_samples, dtype=float).ravel()
         self.cw_samples = np.atleast_2d(np.asarray(self.cw_samples, dtype=float))
         self.Kw_samples = np.asarray(self.Kw_samples, dtype=float)
-        self.y_k = np.asarray(self.y_k, dtype=float).ravel()
+        self.y_k = np.asarray(self.y_k, dtype=float)
         m1 = self.eps1_samples.shape[0]
         if (self.x1hat_samples.shape[0] != m1
                 or self.cw_samples.shape[0] != m1
@@ -75,29 +84,19 @@ class StepInputs:
         if np.any(self.eps1_samples <= 0.0):
             raise InvalidParameterError("eps1 samples must be positive")
 
+    def u_samples(self) -> np.ndarray:
+        """col(x1hat, c_w) on every node, (m+1, n1+n_w[, runs])."""
+        x1, cw = self.x1hat_samples, self.cw_samples
+        if x1.ndim == 3:
+            cw = np.broadcast_to(cw[:, :, None], cw.shape + x1.shape[2:])
+        return np.concatenate([x1, cw], axis=1)
+
 
 def gamma_terms(Kw_k: np.ndarray, eps1_k: float, n1: int
                 ) -> tuple[float, float]:
-    """(gamma, gamma/(gamma-1)) for the trace-minimizing stacking gain.
-
-    gamma = 1 + s with s = sqrt(tr Kw / (n1 eps1^2)).  Both factors are
-    formed from s directly so that an enormous eps1 (s underflowing toward
-    zero) still yields a finite, correct gamma/(gamma-1) = 1 + 1/s.
-    """
-    if eps1_k <= 0.0:
-        raise InvalidParameterError("eps1_k must be positive")
-    tw = float(np.trace(np.atleast_2d(Kw_k)))
-    if tw <= 0.0 or n1 <= 0:
-        raise DegenerateInputError("gamma_terms needs positive traces")
-    s = float(np.sqrt(tw / n1) / eps1_k)
-    if s <= 0.0:
-        raise DegenerateInputError("stacking ratio underflowed to zero")
-    return 1.0 + s, 1.0 + 1.0 / s
-
-
-def gamma_k(Kw_k: np.ndarray, eps1_k: float, n1: int) -> float:
-    """Trace-minimizing stacking gain for the combined (x1, w) input bound."""
-    return gamma_terms(Kw_k, eps1_k, n1)[0]
+    """(gamma, gamma/(gamma-1)): the :func:`stacking_gain` of the combined
+    (x1, w) input bound, gamma = 1 + sqrt(tr Kw / (n1 eps1^2))."""
+    return stacking_gain(float(np.trace(np.atleast_2d(Kw_k))), eps1_k, n1)
 
 
 def build_Ku(gamma, eps1_t: float, Kw_t: np.ndarray,
@@ -124,8 +123,16 @@ def build_Ku(gamma, eps1_t: float, Kw_t: np.ndarray,
 
 
 @lru_cache(maxsize=64)
+def _expm_scaled(a: bytes, n: int, t: float) -> np.ndarray:
+    """e^{A t} for the n x n matrix A stored in ``a``, read-only."""
+    E = expm(np.frombuffer(a).reshape(n, n) * t)
+    E.setflags(write=False)
+    return E
+
+
+@lru_cache(maxsize=64)
 def _quad_kernels(a4: bytes, n2: int, h: float, substeps: int) -> np.ndarray:
-    Eh = expm(np.frombuffer(a4).reshape(n2, n2) * h)
+    Eh = _expm_scaled(a4, n2, h)
     kernels = np.empty((substeps + 1, n2, n2))
     P = np.eye(n2)
     for j in range(substeps, -1, -1):
@@ -153,7 +160,8 @@ def alpha_k(M2k: np.ndarray, A4: np.ndarray, P2: np.ndarray,
     a in (0,1); the minimizer is sqrt(tp) / (sqrt(tp) + sqrt(dt tm)) with
     tp, tm the two traces.  Degenerate endpoints are clipped into (0,1).
     """
-    Ed = expm(np.atleast_2d(np.asarray(A4, dtype=float)) * dt)
+    A4 = np.ascontiguousarray(np.atleast_2d(A4), dtype=float)
+    Ed = _expm_scaled(A4.tobytes(), A4.shape[0], float(dt))  # cached by value
     tp = float(np.trace(Ed @ np.atleast_2d(P2) @ Ed.T))
     tm = float(np.trace(np.atleast_2d(M2k)))
     if tp < 0.0 or tm < 0.0:
@@ -169,7 +177,8 @@ def propagate(st: WeakState, dec, inp: StepInputs, dt: float,
               substeps: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """Time update: center by quadrature, shape by the two-term outer bound.
 
-    Returns (x2_pred, P2_pred, alpha_used, M2k).  ``substeps`` is the number
+    Returns (x2_pred, P2_pred, alpha_used, M2k); x2_pred keeps the run axis
+    of ``st.x2hat`` and ``inp.x1hat_samples``.  ``substeps`` is the number
     of Simpson sub-intervals over [t_{k-1}, t_k]; it must be even.
     """
     if dt <= 0.0:
@@ -187,8 +196,7 @@ def propagate(st: WeakState, dec, inp: StepInputs, dt: float,
     Em = kernels[0]  # Eh^m = e^{A4 dt}
 
     g = gamma_terms(inp.Kw_samples[-1], float(inp.eps1_samples[-1]), n1)
-    u = np.hstack([inp.x1hat_samples, inp.cw_samples])  # (m+1, n1+nw)
-    drive = np.einsum("jab,bc,jc->ja", kernels, B2p, u)
+    drive = np.einsum("jab,bc,jc...->ja...", kernels, B2p, inp.u_samples())
     x2_pred = Em @ st.x2hat + simpson_matrix(drive, h)
 
     KB = np.empty((substeps + 1, n2, n2))
@@ -246,23 +254,18 @@ def optimize_beta(P2_pred: np.ndarray, C2: np.ndarray, Gk: np.ndarray,
 
 
 def measurement_update(st_pred: WeakState, dec, inp: StepInputs,
-                       beta: float) -> WeakState:
+                       beta: float, Gk: np.ndarray) -> WeakState:
     """Data update with gain O_k; fuses the prediction with the measurement
-    set at mixing weight beta."""
+    set E(., Gk) at mixing weight beta.  One gain serves every run."""
     if not 0.0 < beta < 1.0:
         raise InvalidParameterError("beta must lie in (0,1)")
     C2, D2p = dec.C2, dec.D2p
-    n1 = dec.n1
-    g = gamma_terms(inp.Kw_samples[-1], float(inp.eps1_samples[-1]), n1)
-    Ku = build_Ku(g, float(inp.eps1_samples[-1]), inp.Kw_samples[-1], n1)
-    Gk = gk_matrix(dec, Ku)
     P_pred = st_pred.P2hat
     S = symmetrize(C2 @ P_pred @ C2.T / (1.0 - beta) + Gk / beta)
     if min_eigval(S) <= 0.0:
         raise SingularInnovationError("innovation matrix is not invertible")
     Ok = P_pred @ C2.T @ np.linalg.inv(S) / (1.0 - beta)
-    u_k = np.concatenate([inp.x1hat_samples[-1], inp.cw_samples[-1]])
-    innovation = inp.y_k - C2 @ st_pred.x2hat - D2p @ u_k
+    innovation = inp.y_k - C2 @ st_pred.x2hat - D2p @ inp.u_samples()[-1]
     x2hat = st_pred.x2hat + Ok @ innovation
     P2hat = symmetrize((np.eye(dec.n2) - Ok @ C2) @ P_pred / (1.0 - beta))
     return WeakState(x2hat=x2hat, P2hat=P2hat, k=st_pred.k, t_k=st_pred.t_k)

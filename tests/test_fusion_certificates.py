@@ -6,24 +6,27 @@ import pytest
 from smobserver.certificates import (AssumptionConstants, expm1_over_x,
                                      exponential_envelopes, gamma_bounds,
                                      grammian_kappa1, grammian_rho)
+from smobserver.ellipsoid import stacking_gain
 from smobserver.errors import InvalidParameterError
-from smobserver.fusion import FusedEstimate, fuse, mu_terms, optimal_mu
+from smobserver.fusion import fuse
 from smobserver.weak import WeakState
 
 
 # -- fusion ----------------------------------------------------------------
 
 def test_mu_terms_formula():
+    """The fusion gain is the stacking gain of tr P2 against eps1."""
     P2 = np.diag([2.0, 2.0])
-    mu1, mu2 = mu_terms(0.5, P2, 4)
+    mu1, mu2 = stacking_gain(float(np.trace(P2)), 0.5, 4)
     s = np.sqrt(4.0 / 4.0) / 0.5
     assert mu1 == pytest.approx(1.0 + s, rel=1e-14)
     assert mu2 == pytest.approx(1.0 + 1.0 / s, rel=1e-14)
-    assert optimal_mu(0.5, P2, 4) == mu1
+    st = WeakState(x2hat=np.zeros(2), P2hat=P2)
+    assert fuse(np.zeros(4), 0.5, st, np.eye(6)).mu == mu1
 
 
 def test_mu_terms_stable_under_extreme_eps1():
-    mu1, mu2 = mu_terms(1e44, np.eye(1), 1)
+    mu1, mu2 = stacking_gain(1.0, 1e44, 1)
     assert mu1 == 1.0  # rounded record, still a valid gain
     assert mu2 == pytest.approx(1.0 + 1e44, rel=1e-12)
     st = WeakState(x2hat=np.zeros(1), P2hat=np.eye(1))

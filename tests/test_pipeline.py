@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 import yaml
 
+import smobserver.pipeline as pipeline
 from smobserver.cli import main as cli_main
 from smobserver.decomposition import LtiSystem
+from smobserver.ellipsoid import Ellipsoid
 from smobserver.errors import InvalidDesignError
 from smobserver.numerics import expm
 from smobserver.pipeline import (build_design, certify_scenario, emit_plot_data,
-                                 emit_traces, monte_carlo_containment,
-                                 parse_traces, rk4_recurrence, run_algorithm1,
+                                 emit_traces, estimate,
+                                 monte_carlo_containment, parse_traces,
+                                 rk4_recurrence, run_algorithm1,
                                  simulate_plant, trace_header)
 
 
@@ -123,18 +126,66 @@ def test_mc_mixed_contained(cfg_mixed):
     assert len(out["per_run_worst_q"]) == 10
 
 
-def test_mc_batched_matches_single_run(cfg_mixed):
+def test_mc_batched_matches_single_run(cfg_mixed, cfg_ex1, cfg_ex2):
     """Feeding the nominal initial state and input through the batched path
     must reproduce the single-run worst quadratic form."""
-    run = run_algorithm1(cfg_mixed)
-    x0s = cfg_mixed.xhat0[:, None]
+    for cfg in (cfg_mixed, cfg_ex1.with_overrides(horizon=3.0),
+                cfg_ex2.with_overrides(horizon=3.0)):
+        run = run_algorithm1(cfg)
+        x0s = cfg.xhat0[:, None]
 
-    def w_family(ts):
-        return cfg_mixed.w_true(np.atleast_1d(np.asarray(ts)))[:, :, None]
+        def w_family(ts, cfg=cfg):
+            return cfg.w_true(np.atleast_1d(np.asarray(ts)))[:, :, None]
 
-    out = monte_carlo_containment(cfg_mixed, runs=1, seed=0, x0s=x0s,
-                                  w_family=w_family)
-    assert out["per_run_worst_q"][0] == pytest.approx(run.worst_q, abs=1e-10)
+        out = monte_carlo_containment(cfg, runs=1, seed=0, x0s=x0s,
+                                      w_family=w_family)
+        assert out["per_run_worst_q"][0] == pytest.approx(
+            run.worst_q, rel=1e-10, abs=1e-10), cfg.name
+
+
+def test_mc_never_reruns_the_single_run(monkeypatch, cfg_mixed):
+    """The sweep shares the estimator loop; it runs no nominal estimate."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_algorithm1 called by the Monte Carlo sweep")
+
+    monkeypatch.setattr(pipeline, "run_algorithm1", forbidden)
+    out = monte_carlo_containment(cfg_mixed.with_overrides(horizon=1.0),
+                                  runs=3, seed=2)
+    assert out["runs"] == 3 and out["containment_rate"] == 1.0
+
+
+def test_batch_columns_match_single_runs(cfg_mixed):
+    """Three runs with distinct initial states and inputs in one batch: each
+    column equals its own one-column run, and the shapes are shared."""
+    cfg = cfg_mixed.with_overrides(horizon=2.0)
+    design = build_design(cfg)
+    rng = np.random.default_rng(7)
+    X0 = Ellipsoid(cfg.xhat0, cfg.K0).sample(rng, 3).T
+    family = pipeline._sample_input_family(rng, cfg, 3)
+    batch = list(estimate(design, X0, family))
+    out = monte_carlo_containment(cfg, runs=3, seed=0, x0s=X0,
+                                  w_family=family)
+    for r in range(3):
+        def w_r(ts, r=r):
+            return family(ts)[:, :, r:r + 1]
+
+        single = list(estimate(design, X0[:, r:r + 1], w_r))
+        assert len(single) == len(batch) == cfg.n_steps + 1
+        for b, s in zip(batch, single):
+            assert np.array_equal(b.fused.shape, s.fused.shape)
+            assert b.skipped == s.skipped
+            assert np.array_equal([b.alpha, b.beta], [s.alpha, s.beta],
+                                  equal_nan=True)
+            for got, ref in ((b.fused.center[:, r], s.fused.center[:, 0]),
+                             (b.weak.x2hat[:, r], s.weak.x2hat[:, 0]),
+                             (b.q[r:r + 1], s.q)):
+                assert np.max(np.abs(got - ref)) <= 1e-10 * max(
+                    1.0, np.max(np.abs(ref)))
+        run = run_algorithm1(cfg, design=design, x0=X0[:, r],
+                             w_fn=lambda ts, r=r: family(ts)[:, :, r])
+        assert out["per_run_worst_q"][r] == pytest.approx(run.worst_q,
+                                                          rel=1e-10)
+    assert not all(step.skipped for step in batch[1:])
 
 
 # -- emission and CLI -------------------------------------------------------
@@ -186,6 +237,30 @@ def test_cli_run_and_certify(tmp_path, cfg_mixed):
     assert (out / "certificate.yaml").exists()
     assert cli_main(["mc", "--scenario", str(scen), "--runs", "3",
                      "--seed", "1"]) == 0
+
+
+def test_cli_certify_mixed_exits_0(tmp_path, cfg_mixed, capsys):
+    scen = tmp_path / "mixed.yaml"
+    cfg_mixed.with_overrides(horizon=2.0).save(scen)
+    assert cli_main(["certify", "--scenario", str(scen)]) == 0
+    assert "consistent with the realized run" in capsys.readouterr().out
+
+
+def test_cli_certify_inconsistent_exits_2(tmp_path, cfg_mixed, monkeypatch,
+                                          capsys):
+    """A p2_hi below a realized eigenvalue of P2 is an inconsistency."""
+    certify_design = pipeline.certify_design
+
+    def low_p2_hi(*args, **kwargs):
+        rep = certify_design(*args, **kwargs)
+        rep.p2_hi = 0.5 * rep.p2_lo
+        return rep
+
+    monkeypatch.setattr(pipeline, "certify_design", low_p2_hi)
+    scen = tmp_path / "mixed.yaml"
+    cfg_mixed.with_overrides(horizon=2.0).save(scen)
+    assert cli_main(["certify", "--scenario", str(scen)]) == 2
+    assert "lambda_max" in capsys.readouterr().err
 
 
 def test_cli_missing_scenario_exits_3(tmp_path):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from smobserver.decomposition import build_decomposition
+from smobserver.ellipsoid import stacking_gain
 from smobserver.errors import InvalidParameterError, SingularNoiseError
 from smobserver.numerics import expm
 from smobserver.weak import (StepInputs, WeakState, alpha_k, build_Ku,
-                             gamma_k, gamma_terms, gk_matrix,
+                             gamma_terms, gk_matrix,
                              measurement_update, optimize_beta, propagate,
                              quad_kernels, update_is_informative,
                              woodbury_shape)
@@ -35,7 +36,7 @@ def test_gamma_terms_formula():
     s = np.sqrt(8.0 / 4.0) / 2.0
     assert g1 == pytest.approx(1.0 + s, rel=1e-14)
     assert g2 == pytest.approx(1.0 + 1.0 / s, rel=1e-14)
-    assert gamma_k(Kw, 2.0, 4) == g1
+    assert (g1, g2) == stacking_gain(8.0, 2.0, 4)
 
 
 def test_gamma_terms_stable_under_extreme_eps1():
@@ -98,6 +99,23 @@ def test_alpha_k_is_grid_argmin():
         tm = np.trace(M2k)
         obj = tp / grid + dt * tm / (1.0 - grid)
         assert tp / a + dt * tm / (1.0 - a) <= np.min(obj) + 1e-8
+
+
+def test_alpha_k_caches_the_step_exponential(monkeypatch):
+    """e^{A4 dt} is computed once per value of (A4, dt), not once per step."""
+    import smobserver.weak as weak
+    calls = []
+
+    def counting_expm(A):
+        calls.append(1)
+        return expm(A)
+
+    monkeypatch.setattr(weak, "expm", counting_expm)
+    A4 = np.array([[-0.71, 0.23], [0.11, -1.37]])
+    alphas = [alpha_k(np.eye(2), A4.copy(), np.eye(2), 0.1234)
+              for _ in range(3)]
+    assert len(calls) <= 1
+    assert alphas[0] == alphas[1] == alphas[2]
 
 
 def test_alpha_k_clips_degenerate_cases():
@@ -224,7 +242,7 @@ def test_measurement_update_matches_woodbury(dec_mixed):
     Gk = gk_matrix(dec_mixed, Ku)
     assert update_is_informative(dec_mixed, Gk)
     beta = optimize_beta(P2p, dec_mixed.C2, Gk)
-    upd = measurement_update(st_pred, dec_mixed, inp, beta)
+    upd = measurement_update(st_pred, dec_mixed, inp, beta, Gk)
     ref = woodbury_shape(P2p, dec_mixed.C2, Gk, beta)
     assert np.allclose(upd.P2hat, ref, rtol=1e-10, atol=1e-14)
 
@@ -241,7 +259,7 @@ def test_measurement_update_shrinks_trace(dec_mixed):
                   dec_mixed.n1)
     Gk = gk_matrix(dec_mixed, Ku)
     beta = optimize_beta(P2p, dec_mixed.C2, Gk)
-    upd = measurement_update(st_pred, dec_mixed, inp, beta)
+    upd = measurement_update(st_pred, dec_mixed, inp, beta, Gk)
     # the optimizer does at least as well as the interval endpoints; the
     # beta -> 0 limit itself lies just outside the clipped search range
     from smobserver.weak import BETA_LO, BETA_HI
