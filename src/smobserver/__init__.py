@@ -12,23 +12,20 @@ from .certificates import AssumptionConstants, CertificateReport, certify
 from .decomposition import (Decomposition, LtiSystem, build_decomposition,
                             select_derivative_order,
                             weakly_unobservable_subspace)
-from .ellipsoid import (Ellipsoid, affine_image, axis_bounds,
-                        cartesian_product_bound, contains, minkowski_outer,
-                        optimal_product_gain, stacking_gain, support, volume)
+from .ellipsoid import Ellipsoid, axis_bounds, quadratic_forms, volume
 from .errors import ObserverError
 from .fusion import FusedEstimate, fuse
 from .generators import ShapeGenerator, SignalGenerator, Term
-from .hgo import HgoConfig, HgoState, decay_constants, design_hgo, step_hgo
+from .hgo import HgoConfig, decay_constants, design_hgo
 from .pipeline import (DesignArtifacts, RunResult, TraceRow, build_design,
                        certify_scenario, emit_plot_data, emit_traces,
-                       monte_carlo_containment, parse_traces, run_algorithm1,
-                       simulate_plant)
+                       monte_carlo_containment, parse_traces, run_algorithm1)
 from .scenario import (BUILTIN_SCENARIOS, CertOptions, HgoSettings,
                        ScenarioConfig, example1, example2)
-from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign, epsilon1,
-                  epsilon1_uniform_bounds, solve_uio_gain, step_uio)
+from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
+                  solve_uio_gain)
 from .weak import (StepInputs, WeakState, measurement_update, optimize_beta,
-                   propagate)
+                   propagate, stacking_gain)
 
 __version__ = "0.1.0"
 
@@ -36,22 +33,18 @@ __all__ = [
     "AssumptionConstants", "CertificateReport", "certify",
     "Decomposition", "LtiSystem", "build_decomposition",
     "select_derivative_order", "weakly_unobservable_subspace",
-    "Ellipsoid", "affine_image", "axis_bounds", "cartesian_product_bound",
-    "contains", "minkowski_outer", "optimal_product_gain", "stacking_gain",
-    "support", "volume",
+    "Ellipsoid", "axis_bounds", "quadratic_forms", "volume",
     "ObserverError",
     "FusedEstimate", "fuse",
     "ShapeGenerator", "SignalGenerator", "Term",
-    "HgoConfig", "HgoState", "decay_constants", "design_hgo", "step_hgo",
+    "HgoConfig", "decay_constants", "design_hgo",
     "DesignArtifacts", "RunResult", "TraceRow", "build_design",
     "certify_scenario", "emit_plot_data", "emit_traces",
     "monte_carlo_containment", "parse_traces", "run_algorithm1",
-    "simulate_plant",
     "BUILTIN_SCENARIOS", "CertOptions", "HgoSettings", "ScenarioConfig",
     "example1", "example2",
-    "Epsilon1Evaluator", "ErrorBoundParams", "UioDesign", "epsilon1",
-    "epsilon1_uniform_bounds", "solve_uio_gain", "step_uio",
+    "Epsilon1Evaluator", "ErrorBoundParams", "UioDesign", "solve_uio_gain",
     "StepInputs", "WeakState", "measurement_update", "optimize_beta",
-    "propagate",
+    "propagate", "stacking_gain",
     "__version__",
 ]

@@ -13,8 +13,9 @@ import numpy as np
 
 from .errors import (CaseNotApplicableError, CertificateUnavailableError,
                      InvalidParameterError)
-from .numerics import (compensated_sup, expm, min_eigval, simpson_matrix,
-                       spectral_norm, symmetrize)
+from .numerics import (GRID_SUP_SAFETY, compensated_sup, expm, min_eigval,
+                       simpson_matrix, spectral_norm, symmetrize)
+from .weak import NO_STACKING, build_Ku, stacking_gain
 
 #: series switch-over for the (e^x - 1)/x factor
 _EXPM1_SERIES_CUTOFF = 1e-4
@@ -125,25 +126,23 @@ class CertificateReport:
 
 def gamma_bounds(const: AssumptionConstants, eps1_lo: float, eps1_hi: float,
                  n1: int, n_w: int) -> tuple[float, float, float, float]:
-    """Uniform bounds on the stacking gain and its conjugate factor.
+    """Uniform bounds (gamma1_lo, gamma1_hi, gamma2_lo, gamma2_hi) on the
+    input stacking gain pair.
 
-    gamma_k = sqrt(tr Kw / (n1 eps1^2)) + 1 is monotone in tr Kw and
-    anti-monotone in eps1; gamma/(gamma-1) is decreasing in gamma.
+    gamma_k = :func:`stacking_gain` of tr Kw in [n_w w_lo, n_w w_hi] against
+    eps1 in [eps1_lo, eps1_hi]: gamma is monotone in tr Kw and anti-monotone
+    in eps1, and gamma/(gamma-1) runs the other way.
     """
     if eps1_lo <= 0.0 or eps1_hi < eps1_lo:
         raise InvalidParameterError("eps1 bounds must be positive and ordered")
     if const.w_lo <= 0.0:
         raise InvalidParameterError("gamma bounds need w_lo > 0")
-    s_lo = np.sqrt(n_w * const.w_lo) / (np.sqrt(n1) * eps1_hi)
-    s_hi = np.sqrt(n_w * const.w_hi) / (np.sqrt(n1) * eps1_lo)
-    # gamma = 1 + s, so gamma/(gamma-1) = 1 + 1/s, computed without
-    # cancellation even when s underflows next to 1
-    return float(1.0 + s_lo), float(1.0 + s_hi), \
-        float(1.0 + 1.0 / s_hi), float(1.0 + 1.0 / s_lo)
+    g1_lo, g2_hi = stacking_gain(n_w * const.w_lo, eps1_hi, n1)
+    g1_hi, g2_lo = stacking_gain(n_w * const.w_hi, eps1_lo, n1)
+    return g1_lo, g1_hi, g2_lo, g2_hi
 
 
-def exponential_envelopes(A4: np.ndarray, margin_scale: float = 0.05,
-                          safety_k: float = 1.05
+def exponential_envelopes(A4: np.ndarray, margin_scale: float = 0.05
                           ) -> tuple[float, float, float, float]:
     """Rate/amplitude envelopes for e^{A4 t} and e^{-A4 t}.
 
@@ -151,7 +150,7 @@ def exponential_envelopes(A4: np.ndarray, margin_scale: float = 0.05,
     ||e^{A4 t}|| <= a2_hi e^{lambda2_hi t} and
     ||e^{-A4 t}|| <= a2_lo e^{lambda2_lo t} on the sampled grid.  The rates
     sit a margin above the respective spectral abscissas so the amplitude
-    suprema are finite.
+    suprema are finite; both amplitudes carry the GRID_SUP_SAFETY factor.
     """
     A4 = np.atleast_2d(np.asarray(A4, dtype=float))
     if A4.shape[0] == 0:
@@ -160,11 +159,11 @@ def exponential_envelopes(A4: np.ndarray, margin_scale: float = 0.05,
     rate_hi = float(np.max(lam.real))
     margin = margin_scale * (1.0 + abs(rate_hi))
     lambda2_hi = rate_hi + margin
-    a2_hi = safety_k * compensated_sup(A4, lambda2_hi)
+    a2_hi = GRID_SUP_SAFETY * compensated_sup(A4, lambda2_hi)
     rate_lo = float(np.max(-lam.real))
     margin2 = margin_scale * (1.0 + abs(rate_lo))
     lambda2_lo = rate_lo + margin2
-    a2_lo = safety_k * compensated_sup(-A4, lambda2_lo)
+    a2_lo = GRID_SUP_SAFETY * compensated_sup(-A4, lambda2_lo)
     return lambda2_hi, a2_hi, lambda2_lo, a2_lo
 
 
@@ -308,34 +307,29 @@ def lemma7_uniform_bound(rep: CertificateReport, rho_lo: float, r: int,
 
 def theorem2_bounds(rep: CertificateReport, P1: np.ndarray, n1: int,
                     n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform matrix bounds on the fused shape from the scalar envelopes."""
+    """Uniform matrix bounds on the fused shape from the scalar envelopes.
+
+    P_lo and P_hi map the stacked blocks of :func:`build_Ku` back through
+    P1, at the smallest and at the largest envelope values.  The fusion
+    gain mu = :func:`stacking_gain` of tr P2 in [n2 p2_lo, n2 p2_hi] against
+    eps1 in [eps1_lo, eps1_hi] supplies the block gains.
+    """
     if n2 == 0:
-        Pinv = np.linalg.inv(np.atleast_2d(P1))
-        lo = Pinv @ (rep.eps1_lo ** 2 * np.eye(n1)) @ Pinv.T
-        hi = Pinv @ (rep.eps1_hi ** 2 * np.eye(n1)) @ Pinv.T
-        return symmetrize(lo), symmetrize(hi)
-    if not np.isfinite(rep.p2_hi):
-        raise CertificateUnavailableError("no uniform p2 upper bound available")
-    if rep.p2_lo <= 0.0:
-        raise CertificateUnavailableError("no positive p2 lower bound available")
+        gain_lo = gain_hi = NO_STACKING
+    else:
+        if not np.isfinite(rep.p2_hi):
+            raise CertificateUnavailableError(
+                "no uniform p2 upper bound available")
+        if rep.p2_lo <= 0.0:
+            raise CertificateUnavailableError(
+                "no positive p2 lower bound available")
+        rep.mu1_lo, rep.mu2_hi = stacking_gain(n2 * rep.p2_lo, rep.eps1_hi, n1)
+        rep.mu1_hi, rep.mu2_lo = stacking_gain(n2 * rep.p2_hi, rep.eps1_lo, n1)
+        gain_lo, gain_hi = (rep.mu1_lo, rep.mu2_lo), (rep.mu1_hi, rep.mu2_hi)
     Pinv = np.linalg.inv(np.atleast_2d(P1))
-    # mu = 1 + s with s the sqrt trace ratio; mu/(mu-1) = 1 + 1/s, computed
-    # without cancellation for extreme ratios
-    s_lo = np.sqrt(n2 * rep.p2_lo / n1) / rep.eps1_hi
-    s_hi = np.sqrt(n2 * rep.p2_hi / n1) / rep.eps1_lo
-    mu1_lo, mu1_hi = 1.0 + s_lo, 1.0 + s_hi
-    mu2_lo, mu2_hi = 1.0 + 1.0 / s_hi, 1.0 + 1.0 / s_lo
-    rep.mu1_lo, rep.mu1_hi = float(mu1_lo), float(mu1_hi)
-    rep.mu2_lo, rep.mu2_hi = float(mu2_lo), float(mu2_hi)
-    D_lo = np.diag(np.concatenate([
-        np.full(n1, mu1_lo * rep.eps1_lo ** 2),
-        np.full(n2, mu2_lo * rep.p2_lo)]))
-    D_hi = np.diag(np.concatenate([
-        np.full(n1, mu1_hi * rep.eps1_hi ** 2),
-        np.full(n2, mu2_hi * rep.p2_hi)]))
-    P_lo = symmetrize(Pinv @ D_lo @ Pinv.T)
-    P_hi = symmetrize(Pinv @ D_hi @ Pinv.T)
-    return P_lo, P_hi
+    D_lo = build_Ku(gain_lo, rep.eps1_lo, rep.p2_lo * np.eye(n2), n1)
+    D_hi = build_Ku(gain_hi, rep.eps1_hi, rep.p2_hi * np.eye(n2), n1)
+    return symmetrize(Pinv @ D_lo @ Pinv.T), symmetrize(Pinv @ D_hi @ Pinv.T)
 
 
 def certify(dec, const: AssumptionConstants, eps1_lo: float, eps1_hi: float,

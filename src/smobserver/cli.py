@@ -44,10 +44,6 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     return cfg.with_overrides(**over) if over else cfg
 
 
-def _load_scenario(path: str) -> ScenarioConfig:
-    return ScenarioConfig.load(path)
-
-
 def _run_and_emit(cfg: ScenarioConfig, out_dir: str,
                   ellipse_axes=None) -> int:
     os.makedirs(out_dir, exist_ok=True)
@@ -74,7 +70,7 @@ def _run_and_emit(cfg: ScenarioConfig, out_dir: str,
 
 
 def cmd_run(args) -> int:
-    cfg = _apply_overrides(_load_scenario(args.scenario), args)
+    cfg = _apply_overrides(ScenarioConfig.load(args.scenario), args)
     return _run_and_emit(cfg, args.out)
 
 
@@ -87,7 +83,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    cfg = _apply_overrides(_load_scenario(args.scenario), args)
+    cfg = _apply_overrides(ScenarioConfig.load(args.scenario), args)
     run = run_algorithm1(cfg)
     rep = run.report
     print(yaml.safe_dump(rep.to_dict(), sort_keys=False))
@@ -104,7 +100,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    cfg = _apply_overrides(_load_scenario(args.scenario), args)
+    cfg = _apply_overrides(ScenarioConfig.load(args.scenario), args)
     summary = monte_carlo_containment(cfg, runs=args.runs, seed=args.seed,
                                       boundary=args.boundary)
     printable = {k: v for k, v in summary.items() if k != "per_run_worst_q"}

@@ -145,15 +145,6 @@ class Decomposition:
         """Feedthrough [C1 D] seen by the x2 block."""
         return np.hstack([self.C1, self.system.D])
 
-    def to_split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xp = self.P1 @ np.asarray(x, dtype=float).ravel()
-        return xp[:self.n1], xp[self.n1:]
-
-    def from_split(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        return self.P1.T @ np.concatenate(
-            [np.asarray(x1, dtype=float).ravel(),
-             np.asarray(x2, dtype=float).ravel()])
-
 
 def build_decomposition(sys: LtiSystem) -> Decomposition:
     """Construct the orthonormal split along the weakly unobservable subspace."""
@@ -178,17 +169,11 @@ def build_decomposition(sys: LtiSystem) -> Decomposition:
 
 @dataclass(frozen=True)
 class DerivativeOrderReport:
-    """Outcome of the derivative-order search.
-
-    ``rank_condition`` records, per candidate order, whether the textbook
-    rank test rank[Ol Gl] = n1 + rank Gl held; it is informational only —
-    selection is gated on actual gain-equation solvability plus
-    detectability of the residual pair.
-    """
+    """Outcome of the derivative-order search: the chosen order and the
+    gain-equation residual of every candidate tried."""
 
     l: int
     residuals: dict[int, float]
-    rank_condition: dict[int, bool]
 
 
 def select_derivative_order(dec: Decomposition, l_max: int | None = None
@@ -202,28 +187,21 @@ def select_derivative_order(dec: Decomposition, l_max: int | None = None
     """
     n1 = dec.n1
     if n1 == 0:
-        return DerivativeOrderReport(l=0, residuals={0: 0.0},
-                                     rank_condition={0: True})
+        return DerivativeOrderReport(l=0, residuals={0: 0.0})
     if l_max is None:
         l_max = n1
     residuals: dict[int, float] = {}
-    ranks: dict[int, bool] = {}
     scale = 1.0 + spectral_norm(dec.B1p)
     for l in range(l_max + 1):
-        Ol, Gl = build_markov_matrices(dec.A1, dec.C1, dec.B1p, dec.D1p, l)
+        _, Gl = build_markov_matrices(dec.A1, dec.C1, dec.B1p, dec.D1p, l)
         M = gain_target(dec.B1p, l)
         res = gain_equation_residual(Gl, M)
         residuals[l] = res
-        rG = np.linalg.matrix_rank(Gl, tol=1e-10 * max(1.0, spectral_norm(Gl)))
-        rOG = np.linalg.matrix_rank(np.hstack([Ol, Gl]),
-                                    tol=1e-10 * max(1.0, spectral_norm(Gl)))
-        ranks[l] = (rOG == n1 + rG)
         if res <= GAIN_RESIDUAL_TOL * scale:
             *_, A_res, C_res = residual_pair(dec.A1, dec.C1, dec.B1p,
                                              dec.D1p, l)
             if is_detectable(A_res, C_res):
-                return DerivativeOrderReport(l=l, residuals=residuals,
-                                             rank_condition=ranks)
+                return DerivativeOrderReport(l=l, residuals=residuals)
     raise StrongObservabilityError(
         f"no derivative order up to {l_max} admits a stable observer "
         f"(best residual {min(residuals.values()):.3e})")

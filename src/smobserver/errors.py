@@ -9,10 +9,6 @@ class InvalidEllipsoidError(ObserverError):
     """Shape matrix is not symmetric positive definite."""
 
 
-class SingularTransformError(ObserverError):
-    """Affine map matrix is singular at the working rank tolerance."""
-
-
 class InvalidParameterError(ObserverError):
     """Scalar design parameter outside its admissible range."""
 

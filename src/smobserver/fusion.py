@@ -9,10 +9,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, stacking_gain
+from .ellipsoid import Ellipsoid
 from .errors import InvalidParameterError
 from .numerics import symmetrize
-from .weak import WeakState
+from .weak import NO_STACKING, WeakState, build_Ku, stacking_gain
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,15 @@ class FusedEstimate:
         return Ellipsoid(self.center, self.shape)
 
 
-def fuse(x1hat: np.ndarray, eps1_k: float, st2: WeakState, P1: np.ndarray,
-         mu: float | None = None) -> FusedEstimate:
+def fuse(x1hat: np.ndarray, eps1_k: float, st2: WeakState,
+         P1: np.ndarray) -> FusedEstimate:
     """Combine E(x1hat, eps1^2 I) and E(x2hat, P2hat) into E(xhat, Phat).
 
-    xhat = P1^{-1} col(x1hat, x2hat) and Phat = P1^{-1} diag(mu eps1^2 I,
-    mu/(mu-1) P2hat) P1^{-T}; any mu > 1 preserves containment, the default
-    is the trace-optimal :func:`stacking_gain`.  The centers may carry a
-    trailing run axis; the shape is formed once for all of them.
+    xhat = P1^{-1} col(x1hat, x2hat) and Phat = P1^{-1} D P1^{-T}, where D
+    is the stacked block of :func:`build_Ku` at the trace-optimal
+    :func:`stacking_gain` mu of tr P2hat against eps1.  An empty weak block
+    stacks nothing: D = eps1^2 I and mu is recorded as inf.  The centers may
+    carry a trailing run axis; the shape is formed once for all of them.
     """
     x1hat = np.atleast_1d(np.asarray(x1hat, dtype=float))
     P1 = np.atleast_2d(np.asarray(P1, dtype=float))
@@ -54,20 +55,9 @@ def fuse(x1hat: np.ndarray, eps1_k: float, st2: WeakState, P1: np.ndarray,
     if P1.shape != (n1 + n2, n1 + n2):
         raise InvalidParameterError("P1 dimension mismatch")
     Pinv = np.linalg.inv(P1)
-    if n2 == 0:
-        # nothing to stack: the x1 ellipsoid is already the full estimate
-        K = symmetrize(Pinv @ (eps1_k ** 2 * np.eye(n1)) @ Pinv.T)
-        return FusedEstimate(center=Pinv @ x1hat, shape=K, mu=np.inf)
-    if mu is None:
-        mu, mu2 = stacking_gain(float(np.trace(st2.P2hat)), eps1_k, n1)
-    else:
-        if mu <= 1.0:
-            raise InvalidParameterError("fusion gain mu must exceed 1")
-        mu2 = mu / (mu - 1.0)
+    gain = (stacking_gain(float(np.trace(st2.P2hat)), eps1_k, n1) if n2
+            else NO_STACKING)
     center = Pinv @ np.concatenate([x1hat, st2.x2hat])
-    K = np.zeros((n1 + n2,) * 2)
-    diag = np.arange(n1)
-    K[diag, diag] = mu * eps1_k ** 2
-    K[n1:, n1:] = mu2 * st2.P2hat
-    shape = symmetrize(Pinv @ K @ Pinv.T)
-    return FusedEstimate(center=center, shape=shape, mu=float(mu))
+    shape = symmetrize(Pinv @ build_Ku(gain, eps1_k, st2.P2hat, n1) @ Pinv.T)
+    return FusedEstimate(center=center, shape=shape,
+                         mu=gain[0] if n2 else np.inf)

@@ -13,7 +13,10 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidDesignError, InvalidParameterError
-from .numerics import norm_envelope_grid, zoh
+from .numerics import GRID_SUP_SAFETY, norm_envelope_grid, zoh
+
+#: fraction of the slowest eigenvalue decay used as the envelope rate a
+DECAY_RATE_SAFETY = 0.9
 
 
 @dataclass(frozen=True)
@@ -21,17 +24,13 @@ class HgoConfig:
     """Derivative order, gain parameter and Hurwitz coefficients.
 
     ``theta`` holds (theta_0, ..., theta_l); the characteristic polynomial
-    s^{l+1} + theta_0 s^l + ... + theta_l must be Hurwitz.  ``safety_a`` and
-    ``safety_k`` shrink/inflate the fitted decay envelope so the returned
-    (K, a) pair stays valid between grid samples.
+    s^{l+1} + theta_0 s^l + ... + theta_l must be Hurwitz.
     """
 
     l: int
     eps: float
     theta: tuple[float, ...]
     n_y: int
-    safety_a: float = 0.9
-    safety_k: float = 1.05
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
@@ -134,23 +133,19 @@ def assemble_z_hat(cfg: HgoConfig, st: HgoState) -> np.ndarray:
     return st.zhat.reshape(-1).copy()
 
 
-def scatter_z_hat(cfg: HgoConfig, z: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`assemble_z_hat` (back to (l+1, n_y))."""
-    return np.asarray(z, dtype=float).reshape(cfg.l + 1, cfg.n_y)
-
-
 def decay_constants(cfg: HgoConfig) -> tuple[float, float]:
     """Fit (K, a) with ||e^{A_eta t}|| <= K e^{-a t} on a sampled grid.
 
-    a is a safety fraction of the slowest eigenvalue decay; K is the grid
-    supremum of the compensated envelope, inflated by the same safety margin.
+    a is the DECAY_RATE_SAFETY fraction of the slowest eigenvalue decay; K
+    is the grid supremum of the compensated envelope, inflated by
+    GRID_SUP_SAFETY so the (K, a) pair stays valid between grid samples.
     """
     A = cfg.a_eta
     lam = np.linalg.eigvals(A)
     if np.max(lam.real) >= 0.0:
         raise InvalidDesignError("decay constants require a Hurwitz A_eta")
-    a = cfg.safety_a * float(np.min(np.abs(lam.real)))
+    a = DECAY_RATE_SAFETY * float(np.min(np.abs(lam.real)))
     h = min(0.01, 0.1 / float(np.max(np.abs(lam))))
     ts, norms = norm_envelope_grid(A, h, shift=-a)
-    K = cfg.safety_k * float(np.max(norms * np.exp(a * ts)))
+    K = GRID_SUP_SAFETY * float(np.max(norms * np.exp(a * ts)))
     return K, a

@@ -12,6 +12,10 @@ from scipy.integrate import simpson as _simpson
 
 EPS = float(np.finfo(float).eps)
 
+#: inflation of a sampled supremum of ||e^{At}|| e^{-shift t}, so that an
+#: envelope fitted on a grid stays valid between the grid samples
+GRID_SUP_SAFETY = 1.05
+
 
 def expm(A: np.ndarray) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with diagonal Pade)."""
@@ -68,16 +72,6 @@ def is_spd(K: np.ndarray, tol: float = 0.0) -> bool:
 def default_rank_tol(M: np.ndarray, smax: float) -> float:
     """Conventional numerical-rank cutoff: max(m,n) * eps * sigma_max."""
     return max(M.shape) * EPS * smax
-
-
-def numerical_rank(M: np.ndarray, rank_tol: float | None = None) -> int:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(M, s[0] if s.size else 0.0)
-    return int(np.sum(s > rank_tol))
 
 
 def null_basis(M: np.ndarray, rank_tol: float | None = None) -> np.ndarray:

@@ -20,12 +20,12 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .certificates import (AssumptionConstants, CertificateReport, certify)
 from .decomposition import (Decomposition, LtiSystem, build_decomposition,
                             select_derivative_order)
-from .ellipsoid import MEMBERSHIP_SLACK, Ellipsoid, axis_bounds, volume
+from .ellipsoid import (MEMBERSHIP_SLACK, Ellipsoid, axis_bounds,
+                        quadratic_forms, volume)
 from .errors import InvalidDesignError, InvalidParameterError
 from .fusion import FusedEstimate, fuse
 from .hgo import HgoConfig, _discretization, decay_constants, design_hgo
@@ -366,14 +366,6 @@ class EstimateStep:
     skipped: bool = True
 
 
-def _quadratic_forms(shape: np.ndarray, X: np.ndarray,
-                     centers: np.ndarray) -> np.ndarray:
-    """(X - c)^T P^{-1} (X - c) per column."""
-    cf = sla.cho_factor(shape, lower=True)
-    d = X - centers
-    return np.sum(d * sla.cho_solve(cf, d), axis=0)
-
-
 def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
              log: list | None = None):
     """Run the estimator on a batch of runs, yielding one
@@ -406,17 +398,16 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
     fu = fuse(xp0[:n1], e1, st2, dec.P1)
     yield EstimateStep(k=0, x=X0, eps1=e1, eps1_gap=np.empty((0, runs)),
                        weak=st2, fused=fu,
-                       q=_quadratic_forms(fu.shape, X0, fu.center))
+                       q=quadratic_forms(fu.shape, X0, fu.center))
 
     for smp in center_pass(design, X0, w_family):
-        k, t_k = smp.k, smp.k * cfg.dt
+        k = smp.k
         log.append("continuous")
         step = EstimateStep(k=k, x=smp.x,
                             eps1=float(design.eps1_grid[k * n_q]),
                             eps1_gap=smp.eps1_gap)
         if n2 == 0:
-            st2 = WeakState(x2hat=st2.x2hat, P2hat=st2.P2hat, k=k, t_k=t_k)
-            step.P2_pred = st2.P2hat
+            step.P2_pred = st2.P2hat   # nothing to propagate
         else:
             sl = slice((k - 1) * n_q, k * n_q + 1)
             inp = StepInputs(x1hat_samples=smp.x1hat_q,
@@ -424,13 +415,12 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
                              cw_samples=cw_q[sl], Kw_samples=Kw_q[sl],
                              y_k=smp.y)
             log.append("gamma")
-            gpair = gamma_terms(Kw_q[k * n_q], step.eps1, n1)
-            step.gamma = gpair[0]
+            gain = gamma_terms(Kw_q[k * n_q], step.eps1, n1)
+            step.gamma = gain[0]
             log.append("propagate")
-            x2_pred, step.P2_pred, step.alpha, _ = propagate(
-                st2, dec, inp, cfg.dt, n_q)
-            st2 = WeakState(x2hat=x2_pred, P2hat=step.P2_pred, k=k, t_k=t_k)
-            step.Gk = gk_matrix(dec, build_Ku(gpair, step.eps1,
+            st2, step.alpha, _ = propagate(st2, dec, inp, cfg.dt, n_q, gain)
+            step.P2_pred = st2.P2hat
+            step.Gk = gk_matrix(dec, build_Ku(gain, step.eps1,
                                               Kw_q[k * n_q], n1))
             log.append("gate")
             step.beta = 0.0
@@ -442,7 +432,7 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
         log.append("fuse")
         step.weak = st2
         step.fused = fuse(smp.x1hat_q[-1], step.eps1, st2, dec.P1)
-        step.q = _quadratic_forms(step.fused.shape, smp.x, step.fused.center)
+        step.q = quadratic_forms(step.fused.shape, smp.x, step.fused.center)
         yield step
 
 

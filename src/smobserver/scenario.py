@@ -13,9 +13,9 @@ import scipy.linalg as sla
 import yaml
 
 from .decomposition import LtiSystem
-from .errors import InvalidParameterError, ScenarioFormatError
+from .errors import ScenarioFormatError
 from .generators import ShapeGenerator, SignalGenerator
-from .numerics import expm, power_norms, spectral_norm
+from .numerics import expm, is_spd, power_norms, spectral_norm
 
 FORMAT_TAG = "smobserver-scenario/1"
 
@@ -97,6 +97,8 @@ class ScenarioConfig:
             raise ScenarioFormatError("xhat0 dimension mismatch")
         if self.K0.shape != (n, n):
             raise ScenarioFormatError("K0 dimension mismatch")
+        if not is_spd(self.K0):
+            raise ScenarioFormatError("K0 must be symmetric positive definite")
         if self.dt <= 0.0 or self.horizon <= 0.0:
             raise ScenarioFormatError("dt and horizon must be positive")
         if self.cw.dim != sys.n_w or self.w_true.dim != sys.n_w \

@@ -265,7 +265,6 @@ class Epsilon1Evaluator:
         cell = (h2 / 3.0) * (gh[0:-2:2] + 4.0 * gh[1:-1:2] + gh[2::2])
         self.cum1 = np.concatenate([[0.0], np.cumsum(cell)])
         self._vals: np.ndarray | None = None   # cached eps1 at output nodes
-        self._psi: np.ndarray | None = None    # cached Psi at output nodes
 
     # -- internal-grid helpers, elementwise over arrays of cells/times ------
     #
@@ -362,9 +361,9 @@ class Epsilon1Evaluator:
         return out
 
     def _compute(self) -> np.ndarray:
-        """eps1 (and Psi, for :meth:`psi`) at every output node, via the
-        exact kernel recursion I2(t_{m+1}) = e^{-r h} I2(t_m) + local
-        increment."""
+        """eps1 at every output node: ||e^{Et}|| init_norm + scale Psi(t),
+        with I2 from the exact kernel recursion
+        I2(t_{m+1}) = e^{-r h} I2(t_m) + local increment."""
         if self._vals is not None:
             return self._vals
         p = self.params
@@ -379,8 +378,8 @@ class Epsilon1Evaluator:
         for m in range(len(inc)):
             acc = decay[m] * acc + inc[m]
             i2[m + 1] = acc
-        self._psi = p.delta * self._i1(self.ts) + coef * i2
-        self._vals = self._g_at(self.ts) * p.init_norm + scale * self._psi
+        psi = p.delta * self._i1(self.ts) + coef * i2
+        self._vals = self._g_at(self.ts) * p.init_norm + scale * psi
         return self._vals
 
     def _index(self, t: float) -> int:
@@ -389,11 +388,6 @@ class Epsilon1Evaluator:
             raise InvalidParameterError(
                 f"t={t} is not on the cached quadrature grid (step {self.h})")
         return m
-
-    def psi(self, t: float) -> float:
-        m = self._index(t)
-        self._compute()
-        return float(self._psi[m])
 
     def at(self, t: float) -> float:
         return float(self._compute()[self._index(t)])
@@ -420,19 +414,6 @@ class Epsilon1Evaluator:
         hi = max(float(np.max(vals)), limit)
         lo = max(float(np.min(vals)), eps1_floor)
         return lo, hi
-
-
-def epsilon1(t: float, p: ErrorBoundParams, E: np.ndarray,
-             grid_step: float = 0.005) -> float:
-    """Envelope value at a single time; convenience over the evaluator."""
-    if t < 0.0:
-        raise InvalidParameterError("eps1 is defined for t >= 0")
-    # snap the grid so t is an exact node
-    if t > 0.0:
-        n = max(2, int(np.ceil(t / grid_step)))
-        grid_step = t / n
-    ev = Epsilon1Evaluator(p, E, grid_step, max(t, grid_step))
-    return ev.at(t)
 
 
 def epsilon1_uniform_bounds(p: ErrorBoundParams, E: np.ndarray,

@@ -2,6 +2,14 @@
 unobservable block: reachable-set propagation, measurement update, and the
 per-step parameter selectors alpha_k, beta_k, gamma_k.
 
+It also owns the one stacking bound of the estimator.  The UIO ball
+E(., eps1^2 I_n1) and a second ellipsoid E(., Q) stack into
+E(., diag(g eps1^2 I_n1, g/(g-1) Q)) for any g > 1; :func:`stacking_gain`
+gives the trace-optimal pair (g, g/(g-1)) and :func:`build_Ku` the stacked
+block.  The weak block's input bound (Q = K_w: gamma_k, K_u, G_k), the fused
+full-state set (Q = P2hat: mu_k) and the certificate's gain bounds all go
+through these two functions.
+
 Shapes and gains depend on the system only.  Centers may carry a trailing
 run axis: ``propagate`` and ``measurement_update`` then compute the shape
 once and advance every run's center with it.
@@ -15,9 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ellipsoid import stacking_gain
-from .errors import (InvalidParameterError, SingularInnovationError,
-                     SingularNoiseError)
+from .errors import (DegenerateInputError, InvalidParameterError,
+                     SingularInnovationError, SingularNoiseError)
 from .numerics import (expm, golden_section, is_spd, min_eigval,
                        simpson_matrix, spectral_norm, symmetrize)
 
@@ -27,18 +34,22 @@ ALPHA_CLIP = 1e-9
 #: search interval for the beta line search
 BETA_LO, BETA_HI = 1e-6, 1.0 - 1e-6
 
+#: gain pair when the second factor is empty: the ball enters uninflated
+NO_STACKING = (1.0, np.inf)
+
 
 @dataclass
 class WeakState:
     """Ellipsoidal estimate E(x2hat, P2hat) of the x2 block at step k.
 
     ``x2hat`` is (n2,) for one run or (n2, runs) for a batch sharing P2hat.
+    Construction validates the shape; :func:`propagate` and
+    :func:`measurement_update` return their shapes as new states, so each
+    shape is checked once.
     """
 
     x2hat: np.ndarray
     P2hat: np.ndarray
-    k: int = 0
-    t_k: float = 0.0
 
     def __post_init__(self):
         self.x2hat = np.atleast_1d(np.asarray(self.x2hat, dtype=float))
@@ -92,6 +103,24 @@ class StepInputs:
         return np.concatenate([x1, cw], axis=1)
 
 
+def stacking_gain(t2: float, eps1: float, n1: int) -> tuple[float, float]:
+    """(g, g/(g-1)) for stacking E(., eps1^2 I_n1) with a block of trace t2.
+
+    g = 1 + s with s = sqrt(t2 / n1) / eps1 minimizes the trace of the
+    product bound (Schweppe 1968; Durieu, Walter and Polyak 2001).  Both
+    factors are formed from s directly, so an enormous eps1 (s underflowing
+    next to 1) still yields a finite, correct g/(g-1) = 1 + 1/s.
+    """
+    if eps1 <= 0.0:
+        raise InvalidParameterError("eps1 must be positive")
+    if t2 <= 0.0 or n1 <= 0:
+        raise DegenerateInputError("stacking gain needs positive traces")
+    s = float(np.sqrt(t2 / n1) / eps1)
+    if s <= 0.0:
+        raise DegenerateInputError("stacking ratio underflowed to zero")
+    return 1.0 + s, 1.0 + 1.0 / s
+
+
 def gamma_terms(Kw_k: np.ndarray, eps1_k: float, n1: int
                 ) -> tuple[float, float]:
     """(gamma, gamma/(gamma-1)): the :func:`stacking_gain` of the combined
@@ -99,26 +128,19 @@ def gamma_terms(Kw_k: np.ndarray, eps1_k: float, n1: int
     return stacking_gain(float(np.trace(np.atleast_2d(Kw_k))), eps1_k, n1)
 
 
-def build_Ku(gamma, eps1_t: float, Kw_t: np.ndarray,
+def build_Ku(gain: tuple[float, float], eps1: float, Q: np.ndarray,
              n1: int) -> np.ndarray:
-    """Shape of the combined input bound: diag(g e1^2 I, g/(g-1) Kw).
+    """The stacked block diag(g1 eps1^2 I_n1, g2 Q) of the product bound.
 
-    ``gamma`` is either the plain gain or the (gamma, gamma/(gamma-1)) pair
-    from :func:`gamma_terms`; pass the pair when eps1 is large enough for
-    gamma - 1 to underflow.
+    ``gain`` is a pair (g1, g2), normally (g, g/(g-1)) from
+    :func:`stacking_gain`; with Q = K_w this is the input bound K_u.
     """
-    if isinstance(gamma, tuple):
-        g1, g2 = gamma
-    else:
-        g1 = float(gamma)
-        if g1 <= 1.0:
-            raise InvalidParameterError("build_Ku requires gamma > 1")
-        g2 = g1 / (g1 - 1.0)
-    Kw_t = np.atleast_2d(np.asarray(Kw_t, dtype=float))
-    Ku = np.zeros((n1 + Kw_t.shape[0],) * 2)
+    g1, g2 = gain
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    Ku = np.zeros((n1 + Q.shape[0],) * 2)
     diag = np.arange(n1)
-    Ku[diag, diag] = g1 * eps1_t ** 2
-    Ku[n1:, n1:] = g2 * Kw_t
+    Ku[diag, diag] = g1 * eps1 ** 2
+    Ku[n1:, n1:] = g2 * Q
     return symmetrize(Ku)
 
 
@@ -174,12 +196,15 @@ def alpha_k(M2k: np.ndarray, A4: np.ndarray, P2: np.ndarray,
 
 
 def propagate(st: WeakState, dec, inp: StepInputs, dt: float,
-              substeps: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+              substeps: int, gain: tuple[float, float]
+              ) -> tuple[WeakState, float, np.ndarray]:
     """Time update: center by quadrature, shape by the two-term outer bound.
 
-    Returns (x2_pred, P2_pred, alpha_used, M2k); x2_pred keeps the run axis
-    of ``st.x2hat`` and ``inp.x1hat_samples``.  ``substeps`` is the number
-    of Simpson sub-intervals over [t_{k-1}, t_k]; it must be even.
+    Returns (prediction, alpha_used, M2k); the predicted center keeps the
+    run axis of ``st.x2hat`` and ``inp.x1hat_samples``.  ``substeps`` is
+    the number of Simpson sub-intervals over [t_{k-1}, t_k]; it must be
+    even.  ``gain`` is the step's :func:`gamma_terms` pair; it stacks
+    K_u on every quadrature node.
     """
     if dt <= 0.0:
         raise InvalidParameterError("dt must be positive")
@@ -195,22 +220,20 @@ def propagate(st: WeakState, dec, inp: StepInputs, dt: float,
     kernels = quad_kernels(A4, h, substeps)
     Em = kernels[0]  # Eh^m = e^{A4 dt}
 
-    g = gamma_terms(inp.Kw_samples[-1], float(inp.eps1_samples[-1]), n1)
     drive = np.einsum("jab,bc,jc...->ja...", kernels, B2p, inp.u_samples())
     x2_pred = Em @ st.x2hat + simpson_matrix(drive, h)
 
     KB = np.empty((substeps + 1, n2, n2))
     for j in range(substeps + 1):
-        Ku = build_Ku(g, float(inp.eps1_samples[j]), inp.Kw_samples[j], n1)
+        Ku = build_Ku(gain, float(inp.eps1_samples[j]), inp.Kw_samples[j],
+                      n1)
         KBj = kernels[j] @ B2p
         KB[j] = KBj @ Ku @ KBj.T
     M2k = symmetrize(simpson_matrix(KB, h))
 
     a = alpha_k(M2k, A4, st.P2hat, dt)
     P2_pred = symmetrize(Em @ st.P2hat @ Em.T / a + dt * M2k / (1.0 - a))
-    if n2 and not is_spd(P2_pred):
-        raise InvalidParameterError("predicted shape matrix lost definiteness")
-    return x2_pred, P2_pred, a, M2k
+    return WeakState(x2hat=x2_pred, P2hat=P2_pred), a, M2k
 
 
 def gk_matrix(dec, Ku_tk: np.ndarray) -> np.ndarray:
@@ -268,7 +291,7 @@ def measurement_update(st_pred: WeakState, dec, inp: StepInputs,
     innovation = inp.y_k - C2 @ st_pred.x2hat - D2p @ inp.u_samples()[-1]
     x2hat = st_pred.x2hat + Ok @ innovation
     P2hat = symmetrize((np.eye(dec.n2) - Ok @ C2) @ P_pred / (1.0 - beta))
-    return WeakState(x2hat=x2hat, P2hat=P2hat, k=st_pred.k, t_k=st_pred.t_k)
+    return WeakState(x2hat=x2hat, P2hat=P2hat)
 
 
 def woodbury_shape(P2_pred: np.ndarray, C2: np.ndarray, Gk: np.ndarray,

@@ -1,6 +1,7 @@
-"""Smoke test of the benchmark harness's output format: a zero-second run of
-one workload exits 0 and ends with the JSON summary line the benchmark
-reads, all operations correct."""
+"""Smoke tests of the benchmark harness: a zero-second run of one workload
+exits 0 and ends with the JSON summary line the benchmark reads, all
+operations correct; and every library function the traced run times still
+exists, so no per-layer metric silently drops out."""
 
 import json
 import os
@@ -29,3 +30,12 @@ def test_perfbench_prints_its_json_summary(tmp_path):
     assert summary["correct"] is True
     assert summary["failed"] == 0
     assert METRICS <= set(summary["metrics"])
+
+
+def test_every_traced_target_exists():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from spans import Tracer
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    assert Tracer().missing == []

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from smobserver.certificates import (AssumptionConstants, expm1_over_x,
-                                     exponential_envelopes, gamma_bounds,
-                                     grammian_kappa1, grammian_rho)
-from smobserver.ellipsoid import stacking_gain
+from smobserver.certificates import (AssumptionConstants, CertificateReport,
+                                     expm1_over_x, exponential_envelopes,
+                                     gamma_bounds, grammian_kappa1,
+                                     grammian_rho, theorem2_bounds)
+from smobserver.ellipsoid import MEMBERSHIP_SLACK, quadratic_forms
 from smobserver.errors import InvalidParameterError
-from smobserver.fusion import fuse
-from smobserver.weak import WeakState
+from smobserver.fusion import FusedEstimate, fuse
+from smobserver.weak import WeakState, build_Ku, stacking_gain
 
 
 # -- fusion ----------------------------------------------------------------
@@ -36,23 +37,39 @@ def test_mu_terms_stable_under_extreme_eps1():
 
 
 def test_fuse_contains_both_factors():
-    rng = np.random.default_rng(3)
-    n1, n2 = 2, 2
-    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-    x1hat = rng.standard_normal(n1)
-    eps1 = 0.7
-    Pm = rng.standard_normal((n2, n2))
-    st2 = WeakState(x2hat=rng.standard_normal(n2),
-                    P2hat=Pm @ Pm.T + 0.3 * np.eye(n2))
-    fu = fuse(x1hat, eps1, st2, Q)
-    L = np.linalg.cholesky(st2.P2hat)
-    for _ in range(50):
-        u1 = rng.standard_normal(n1)
-        u1 *= rng.uniform(0, 1) / np.linalg.norm(u1)
-        u2 = rng.standard_normal(n2)
-        u2 *= rng.uniform(0, 1) / np.linalg.norm(u2)
-        x = Q.T @ np.concatenate([x1hat + eps1 * u1, st2.x2hat + L @ u2])
-        assert fu.ellipsoid.quadratic_form(x) <= 1.0 + 1e-9
+    """Every stack of a point of E(x1hat, eps1^2 I) and a point of
+    E(x2hat, P2hat) lies in the stacked block of build_Ku, and fuse's shape
+    is that block mapped through P1.  At eps1 = 1e40 the gain g rounds to 1
+    and only g/(g-1) carries the stacking."""
+    for eps1 in (0.7, 1e40):
+        rng = np.random.default_rng(3)
+        n1, n2 = 2, 2
+        Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        x1hat = rng.standard_normal(n1)
+        Pm = rng.standard_normal((n2, n2))
+        st2 = WeakState(x2hat=rng.standard_normal(n2),
+                        P2hat=Pm @ Pm.T + 0.3 * np.eye(n2))
+        gain = stacking_gain(float(np.trace(st2.P2hat)), eps1, n1)
+        assert (gain[0] == 1.0) == (eps1 > 1e20)
+        block = build_Ku(gain, eps1, st2.P2hat, n1)
+        # deviations from the centers, inside and on both factors' boundaries
+        U1 = rng.standard_normal((n1, 200))
+        U1 *= rng.uniform(0, 1, 200) ** (1 / n1) / np.linalg.norm(U1, axis=0)
+        U1[:, :50] /= np.linalg.norm(U1[:, :50], axis=0)
+        U2 = rng.standard_normal((n2, 200))
+        U2 /= np.linalg.norm(U2, axis=0)
+        dev = np.vstack([eps1 * U1, np.linalg.cholesky(st2.P2hat) @ U2])
+        q = quadratic_forms(block, dev, np.zeros((n1 + n2, 1)))
+        assert np.all(q <= 1.0 + MEMBERSHIP_SLACK)
+        assert np.max(q) >= 0.5  # the bound is not vacuous
+
+        fu = fuse(x1hat, eps1, st2, Q)
+        Pinv = np.linalg.inv(Q)
+        assert fu.mu == gain[0]
+        assert np.allclose(fu.shape, Pinv @ block @ Pinv.T, rtol=1e-12,
+                           atol=0.0)
+        assert np.allclose(fu.center,
+                           Pinv @ np.concatenate([x1hat, st2.x2hat]))
 
 
 def test_fuse_empty_weak_block():
@@ -64,9 +81,8 @@ def test_fuse_empty_weak_block():
 
 
 def test_fuse_rejects_bad_mu():
-    st2 = WeakState(x2hat=np.zeros(1), P2hat=np.eye(1))
     with pytest.raises(InvalidParameterError):
-        fuse(np.zeros(1), 1.0, st2, np.eye(2), mu=0.9)
+        FusedEstimate(center=np.zeros(2), shape=np.eye(2), mu=0.9)
 
 
 def test_product_gain_beats_grid():
@@ -137,6 +153,23 @@ def test_gamma_bounds_order_and_consistency():
     for tw, e1 in ((6.0, 0.5), (10.0, 2.0), (8.0, 1.0)):
         s = np.sqrt(tw / 2.0) / e1
         assert g1l - 1e-12 <= 1.0 + s <= g1h + 1e-12
+    # the bounds are the stacking gains at the corners of the box
+    g1l, g1h, g2l, g2h = gamma_bounds(const, 0.5, 2.0, 1, 2)
+    assert (g1l, g2h) == stacking_gain(2 * 3.0, 2.0, 1)
+    assert (g1h, g2l) == stacking_gain(2 * 5.0, 0.5, 1)
+
+
+def test_theorem2_bounds_empty_weak_block():
+    """With n2 = 0 nothing is stacked: P = P1^{-1} eps1^2 I P1^{-T}."""
+    rep = CertificateReport(alpha_lo=0.1, alpha_hi=0.9, beta_lo=0.0,
+                            beta_hi=0.0, w_lo=1.0, w_hi=2.0,
+                            eps1_lo=0.5, eps1_hi=3.0)
+    P1 = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))[0]
+    P_lo, P_hi = theorem2_bounds(rep, P1, 3, 0)
+    Pinv = np.linalg.inv(P1)
+    assert np.allclose(P_lo, 0.25 * Pinv @ Pinv.T, rtol=1e-14, atol=1e-15)
+    assert np.allclose(P_hi, 9.0 * Pinv @ Pinv.T, rtol=1e-14, atol=1e-14)
+    assert np.isnan(rep.mu1_lo) and np.isnan(rep.mu1_hi)
 
 
 def test_assumption_constants_validation():
@@ -192,6 +225,23 @@ def test_certificate_report_mixed(run_mixed):
         lam = np.linalg.eigvalsh(ws.P2hat)
         assert lam[0] >= rep.p2_lo * (1.0 - 1e-9)
         assert lam[-1] <= rep.p2_hi * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("run_name", ["run_mixed", "run_ex2"])
+def test_realized_gains_inside_certificate_bounds(run_name, request):
+    """gamma_k, mu_k and the certificate's gain bounds come from the one
+    stacking gain, so every realized gain lies in [gamma1_lo, gamma1_hi]
+    and [mu1_lo, mu1_hi]."""
+    run = request.getfixturevalue(run_name)
+    rep = run.report
+    gammas = np.array([row.gamma for row in run.traces[1:]])  # none at k=0
+    mus = np.array([row.mu for row in run.traces])
+    rel = 1e-12
+    for vals, lo, hi in ((gammas, rep.gamma1_lo, rep.gamma1_hi),
+                         (mus, rep.mu1_lo, rep.mu1_hi)):
+        assert np.all(np.isfinite(vals))
+        assert np.all(vals >= lo * (1.0 - rel))
+        assert np.all(vals <= hi * (1.0 + rel))
 
 
 def test_certificate_serializes(run_ex2):

@@ -136,6 +136,24 @@ def test_cli_rejects_input_escaping_between_samples(tmp_path, cfg_mixed):
                      "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("K0", [-1e-3 * np.eye(5),
+                                np.diag([1e-3] * 5) + np.eye(5, k=1) * 1e-3],
+                         ids=["negative", "asymmetric"])
+def test_cli_rejects_invalid_K0(tmp_path, capsys, K0):
+    """example1's empty weak block reads K0 only through a spectral norm, so
+    an indefinite or asymmetric K0 used to run to "all rows contained"."""
+    import yaml
+    from smobserver.cli import main as cli_main
+    from smobserver.scenario import example1
+    d = example1().to_dict()
+    d["K0"] = K0.tolist()
+    scen = tmp_path / "bad_K0.yaml"
+    scen.write_text(yaml.safe_dump(d, sort_keys=False), encoding="utf-8")
+    assert cli_main(["run", "--scenario", str(scen),
+                     "--out", str(tmp_path / "o")]) == 3
+    assert "K0 must be symmetric positive definite" in capsys.readouterr().err
+
+
 def test_scenario_checks_diag_shape_on_fine_grid(cfg_mixed):
     Kw = ShapeGenerator(kind="diag", entries=SignalGenerator(components=((
         Term(kind="const", value=0.5), Term(kind="sin", amp=0.2, freq=3.0)),)))

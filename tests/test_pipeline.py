@@ -227,6 +227,24 @@ def test_emit_plot_data_files(tmp_path, run_mixed):
     assert head == "t,vol,trP"
 
 
+def test_each_weak_shape_is_checked_once(cfg_ex2, monkeypatch):
+    """On example2 the update never fires, so a run validates the initial
+    weak shape and one predicted shape per step, nothing twice."""
+    import smobserver.weak as weak
+    cfg = cfg_ex2.with_overrides(horizon=2.0)
+    design = build_design(cfg)
+    calls = []
+    is_spd = weak.is_spd
+
+    def counting_is_spd(K, *args, **kwargs):
+        calls.append(K.shape)
+        return is_spd(K, *args, **kwargs)
+
+    monkeypatch.setattr(weak, "is_spd", counting_is_spd)
+    run_algorithm1(cfg, design=design, with_certificate=False)
+    assert len(calls) == 1 + cfg.n_steps
+
+
 def test_cli_run_and_certify(tmp_path, cfg_mixed):
     scen = tmp_path / "mixed.yaml"
     cfg_mixed.with_overrides(horizon=2.0).save(scen)

@@ -12,7 +12,7 @@ from smobserver.pipeline import build_design
 from smobserver.uio import (Epsilon1Evaluator, ErrorBoundParams,
                             GAIN_RESIDUAL_TOL, UioDesign,
                             build_markov_matrices,
-                            derivative_error_envelope, epsilon1,
+                            derivative_error_envelope,
                             epsilon1_uniform_bounds, gain_target,
                             solve_uio_gain, step_uio)
 
@@ -139,13 +139,6 @@ def test_eps1_off_grid_time_raises():
         ev.at(0.0501)
 
 
-def test_eps1_convenience_wrapper():
-    p = _scalar_params()
-    E = np.array([[-3.0]])
-    ev = Epsilon1Evaluator(p, E, 0.05, 1.0)
-    assert epsilon1(0.6, p, E) == pytest.approx(ev.at(0.6), rel=1e-9)
-
-
 def test_eps1_uniform_bounds_bracket_grid():
     p = _scalar_params()
     E = np.array([[-3.0]])
@@ -161,14 +154,17 @@ def test_eps1_uniform_bounds_bracket_grid():
 
 
 def test_psi_recoverable(design_ex2):
-    """psi must be consistent with the published decomposition of eps1."""
+    """eps1 must follow the published decomposition
+    eps1(t) = ||e^{Et}|| init_norm + ||F|| sqrt(n_y (l+1)) Psi(t), where
+    Psi does not depend on init_norm."""
+    from dataclasses import replace
     design = design_ex2
-    ev = Epsilon1Evaluator(design.err, design.uio.E, 0.1, 1.0)
     p = design.err
-    scale = p.F_norm * np.sqrt(p.n_y * (p.l + 1.0))
-    t = 0.5
-    lead = np.linalg.norm(expm(design.uio.E * t), 2) * p.init_norm
-    assert ev.at(t) == pytest.approx(lead + scale * ev.psi(t), rel=1e-6)
+    ev = Epsilon1Evaluator(p, design.uio.E, 0.1, 1.0)
+    ev0 = Epsilon1Evaluator(replace(p, init_norm=0.0), design.uio.E, 0.1, 1.0)
+    for t in (0.0, 0.5, 1.0):
+        lead = np.linalg.norm(expm(design.uio.E * t), 2) * p.init_norm
+        assert ev.at(t) == pytest.approx(lead + ev0.at(t), rel=1e-6)
 
 
 def test_step_uio_discretization_belongs_to_its_design():

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from smobserver.decomposition import build_decomposition
-from smobserver.ellipsoid import stacking_gain
 from smobserver.errors import InvalidParameterError, SingularNoiseError
 from smobserver.numerics import expm
 from smobserver.weak import (StepInputs, WeakState, alpha_k, build_Ku,
                              gamma_terms, gk_matrix,
                              measurement_update, optimize_beta, propagate,
-                             quad_kernels, update_is_informative,
-                             woodbury_shape)
+                             quad_kernels, stacking_gain,
+                             update_is_informative, woodbury_shape)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +27,20 @@ def _step_inputs(m=20, dt=0.1):
         cw_samples=0.3 * np.sin(ts)[:, None],
         Kw_samples=np.tile(np.array([[0.25]]), (m + 1, 1, 1)),
         y_k=np.zeros(2))
+
+
+def _propagate(st, dec, inp, dt, m):
+    """propagate at the step's own gain, as the estimator loop calls it."""
+    gain = gamma_terms(inp.Kw_samples[-1], float(inp.eps1_samples[-1]),
+                       dec.n1)
+    return propagate(st, dec, inp, dt, m, gain)
+
+
+def _gk(dec, inp):
+    """G_k of the step's last node."""
+    eps1, Kw = float(inp.eps1_samples[-1]), inp.Kw_samples[-1]
+    return gk_matrix(dec, build_Ku(gamma_terms(Kw, eps1, dec.n1), eps1, Kw,
+                                   dec.n1))
 
 
 def test_gamma_terms_formula():
@@ -50,20 +63,20 @@ def test_gamma_terms_stable_under_extreme_eps1():
 
 
 def test_build_ku_block_layout():
-    Ku = build_Ku(2.0, 0.5, np.diag([3.0, 5.0]), 2)
+    Ku = build_Ku((2.0, 2.0), 0.5, np.diag([3.0, 5.0]), 2)
     assert Ku.shape == (4, 4)
     assert np.allclose(np.diag(Ku), [0.5, 0.5, 6.0, 10.0])
-    with pytest.raises(InvalidParameterError):
-        build_Ku(1.0, 0.5, np.eye(1), 1)
+    # an empty second factor leaves the uninflated ball
+    assert np.array_equal(build_Ku((1.0, np.inf), 0.5, np.zeros((0, 0)), 2),
+                          0.25 * np.eye(2))
 
 
 def test_build_ku_equals_block_diag():
     import scipy.linalg as sla
     Kw = np.array([[3.0, 0.4], [0.4, 5.0]])
-    for gamma in (2.0, gamma_terms(Kw, 0.7, 3)):
-        g1, g2 = gamma if isinstance(gamma, tuple) else (2.0, 2.0)
+    for g1, g2 in ((2.0, 2.0), gamma_terms(Kw, 0.7, 3)):
         ref = sla.block_diag(g1 * 0.7 ** 2 * np.eye(3), g2 * Kw)
-        assert np.array_equal(build_Ku(gamma, 0.7, Kw, 3), ref)
+        assert np.array_equal(build_Ku((g1, g2), 0.7, Kw, 3), ref)
 
 
 def test_quad_kernels_match_power_loop_and_cache_by_value():
@@ -165,7 +178,8 @@ def test_propagate_center_matches_fine_ode(dec_mixed):
     dt, m = 0.1, 20
     st = WeakState(x2hat=np.array([0.3]), P2hat=np.array([[0.04]]))
     inp = _step_inputs(m, dt)
-    x2p, P2p, a, M2k = propagate(st, dec_mixed, inp, dt, m)
+    pred, a, M2k = _propagate(st, dec_mixed, inp, dt, m)
+    x2p, P2p = pred.x2hat, pred.P2hat
     # reference: RK4 at a much finer step on the same analytic signals
     x = st.x2hat.copy()
     N = 4000
@@ -195,7 +209,8 @@ def test_propagate_containment_monte_carlo(dec_mixed):
     dt, m = 0.1, 20
     st = WeakState(x2hat=np.array([0.3]), P2hat=np.array([[0.04]]))
     inp = _step_inputs(m, dt)
-    x2p, P2p, _, _ = propagate(st, dec_mixed, inp, dt, m)
+    pred, _, _ = _propagate(st, dec_mixed, inp, dt, m)
+    x2p, P2p = pred.x2hat, pred.P2hat
     A4, B2p = dec_mixed.A4, dec_mixed.B2p
     worst = 0.0
     for _ in range(100):
@@ -225,7 +240,7 @@ def test_propagate_containment_monte_carlo(dec_mixed):
 def test_propagate_rejects_odd_substeps(dec_mixed):
     st = WeakState(x2hat=np.array([0.0]), P2hat=np.eye(1))
     with pytest.raises(InvalidParameterError):
-        propagate(st, dec_mixed, _step_inputs(20), 0.1, 5)
+        _propagate(st, dec_mixed, _step_inputs(20), 0.1, 5)
 
 
 def test_measurement_update_matches_woodbury(dec_mixed):
@@ -233,13 +248,9 @@ def test_measurement_update_matches_woodbury(dec_mixed):
     dt, m = 0.1, 20
     st = WeakState(x2hat=np.array([0.3]), P2hat=np.array([[0.04]]))
     inp = _step_inputs(m, dt)
-    x2p, P2p, _, _ = propagate(st, dec_mixed, inp, dt, m)
-    st_pred = WeakState(x2hat=x2p, P2hat=P2p, k=1, t_k=dt)
-    g = gamma_terms(inp.Kw_samples[-1], float(inp.eps1_samples[-1]),
-                    dec_mixed.n1)
-    Ku = build_Ku(g, float(inp.eps1_samples[-1]), inp.Kw_samples[-1],
-                  dec_mixed.n1)
-    Gk = gk_matrix(dec_mixed, Ku)
+    st_pred, _, _ = _propagate(st, dec_mixed, inp, dt, m)
+    P2p = st_pred.P2hat
+    Gk = _gk(dec_mixed, inp)
     assert update_is_informative(dec_mixed, Gk)
     beta = optimize_beta(P2p, dec_mixed.C2, Gk)
     upd = measurement_update(st_pred, dec_mixed, inp, beta, Gk)
@@ -251,13 +262,9 @@ def test_measurement_update_shrinks_trace(dec_mixed):
     dt, m = 0.1, 20
     st = WeakState(x2hat=np.array([0.3]), P2hat=np.array([[0.04]]))
     inp = _step_inputs(m, dt)
-    x2p, P2p, _, _ = propagate(st, dec_mixed, inp, dt, m)
-    st_pred = WeakState(x2hat=x2p, P2hat=P2p, k=1, t_k=dt)
-    g = gamma_terms(inp.Kw_samples[-1], float(inp.eps1_samples[-1]),
-                    dec_mixed.n1)
-    Ku = build_Ku(g, float(inp.eps1_samples[-1]), inp.Kw_samples[-1],
-                  dec_mixed.n1)
-    Gk = gk_matrix(dec_mixed, Ku)
+    st_pred, _, _ = _propagate(st, dec_mixed, inp, dt, m)
+    P2p = st_pred.P2hat
+    Gk = _gk(dec_mixed, inp)
     beta = optimize_beta(P2p, dec_mixed.C2, Gk)
     upd = measurement_update(st_pred, dec_mixed, inp, beta, Gk)
     # the optimizer does at least as well as the interval endpoints; the
@@ -275,6 +282,13 @@ def test_update_gate_on_uninformative_output(design_ex2):
     dec = design_ex2.dec
     # the benchmark's C2 vanishes, so no G_k can make the update informative
     assert not update_is_informative(dec, np.eye(dec.system.n_y))
+
+
+def test_weak_state_rejects_indefinite_shape():
+    with pytest.raises(InvalidParameterError, match="SPD"):
+        WeakState(x2hat=np.zeros(2), P2hat=np.diag([1.0, -1e-9]))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        WeakState(x2hat=np.zeros(1), P2hat=np.array([[np.inf]]))
 
 
 def test_step_inputs_validation():
