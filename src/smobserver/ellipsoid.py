@@ -76,20 +76,26 @@ def quadratic_forms(shape: np.ndarray, X: np.ndarray,
                     centers: np.ndarray) -> np.ndarray:
     """(x - c)^T K^{-1} (x - c) for every column x of ``X`` against the
     matching column c of ``centers`` (or one broadcast center), via one
-    Cholesky factorization of the SPD shape K."""
-    cf = sla.cho_factor(shape, lower=True)
+    Cholesky factorization of the shape K, which is also K's definiteness
+    check: :class:`InvalidEllipsoidError` if K is not positive definite."""
+    try:
+        cf = sla.cho_factor(shape, lower=True)
+    except np.linalg.LinAlgError:
+        raise InvalidEllipsoidError("shape is not positive definite") from None
     d = X - centers
     return np.sum(d * sla.cho_solve(cf, d), axis=0)
 
 
-def volume(e: Ellipsoid) -> float:
-    sign, logdet = np.linalg.slogdet(e.shape)
+def volume(shape: np.ndarray) -> float:
+    """Volume of an ellipsoid of SPD shape K: unit-ball volume * sqrt(det K)."""
+    sign, logdet = np.linalg.slogdet(shape)
     if sign <= 0:
         raise InvalidEllipsoidError("volume of a non-SPD shape")
-    return unit_ball_volume(e.dim) * float(np.exp(0.5 * logdet))
+    return unit_ball_volume(shape.shape[0]) * float(np.exp(0.5 * logdet))
 
 
-def axis_bounds(e: Ellipsoid) -> tuple[np.ndarray, np.ndarray]:
-    """Tight per-coordinate bounds c_i +/- sqrt(K_ii)."""
-    half = np.sqrt(np.maximum(np.diag(e.shape), 0.0))
-    return e.center - half, e.center + half
+def axis_bounds(center: np.ndarray, shape: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Tight per-coordinate bounds c_i +/- sqrt(K_ii) of E(c, K), c (n,)."""
+    half = np.sqrt(np.maximum(np.diag(shape), 0.0))
+    return center - half, center + half

@@ -5,11 +5,9 @@ full state space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid
 from .errors import InvalidParameterError
 from .numerics import symmetrize
 from .weak import NO_STACKING, WeakState, build_Ku, stacking_gain
@@ -18,7 +16,8 @@ from .weak import NO_STACKING, WeakState, build_Ku, stacking_gain
 @dataclass(frozen=True)
 class FusedEstimate:
     """Full-state bound: one shape for a batch of runs, the center of each
-    run ((n,) or (n, runs)), and the stacking gain used."""
+    run ((n,) or (n, runs)), and the stacking gain used.  The estimator
+    loop checks the shape once, by ``ellipsoid.quadratic_forms``."""
 
     center: np.ndarray
     shape: np.ndarray
@@ -29,11 +28,6 @@ class FusedEstimate:
         # can land exactly on 1, which is still a valid gain record
         if self.mu < 1.0:
             raise InvalidParameterError("fusion gain mu must exceed 1")
-
-    @cached_property
-    def ellipsoid(self) -> Ellipsoid:
-        """E(center, shape) of a single run."""
-        return Ellipsoid(self.center, self.shape)
 
 
 def fuse(x1hat: np.ndarray, eps1_k: float, st2: WeakState,

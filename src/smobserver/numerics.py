@@ -51,7 +51,8 @@ def spectral_norm(A: np.ndarray) -> float:
 
 
 def symmetrize(K: np.ndarray) -> np.ndarray:
-    return 0.5 * (K + K.T)
+    """(K + K^T) / 2 of one matrix, or of each matrix in a stack."""
+    return 0.5 * (K + K.swapaxes(-1, -2))
 
 
 def min_eigval(K: np.ndarray) -> float:
@@ -149,34 +150,6 @@ def simpson_matrix(Y: np.ndarray, dx: float) -> np.ndarray:
     if Y.shape[0] < 2:
         return np.zeros(Y.shape[1:])
     return _simpson(Y, dx=dx, axis=0)
-
-
-def golden_section(f, lo: float, hi: float, tol: float = 1e-8,
-                   flat_tol: float = 1e-12):
-    """Minimize a scalar unimodal function on [lo, hi].
-
-    Returns the midpoint of the final bracket.  A flat objective (relative
-    variation below ``flat_tol`` at the initial probes) short-circuits to the
-    interval midpoint.
-    """
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    ref = max(abs(fc), abs(fd), 1.0)
-    if abs(fc - fd) <= flat_tol * ref and abs(f(a) - f(b)) <= flat_tol * ref:
-        return 0.5 * (lo + hi)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 def unit_ball_volume(n: int) -> float:

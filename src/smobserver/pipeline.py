@@ -228,6 +228,9 @@ def build_design(cfg: ScenarioConfig) -> DesignArtifacts:
     eps1_ts, eps1_grid = ev.grid(ev.ts[min(len(ev.ts) - 1,
                                            cfg.n_steps * cfg.quad_substeps)])
     eps1_lo, eps1_hi = ev.uniform_bounds(cfg.eps1_floor)
+    if not eps1_hi < np.sqrt(np.finfo(float).max):  # eps1^2 must be finite
+        raise InvalidDesignError(f"the eps1 envelope reaches {eps1_hi:.3g}, "
+                                 "whose square overflows")
     stride = cfg.n_fine // cfg.quad_substeps
     return DesignArtifacts(
         cfg=cfg, sys=sys, dec=dec, l=l, uio=uio, hgo_cfg=hgo_cfg, err=err,
@@ -466,12 +469,12 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
     log = step_log if step_log is not None else []
 
     for step in estimate(design, x0[:, None], w_one, log):
-        ell = step.fused.ellipsoid
-        lo, hi = axis_bounds(ell)
+        xhat, K = step.fused.center[:, 0], step.fused.shape
+        lo, hi = axis_bounds(xhat, K)
         traces.append(TraceRow(
             t=step.k * cfg.dt, x_true=step.x[:, 0].copy(),
-            xhat=ell.center.copy(), lo=lo, hi=hi,
-            trP=float(np.trace(ell.shape)), vol=volume(ell), eps1=step.eps1,
+            xhat=xhat.copy(), lo=lo, hi=hi,
+            trP=float(np.trace(K)), vol=volume(K), eps1=step.eps1,
             alpha=step.alpha, beta=step.beta, gamma=step.gamma,
             mu=step.fused.mu,
             contained=bool(step.q[0] <= 1.0 + MEMBERSHIP_SLACK),
@@ -620,6 +623,8 @@ def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
     ``x0s`` (n x runs) and ``w_family`` (times -> (len, n_w, runs) samples)
     override the random draws with explicit batches.
     """
+    if runs < 0:
+        raise InvalidParameterError(f"runs must be nonnegative, got {runs}")
     if runs == 0:
         return {"runs": 0, "containment_rate": None, "worst_q": None,
                 "eps1_violations": 0, "seed": seed,
@@ -754,9 +759,9 @@ def emit_plot_data(run: RunResult, out_dir, ellipse_axes: tuple | None = None,
             w = csv.writer(fh)
             w.writerow(["t", "px", "py"])
             for row, fu in zip(run.traces, run.fused):
-                K = fu.ellipsoid.shape
+                c, K = fu.center.ravel(), fu.shape
                 sub = Ellipsoid(
-                    np.array([fu.ellipsoid.center[i], fu.ellipsoid.center[j]]),
+                    np.array([c[i], c[j]]),
                     np.array([[K[i, i], K[i, j]], [K[j, i], K[j, j]]]))
                 for p in sub.boundary_points(ellipse_points):
                     w.writerow([_fmt(row.t), _fmt(p[0]), _fmt(p[1])])

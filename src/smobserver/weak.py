@@ -22,17 +22,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg as sla
+from scipy.optimize import brentq
 
 from .errors import (DegenerateInputError, InvalidParameterError,
                      SingularInnovationError, SingularNoiseError)
-from .numerics import (expm, golden_section, is_spd, min_eigval,
-                       simpson_matrix, spectral_norm, symmetrize)
+from .numerics import (expm, is_spd, min_eigval, simpson_matrix,
+                       spectral_norm, symmetrize)
 
 #: clip applied when the closed-form alpha degenerates to an endpoint
 ALPHA_CLIP = 1e-9
 
-#: search interval for the beta line search
+#: admissible interval of the update weight beta
 BETA_LO, BETA_HI = 1e-6, 1.0 - 1e-6
+
+#: relative variation on that interval below which the beta objective is flat
+BETA_FLAT_TOL = 1e-12
 
 #: gain pair when the second factor is empty: the ball enters uninflated
 NO_STACKING = (1.0, np.inf)
@@ -128,19 +133,22 @@ def gamma_terms(Kw_k: np.ndarray, eps1_k: float, n1: int
     return stacking_gain(float(np.trace(np.atleast_2d(Kw_k))), eps1_k, n1)
 
 
-def build_Ku(gain: tuple[float, float], eps1: float, Q: np.ndarray,
-             n1: int) -> np.ndarray:
+def build_Ku(gain: tuple[float, float], eps1: float | np.ndarray,
+             Q: np.ndarray, n1: int) -> np.ndarray:
     """The stacked block diag(g1 eps1^2 I_n1, g2 Q) of the product bound.
 
     ``gain`` is a pair (g1, g2), normally (g, g/(g-1)) from
-    :func:`stacking_gain`; with Q = K_w this is the input bound K_u.
+    :func:`stacking_gain`; with Q = K_w this is the input bound K_u.  An
+    (m,) array of eps1 with an (m, q, q) stack of Q gives the m blocks.
     """
     g1, g2 = gain
+    eps1 = np.asarray(eps1, dtype=float)
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    Ku = np.zeros((n1 + Q.shape[0],) * 2)
+    n = n1 + Q.shape[-1]
+    Ku = np.zeros(eps1.shape + (n, n))
     diag = np.arange(n1)
-    Ku[diag, diag] = g1 * eps1 ** 2
-    Ku[n1:, n1:] = g2 * Q
+    Ku[..., diag, diag] = g1 * eps1[..., None] ** 2
+    Ku[..., n1:, n1:] = g2 * Q
     return symmetrize(Ku)
 
 
@@ -203,19 +211,18 @@ def propagate(st: WeakState, dec, inp: StepInputs, dt: float,
     Returns (prediction, alpha_used, M2k); the predicted center keeps the
     run axis of ``st.x2hat`` and ``inp.x1hat_samples``.  ``substeps`` is
     the number of Simpson sub-intervals over [t_{k-1}, t_k]; it must be
-    even.  ``gain`` is the step's :func:`gamma_terms` pair; it stacks
-    K_u on every quadrature node.
+    even.  ``gain`` is the step's :func:`gamma_terms` pair; M2k integrates
+    e^{A4 (t_k - tau)} B2' K_u B2'^T e^{A4^T (t_k - tau)} over one
+    :func:`build_Ku` stack of every quadrature node's K_u.
     """
     if dt <= 0.0:
         raise InvalidParameterError("dt must be positive")
     if substeps < 2 or substeps % 2:
         raise InvalidParameterError("substeps must be even and >= 2")
-    n2 = st.x2hat.shape[0]
     if inp.eps1_samples.shape[0] != substeps + 1:
         raise InvalidParameterError(
             f"need {substeps + 1} grid samples, got {inp.eps1_samples.shape[0]}")
     A4, B2p = dec.A4, dec.B2p
-    n1 = dec.n1
     h = dt / substeps
     kernels = quad_kernels(A4, h, substeps)
     Em = kernels[0]  # Eh^m = e^{A4 dt}
@@ -223,13 +230,9 @@ def propagate(st: WeakState, dec, inp: StepInputs, dt: float,
     drive = np.einsum("jab,bc,jc...->ja...", kernels, B2p, inp.u_samples())
     x2_pred = Em @ st.x2hat + simpson_matrix(drive, h)
 
-    KB = np.empty((substeps + 1, n2, n2))
-    for j in range(substeps + 1):
-        Ku = build_Ku(gain, float(inp.eps1_samples[j]), inp.Kw_samples[j],
-                      n1)
-        KBj = kernels[j] @ B2p
-        KB[j] = KBj @ Ku @ KBj.T
-    M2k = symmetrize(simpson_matrix(KB, h))
+    Ku = build_Ku(gain, inp.eps1_samples, inp.Kw_samples, dec.n1)
+    KBs = kernels @ B2p
+    M2k = symmetrize(simpson_matrix(KBs @ Ku @ KBs.swapaxes(-1, -2), h))
 
     a = alpha_k(M2k, A4, st.P2hat, dt)
     P2_pred = symmetrize(Em @ st.P2hat @ Em.T / a + dt * M2k / (1.0 - a))
@@ -251,29 +254,41 @@ def update_is_informative(dec, Gk: np.ndarray,
     return scale > 0.0 and min_eigval(Gk) > rank_tol * scale
 
 
-def optimize_beta(P2_pred: np.ndarray, C2: np.ndarray, Gk: np.ndarray,
-                  tol: float = 1e-8) -> float:
-    """Mixing weight minimizing tr of the fused inverse-shape combination.
+def optimize_beta(P2_pred: np.ndarray, C2: np.ndarray,
+                  Gk: np.ndarray) -> float:
+    """Weight b minimizing f(b) = tr(((1-b) P^{-1} + b C2^T Gk^{-1} C2)^{-1}).
 
-    The objective b -> tr(((1-b) P^{-1} + b C2^T Gk^{-1} C2)^{-1}) is convex
-    on (0,1), so a golden-section search is exact to tolerance.
+    The generalized eigendecomposition V^T P^{-1} V = I,
+    V^T C2^T Gk^{-1} C2 V = diag(lam) (Golub and Van Loan, Matrix
+    Computations, sec. 8.7) gives f(b) = sum_i c_i / (1 - b + b lam_i) with
+    c_i = ||v_i||^2, convex in b.  The weight is BETA_LO or BETA_HI where
+    f' keeps its sign on that interval, else the one root of f'; a flat f
+    gives 0.5.  ``P2_pred`` is SPD as :func:`propagate` returns it; a
+    singular ``Gk`` raises :class:`SingularNoiseError`.
     """
-    P2_pred = np.atleast_2d(np.asarray(P2_pred, dtype=float))
-    if not is_spd(P2_pred):
-        raise InvalidParameterError("optimize_beta requires SPD P2_pred")
     Gk = np.atleast_2d(np.asarray(Gk, dtype=float))
     if not is_spd(Gk, tol=1e-14 * max(1.0, spectral_norm(Gk))):
         raise SingularNoiseError("G_k is singular; skip the measurement update")
-    Pinv = np.linalg.inv(P2_pred)
-    CGC = C2.T @ np.linalg.solve(Gk, C2)
+    lam, V = sla.eigh(symmetrize(C2.T @ np.linalg.solve(Gk, C2)),
+                      np.linalg.inv(P2_pred))
+    c = np.sum(V ** 2, axis=0)
 
-    def f(b: float) -> float:
-        X = symmetrize((1.0 - b) * Pinv + b * CGC)
-        if min_eigval(X) <= 0.0:
-            return np.inf
-        return float(np.trace(np.linalg.inv(X)))
+    def df(b: float) -> float:
+        return float(np.sum(c * (1.0 - lam) / (1.0 - b + b * lam) ** 2))
 
-    return float(golden_section(f, BETA_LO, BETA_HI, tol=tol))
+    if df(BETA_LO) >= 0.0:
+        beta = BETA_LO
+    elif df(BETA_HI) <= 0.0:
+        beta = BETA_HI
+    else:
+        beta = brentq(df, BETA_LO, BETA_HI)
+    # f is convex: its variation on the interval is top - f(beta)
+    bs = np.array([[BETA_LO], [BETA_HI], [beta]])
+    f_lo, f_hi, f_beta = np.sum(c / (1.0 - bs + bs * lam), axis=1)
+    top = max(f_lo, f_hi)
+    if top - f_beta <= BETA_FLAT_TOL * max(top, 1.0):
+        return 0.5
+    return float(beta)
 
 
 def measurement_update(st_pred: WeakState, dec, inp: StepInputs,

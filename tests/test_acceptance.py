@@ -112,7 +112,7 @@ def test_criterion_3_shape_bounds(run_ex2, cfg_ex2):
 
     sandwich_ok = True
     for fu in run_ex2.fused:
-        K = fu.ellipsoid.shape
+        K = fu.shape
         scale = float(np.trace(rep.P_hi))
         sandwich_ok &= np.linalg.eigvalsh(K - rep.P_lo)[0] >= -1e-9 * scale
         sandwich_ok &= np.linalg.eigvalsh(rep.P_hi - K)[0] >= -1e-9 * scale
@@ -195,7 +195,7 @@ def test_criterion_4b_beta_line_search():
     ok = worst_dev <= 1e-4
     assert _verdict(
         4, ok,
-        f"(b) mixing weight beta: worst deviation of the line search from "
+        f"(b) mixing weight beta: worst deviation of optimize_beta from "
         f"the dense-grid argmin over 100 random SPD instances (n2 <= 4) is "
         f"{worst_dev:.3e} <= 1e-4")
 

@@ -47,8 +47,11 @@ def test_optimal_product_gain_value():
 
 
 def test_volume_sphere():
-    e = Ellipsoid(np.zeros(3), 4.0 * np.eye(3))  # radius-2 ball
-    assert volume(e) == pytest.approx(4.0 / 3.0 * np.pi * 8.0, rel=1e-12)
+    # radius-2 ball
+    assert volume(4.0 * np.eye(3)) == pytest.approx(4.0 / 3.0 * np.pi * 8.0,
+                                                    rel=1e-12)
+    with pytest.raises(InvalidEllipsoidError):
+        volume(np.diag([1.0, -1.0]))
 
 
 def test_axis_bounds_and_support_agree():
@@ -56,7 +59,7 @@ def test_axis_bounds_and_support_agree():
     and the boundary attains it."""
     rng = np.random.default_rng(7)
     e = Ellipsoid(rng.standard_normal(3), _random_spd(rng, 3))
-    lo, hi = axis_bounds(e)
+    lo, hi = axis_bounds(e.center, e.shape)
     for i in range(3):
         d = np.zeros(3)
         d[i] = 1.0
@@ -72,6 +75,14 @@ def test_quadratic_form_identity_shape():
     X = np.array([[1.0, 3.0], [0.5, 0.0]])
     q = quadratic_forms(np.eye(2), X, np.array([[1.0], [0.0]]))
     assert q == pytest.approx([0.25, 4.0])
+
+
+def test_quadratic_forms_rejects_indefinite_shape():
+    """The Cholesky factorization is the fused shape's definiteness check; a
+    failed one is an InvalidEllipsoidError, not a numpy LinAlgError."""
+    with pytest.raises(InvalidEllipsoidError, match="positive definite"):
+        quadratic_forms(np.diag([1.0, -1e-3]), np.zeros((2, 1)),
+                        np.zeros((2, 1)))
 
 
 def test_invalid_shapes_raise():

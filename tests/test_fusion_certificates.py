@@ -33,7 +33,7 @@ def test_mu_terms_stable_under_extreme_eps1():
     st = WeakState(x2hat=np.zeros(1), P2hat=np.eye(1))
     fu = fuse(np.zeros(1), 1e44, st, np.eye(2))
     assert fu.mu == 1.0
-    assert np.isfinite(fu.ellipsoid.shape).all()
+    assert np.isfinite(fu.shape).all()
 
 
 def test_fuse_contains_both_factors():
@@ -76,8 +76,8 @@ def test_fuse_empty_weak_block():
     st2 = WeakState(x2hat=np.zeros(0), P2hat=np.zeros((0, 0)))
     fu = fuse(np.array([1.0, 2.0]), 0.5, st2, np.eye(2))
     assert fu.mu == np.inf
-    assert np.allclose(fu.ellipsoid.shape, 0.25 * np.eye(2))
-    assert np.allclose(fu.ellipsoid.center, [1.0, 2.0])
+    assert np.allclose(fu.shape, 0.25 * np.eye(2))
+    assert np.allclose(fu.center, [1.0, 2.0])
 
 
 def test_fuse_rejects_bad_mu():
@@ -210,7 +210,7 @@ def test_certificate_matrix_bounds_ex2(run_ex2):
     rep = run_ex2.report
     assert rep.P_lo is not None and rep.P_hi is not None
     for fu in run_ex2.fused[::25]:
-        K = fu.ellipsoid.shape
+        K = fu.shape
         assert np.linalg.eigvalsh(K - rep.P_lo)[0] >= -1e-6 * np.trace(K)
         assert np.linalg.eigvalsh(rep.P_hi - K)[0] >= -1e-6 * np.trace(rep.P_hi)
 

@@ -6,8 +6,7 @@ import scipy.linalg as sla
 
 import smobserver.numerics as numerics
 from smobserver.numerics import (canonical_basis, compensated_sup, expm,
-                                 golden_section, norm_envelope_grid,
-                                 null_basis, power_norms,
+                                 norm_envelope_grid, null_basis, power_norms,
                                  range_basis, simpson, simpson_matrix,
                                  spectral_norm, unit_ball_volume, zoh)
 
@@ -92,15 +91,6 @@ def test_simpson_matrix_matches_scalar():
     out = simpson_matrix(Y, xs[1] - xs[0])
     assert out[0, 0] == pytest.approx(simpson(xs ** 2, 0.1), rel=1e-13)
     assert out[1, 1] == pytest.approx(simpson(np.sin(xs), 0.1), rel=1e-13)
-
-
-def test_golden_section_quadratic():
-    xm = golden_section(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol=1e-10)
-    assert xm == pytest.approx(0.3, abs=1e-8)
-
-
-def test_golden_section_flat_objective():
-    assert golden_section(lambda x: 1.0, 0.0, 1.0) == pytest.approx(0.5)
 
 
 def test_unit_ball_volume_known_values():

@@ -103,6 +103,18 @@ def test_design_requires_strongly_observable_part(cfg_mixed):
         build_design(cfg)
 
 
+def test_design_rejects_overflowing_envelope(tmp_path, cfg_ex2):
+    """example2's eps1 envelope grows with the horizon; at 200 s its square
+    overflows, which is bad input (exit 3), not a violation."""
+    cfg = cfg_ex2.with_overrides(horizon=200.0)
+    with pytest.raises(InvalidDesignError, match="overflows"):
+        build_design(cfg)
+    scen = tmp_path / "ex2_long.yaml"
+    cfg.save(scen)
+    assert cli_main(["run", "--scenario", str(scen),
+                     "--out", str(tmp_path / "o")]) == 3
+
+
 def test_certify_scenario_consistency(cfg_mixed):
     rep, run = certify_scenario(cfg_mixed)
     assert rep is run.report
@@ -300,6 +312,12 @@ def test_cli_scenario_without_A_exits_3(tmp_path, cfg_mixed):
     scen.write_text(yaml.safe_dump(d, sort_keys=False), encoding="utf-8")
     assert cli_main(["run", "--scenario", str(scen),
                      "--out", str(tmp_path / "o")]) == 3
+
+
+def test_cli_mc_negative_runs_exits_3(tmp_path, cfg_mixed):
+    scen = tmp_path / "mixed.yaml"
+    cfg_mixed.with_overrides(horizon=1.0).save(scen)
+    assert cli_main(["mc", "--scenario", str(scen), "--runs", "-1"]) == 3
 
 
 def test_cli_substep_overrides(tmp_path, cfg_mixed):

@@ -7,8 +7,8 @@ import pytest
 from smobserver.decomposition import build_decomposition
 from smobserver.errors import InvalidParameterError, SingularNoiseError
 from smobserver.numerics import expm
-from smobserver.weak import (StepInputs, WeakState, alpha_k, build_Ku,
-                             gamma_terms, gk_matrix,
+from smobserver.weak import (BETA_HI, BETA_LO, StepInputs, WeakState,
+                             alpha_k, build_Ku, gamma_terms, gk_matrix,
                              measurement_update, optimize_beta, propagate,
                              quad_kernels, stacking_gain,
                              update_is_informative, woodbury_shape)
@@ -72,11 +72,20 @@ def test_build_ku_block_layout():
 
 
 def test_build_ku_equals_block_diag():
+    """One block equals block_diag, and a stack of eps1 values and K_w
+    shapes equals the per-node calls bit for bit."""
     import scipy.linalg as sla
     Kw = np.array([[3.0, 0.4], [0.4, 5.0]])
     for g1, g2 in ((2.0, 2.0), gamma_terms(Kw, 0.7, 3)):
         ref = sla.block_diag(g1 * 0.7 ** 2 * np.eye(3), g2 * Kw)
         assert np.array_equal(build_Ku((g1, g2), 0.7, Kw, 3), ref)
+        eps1 = np.array([0.7, 1.3, 1e-3])
+        Kws = np.stack([Kw, 2.0 * Kw, np.diag([0.5, 7.0])])
+        stack = build_Ku((g1, g2), eps1, Kws, 3)
+        assert stack.shape == (3, 5, 5)
+        for j in range(3):
+            assert np.array_equal(
+                stack[j], build_Ku((g1, g2), float(eps1[j]), Kws[j], 3))
 
 
 def test_quad_kernels_match_power_loop_and_cache_by_value():
@@ -167,6 +176,22 @@ def test_optimize_beta_matches_dense_grid():
         assert abs(b - b_grid) <= 1e-4
 
 
+def test_optimize_beta_monotone_scalar_block_hits_endpoints():
+    """With n2 = 1 the objective c / (1 - b + b lam) is monotone, so the
+    weight is exactly an endpoint of [BETA_LO, BETA_HI]."""
+    P, C2 = np.array([[1.0]]), np.array([[1.0]])
+    # lam = 0.25 < 1: the trace grows with b
+    assert optimize_beta(P, C2, np.array([[4.0]])) == BETA_LO
+    # lam = 4 > 1: the trace falls with b
+    assert optimize_beta(P, C2, np.array([[0.25]])) == BETA_HI
+
+
+def test_optimize_beta_flat_objective_gives_half():
+    """C2^T Gk^{-1} C2 = P^{-1} makes the objective constant in b."""
+    P = np.array([[2.0, 0.3], [0.3, 1.0]])
+    assert optimize_beta(P, np.eye(2), P) == 0.5
+
+
 def test_optimize_beta_rejects_singular_gk():
     with pytest.raises(SingularNoiseError):
         optimize_beta(np.eye(2), np.eye(2), np.zeros((2, 2)))
@@ -237,6 +262,21 @@ def test_propagate_containment_monte_carlo(dec_mixed):
     assert worst <= 1.0 + 1e-9
 
 
+def test_propagate_builds_ku_once_per_step(dec_mixed, monkeypatch):
+    """M2k comes from one stacked K_u over all quadrature nodes."""
+    import smobserver.weak as weak
+    calls = []
+
+    def counting_build_Ku(*args, **kwargs):
+        calls.append(1)
+        return build_Ku(*args, **kwargs)
+
+    monkeypatch.setattr(weak, "build_Ku", counting_build_Ku)
+    st = WeakState(x2hat=np.array([0.3]), P2hat=np.array([[0.04]]))
+    _propagate(st, dec_mixed, _step_inputs(20, 0.1), 0.1, 20)
+    assert len(calls) == 1
+
+
 def test_propagate_rejects_odd_substeps(dec_mixed):
     st = WeakState(x2hat=np.array([0.0]), P2hat=np.eye(1))
     with pytest.raises(InvalidParameterError):
@@ -268,11 +308,9 @@ def test_measurement_update_shrinks_trace(dec_mixed):
     beta = optimize_beta(P2p, dec_mixed.C2, Gk)
     upd = measurement_update(st_pred, dec_mixed, inp, beta, Gk)
     # the optimizer does at least as well as the interval endpoints; the
-    # beta -> 0 limit itself lies just outside the clipped search range
-    from smobserver.weak import BETA_LO, BETA_HI
+    # beta -> 0 limit itself lies just outside the clipped interval
     for b_ref in (BETA_LO, BETA_HI):
         ref = woodbury_shape(P2p, dec_mixed.C2, Gk, b_ref)
-        # slack covers the golden-section bracket width at the endpoint
         assert np.trace(upd.P2hat) <= np.trace(ref) * (1.0 + 1e-6)
     # and stays within the clipped-endpoint slack of the skip alternative
     assert np.trace(upd.P2hat) <= np.trace(P2p) * (1.0 + 10.0 * BETA_LO)
