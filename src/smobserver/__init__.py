@@ -24,8 +24,8 @@ from .scenario import (BUILTIN_SCENARIOS, CertOptions, HgoSettings,
                        ScenarioConfig, example1, example2)
 from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
                   solve_uio_gain)
-from .weak import (StepInputs, WeakState, measurement_update, optimize_beta,
-                   propagate, stacking_gain)
+from .weak import (WeakState, measurement_update, optimize_beta, propagate,
+                   stacking_gain)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "BUILTIN_SCENARIOS", "CertOptions", "HgoSettings", "ScenarioConfig",
     "example1", "example2",
     "Epsilon1Evaluator", "ErrorBoundParams", "UioDesign", "solve_uio_gain",
-    "StepInputs", "WeakState", "measurement_update", "optimize_beta",
-    "propagate", "stacking_gain",
+    "WeakState", "measurement_update", "optimize_beta", "propagate",
+    "stacking_gain",
     "__version__",
 ]

@@ -108,20 +108,24 @@ class CertificateReport:
                 d[k] = float(v)
         return d
 
-    def shape_inconsistency(self, P2_shapes) -> str | None:
-        """The first realized weak-block shape with an eigenvalue outside
-        [p2_lo, p2_hi], described; None when the run respects both bounds."""
-        for k, P2 in enumerate(P2_shapes):
-            if P2.size == 0:
-                continue
-            lam = np.linalg.eigvalsh(P2)
-            if self.p2_lo > 0.0 and lam[0] < self.p2_lo * (1.0 - 1e-9):
-                return (f"step {k}: lambda_min {lam[0]:.6g} "
-                        f"< p2_lo {self.p2_lo:.6g}")
-            if np.isfinite(self.p2_hi) and lam[-1] > self.p2_hi * (1.0 + 1e-9):
-                return (f"step {k}: lambda_max {lam[-1]:.6g} "
-                        f"> p2_hi {self.p2_hi:.6g}")
-        return None
+    def shape_inconsistency(self, P2: np.ndarray) -> str | None:
+        """The first realized weak-block shape of the (N+1, n2, n2) stack
+        ``P2`` with an eigenvalue outside [p2_lo, p2_hi], described; None
+        when the run respects both bounds."""
+        if P2.size == 0:
+            return None
+        lam = np.linalg.eigvalsh(P2)
+        low = (lam[:, 0] < self.p2_lo * (1.0 - 1e-9)) & (self.p2_lo > 0.0)
+        high = lam[:, -1] > self.p2_hi * (1.0 + 1e-9)
+        bad = np.flatnonzero(low | high)
+        if not bad.size:
+            return None
+        k = int(bad[0])
+        if low[k]:
+            return (f"step {k}: lambda_min {lam[k, 0]:.6g} "
+                    f"< p2_lo {self.p2_lo:.6g}")
+        return (f"step {k}: lambda_max {lam[k, -1]:.6g} "
+                f"> p2_hi {self.p2_hi:.6g}")
 
 
 def gamma_bounds(const: AssumptionConstants, eps1_lo: float, eps1_hi: float,
@@ -334,7 +338,7 @@ def theorem2_bounds(rep: CertificateReport, P1: np.ndarray, n1: int,
 
 def certify(dec, const: AssumptionConstants, eps1_lo: float, eps1_hi: float,
             dt: float, P20_norm: float, horizon_k: int,
-            Gk_seq: list | None = None, r: int | None = None,
+            Gk_seq: np.ndarray | list = (), r: int | None = None,
             margin_scale: float = 0.05) -> CertificateReport:
     """Full certificate dispatch: envelopes, recursion bounds, then the
     stable-case bound if applicable, else the Grammian-window bound, else a
@@ -363,7 +367,7 @@ def certify(dec, const: AssumptionConstants, eps1_lo: float, eps1_hi: float,
         rep.case = "lemma6"
     else:
         try:
-            rho = grammian_rho(dec, Gk_seq or [], r, dt)
+            rho = grammian_rho(dec, Gk_seq, r, dt)
             rep.p2_hi = lemma7_uniform_bound(rep, rho, r, dt)
             rep.case = "lemma7"
         except (CertificateUnavailableError, InvalidParameterError) as exc:

@@ -14,8 +14,8 @@ import sys
 import yaml
 
 from .errors import ObserverError
-from .pipeline import (emit_plot_data, emit_traces, monte_carlo_containment,
-                       run_algorithm1)
+from .pipeline import (certify_scenario, emit_plot_data, emit_traces,
+                       monte_carlo_containment, run_algorithm1)
 from .scenario import BUILTIN_SCENARIOS, ScenarioConfig
 
 EXIT_OK = 0
@@ -84,14 +84,13 @@ def cmd_demo(args) -> int:
 
 def cmd_certify(args) -> int:
     cfg = _apply_overrides(ScenarioConfig.load(args.scenario), args)
-    run = run_algorithm1(cfg)
-    rep = run.report
+    rep, schedule = certify_scenario(cfg)
     print(yaml.safe_dump(rep.to_dict(), sort_keys=False))
     if rep.case == "none":
         print(f"certificate unavailable: {rep.reason}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    # cross-check the certificate against the realized run
-    problem = rep.shape_inconsistency(ws.P2hat for ws in run.weak_states)
+    # cross-check the certificate against the realized weak-block shapes
+    problem = rep.shape_inconsistency(schedule.P2)
     if problem:
         print(f"certificate inconsistency at {problem}", file=sys.stderr)
         return EXIT_CERTIFICATE

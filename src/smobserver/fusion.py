@@ -10,14 +10,14 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .numerics import symmetrize
-from .weak import NO_STACKING, WeakState, build_Ku, stacking_gain
+from .weak import NO_STACKING, build_Ku, stacking_gain
 
 
 @dataclass(frozen=True)
 class FusedEstimate:
-    """Full-state bound: one shape for a batch of runs, the center of each
-    run ((n,) or (n, runs)), and the stacking gain used.  The estimator
-    loop checks the shape once, by ``ellipsoid.quadratic_forms``."""
+    """Full-state bound at step k: the center of each run ((n,) or
+    (n, runs)), the schedule's fused shape and the stacking gain used.  The
+    estimator loop checks the shape once, by ``ellipsoid.quadratic_forms``."""
 
     center: np.ndarray
     shape: np.ndarray
@@ -30,28 +30,22 @@ class FusedEstimate:
             raise InvalidParameterError("fusion gain mu must exceed 1")
 
 
-def fuse(x1hat: np.ndarray, eps1_k: float, st2: WeakState,
-         P1: np.ndarray) -> FusedEstimate:
-    """Combine E(x1hat, eps1^2 I) and E(x2hat, P2hat) into E(xhat, Phat).
+def fuse(eps1_k: float, P2: np.ndarray, P1inv: np.ndarray
+         ) -> tuple[np.ndarray, float]:
+    """The shape Phat of E(xhat, Phat) that holds E(x1hat, eps1^2 I) and
+    E(x2hat, P2) stacked, mapped back through the coordinate change P1.
 
-    xhat = P1^{-1} col(x1hat, x2hat) and Phat = P1^{-1} D P1^{-T}, where D
-    is the stacked block of :func:`build_Ku` at the trace-optimal
-    :func:`stacking_gain` mu of tr P2hat against eps1.  An empty weak block
-    stacks nothing: D = eps1^2 I and mu is recorded as inf.  The centers may
-    carry a trailing run axis; the shape is formed once for all of them.
+    Returns (Phat, mu) with Phat = P1^{-1} D P1^{-T}, where D is the stacked
+    block of :func:`build_Ku` at the trace-optimal :func:`stacking_gain` mu
+    of tr P2 against eps1.  An empty weak block stacks nothing: D = eps1^2 I
+    and mu is recorded as inf.  The center of each run is
+    xhat = P1^{-1} col(x1hat, x2hat).
     """
-    x1hat = np.atleast_1d(np.asarray(x1hat, dtype=float))
-    P1 = np.atleast_2d(np.asarray(P1, dtype=float))
-    n1 = x1hat.shape[0]
-    n2 = st2.x2hat.shape[0]
     if eps1_k <= 0.0:
         raise InvalidParameterError("eps1_k must be positive")
-    if P1.shape != (n1 + n2, n1 + n2):
-        raise InvalidParameterError("P1 dimension mismatch")
-    Pinv = np.linalg.inv(P1)
-    gain = (stacking_gain(float(np.trace(st2.P2hat)), eps1_k, n1) if n2
+    n2 = P2.shape[0]
+    n1 = P1inv.shape[0] - n2
+    gain = (stacking_gain(float(np.trace(P2)), eps1_k, n1) if n2
             else NO_STACKING)
-    center = Pinv @ np.concatenate([x1hat, st2.x2hat])
-    shape = symmetrize(Pinv @ build_Ku(gain, eps1_k, st2.P2hat, n1) @ Pinv.T)
-    return FusedEstimate(center=center, shape=shape,
-                         mu=gain[0] if n2 else np.inf)
+    shape = symmetrize(P1inv @ build_Ku(gain, eps1_k, P2, n1) @ P1inv.T)
+    return shape, (gain[0] if n2 else np.inf)

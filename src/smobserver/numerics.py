@@ -61,13 +61,13 @@ def min_eigval(K: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(K))[0])
 
 
-def is_spd(K: np.ndarray, tol: float = 0.0) -> bool:
+def is_spd(K: np.ndarray) -> bool:
     K = np.atleast_2d(np.asarray(K, dtype=float))
     if K.shape[0] != K.shape[1]:
         return False
     if not np.allclose(K, K.T, rtol=1e-8, atol=1e-8 * (1.0 + spectral_norm(K))):
         return False
-    return min_eigval(K) > tol
+    return min_eigval(K) > 0.0
 
 
 def default_rank_tol(M: np.ndarray, smax: float) -> float:

@@ -5,19 +5,22 @@ certificate evaluation, Monte Carlo containment suites, and trace emission.
 Every shape quantity of the estimator (error envelopes, predicted and
 updated shape matrices, gains, mixing weights, the fused shape) depends on
 the system only; the realized input and initial state reach the centers
-alone.  :func:`estimate` is the one estimator loop: per sample step it
-computes the shapes once and advances the centers of a whole batch of
-runs.  The plant, the derivative bank and the unknown-input observer form
-one linear time-invariant system, lifted once to the quadrature grid
-(:class:`CenterLift`) and advanced by :func:`center_pass`.  A single run
-(:func:`run_algorithm1`) is the loop with one column; a Monte Carlo sweep
-(:func:`monte_carlo_containment`) is the loop with one column per run.
+alone.  :func:`shape_schedule` runs the shape recursion once and checks
+every weak-block shape once; :func:`estimate` is the one estimator loop,
+which reads its shapes from that schedule and advances the centers of a
+whole batch of runs.  The plant, the derivative bank and the unknown-input
+observer form one linear time-invariant system, lifted once to the
+quadrature grid (:class:`CenterLift`) and advanced by :func:`center_pass`.
+A single run (:func:`run_algorithm1`) is the loop with one column; a Monte
+Carlo sweep (:func:`monte_carlo_containment`) is the loop with one column
+per run.  The certificate reads the schedule alone.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -29,14 +32,14 @@ from .ellipsoid import (MEMBERSHIP_SLACK, Ellipsoid, axis_bounds,
 from .errors import InvalidDesignError, InvalidParameterError
 from .fusion import FusedEstimate, fuse
 from .hgo import HgoConfig, _discretization, decay_constants, design_hgo
-from .numerics import spectral_norm, symmetrize, zoh
+from .numerics import expm, spectral_norm, symmetrize, zoh
 from .scenario import (ScenarioConfig, default_zbar0, input_bounds,
                        input_norm_bound, y_derivative_bound)
 from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
                   solve_uio_gain)
-from .weak import (StepInputs, WeakState, build_Ku, gamma_terms, gk_matrix,
-                   measurement_update, optimize_beta, propagate,
-                   update_is_informative)
+from .weak import (WeakState, build_Ku, check_shape, gamma_terms, gk_matrix,
+                   measurement_update, optimize_beta, predict_center,
+                   propagate, quad_kernels, update_is_informative)
 
 
 # -- plant simulation ------------------------------------------------------
@@ -324,18 +327,16 @@ class TraceRow:
 class RunResult:
     """Everything a single pipeline execution produces.
 
-    ``fused`` and ``weak_states`` hold the loop's per-step records of a batch
-    of one: their centers keep a run axis of length 1.
+    ``fused`` and ``weak_states`` hold the per-step records of a batch of
+    one: their centers keep a run axis of length 1.  Every shape-side
+    quantity is in ``schedule``.
     """
 
     traces: list
     report: CertificateReport | None
     fused: list
     weak_states: list
-    pred_shapes: list
-    Gk_seq: list
-    alphas: np.ndarray
-    betas: np.ndarray
+    schedule: ShapeSchedule
     step_log: list
     eps1_ok: bool
     containment_ok: bool
@@ -346,97 +347,148 @@ class RunResult:
     def ok(self) -> bool:
         return self.eps1_ok and self.containment_ok
 
+    @property
+    def alphas(self) -> np.ndarray:
+        """alpha_k for k = 1..n_steps."""
+        return self.schedule.alpha[1:]
+
+
+# -- the shape schedule ----------------------------------------------------
+
+@dataclass(frozen=True)
+class ShapeSchedule:
+    """Every shape-side quantity of the estimator; entry k of each array
+    belongs to sample time t_k, k = 0..n_steps.  Where no gain, weight or
+    update gate ran (k = 0, or an empty weak block) the entries are nan
+    and ``skipped``.  ``P1inv`` and the step's
+    :func:`~smobserver.weak.quad_kernels` are what the centers need."""
+
+    eps1: np.ndarray       # (N+1,)
+    gamma: np.ndarray      # (N+1,)
+    alpha: np.ndarray      # (N+1,)
+    beta: np.ndarray       # (N+1,), 0 where the update was skipped
+    skipped: np.ndarray    # (N+1,) bool
+    P2_pred: np.ndarray    # (N+1, n2, n2) predicted weak-block shape
+    P2: np.ndarray         # (N+1, n2, n2) updated, or predicted if skipped
+    Gk: np.ndarray         # (N+1, n_y, n_y)
+    O: np.ndarray          # (N+1, n2, n_y) update gain, 0 where skipped
+    mu: np.ndarray         # (N+1,) fusion gain
+    shape: np.ndarray      # (N+1, n, n) fused full-state shape
+    P1inv: np.ndarray      # (n, n)
+    kernels: np.ndarray    # (n_q + 1, n2, n2)
+
+
+def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
+    """Run the shape recursion of the estimator once over the horizon:
+    per step, select the stacking gain, propagate, gate the update on G_k,
+    update or skip, and fuse.  :func:`~smobserver.weak.check_shape` checks
+    each weak-block shape once, before anything uses it."""
+    cfg, dec = design.cfg, design.dec
+    n1, n2, n_q, N = dec.n1, dec.n2, cfg.quad_substeps, cfg.n_steps
+    n, n_y = dec.P1.shape[0], dec.system.n_y
+    Kw_q = cfg.Kw(design.eps1_ts)
+    eps1 = design.eps1_grid[::n_q]
+    gamma, alpha, beta = (np.full(N + 1, np.nan) for _ in range(3))
+    skipped = np.ones(N + 1, dtype=bool)
+    P2_pred, P2s = np.empty((2, N + 1, n2, n2))
+    Gk = np.full((N + 1, n_y, n_y), np.nan)
+    O = np.zeros((N + 1, n2, n_y))
+    mu = np.empty(N + 1)
+    shape = np.empty((N + 1, n, n))
+    P1inv = np.linalg.inv(dec.P1)
+    kernels = quad_kernels(dec.A4, cfg.dt / n_q, n_q)
+    Ed = expm(dec.A4 * cfg.dt)
+
+    # t = 0: split the initial ellipsoid through the coordinate change
+    P2 = check_shape(symmetrize(dec.P1 @ cfg.K0 @ dec.P1.T)[n1:, n1:])
+    for k in range(N + 1):
+        e1 = float(eps1[k])
+        if k and n2:
+            sl = slice((k - 1) * n_q, k * n_q + 1)
+            gain = gamma_terms(Kw_q[k * n_q], e1, n1)
+            gamma[k] = gain[0]
+            P2, alpha[k], _ = propagate(P2, dec, design.eps1_grid[sl],
+                                        Kw_q[sl], cfg.dt, gain, kernels, Ed)
+            P2_pred[k] = check_shape(P2)
+            Gk[k] = gk_matrix(dec, build_Ku(gain, e1, Kw_q[k * n_q], n1))
+            beta[k] = 0.0
+            if update_is_informative(dec, Gk[k]):
+                beta[k] = optimize_beta(P2_pred[k], dec.C2, Gk[k])
+                P2, O[k] = measurement_update(P2_pred[k], dec.C2, beta[k],
+                                              Gk[k])
+                check_shape(P2)
+                skipped[k] = False
+        else:
+            P2_pred[k] = P2
+        P2s[k] = P2
+        shape[k], mu[k] = fuse(e1, P2, P1inv)
+    return ShapeSchedule(
+        eps1=eps1, gamma=gamma, alpha=alpha, beta=beta, skipped=skipped,
+        P2_pred=P2_pred, P2=P2s, Gk=Gk, O=O, mu=mu, shape=shape,
+        P1inv=P1inv, kernels=kernels)
+
 
 # -- the estimator loop ----------------------------------------------------
 
 @dataclass
 class EstimateStep:
-    """Step k of :func:`estimate`: the shape-side quantities, shared by every
-    run of the batch, and the centers of each run."""
+    """Step k of :func:`estimate`: the centers of each run.  The shapes of
+    step k are entry k of the :class:`ShapeSchedule`."""
 
     k: int
     x: np.ndarray            # (n, runs) plant state at t_k
-    eps1: float
     eps1_gap: np.ndarray     # (n_q, runs) since t_{k-1}; empty at k = 0
-    weak: WeakState | None = None  # x2 block after the update or skip
-    fused: FusedEstimate | None = None  # one shape, centers (n, runs)
-    q: np.ndarray | None = None  # (runs,) fused quadratic form of x
-    P2_pred: np.ndarray | None = None
-    Gk: np.ndarray | None = None
-    alpha: float = np.nan
-    beta: float = np.nan
-    gamma: float = np.nan
-    skipped: bool = True
+    x2hat: np.ndarray        # (n2, runs) weak-block center after the update
+    xhat: np.ndarray         # (n, runs) fused center
+    q: np.ndarray            # (runs,) fused quadratic form of x
 
 
 def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
-             log: list | None = None):
+             schedule: ShapeSchedule, log: list | None = None):
     """Run the estimator on a batch of runs, yielding one
     :class:`EstimateStep` per sample time k = 0..n_steps.
 
-    ``X0`` (n x runs) and ``w_family`` are as for :func:`center_pass`.  The
-    per-step order follows the published pseudocode: advance the continuous
-    blocks (plant, derivative bank, unknown-input observer) to the next
-    sample time, select the stacking gain, propagate, gate the measurement
-    update on G_k, update or skip, and fuse.  Every shape, gain and weight
-    depends on the system only, so each is computed once per step; the
-    centers of all runs advance together.  Each stage appends its name to
-    ``log``.
+    ``X0`` (n x runs) and ``w_family`` are as for :func:`center_pass`, and
+    ``schedule`` is :func:`shape_schedule` of ``design``.  The loop only
+    advances centers: the continuous blocks (plant, derivative bank,
+    unknown-input observer) to the next sample time, the x2 block by its
+    quadrature drive and, on update steps, by O_k times the innovation,
+    then the fused center and each run's quadratic form.  ``log`` receives
+    the stage names in the order of the published pseudocode (select the
+    stacking gain, propagate, gate the update, update or skip, fuse).
     """
     cfg, dec = design.cfg, design.dec
     n1, n2, n_q = dec.n1, dec.n2, cfg.quad_substeps
     log = [] if log is None else log
     X0 = np.asarray(X0, dtype=float)
     runs = X0.shape[1]
-    ts_q = design.eps1_ts
-    cw_q, Kw_q = cfg.cw(ts_q), cfg.Kw(ts_q)
+    cw_q = cfg.cw(design.eps1_ts)[:, :, None]
+    cw_q = np.broadcast_to(cw_q, cw_q.shape[:2] + (runs,))
+    P1inv = schedule.P1inv
 
-    # t = 0 setup: split the initial ellipsoid through the coordinate change
     log.append("setup")
     xp0 = np.tile((dec.P1 @ cfg.xhat0)[:, None], (1, runs))
-    Kp0 = symmetrize(dec.P1 @ cfg.K0 @ dec.P1.T)
-    st2 = WeakState(x2hat=xp0[n1:], P2hat=Kp0[n1:, n1:])
-    log.append("fuse")
-    e1 = float(design.eps1_grid[0])
-    fu = fuse(xp0[:n1], e1, st2, dec.P1)
-    yield EstimateStep(k=0, x=X0, eps1=e1, eps1_gap=np.empty((0, runs)),
-                       weak=st2, fused=fu,
-                       q=quadratic_forms(fu.shape, X0, fu.center))
-
-    for smp in center_pass(design, X0, w_family):
+    x2 = xp0[n1:]
+    start = CenterSample(k=0, x=X0, y=None, x1hat_q=xp0[None, :n1],
+                         eps1_gap=np.empty((0, runs)))
+    for smp in chain([start], center_pass(design, X0, w_family)):
         k = smp.k
-        log.append("continuous")
-        step = EstimateStep(k=k, x=smp.x,
-                            eps1=float(design.eps1_grid[k * n_q]),
-                            eps1_gap=smp.eps1_gap)
-        if n2 == 0:
-            step.P2_pred = st2.P2hat   # nothing to propagate
-        else:
-            sl = slice((k - 1) * n_q, k * n_q + 1)
-            inp = StepInputs(x1hat_samples=smp.x1hat_q,
-                             eps1_samples=design.eps1_grid[sl],
-                             cw_samples=cw_q[sl], Kw_samples=Kw_q[sl],
-                             y_k=smp.y)
-            log.append("gamma")
-            gain = gamma_terms(Kw_q[k * n_q], step.eps1, n1)
-            step.gamma = gain[0]
-            log.append("propagate")
-            st2, step.alpha, _ = propagate(st2, dec, inp, cfg.dt, n_q, gain)
-            step.P2_pred = st2.P2hat
-            step.Gk = gk_matrix(dec, build_Ku(gain, step.eps1,
-                                              Kw_q[k * n_q], n1))
-            log.append("gate")
-            step.beta = 0.0
-            if update_is_informative(dec, step.Gk):
+        if k:
+            log.append("continuous")
+        if k and n2:
+            log += ["gamma", "propagate", "gate"]
+            u = np.concatenate([smp.x1hat_q, cw_q[(k - 1) * n_q:k * n_q + 1]],
+                               axis=1)
+            x2 = predict_center(x2, dec.B2p, u, cfg.dt, schedule.kernels)
+            if not schedule.skipped[k]:
                 log.append("update")
-                step.beta = optimize_beta(step.P2_pred, dec.C2, step.Gk)
-                st2 = measurement_update(st2, dec, inp, step.beta, step.Gk)
-                step.skipped = False
+                x2 = x2 + schedule.O[k] @ (smp.y - dec.C2 @ x2
+                                           - dec.D2p @ u[-1])
         log.append("fuse")
-        step.weak = st2
-        step.fused = fuse(smp.x1hat_q[-1], step.eps1, st2, dec.P1)
-        step.q = quadratic_forms(step.fused.shape, smp.x, step.fused.center)
-        yield step
+        xhat = P1inv @ np.concatenate([smp.x1hat_q[-1], x2])
+        yield EstimateStep(k=k, x=smp.x, eps1_gap=smp.eps1_gap, x2hat=x2,
+                           xhat=xhat, q=quadratic_forms(schedule.shape[k],
+                                                        smp.x, xhat))
 
 
 def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
@@ -445,9 +497,10 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
                    step_log: list | None = None) -> RunResult:
     """Execute the full estimation loop over the scenario horizon.
 
-    The run is :func:`estimate` with one column: this function adds the
-    trace rows, the per-step records and the certificate.  ``step_log``
-    receives the stage names in the published order.
+    The run is :func:`shape_schedule` and :func:`estimate` with one column:
+    this function adds the trace rows, the per-step records and the
+    certificate.  ``step_log`` receives the stage names in the published
+    order.
     """
     if design is None:
         design = build_design(cfg)
@@ -459,45 +512,35 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
     def w_one(ts):
         return np.asarray(w_fn(ts), dtype=float)[:, :, None]
 
+    sched = shape_schedule(design)
     traces: list[TraceRow] = []
     fused_list: list[FusedEstimate] = []
     weak_list: list[WeakState] = []
-    pred_shapes: list[np.ndarray] = []
-    Gk_seq: list[np.ndarray] = []
-    alphas, betas = [], []
     eps1_margin, worst_q = np.inf, 0.0
     log = step_log if step_log is not None else []
 
-    for step in estimate(design, x0[:, None], w_one, log):
-        xhat, K = step.fused.center[:, 0], step.fused.shape
+    for step in estimate(design, x0[:, None], w_one, sched, log):
+        k = step.k
+        xhat, K = step.xhat[:, 0], sched.shape[k]
         lo, hi = axis_bounds(xhat, K)
         traces.append(TraceRow(
-            t=step.k * cfg.dt, x_true=step.x[:, 0].copy(),
+            t=k * cfg.dt, x_true=step.x[:, 0].copy(),
             xhat=xhat.copy(), lo=lo, hi=hi,
-            trP=float(np.trace(K)), vol=volume(K), eps1=step.eps1,
-            alpha=step.alpha, beta=step.beta, gamma=step.gamma,
-            mu=step.fused.mu,
+            trP=float(np.trace(K)), vol=volume(K), eps1=float(sched.eps1[k]),
+            alpha=float(sched.alpha[k]), beta=float(sched.beta[k]),
+            gamma=float(sched.gamma[k]), mu=float(sched.mu[k]),
             contained=bool(step.q[0] <= 1.0 + MEMBERSHIP_SLACK),
-            skipped=step.skipped))
-        fused_list.append(step.fused)
-        weak_list.append(step.weak)
+            skipped=bool(sched.skipped[k])))
+        fused_list.append(FusedEstimate(center=step.xhat, shape=K,
+                                        mu=float(sched.mu[k])))
+        weak_list.append(WeakState(x2hat=step.x2hat, P2hat=sched.P2[k]))
         worst_q = max(worst_q, float(step.q[0]))
         eps1_margin = min(eps1_margin, np.min(step.eps1_gap, initial=np.inf))
-        if step.k:
-            pred_shapes.append(step.P2_pred)
-            alphas.append(step.alpha)
-            betas.append(step.beta)
-        if step.Gk is not None:
-            Gk_seq.append(step.Gk)
 
-    alphas, betas = np.asarray(alphas), np.asarray(betas)
-    report = None
-    if with_certificate:
-        report = certify_design(design, alphas, betas, Gk_seq)
+    report = certify_design(design, sched) if with_certificate else None
     return RunResult(
         traces=traces, report=report, fused=fused_list,
-        weak_states=weak_list, pred_shapes=pred_shapes, Gk_seq=Gk_seq,
-        alphas=alphas, betas=betas, step_log=log,
+        weak_states=weak_list, schedule=sched, step_log=log,
         eps1_ok=bool(eps1_margin >= -EPS1_SLACK),
         containment_ok=all(row.contained for row in traces),
         eps1_margin=float(eps1_margin), worst_q=worst_q)
@@ -535,23 +578,27 @@ def assumption_constants(cfg: ScenarioConfig, alphas: np.ndarray,
                                w_lo=w_lo, w_hi=w_hi, source="harvested")
 
 
-def certify_design(design: DesignArtifacts, alphas: np.ndarray,
-                   betas: np.ndarray, Gk_seq: list) -> CertificateReport:
+def certify_design(design: DesignArtifacts,
+                   schedule: ShapeSchedule) -> CertificateReport:
+    """The certificate of ``design``, with harvested constants and the
+    Grammian window taken from its shape schedule."""
     cfg = design.cfg
-    const = assumption_constants(cfg, alphas, betas)
+    const = assumption_constants(cfg, schedule.alpha[1:], schedule.beta[1:])
     P20_norm = spectral_norm(design.dec.P1 @ cfg.K0 @ design.dec.P1.T)
     r = cfg.cert.r if cfg.cert.r is not None else max(design.dec.n2, 1)
     return certify(design.dec, const, design.eps1_lo, design.eps1_hi,
-                   cfg.dt, P20_norm, cfg.n_steps, Gk_seq=Gk_seq, r=r,
-                   margin_scale=cfg.cert.margin_scale)
+                   cfg.dt, P20_norm, cfg.n_steps, Gk_seq=schedule.Gk[1:],
+                   r=r, margin_scale=cfg.cert.margin_scale)
 
 
-def certify_scenario(cfg: ScenarioConfig) -> tuple[CertificateReport, RunResult]:
-    """Run the pipeline once (pilot for harvested constants and the Grammian
-    window) and evaluate the certificate."""
+def certify_scenario(cfg: ScenarioConfig
+                     ) -> tuple[CertificateReport, ShapeSchedule]:
+    """Evaluate the certificate from the scenario's shape schedule, which
+    also holds the realized weak-block shapes to cross-check it against;
+    no center is simulated."""
     design = build_design(cfg)
-    run = run_algorithm1(cfg, design=design, with_certificate=True)
-    return run.report, run
+    schedule = shape_schedule(design)
+    return certify_design(design, schedule), schedule
 
 
 # -- Monte Carlo -----------------------------------------------------------
@@ -616,9 +663,9 @@ def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
     """Batched containment sweep over random admissible runs.
 
     The sweep is :func:`estimate` with one column per run: every shape,
-    gain and weight is computed once per step and shared, and only the
-    centers differ between columns.  It streams one sample interval at a
-    time, so memory does not grow with the horizon.
+    gain and weight comes from one :func:`shape_schedule` and is shared,
+    and only the centers differ between columns.  It streams one sample
+    interval at a time, so memory does not grow with the horizon.
 
     ``x0s`` (n x runs) and ``w_family`` (times -> (len, n_w, runs) samples)
     override the random draws with explicit batches.
@@ -630,6 +677,7 @@ def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
                 "eps1_violations": 0, "seed": seed,
                 "per_run_worst_q": []}
     design = build_design(cfg)
+    schedule = shape_schedule(design)
     rng = np.random.default_rng(seed)
     X = (_sample_initial_states(rng, cfg, runs, boundary)
          if x0s is None else np.asarray(x0s, dtype=float))   # (n, runs)
@@ -640,7 +688,7 @@ def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
     contained = np.ones(runs, dtype=bool)
     eps1_violations = 0
     eps1_margin = np.inf
-    for step in estimate(design, X, family):
+    for step in estimate(design, X, family, schedule):
         eps1_margin = min(eps1_margin, np.min(step.eps1_gap, initial=np.inf))
         eps1_violations += int(np.sum(step.eps1_gap < -EPS1_SLACK))
         per_run_worst = np.maximum(per_run_worst, step.q)

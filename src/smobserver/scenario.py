@@ -13,6 +13,7 @@ import scipy.linalg as sla
 import yaml
 
 from .decomposition import LtiSystem
+from .ellipsoid import MEMBERSHIP_SLACK, quadratic_forms
 from .errors import ScenarioFormatError
 from .generators import ShapeGenerator, SignalGenerator
 from .numerics import expm, is_spd, power_norms, spectral_norm
@@ -101,6 +102,9 @@ class ScenarioConfig:
             raise ScenarioFormatError("K0 must be symmetric positive definite")
         if self.dt <= 0.0 or self.horizon <= 0.0:
             raise ScenarioFormatError("dt and horizon must be positive")
+        steps = self.horizon / self.dt
+        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ScenarioFormatError("horizon is not a whole number of dt")
         if self.cw.dim != sys.n_w or self.w_true.dim != sys.n_w \
                 or self.Kw.dim != sys.n_w:
             raise ScenarioFormatError("input generator dimension mismatch")
@@ -112,6 +116,13 @@ class ScenarioConfig:
         if self.x0_true is not None:
             object.__setattr__(self, "x0_true",
                                np.asarray(self.x0_true, dtype=float))
+            if self.x0_true.shape != (n,) \
+                    or not np.all(np.isfinite(self.x0_true)):
+                raise ScenarioFormatError("x0_true must be a finite n-vector")
+            if not quadratic_forms(self.K0, self.x0_true[:, None],
+                                   self.xhat0[:, None])[0] \
+                    <= 1.0 + MEMBERSHIP_SLACK:
+                raise ScenarioFormatError("x0_true lies outside E(xhat0, K0)")
         self._check_true_input()
 
     def _check_true_input(self) -> None:

@@ -10,16 +10,16 @@ block.  The weak block's input bound (Q = K_w: gamma_k, K_u, G_k), the fused
 full-state set (Q = P2hat: mu_k) and the certificate's gain bounds all go
 through these two functions.
 
-Shapes and gains depend on the system only.  Centers may carry a trailing
-run axis: ``propagate`` and ``measurement_update`` then compute the shape
-once and advance every run's center with it.
+Shapes and gains depend on the system only, so :func:`propagate`,
+:func:`measurement_update` and the selectors act on shapes alone; the one
+center formula here is :func:`predict_center`, the quadrature drive of the
+x2 block, which the estimator applies to every run.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -27,8 +27,8 @@ from scipy.optimize import brentq
 
 from .errors import (DegenerateInputError, InvalidParameterError,
                      SingularInnovationError, SingularNoiseError)
-from .numerics import (expm, is_spd, min_eigval, simpson_matrix,
-                       spectral_norm, symmetrize)
+from .numerics import (expm, min_eigval, simpson_matrix, spectral_norm,
+                       symmetrize)
 
 #: clip applied when the closed-form alpha degenerates to an endpoint
 ALPHA_CLIP = 1e-9
@@ -45,67 +45,22 @@ NO_STACKING = (1.0, np.inf)
 
 @dataclass
 class WeakState:
-    """Ellipsoidal estimate E(x2hat, P2hat) of the x2 block at step k.
-
-    ``x2hat`` is (n2,) for one run or (n2, runs) for a batch sharing P2hat.
-    Construction validates the shape; :func:`propagate` and
-    :func:`measurement_update` return their shapes as new states, so each
-    shape is checked once.
-    """
+    """Ellipsoidal estimate E(x2hat, P2hat) of the x2 block at step k: the
+    center of each run ((n2,) or (n2, runs)) and the schedule's shape."""
 
     x2hat: np.ndarray
     P2hat: np.ndarray
 
-    def __post_init__(self):
-        self.x2hat = np.atleast_1d(np.asarray(self.x2hat, dtype=float))
-        self.P2hat = np.atleast_2d(np.asarray(self.P2hat, dtype=float))
-        n2 = self.x2hat.shape[0]
-        if self.P2hat.shape != (n2, n2):
-            raise InvalidParameterError("P2hat must be n2 x n2")
-        if not (np.all(np.isfinite(self.x2hat))
-                and np.all(np.isfinite(self.P2hat))):
-            raise InvalidParameterError("weak-observer state must be finite")
-        if n2 and not is_spd(self.P2hat):
-            raise InvalidParameterError("P2hat must be SPD")
-        self.P2hat = symmetrize(self.P2hat)
 
-
-@dataclass
-class StepInputs:
-    """Per-step data on the quadrature grid of [t_{k-1}, t_k].
-
-    All sample arrays share the leading axis (substeps + 1 nodes, endpoints
-    included).  ``Kw_samples`` holds one SPD shape matrix per node.  For a
-    batch, ``x1hat_samples`` and ``y_k`` carry a trailing run axis.
-    """
-
-    x1hat_samples: np.ndarray  # (m+1, n1[, runs])
-    eps1_samples: np.ndarray   # (m+1,)
-    cw_samples: np.ndarray     # (m+1, n_w)
-    Kw_samples: np.ndarray     # (m+1, n_w, n_w)
-    y_k: np.ndarray            # (n_y[, runs])
-
-    def __post_init__(self):
-        self.x1hat_samples = np.atleast_2d(
-            np.asarray(self.x1hat_samples, dtype=float))
-        self.eps1_samples = np.asarray(self.eps1_samples, dtype=float).ravel()
-        self.cw_samples = np.atleast_2d(np.asarray(self.cw_samples, dtype=float))
-        self.Kw_samples = np.asarray(self.Kw_samples, dtype=float)
-        self.y_k = np.asarray(self.y_k, dtype=float)
-        m1 = self.eps1_samples.shape[0]
-        if (self.x1hat_samples.shape[0] != m1
-                or self.cw_samples.shape[0] != m1
-                or self.Kw_samples.shape[0] != m1):
-            raise InvalidParameterError("step-input sample grids are misaligned")
-        if np.any(self.eps1_samples <= 0.0):
-            raise InvalidParameterError("eps1 samples must be positive")
-
-    def u_samples(self) -> np.ndarray:
-        """col(x1hat, c_w) on every node, (m+1, n1+n_w[, runs])."""
-        x1, cw = self.x1hat_samples, self.cw_samples
-        if x1.ndim == 3:
-            cw = np.broadcast_to(cw[:, :, None], cw.shape + x1.shape[2:])
-        return np.concatenate([x1, cw], axis=1)
+def check_shape(P2: np.ndarray) -> np.ndarray:
+    """``P2`` itself if it is finite and positive definite (shapes are
+    symmetrized where they are formed), else :class:`InvalidParameterError`;
+    the shape schedule checks each weak-block shape once with it."""
+    if not np.all(np.isfinite(P2)):
+        raise InvalidParameterError("weak-observer shape must be finite")
+    if not min_eigval(P2) > 0.0:
+        raise InvalidParameterError("P2hat must be SPD")
+    return P2
 
 
 def stacking_gain(t2: float, eps1: float, n1: int) -> tuple[float, float]:
@@ -152,19 +107,16 @@ def build_Ku(gain: tuple[float, float], eps1: float | np.ndarray,
     return symmetrize(Ku)
 
 
-@lru_cache(maxsize=64)
-def _expm_scaled(a: bytes, n: int, t: float) -> np.ndarray:
-    """e^{A t} for the n x n matrix A stored in ``a``, read-only."""
-    E = expm(np.frombuffer(a).reshape(n, n) * t)
-    E.setflags(write=False)
-    return E
+def quad_kernels(A4: np.ndarray, h: float, substeps: int) -> np.ndarray:
+    """Kernels e^{A4 (t_k - tau_j)} = e^{A4 h}^(m-j), j = 0..m, on the
+    quadrature grid of one step (m = substeps); kernels[0] = e^{A4 m h}.
 
-
-@lru_cache(maxsize=64)
-def _quad_kernels(a4: bytes, n2: int, h: float, substeps: int) -> np.ndarray:
-    Eh = _expm_scaled(a4, n2, h)
-    kernels = np.empty((substeps + 1, n2, n2))
-    P = np.eye(n2)
+    The result is read-only: one stack serves every step of a schedule.
+    """
+    A4 = np.atleast_2d(np.asarray(A4, dtype=float))
+    Eh = expm(A4 * h)
+    kernels = np.empty((substeps + 1,) + A4.shape)
+    P = np.eye(A4.shape[0])
     for j in range(substeps, -1, -1):
         kernels[j] = P
         P = Eh @ P
@@ -172,26 +124,14 @@ def _quad_kernels(a4: bytes, n2: int, h: float, substeps: int) -> np.ndarray:
     return kernels
 
 
-def quad_kernels(A4: np.ndarray, h: float, substeps: int) -> np.ndarray:
-    """Kernels e^{A4 (t_k - tau_j)} = e^{A4 h}^(m-j), j = 0..m, on the
-    quadrature grid of one step (m = substeps); kernels[0] = e^{A4 m h}.
-
-    The result is read-only and cached by the value of (A4, h, substeps).
-    """
-    A4 = np.ascontiguousarray(np.atleast_2d(A4), dtype=float)
-    return _quad_kernels(A4.tobytes(), A4.shape[0], float(h), int(substeps))
-
-
-def alpha_k(M2k: np.ndarray, A4: np.ndarray, P2: np.ndarray,
+def alpha_k(M2k: np.ndarray, Ed: np.ndarray, P2: np.ndarray,
             dt: float) -> float:
     """Trace-minimizing mixing weight for the predicted shape matrix.
 
-    Minimizes tr(e^{A4 dt} P2 e^{A4^T dt} / a + dt M2k / (1-a)) over
-    a in (0,1); the minimizer is sqrt(tp) / (sqrt(tp) + sqrt(dt tm)) with
-    tp, tm the two traces.  Degenerate endpoints are clipped into (0,1).
+    Minimizes tr(Ed P2 Ed^T / a + dt M2k / (1-a)) over a in (0,1), with
+    Ed = e^{A4 dt}; the minimizer is sqrt(tp) / (sqrt(tp) + sqrt(dt tm))
+    with tp, tm the two traces.  Degenerate endpoints are clipped into (0,1).
     """
-    A4 = np.ascontiguousarray(np.atleast_2d(A4), dtype=float)
-    Ed = _expm_scaled(A4.tobytes(), A4.shape[0], float(dt))  # cached by value
     tp = float(np.trace(Ed @ np.atleast_2d(P2) @ Ed.T))
     tm = float(np.trace(np.atleast_2d(M2k)))
     if tp < 0.0 or tm < 0.0:
@@ -203,40 +143,43 @@ def alpha_k(M2k: np.ndarray, A4: np.ndarray, P2: np.ndarray,
     return float(np.clip(a, ALPHA_CLIP, 1.0 - ALPHA_CLIP))
 
 
-def propagate(st: WeakState, dec, inp: StepInputs, dt: float,
-              substeps: int, gain: tuple[float, float]
-              ) -> tuple[WeakState, float, np.ndarray]:
-    """Time update: center by quadrature, shape by the two-term outer bound.
+def propagate(P2: np.ndarray, dec, eps1_q: np.ndarray, Kw_q: np.ndarray,
+              dt: float, gain: tuple[float, float], kernels: np.ndarray,
+              Ed: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Time update of the shape by the two-term outer bound.
 
-    Returns (prediction, alpha_used, M2k); the predicted center keeps the
-    run axis of ``st.x2hat`` and ``inp.x1hat_samples``.  ``substeps`` is
-    the number of Simpson sub-intervals over [t_{k-1}, t_k]; it must be
-    even.  ``gain`` is the step's :func:`gamma_terms` pair; M2k integrates
+    Returns (P2_pred, alpha_used, M2k).  ``eps1_q`` (m+1,) and ``Kw_q``
+    (m+1, n_w, n_w) sample eps1 and K_w on the m + 1 quadrature nodes of
+    [t_{k-1}, t_k]; ``kernels`` is :func:`quad_kernels` of that grid and
+    ``Ed`` = e^{A4 dt}.  m, the number of Simpson sub-intervals, must be
+    even and at least 2.  ``gain`` is the step's :func:`gamma_terms` pair; M2k integrates
     e^{A4 (t_k - tau)} B2' K_u B2'^T e^{A4^T (t_k - tau)} over one
     :func:`build_Ku` stack of every quadrature node's K_u.
     """
-    if dt <= 0.0:
-        raise InvalidParameterError("dt must be positive")
+    substeps = kernels.shape[0] - 1
     if substeps < 2 or substeps % 2:
         raise InvalidParameterError("substeps must be even and >= 2")
-    if inp.eps1_samples.shape[0] != substeps + 1:
-        raise InvalidParameterError(
-            f"need {substeps + 1} grid samples, got {inp.eps1_samples.shape[0]}")
-    A4, B2p = dec.A4, dec.B2p
-    h = dt / substeps
-    kernels = quad_kernels(A4, h, substeps)
+    Ku = build_Ku(gain, eps1_q, Kw_q, dec.n1)
+    KBs = kernels @ dec.B2p
+    M2k = symmetrize(simpson_matrix(KBs @ Ku @ KBs.swapaxes(-1, -2),
+                                    dt / substeps))
+    a = alpha_k(M2k, Ed, P2, dt)
     Em = kernels[0]  # Eh^m = e^{A4 dt}
+    P2_pred = symmetrize(Em @ P2 @ Em.T / a + dt * M2k / (1.0 - a))
+    return P2_pred, a, M2k
 
-    drive = np.einsum("jab,bc,jc...->ja...", kernels, B2p, inp.u_samples())
-    x2_pred = Em @ st.x2hat + simpson_matrix(drive, h)
 
-    Ku = build_Ku(gain, inp.eps1_samples, inp.Kw_samples, dec.n1)
-    KBs = kernels @ B2p
-    M2k = symmetrize(simpson_matrix(KBs @ Ku @ KBs.swapaxes(-1, -2), h))
+def predict_center(x2: np.ndarray, B2p: np.ndarray, u: np.ndarray,
+                   dt: float, kernels: np.ndarray) -> np.ndarray:
+    """Predicted x2 centers e^{A4 dt} x2 + int e^{A4 (t_k - tau)} B2' u dtau
+    by Simpson's rule on the quadrature nodes of :func:`quad_kernels`.
 
-    a = alpha_k(M2k, A4, st.P2hat, dt)
-    P2_pred = symmetrize(Em @ st.P2hat @ Em.T / a + dt * M2k / (1.0 - a))
-    return WeakState(x2hat=x2_pred, P2hat=P2_pred), a, M2k
+    ``x2`` is (n2, runs) and ``u`` (m+1, n1+n_w, runs) holds
+    col(x1hat, c_w) on every node of each run.
+    """
+    h = dt / (kernels.shape[0] - 1)
+    drive = np.einsum("jab,bc,jcr->jar", kernels, B2p, u)
+    return kernels[0] @ x2 + simpson_matrix(drive, h)
 
 
 def gk_matrix(dec, Ku_tk: np.ndarray) -> np.ndarray:
@@ -263,11 +206,13 @@ def optimize_beta(P2_pred: np.ndarray, C2: np.ndarray,
     Computations, sec. 8.7) gives f(b) = sum_i c_i / (1 - b + b lam_i) with
     c_i = ||v_i||^2, convex in b.  The weight is BETA_LO or BETA_HI where
     f' keeps its sign on that interval, else the one root of f'; a flat f
-    gives 0.5.  ``P2_pred`` is SPD as :func:`propagate` returns it; a
-    singular ``Gk`` raises :class:`SingularNoiseError`.
+    gives 0.5.  ``P2_pred`` is SPD, as the shape schedule checks it; a
+    symmetric ``Gk`` that is singular or indefinite raises
+    :class:`SingularNoiseError`.
     """
     Gk = np.atleast_2d(np.asarray(Gk, dtype=float))
-    if not is_spd(Gk, tol=1e-14 * max(1.0, spectral_norm(Gk))):
+    lam_G = np.linalg.eigvalsh(Gk)
+    if not lam_G[0] > 1e-14 * max(1.0, lam_G[-1]):
         raise SingularNoiseError("G_k is singular; skip the measurement update")
     lam, V = sla.eigh(symmetrize(C2.T @ np.linalg.solve(Gk, C2)),
                       np.linalg.inv(P2_pred))
@@ -291,22 +236,20 @@ def optimize_beta(P2_pred: np.ndarray, C2: np.ndarray,
     return float(beta)
 
 
-def measurement_update(st_pred: WeakState, dec, inp: StepInputs,
-                       beta: float, Gk: np.ndarray) -> WeakState:
-    """Data update with gain O_k; fuses the prediction with the measurement
-    set E(., Gk) at mixing weight beta.  One gain serves every run."""
+def measurement_update(P2_pred: np.ndarray, C2: np.ndarray, beta: float,
+                       Gk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Data update of the shape: fuses the prediction with the measurement
+    set E(., Gk) at mixing weight beta.  Returns (P2, O_k); each run's
+    center moves by O_k (y_k - C2 x2 - D2' u(t_k))."""
     if not 0.0 < beta < 1.0:
         raise InvalidParameterError("beta must lie in (0,1)")
-    C2, D2p = dec.C2, dec.D2p
-    P_pred = st_pred.P2hat
-    S = symmetrize(C2 @ P_pred @ C2.T / (1.0 - beta) + Gk / beta)
+    S = symmetrize(C2 @ P2_pred @ C2.T / (1.0 - beta) + Gk / beta)
     if min_eigval(S) <= 0.0:
         raise SingularInnovationError("innovation matrix is not invertible")
-    Ok = P_pred @ C2.T @ np.linalg.inv(S) / (1.0 - beta)
-    innovation = inp.y_k - C2 @ st_pred.x2hat - D2p @ inp.u_samples()[-1]
-    x2hat = st_pred.x2hat + Ok @ innovation
-    P2hat = symmetrize((np.eye(dec.n2) - Ok @ C2) @ P_pred / (1.0 - beta))
-    return WeakState(x2hat=x2hat, P2hat=P2hat)
+    Ok = P2_pred @ C2.T @ np.linalg.inv(S) / (1.0 - beta)
+    P2 = symmetrize((np.eye(P2_pred.shape[0]) - Ok @ C2) @ P2_pred
+                    / (1.0 - beta))
+    return P2, Ok
 
 
 def woodbury_shape(P2_pred: np.ndarray, C2: np.ndarray, Gk: np.ndarray,

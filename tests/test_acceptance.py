@@ -151,8 +151,8 @@ def test_criterion_4a_alpha_closed_form():
         Pm = rng.standard_normal((n2, n2))
         P2 = Pm @ Pm.T + 0.05 * np.eye(n2)
         dt = float(rng.uniform(0.02, 0.5))
-        a = alpha_k(M2k, A4, P2, dt)
         Ed = expm(A4 * dt)
+        a = alpha_k(M2k, Ed, P2, dt)
         tp = float(np.trace(Ed @ P2 @ Ed.T))
         tm = float(np.trace(M2k))
         obj = tp / grid + dt * tm / (1.0 - grid)
@@ -344,9 +344,9 @@ def test_criterion_7_woodbury_equivalence(run_ex1, run_ex2, run_mixed,
     for k, row in enumerate(run_mixed.traces):
         if k == 0 or row.skipped:
             continue
-        beta = float(run_mixed.betas[k - 1])
-        P_pred = run_mixed.pred_shapes[k - 1]
-        Gk = run_mixed.Gk_seq[k - 1]
+        beta = float(run_mixed.schedule.beta[k])
+        P_pred = run_mixed.schedule.P2_pred[k]
+        Gk = run_mixed.schedule.Gk[k]
         ref = woodbury_shape(P_pred, dec.C2, Gk, beta)
         got = run_mixed.weak_states[k].P2hat
         rel = float(np.linalg.norm(got - ref) / np.linalg.norm(ref))

@@ -10,7 +10,7 @@ from smobserver.certificates import (AssumptionConstants, CertificateReport,
 from smobserver.ellipsoid import MEMBERSHIP_SLACK, quadratic_forms
 from smobserver.errors import InvalidParameterError
 from smobserver.fusion import FusedEstimate, fuse
-from smobserver.weak import WeakState, build_Ku, stacking_gain
+from smobserver.weak import build_Ku, stacking_gain
 
 
 # -- fusion ----------------------------------------------------------------
@@ -22,62 +22,53 @@ def test_mu_terms_formula():
     s = np.sqrt(4.0 / 4.0) / 0.5
     assert mu1 == pytest.approx(1.0 + s, rel=1e-14)
     assert mu2 == pytest.approx(1.0 + 1.0 / s, rel=1e-14)
-    st = WeakState(x2hat=np.zeros(2), P2hat=P2)
-    assert fuse(np.zeros(4), 0.5, st, np.eye(6)).mu == mu1
+    assert fuse(0.5, P2, np.eye(6))[1] == mu1
 
 
 def test_mu_terms_stable_under_extreme_eps1():
     mu1, mu2 = stacking_gain(1.0, 1e44, 1)
     assert mu1 == 1.0  # rounded record, still a valid gain
     assert mu2 == pytest.approx(1.0 + 1e44, rel=1e-12)
-    st = WeakState(x2hat=np.zeros(1), P2hat=np.eye(1))
-    fu = fuse(np.zeros(1), 1e44, st, np.eye(2))
-    assert fu.mu == 1.0
-    assert np.isfinite(fu.shape).all()
+    shape, mu = fuse(1e44, np.eye(1), np.eye(2))
+    assert mu == 1.0
+    assert np.isfinite(shape).all()
 
 
 def test_fuse_contains_both_factors():
     """Every stack of a point of E(x1hat, eps1^2 I) and a point of
-    E(x2hat, P2hat) lies in the stacked block of build_Ku, and fuse's shape
+    E(x2hat, P2) lies in the stacked block of build_Ku, and fuse's shape
     is that block mapped through P1.  At eps1 = 1e40 the gain g rounds to 1
     and only g/(g-1) carries the stacking."""
     for eps1 in (0.7, 1e40):
         rng = np.random.default_rng(3)
         n1, n2 = 2, 2
         Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        x1hat = rng.standard_normal(n1)
         Pm = rng.standard_normal((n2, n2))
-        st2 = WeakState(x2hat=rng.standard_normal(n2),
-                        P2hat=Pm @ Pm.T + 0.3 * np.eye(n2))
-        gain = stacking_gain(float(np.trace(st2.P2hat)), eps1, n1)
+        P2 = Pm @ Pm.T + 0.3 * np.eye(n2)
+        gain = stacking_gain(float(np.trace(P2)), eps1, n1)
         assert (gain[0] == 1.0) == (eps1 > 1e20)
-        block = build_Ku(gain, eps1, st2.P2hat, n1)
+        block = build_Ku(gain, eps1, P2, n1)
         # deviations from the centers, inside and on both factors' boundaries
         U1 = rng.standard_normal((n1, 200))
         U1 *= rng.uniform(0, 1, 200) ** (1 / n1) / np.linalg.norm(U1, axis=0)
         U1[:, :50] /= np.linalg.norm(U1[:, :50], axis=0)
         U2 = rng.standard_normal((n2, 200))
         U2 /= np.linalg.norm(U2, axis=0)
-        dev = np.vstack([eps1 * U1, np.linalg.cholesky(st2.P2hat) @ U2])
+        dev = np.vstack([eps1 * U1, np.linalg.cholesky(P2) @ U2])
         q = quadratic_forms(block, dev, np.zeros((n1 + n2, 1)))
         assert np.all(q <= 1.0 + MEMBERSHIP_SLACK)
         assert np.max(q) >= 0.5  # the bound is not vacuous
 
-        fu = fuse(x1hat, eps1, st2, Q)
         Pinv = np.linalg.inv(Q)
-        assert fu.mu == gain[0]
-        assert np.allclose(fu.shape, Pinv @ block @ Pinv.T, rtol=1e-12,
-                           atol=0.0)
-        assert np.allclose(fu.center,
-                           Pinv @ np.concatenate([x1hat, st2.x2hat]))
+        shape, mu = fuse(eps1, P2, Pinv)
+        assert mu == gain[0]
+        assert np.allclose(shape, Pinv @ block @ Pinv.T, rtol=1e-12, atol=0.0)
 
 
 def test_fuse_empty_weak_block():
-    st2 = WeakState(x2hat=np.zeros(0), P2hat=np.zeros((0, 0)))
-    fu = fuse(np.array([1.0, 2.0]), 0.5, st2, np.eye(2))
-    assert fu.mu == np.inf
-    assert np.allclose(fu.shape, 0.25 * np.eye(2))
-    assert np.allclose(fu.center, [1.0, 2.0])
+    shape, mu = fuse(0.5, np.zeros((0, 0)), np.eye(2))
+    assert mu == np.inf
+    assert np.allclose(shape, 0.25 * np.eye(2))
 
 
 def test_fuse_rejects_bad_mu():

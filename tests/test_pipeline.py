@@ -1,6 +1,8 @@
 """Tests of the end-to-end pipeline: plant integration oracles, the
 estimation loop ordering, Monte Carlo batching, trace emission, and the CLI."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -9,13 +11,18 @@ import smobserver.pipeline as pipeline
 from smobserver.cli import main as cli_main
 from smobserver.decomposition import LtiSystem
 from smobserver.ellipsoid import Ellipsoid
-from smobserver.errors import InvalidDesignError
+from smobserver.errors import (InvalidDesignError, InvalidParameterError,
+                               ScenarioFormatError)
 from smobserver.numerics import expm
 from smobserver.pipeline import (build_design, certify_scenario, emit_plot_data,
                                  emit_traces, estimate,
                                  monte_carlo_containment, parse_traces,
                                  rk4_recurrence, run_algorithm1,
-                                 simulate_plant, trace_header)
+                                 shape_schedule, simulate_plant, trace_header)
+from smobserver.scenario import ScenarioConfig
+
+UPDATE_GRAMMIAN = (Path(__file__).resolve().parents[1] / "perfbench"
+                   / "scenarios" / "update_grammian.yaml")
 
 
 # -- plant integration oracles ---------------------------------------------
@@ -86,8 +93,9 @@ def test_run_is_contained_and_enveloped(run_mixed, run_ex1, run_ex2):
 
 
 def test_updates_fire_on_mixed_scenario(run_mixed):
-    assert np.all(np.isfinite(run_mixed.betas))
-    assert np.all(run_mixed.betas > 0.0)
+    betas = run_mixed.schedule.beta[1:]
+    assert np.all(np.isfinite(betas))
+    assert np.all(betas > 0.0)
     assert not any(r.skipped for r in run_mixed.traces[1:])
 
 
@@ -115,10 +123,15 @@ def test_design_rejects_overflowing_envelope(tmp_path, cfg_ex2):
                      "--out", str(tmp_path / "o")]) == 3
 
 
-def test_certify_scenario_consistency(cfg_mixed):
-    rep, run = certify_scenario(cfg_mixed)
-    assert rep is run.report
+def test_certify_scenario_consistency(cfg_mixed, run_mixed):
+    """The certificate from the shape schedule alone is the run's."""
+    rep, schedule = certify_scenario(cfg_mixed)
     assert rep.case in ("lemma6", "lemma7")
+    assert yaml.safe_dump(rep.to_dict()) == yaml.safe_dump(
+        run_mixed.report.to_dict())
+    assert rep.shape_inconsistency(schedule.P2) is None
+    assert np.array_equal(schedule.P2, [ws.P2hat for ws in
+                                        run_mixed.weak_states])
 
 
 # -- Monte Carlo ------------------------------------------------------------
@@ -174,22 +187,19 @@ def test_batch_columns_match_single_runs(cfg_mixed):
     rng = np.random.default_rng(7)
     X0 = Ellipsoid(cfg.xhat0, cfg.K0).sample(rng, 3).T
     family = pipeline._sample_input_family(rng, cfg, 3)
-    batch = list(estimate(design, X0, family))
+    schedule = shape_schedule(design)
+    batch = list(estimate(design, X0, family, schedule))
     out = monte_carlo_containment(cfg, runs=3, seed=0, x0s=X0,
                                   w_family=family)
     for r in range(3):
         def w_r(ts, r=r):
             return family(ts)[:, :, r:r + 1]
 
-        single = list(estimate(design, X0[:, r:r + 1], w_r))
+        single = list(estimate(design, X0[:, r:r + 1], w_r, schedule))
         assert len(single) == len(batch) == cfg.n_steps + 1
         for b, s in zip(batch, single):
-            assert np.array_equal(b.fused.shape, s.fused.shape)
-            assert b.skipped == s.skipped
-            assert np.array_equal([b.alpha, b.beta], [s.alpha, s.beta],
-                                  equal_nan=True)
-            for got, ref in ((b.fused.center[:, r], s.fused.center[:, 0]),
-                             (b.weak.x2hat[:, r], s.weak.x2hat[:, 0]),
+            for got, ref in ((b.xhat[:, r], s.xhat[:, 0]),
+                             (b.x2hat[:, r], s.x2hat[:, 0]),
                              (b.q[r:r + 1], s.q)):
                 assert np.max(np.abs(got - ref)) <= 1e-10 * max(
                     1.0, np.max(np.abs(ref)))
@@ -197,7 +207,7 @@ def test_batch_columns_match_single_runs(cfg_mixed):
                              w_fn=lambda ts, r=r: family(ts)[:, :, r])
         assert out["per_run_worst_q"][r] == pytest.approx(run.worst_q,
                                                           rel=1e-10)
-    assert not all(step.skipped for step in batch[1:])
+    assert not schedule.skipped[1:].all()
 
 
 # -- emission and CLI -------------------------------------------------------
@@ -239,22 +249,79 @@ def test_emit_plot_data_files(tmp_path, run_mixed):
     assert head == "t,vol,trP"
 
 
-def test_each_weak_shape_is_checked_once(cfg_ex2, monkeypatch):
-    """On example2 the update never fires, so a run validates the initial
-    weak shape and one predicted shape per step, nothing twice."""
-    import smobserver.weak as weak
-    cfg = cfg_ex2.with_overrides(horizon=2.0)
-    design = build_design(cfg)
+def test_each_weak_shape_is_checked_once(cfg_ex2, cfg_mixed, monkeypatch):
+    """The schedule checks the initial weak shape, each predicted shape and
+    each updated shape once: 1 + n_steps checks on example2, where the
+    update never fires, and 1 + 2 n_steps on the mixed scenario, where it
+    fires every step; a Monte Carlo sweep checks them once per sweep."""
     calls = []
-    is_spd = weak.is_spd
+    check_shape = pipeline.check_shape
 
-    def counting_is_spd(K, *args, **kwargs):
-        calls.append(K.shape)
-        return is_spd(K, *args, **kwargs)
+    def counting_check_shape(P2):
+        calls.append(P2.shape)
+        return check_shape(P2)
 
-    monkeypatch.setattr(weak, "is_spd", counting_is_spd)
-    run_algorithm1(cfg, design=design, with_certificate=False)
-    assert len(calls) == 1 + cfg.n_steps
+    monkeypatch.setattr(pipeline, "check_shape", counting_check_shape)
+    for cfg, per_step in ((cfg_ex2, 1), (cfg_mixed, 2)):
+        cfg = cfg.with_overrides(horizon=2.0)
+        calls.clear()
+        run_algorithm1(cfg, with_certificate=False)
+        assert len(calls) == 1 + per_step * cfg.n_steps
+        calls.clear()
+        monte_carlo_containment(cfg, runs=2, seed=0)
+        assert len(calls) == 1 + per_step * cfg.n_steps
+
+
+def test_estimate_runs_no_shape_code(cfg_mixed, monkeypatch):
+    """Once the schedule is built, the center loop needs no shape function:
+    with every one of them patched to raise, estimate still runs and
+    reproduces the run."""
+    import smobserver.fusion as fusion
+    import smobserver.weak as weak
+    cfg = cfg_mixed.with_overrides(horizon=1.0)
+    design = build_design(cfg)
+    schedule = shape_schedule(design)
+    run = run_algorithm1(cfg, design=design, with_certificate=False)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("shape function called by the center loop")
+
+    for name in ("propagate", "measurement_update", "optimize_beta", "fuse",
+                 "gk_matrix", "gamma_terms", "build_Ku",
+                 "update_is_informative", "check_shape", "quad_kernels"):
+        for mod in (pipeline, weak, fusion):
+            monkeypatch.setattr(mod, name, forbidden, raising=False)
+    steps = list(estimate(design, cfg.xhat0[:, None],
+                          lambda ts: cfg.w_true(ts)[:, :, None], schedule))
+    assert len(steps) == cfg.n_steps + 1
+    assert np.array_equal([st.xhat[:, 0] for st in steps],
+                          [row.xhat for row in run.traces])
+    assert max(float(st.q[0]) for st in steps) == run.worst_q
+
+
+def test_indefinite_predicted_shape_is_bad_input(tmp_path, cfg_mixed,
+                                                 monkeypatch):
+    """An indefinite P2_pred stops the schedule with InvalidParameterError
+    (exit 3) before optimize_beta sees it."""
+    propagate = pipeline.propagate
+
+    def indefinite(*args, **kwargs):
+        P2_pred, a, M2k = propagate(*args, **kwargs)
+        return -P2_pred, a, M2k
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("optimize_beta ran on an unchecked shape")
+
+    monkeypatch.setattr(pipeline, "propagate", indefinite)
+    monkeypatch.setattr(pipeline, "optimize_beta", forbidden)
+    cfg = cfg_mixed.with_overrides(horizon=1.0)
+    with pytest.raises(InvalidParameterError, match="P2hat must be SPD"):
+        shape_schedule(build_design(cfg))
+    scen = tmp_path / "mixed.yaml"
+    cfg.save(scen)
+    assert cli_main(["run", "--scenario", str(scen),
+                     "--out", str(tmp_path / "o")]) == 3
+    assert cli_main(["certify", "--scenario", str(scen)]) == 3
 
 
 def test_cli_run_and_certify(tmp_path, cfg_mixed):
@@ -327,3 +394,35 @@ def test_cli_substep_overrides(tmp_path, cfg_mixed):
     assert cli_main(["run", "--scenario", str(scen), "--out", str(out),
                      "--substeps", "20", "--quad-substeps", "40",
                      "--hgo-substeps", "200"]) == 0
+
+
+@pytest.mark.parametrize("x0_true", ["short", "outside"])
+def test_cli_rejects_bad_x0_true(tmp_path, x0_true):
+    """A true initial state of the wrong length, or outside E(xhat0, K0),
+    is bad input (exit 3), not an estimator failure."""
+    cfg = ScenarioConfig.load(UPDATE_GRAMMIAN)
+    d = cfg.to_dict()
+    d["horizon"] = 1.0
+    d["x0_true"] = ([0.1, -0.2, 0.0] if x0_true == "short"
+                    else (cfg.xhat0 + 10.0).tolist())
+    scen = tmp_path / "bad_x0.yaml"
+    scen.write_text(yaml.safe_dump(d, sort_keys=False), encoding="utf-8")
+    assert cli_main(["run", "--scenario", str(scen),
+                     "--out", str(tmp_path / "o")]) == 3
+    with pytest.raises(ScenarioFormatError, match="x0_true"):
+        ScenarioConfig.from_dict(d)
+
+
+def test_horizon_must_be_whole_steps(tmp_path, cfg_mixed):
+    """horizon = 1.06 with dt = 0.1 is not a whole number of steps: bad
+    input (exit 3), not a crash in the center pass."""
+    with pytest.raises(ScenarioFormatError, match="whole number"):
+        cfg_mixed.with_overrides(horizon=1.06)
+    d = cfg_mixed.to_dict()
+    d["horizon"] = 1.06
+    scen = tmp_path / "ragged.yaml"
+    scen.write_text(yaml.safe_dump(d, sort_keys=False), encoding="utf-8")
+    assert cli_main(["run", "--scenario", str(scen),
+                     "--out", str(tmp_path / "o")]) == 3
+    # a horizon a rounding error off a whole number of steps is accepted
+    assert cfg_mixed.with_overrides(horizon=0.3).n_steps == 3

@@ -7,9 +7,9 @@ import pytest
 from smobserver.decomposition import build_decomposition
 from smobserver.errors import InvalidParameterError, SingularNoiseError
 from smobserver.numerics import expm
-from smobserver.weak import (BETA_HI, BETA_LO, StepInputs, WeakState,
-                             alpha_k, build_Ku, gamma_terms, gk_matrix,
-                             measurement_update, optimize_beta, propagate,
+from smobserver.weak import (BETA_HI, BETA_LO, alpha_k, build_Ku, check_shape,
+                             gamma_terms, gk_matrix, measurement_update,
+                             optimize_beta, predict_center, propagate,
                              quad_kernels, stacking_gain,
                              update_is_informative, woodbury_shape)
 
@@ -20,25 +20,32 @@ def dec_mixed(cfg_mixed):
 
 
 def _step_inputs(m=20, dt=0.1):
+    """(x1hat, eps1, c_w, K_w) on the m + 1 quadrature nodes of one step."""
     ts = np.linspace(0.0, dt, m + 1)
-    return StepInputs(
-        x1hat_samples=0.5 * np.sin(3.0 * ts)[:, None],
-        eps1_samples=0.2 * np.ones(m + 1),
-        cw_samples=0.3 * np.sin(ts)[:, None],
-        Kw_samples=np.tile(np.array([[0.25]]), (m + 1, 1, 1)),
-        y_k=np.zeros(2))
+    return (0.5 * np.sin(3.0 * ts)[:, None], 0.2 * np.ones(m + 1),
+            0.3 * np.sin(ts)[:, None],
+            np.tile(np.array([[0.25]]), (m + 1, 1, 1)))
 
 
-def _propagate(st, dec, inp, dt, m):
-    """propagate at the step's own gain, as the estimator loop calls it."""
-    gain = gamma_terms(inp.Kw_samples[-1], float(inp.eps1_samples[-1]),
-                       dec.n1)
-    return propagate(st, dec, inp, dt, m, gain)
+def _propagate(P2, dec, inp, dt, m):
+    """propagate at the step's own gain, as the shape schedule calls it."""
+    _, eps1, _, Kw = inp
+    gain = gamma_terms(Kw[-1], float(eps1[-1]), dec.n1)
+    return propagate(P2, dec, eps1, Kw, dt, gain,
+                     quad_kernels(dec.A4, dt / m, m), expm(dec.A4 * dt))
+
+
+def _predict_center(x2, dec, inp, dt, m):
+    """predict_center of one run on the step's nodes."""
+    x1hat, _, cw, _ = inp
+    u = np.concatenate([x1hat, cw], axis=1)[:, :, None]
+    return predict_center(x2[:, None], dec.B2p, u, dt,
+                          quad_kernels(dec.A4, dt / m, m))[:, 0]
 
 
 def _gk(dec, inp):
     """G_k of the step's last node."""
-    eps1, Kw = float(inp.eps1_samples[-1]), inp.Kw_samples[-1]
+    eps1, Kw = float(inp[1][-1]), inp[3][-1]
     return gk_matrix(dec, build_Ku(gamma_terms(Kw, eps1, dec.n1), eps1, Kw,
                                    dec.n1))
 
@@ -96,9 +103,6 @@ def test_quad_kernels_match_power_loop_and_cache_by_value():
     for j in range(m, -1, -1):
         assert np.array_equal(kernels[j], P)
         P = Eh @ P
-    # an equal matrix in a new array hits the cache; another value does not
-    assert quad_kernels(A4.copy(), h, m) is kernels
-    assert quad_kernels(A4 + 1e-3, h, m) is not kernels
     assert not kernels.flags.writeable
     assert quad_kernels(np.zeros((0, 0)), h, m).shape == (m + 1, 0, 0)
 
@@ -115,29 +119,12 @@ def test_alpha_k_is_grid_argmin():
         Pm = rng.standard_normal((n2, n2))
         P2 = Pm @ Pm.T + 0.1 * np.eye(n2)
         dt = float(rng.uniform(0.05, 0.5))
-        a = alpha_k(M2k, A4, P2, dt)
         Ed = expm(A4 * dt)
+        a = alpha_k(M2k, Ed, P2, dt)
         tp = np.trace(Ed @ P2 @ Ed.T)
         tm = np.trace(M2k)
         obj = tp / grid + dt * tm / (1.0 - grid)
         assert tp / a + dt * tm / (1.0 - a) <= np.min(obj) + 1e-8
-
-
-def test_alpha_k_caches_the_step_exponential(monkeypatch):
-    """e^{A4 dt} is computed once per value of (A4, dt), not once per step."""
-    import smobserver.weak as weak
-    calls = []
-
-    def counting_expm(A):
-        calls.append(1)
-        return expm(A)
-
-    monkeypatch.setattr(weak, "expm", counting_expm)
-    A4 = np.array([[-0.71, 0.23], [0.11, -1.37]])
-    alphas = [alpha_k(np.eye(2), A4.copy(), np.eye(2), 0.1234)
-              for _ in range(3)]
-    assert len(calls) <= 1
-    assert alphas[0] == alphas[1] == alphas[2]
 
 
 def test_alpha_k_clips_degenerate_cases():
@@ -193,20 +180,33 @@ def test_optimize_beta_flat_objective_gives_half():
 
 
 def test_optimize_beta_rejects_singular_gk():
-    with pytest.raises(SingularNoiseError):
-        optimize_beta(np.eye(2), np.eye(2), np.zeros((2, 2)))
+    for Gk in (np.zeros((2, 2)), np.diag([1.0, -1.0])):
+        with pytest.raises(SingularNoiseError):
+            optimize_beta(np.eye(2), np.eye(2), Gk)
+
+
+def test_optimize_beta_checks_gk_without_is_spd(monkeypatch):
+    """G_k's one check is an eigenvalue test, not a second is_spd."""
+    import smobserver.weak as weak
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("is_spd called by optimize_beta")
+
+    monkeypatch.setattr(weak, "is_spd", forbidden, raising=False)
+    P = np.array([[2.0, 0.3], [0.3, 1.0]])
+    assert BETA_LO <= optimize_beta(P, np.eye(2), np.eye(2)) <= BETA_HI
 
 
 def test_propagate_center_matches_fine_ode(dec_mixed):
     """With the nominal signals the predicted center solves the x2 block ODE
     driven by (x1hat, cw)."""
     dt, m = 0.1, 20
-    st = WeakState(x2hat=np.array([0.3]), P2hat=np.array([[0.04]]))
+    x2, P2 = np.array([0.3]), np.array([[0.04]])
     inp = _step_inputs(m, dt)
-    pred, a, M2k = _propagate(st, dec_mixed, inp, dt, m)
-    x2p, P2p = pred.x2hat, pred.P2hat
+    P2p, a, M2k = _propagate(P2, dec_mixed, inp, dt, m)
+    x2p = _predict_center(x2, dec_mixed, inp, dt, m)
     # reference: RK4 at a much finer step on the same analytic signals
-    x = st.x2hat.copy()
+    x = x2.copy()
     N = 4000
     h = dt / N
     A4, B2p = dec_mixed.A4, dec_mixed.B2p
@@ -232,14 +232,14 @@ def test_propagate_containment_monte_carlo(dec_mixed):
     the predicted one."""
     rng = np.random.default_rng(0)
     dt, m = 0.1, 20
-    st = WeakState(x2hat=np.array([0.3]), P2hat=np.array([[0.04]]))
+    x2, P2 = np.array([0.3]), np.array([[0.04]])
     inp = _step_inputs(m, dt)
-    pred, _, _ = _propagate(st, dec_mixed, inp, dt, m)
-    x2p, P2p = pred.x2hat, pred.P2hat
+    P2p, _, _ = _propagate(P2, dec_mixed, inp, dt, m)
+    x2p = _predict_center(x2, dec_mixed, inp, dt, m)
     A4, B2p = dec_mixed.A4, dec_mixed.B2p
     worst = 0.0
     for _ in range(100):
-        x = st.x2hat + np.sqrt(st.P2hat[0, 0]) * rng.uniform(-1.0, 1.0, 1)
+        x = x2 + np.sqrt(P2[0, 0]) * rng.uniform(-1.0, 1.0, 1)
         th = rng.uniform(0.0, 2.0 * np.pi)
         amp = rng.uniform(0.0, 1.0)
 
@@ -272,48 +272,45 @@ def test_propagate_builds_ku_once_per_step(dec_mixed, monkeypatch):
         return build_Ku(*args, **kwargs)
 
     monkeypatch.setattr(weak, "build_Ku", counting_build_Ku)
-    st = WeakState(x2hat=np.array([0.3]), P2hat=np.array([[0.04]]))
-    _propagate(st, dec_mixed, _step_inputs(20, 0.1), 0.1, 20)
+    _propagate(np.array([[0.04]]), dec_mixed, _step_inputs(20, 0.1), 0.1, 20)
     assert len(calls) == 1
 
 
 def test_propagate_rejects_odd_substeps(dec_mixed):
-    st = WeakState(x2hat=np.array([0.0]), P2hat=np.eye(1))
     with pytest.raises(InvalidParameterError):
-        _propagate(st, dec_mixed, _step_inputs(20), 0.1, 5)
+        _propagate(np.eye(1), dec_mixed, _step_inputs(20), 0.1, 5)
 
 
 def test_measurement_update_matches_woodbury(dec_mixed):
     """The gain-form update and the inverse-combination form agree."""
     dt, m = 0.1, 20
-    st = WeakState(x2hat=np.array([0.3]), P2hat=np.array([[0.04]]))
     inp = _step_inputs(m, dt)
-    st_pred, _, _ = _propagate(st, dec_mixed, inp, dt, m)
-    P2p = st_pred.P2hat
+    P2p, _, _ = _propagate(np.array([[0.04]]), dec_mixed, inp, dt, m)
     Gk = _gk(dec_mixed, inp)
     assert update_is_informative(dec_mixed, Gk)
     beta = optimize_beta(P2p, dec_mixed.C2, Gk)
-    upd = measurement_update(st_pred, dec_mixed, inp, beta, Gk)
+    P2, Ok = measurement_update(P2p, dec_mixed.C2, beta, Gk)
     ref = woodbury_shape(P2p, dec_mixed.C2, Gk, beta)
-    assert np.allclose(upd.P2hat, ref, rtol=1e-10, atol=1e-14)
+    assert np.allclose(P2, ref, rtol=1e-10, atol=1e-14)
+    # the gain form: P2 = (I - O_k C2) P2_pred / (1 - beta)
+    assert np.allclose(P2, (np.eye(1) - Ok @ dec_mixed.C2) @ P2p
+                       / (1.0 - beta), rtol=1e-12, atol=0.0)
 
 
 def test_measurement_update_shrinks_trace(dec_mixed):
     dt, m = 0.1, 20
-    st = WeakState(x2hat=np.array([0.3]), P2hat=np.array([[0.04]]))
     inp = _step_inputs(m, dt)
-    st_pred, _, _ = _propagate(st, dec_mixed, inp, dt, m)
-    P2p = st_pred.P2hat
+    P2p, _, _ = _propagate(np.array([[0.04]]), dec_mixed, inp, dt, m)
     Gk = _gk(dec_mixed, inp)
     beta = optimize_beta(P2p, dec_mixed.C2, Gk)
-    upd = measurement_update(st_pred, dec_mixed, inp, beta, Gk)
+    P2, _ = measurement_update(P2p, dec_mixed.C2, beta, Gk)
     # the optimizer does at least as well as the interval endpoints; the
     # beta -> 0 limit itself lies just outside the clipped interval
     for b_ref in (BETA_LO, BETA_HI):
         ref = woodbury_shape(P2p, dec_mixed.C2, Gk, b_ref)
-        assert np.trace(upd.P2hat) <= np.trace(ref) * (1.0 + 1e-6)
+        assert np.trace(P2) <= np.trace(ref) * (1.0 + 1e-6)
     # and stays within the clipped-endpoint slack of the skip alternative
-    assert np.trace(upd.P2hat) <= np.trace(P2p) * (1.0 + 10.0 * BETA_LO)
+    assert np.trace(P2) <= np.trace(P2p) * (1.0 + 10.0 * BETA_LO)
 
 
 def test_update_gate_on_uninformative_output(design_ex2):
@@ -322,23 +319,10 @@ def test_update_gate_on_uninformative_output(design_ex2):
     assert not update_is_informative(dec, np.eye(dec.system.n_y))
 
 
-def test_weak_state_rejects_indefinite_shape():
+def test_check_shape_rejects_indefinite_shape():
     with pytest.raises(InvalidParameterError, match="SPD"):
-        WeakState(x2hat=np.zeros(2), P2hat=np.diag([1.0, -1e-9]))
+        check_shape(np.diag([1.0, -1e-9]))
     with pytest.raises(InvalidParameterError, match="finite"):
-        WeakState(x2hat=np.zeros(1), P2hat=np.array([[np.inf]]))
-
-
-def test_step_inputs_validation():
-    with pytest.raises(InvalidParameterError):
-        StepInputs(x1hat_samples=np.zeros((3, 1)),
-                   eps1_samples=np.ones(4),
-                   cw_samples=np.zeros((4, 1)),
-                   Kw_samples=np.tile(np.eye(1), (4, 1, 1)),
-                   y_k=np.zeros(1))
-    with pytest.raises(InvalidParameterError):
-        StepInputs(x1hat_samples=np.zeros((3, 1)),
-                   eps1_samples=np.zeros(3),
-                   cw_samples=np.zeros((3, 1)),
-                   Kw_samples=np.tile(np.eye(1), (3, 1, 1)),
-                   y_k=np.zeros(1))
+        check_shape(np.array([[np.inf]]))
+    P = np.diag([1.0, 1e-9])
+    assert check_shape(P) is P
