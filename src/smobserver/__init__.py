@@ -12,7 +12,8 @@ from .certificates import AssumptionConstants, CertificateReport, certify
 from .decomposition import (Decomposition, LtiSystem, build_decomposition,
                             select_derivative_order,
                             weakly_unobservable_subspace)
-from .ellipsoid import Ellipsoid, axis_bounds, quadratic_forms, volume
+from .ellipsoid import (Ellipsoid, axis_bounds, quadratic_forms,
+                        shape_factors, volume)
 from .errors import ObserverError
 from .fusion import FusedEstimate, fuse
 from .generators import ShapeGenerator, SignalGenerator, Term
@@ -33,7 +34,7 @@ __all__ = [
     "AssumptionConstants", "CertificateReport", "certify",
     "Decomposition", "LtiSystem", "build_decomposition",
     "select_derivative_order", "weakly_unobservable_subspace",
-    "Ellipsoid", "axis_bounds", "quadratic_forms", "volume",
+    "Ellipsoid", "axis_bounds", "quadratic_forms", "shape_factors", "volume",
     "ObserverError",
     "FusedEstimate", "fuse",
     "ShapeGenerator", "SignalGenerator", "Term",

@@ -251,38 +251,32 @@ def lemma6_uniform_bound(rep: CertificateReport, dt: float) -> float:
 
 
 def grammian_rho(dec, Gk_seq: list, r: int, dt: float) -> float:
-    """Smallest windowed-Grammian eigenvalue over the supplied G_k sequence."""
+    """Smallest windowed-Grammian eigenvalue over the supplied G_k sequence;
+    a window that holds a singular G_k is skipped."""
     if r < 1:
         raise InvalidParameterError("window length r must be >= 1")
-    n2 = dec.n2
-    if n2 == 0 or not np.any(np.abs(dec.C2) > 0.0):
+    n2, C2 = dec.n2, np.atleast_2d(dec.C2)
+    G = np.asarray(Gk_seq, dtype=float).reshape(-1, C2.shape[0], C2.shape[0])
+    N = G.shape[0]
+    if n2 == 0 or not np.any(np.abs(C2) > 0.0) or N <= r:
         return 0.0
+    lam = np.linalg.eigvalsh(symmetrize(G))
+    ok = lam[:, 0] > 1e-12 * np.max(np.abs(lam), axis=1)
+    if not np.all(ok):
+        warnings.warn("singular G_k excluded from Grammian window")
+    terms = np.zeros((N, n2, n2))
+    terms[ok] = C2.T @ np.linalg.solve(
+        G[ok], np.broadcast_to(C2, (int(np.sum(ok)),) + C2.shape))
+    # window k = r..N-1 sums M^T term_i M, M = e^{-(k-i) A4 dt}, newest first
     Einv = expm(-np.atleast_2d(dec.A4) * dt)
-    terms = []
-    for Gi in Gk_seq:
-        Gi = np.atleast_2d(np.asarray(Gi, dtype=float))
-        scale = spectral_norm(Gi)
-        if scale <= 0.0 or min_eigval(Gi) <= 1e-12 * scale:
-            warnings.warn("singular G_k excluded from Grammian window")
-            terms.append(None)
-            continue
-        terms.append(dec.C2.T @ np.linalg.solve(Gi, dec.C2))
-    rho = np.inf
-    for k in range(r, len(terms)):
-        S = np.zeros((n2, n2))
-        M = np.eye(n2)  # e^{-(k-i) A4 dt} built from newest to oldest
-        ok = True
-        for step in range(r + 1):
-            term = terms[k - step]
-            if term is None:
-                ok = False
-                break
-            S += M.T @ term @ M
-            M = Einv @ M
-        if ok:
-            rho = min(rho, min_eigval(symmetrize(S)))
-    if not np.isfinite(rho):
+    S, M = np.zeros((N - r, n2, n2)), np.eye(n2)
+    for step in range(r + 1):
+        S += M.T @ terms[r - step:N - step] @ M
+        M = Einv @ M
+    whole = np.convolve(~ok, np.ones(r + 1, dtype=int), "valid") == 0
+    if not np.any(whole):
         return 0.0
+    rho = np.min(np.linalg.eigvalsh(symmetrize(S[whole]))[:, 0])
     return max(float(rho), 0.0)
 
 

@@ -3,8 +3,8 @@
 An ellipsoid is the set {x : (x-c)^T K^{-1} (x-c) <= 1} with center c and
 symmetric positive definite shape matrix K.  Besides validation, sampling
 and plotting this module provides the membership measure
-(:func:`quadratic_forms`, one shape against a batch of points), the volume
-and the per-axis bounds.  Stacking two ellipsoids into one is the
+(:func:`quadratic_forms`, one factored shape against a batch of points), the
+volume and the per-axis bounds.  Stacking two ellipsoids into one is the
 estimator's job; see ``weak.stacking_gain`` and ``weak.build_Ku``.
 """
 
@@ -72,18 +72,24 @@ class Ellipsoid:
         return self.center[None, :] + u @ L.T
 
 
-def quadratic_forms(shape: np.ndarray, X: np.ndarray,
-                    centers: np.ndarray) -> np.ndarray:
-    """(x - c)^T K^{-1} (x - c) for every column x of ``X`` against the
-    matching column c of ``centers`` (or one broadcast center), via one
-    Cholesky factorization of the shape K, which is also K's definiteness
-    check: :class:`InvalidEllipsoidError` if K is not positive definite."""
+def shape_factors(shapes: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of an SPD shape K, or of each shape in a stack.
+    The factorization is the shapes' definiteness check:
+    :class:`InvalidEllipsoidError` if one is not positive definite."""
     try:
-        cf = sla.cho_factor(shape, lower=True)
+        return np.linalg.cholesky(shapes)
     except np.linalg.LinAlgError:
         raise InvalidEllipsoidError("shape is not positive definite") from None
+
+
+def quadratic_forms(factor: np.ndarray, X: np.ndarray,
+                    centers: np.ndarray) -> np.ndarray:
+    """(x - c)^T K^{-1} (x - c) for every column x of ``X`` against the
+    matching column c of ``centers`` (or one broadcast center), where
+    ``factor`` is :func:`shape_factors` of the shape K."""
     d = X - centers
-    return np.sum(d * sla.cho_solve(cf, d), axis=0)
+    return np.sum(d * sla.cho_solve((factor, True), d, check_finite=False),
+                  axis=0)
 
 
 def volume(shape: np.ndarray) -> float:

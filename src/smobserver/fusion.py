@@ -17,7 +17,7 @@ from .weak import NO_STACKING, build_Ku, stacking_gain
 class FusedEstimate:
     """Full-state bound at step k: the center of each run ((n,) or
     (n, runs)), the schedule's fused shape and the stacking gain used.  The
-    estimator loop checks the shape once, by ``ellipsoid.quadratic_forms``."""
+    shape schedule checks the shape once, by ``ellipsoid.shape_factors``."""
 
     center: np.ndarray
     shape: np.ndarray

@@ -28,7 +28,7 @@ from .certificates import (AssumptionConstants, CertificateReport, certify)
 from .decomposition import (Decomposition, LtiSystem, build_decomposition,
                             select_derivative_order)
 from .ellipsoid import (MEMBERSHIP_SLACK, Ellipsoid, axis_bounds,
-                        quadratic_forms, volume)
+                        quadratic_forms, shape_factors, volume)
 from .errors import InvalidDesignError, InvalidParameterError
 from .fusion import FusedEstimate, fuse
 from .hgo import HgoConfig, _discretization, decay_constants, design_hgo
@@ -212,6 +212,8 @@ def build_design(cfg: ScenarioConfig) -> DesignArtifacts:
     ybound = cfg.hgo.y_deriv_bound
     if ybound is None:
         ybound = y_derivative_bound(cfg, l)
+    if not np.isfinite(ybound):
+        raise InvalidDesignError(f"the output derivative bound is {ybound}")
     delta = ybound * K * cfg.hgo.eps / a
     zbar0 = cfg.hgo.zbar0
     if zbar0 is None:
@@ -360,8 +362,8 @@ class ShapeSchedule:
     """Every shape-side quantity of the estimator; entry k of each array
     belongs to sample time t_k, k = 0..n_steps.  Where no gain, weight or
     update gate ran (k = 0, or an empty weak block) the entries are nan
-    and ``skipped``.  ``P1inv`` and the step's
-    :func:`~smobserver.weak.quad_kernels` are what the centers need."""
+    and ``skipped``.  ``P1inv``, the step's
+    :func:`~smobserver.weak.quad_kernels` and ``factor`` serve the centers."""
 
     eps1: np.ndarray       # (N+1,)
     gamma: np.ndarray      # (N+1,)
@@ -374,6 +376,7 @@ class ShapeSchedule:
     O: np.ndarray          # (N+1, n2, n_y) update gain, 0 where skipped
     mu: np.ndarray         # (N+1,) fusion gain
     shape: np.ndarray      # (N+1, n, n) fused full-state shape
+    factor: np.ndarray     # (N+1, n, n) lower Cholesky factor of ``shape``
     P1inv: np.ndarray      # (n, n)
     kernels: np.ndarray    # (n_q + 1, n2, n2)
 
@@ -382,7 +385,7 @@ def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
     """Run the shape recursion of the estimator once over the horizon:
     per step, select the stacking gain, propagate, gate the update on G_k,
     update or skip, and fuse.  :func:`~smobserver.weak.check_shape` checks
-    each weak-block shape once, before anything uses it."""
+    each weak-block shape once, and ``shape_factors`` every fused one."""
     cfg, dec = design.cfg, design.dec
     n1, n2, n_q, N = dec.n1, dec.n2, cfg.quad_substeps, cfg.n_steps
     n, n_y = dec.P1.shape[0], dec.system.n_y
@@ -425,7 +428,7 @@ def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
     return ShapeSchedule(
         eps1=eps1, gamma=gamma, alpha=alpha, beta=beta, skipped=skipped,
         P2_pred=P2_pred, P2=P2s, Gk=Gk, O=O, mu=mu, shape=shape,
-        P1inv=P1inv, kernels=kernels)
+        factor=shape_factors(shape), P1inv=P1inv, kernels=kernels)
 
 
 # -- the estimator loop ----------------------------------------------------
@@ -487,7 +490,7 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
         log.append("fuse")
         xhat = P1inv @ np.concatenate([smp.x1hat_q[-1], x2])
         yield EstimateStep(k=k, x=smp.x, eps1_gap=smp.eps1_gap, x2hat=x2,
-                           xhat=xhat, q=quadratic_forms(schedule.shape[k],
+                           xhat=xhat, q=quadratic_forms(schedule.factor[k],
                                                         smp.x, xhat))
 
 
@@ -611,7 +614,14 @@ def _sample_initial_states(rng: np.random.Generator, cfg: ScenarioConfig,
 
 @dataclass
 class _InputFamily:
-    """Batched admissible inputs c_w + L(t) sum_j a_j u_j sin(w_j t + p_j)."""
+    """Batched admissible inputs c_w + L(t) sum_j a_j u_j sin(w_j t + p_j).
+
+    A call anchors at t0 = ts[0], so with tau = ts - t0 each sine is
+    sin(w t0 + p) cos(w tau) + cos(w t0 + p) sin(w tau): 2 terms runs sines
+    per call, folded with the weights a_j L u_j (L = chol K_w if K_w is
+    constant).  cos(w tau) and sin(w tau) form a table kept while tau stays
+    the same.
+    """
 
     cfg: ScenarioConfig
     amps: np.ndarray    # (terms, runs), sum over terms <= 1
@@ -621,24 +631,34 @@ class _InputFamily:
 
     def __post_init__(self):
         Kw = self.cfg.Kw
-        self._chol = (np.linalg.cholesky(Kw.matrix) if Kw.kind == "const"
-                      else None)
+        weights = self.amps[:, None, :] * self.units      # (terms, n_w, runs)
+        if Kw.kind == "const":
+            weights = np.einsum("ab,jbr->jar", np.linalg.cholesky(Kw.matrix),
+                                weights)
+        # (n_w, 2 terms, runs): each weight once for cos(w tau), once for sin
+        self._weights = np.concatenate([weights, weights]).swapaxes(0, 1)
+        self._tau = self._table = None
+
+    def _build_table(self, tau: np.ndarray) -> None:
+        """(len(tau), 2 terms, runs): cos(w tau), then sin(w tau)."""
+        wt = self.freqs * tau[:, None, None]              # (T, terms, runs)
+        self._tau = tau
+        self._table = np.concatenate([np.cos(wt), np.sin(wt)], axis=1)
 
     def __call__(self, ts) -> np.ndarray:
         """(len(ts), n_w, runs) admissible input samples."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        cfg = self.cfg
-        wave = self.freqs * ts[:, None, None]             # (T, terms, runs)
-        wave += self.phases
-        np.sin(wave, out=wave)
-        wave *= self.amps
-        dev = np.einsum("tjr,jar->tar", wave, self.units)  # ||dev|| <= 1
-        del wave
-        if self._chol is not None:
-            w = np.einsum("ab,tbr->tar", self._chol, dev)
-        else:
-            w = np.sqrt(cfg.Kw.entries(ts))[:, :, None] * dev
-        w += cfg.cw(ts)[:, :, None]
+        tau = ts - ts[0]
+        tol = 8.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(ts))))
+        if self._tau is None or self._tau.shape != tau.shape \
+                or np.max(np.abs(self._tau - tau)) > tol:
+            self._build_table(tau)
+        anchor = self.freqs * ts[0] + self.phases         # (terms, runs)
+        coef = np.concatenate([np.sin(anchor), np.cos(anchor)])
+        w = np.einsum("tkr,akr->tar", self._table, self._weights * coef)
+        if self.cfg.Kw.kind != "const":
+            w *= np.sqrt(self.cfg.Kw.entries(ts))[:, :, None]
+        w += self.cfg.cw(ts)[:, :, None]
         return w
 
 

@@ -9,11 +9,10 @@ from dataclasses import dataclass, field, replace
 from math import lcm
 
 import numpy as np
-import scipy.linalg as sla
 import yaml
 
 from .decomposition import LtiSystem
-from .ellipsoid import MEMBERSHIP_SLACK, quadratic_forms
+from .ellipsoid import MEMBERSHIP_SLACK, quadratic_forms, shape_factors
 from .errors import ScenarioFormatError
 from .generators import ShapeGenerator, SignalGenerator
 from .numerics import expm, is_spd, power_norms, spectral_norm
@@ -94,8 +93,8 @@ class ScenarioConfig:
                                np.asarray(getattr(self, name), dtype=float))
         sys = self.system  # validates dimensions
         n = sys.n_x
-        if self.xhat0.shape != (n,):
-            raise ScenarioFormatError("xhat0 dimension mismatch")
+        if self.xhat0.shape != (n,) or not np.all(np.isfinite(self.xhat0)):
+            raise ScenarioFormatError("xhat0 must be a finite n-vector")
         if self.K0.shape != (n, n):
             raise ScenarioFormatError("K0 dimension mismatch")
         if not is_spd(self.K0):
@@ -113,13 +112,19 @@ class ScenarioConfig:
                 raise ScenarioFormatError("substep counts must be >= 1")
         if self.quad_substeps % 2:
             raise ScenarioFormatError("quad_substeps must be even (Simpson)")
+        if not (np.isfinite(self.mc_freq_max) and self.mc_freq_max >= 0.0):
+            raise ScenarioFormatError(
+                "mc_freq_max must be finite and nonnegative")
+        if self.mc_n_terms < 0:
+            raise ScenarioFormatError("mc_n_terms must be nonnegative")
         if self.x0_true is not None:
             object.__setattr__(self, "x0_true",
                                np.asarray(self.x0_true, dtype=float))
             if self.x0_true.shape != (n,) \
                     or not np.all(np.isfinite(self.x0_true)):
                 raise ScenarioFormatError("x0_true must be a finite n-vector")
-            if not quadratic_forms(self.K0, self.x0_true[:, None],
+            if not quadratic_forms(shape_factors(self.K0),
+                                   self.x0_true[:, None],
                                    self.xhat0[:, None])[0] \
                     <= 1.0 + MEMBERSHIP_SLACK:
                 raise ScenarioFormatError("x0_true lies outside E(xhat0, K0)")
@@ -130,17 +135,13 @@ class ScenarioConfig:
         every fine node and half-node, where the plant consumes it.  The
         grid is checked in time order, INPUT_CHECK_CHUNK nodes at a time."""
         h, n_nodes = self.h_fine, self.n_steps * self.n_fine
-        L = (np.linalg.cholesky(self.Kw.matrix) if self.Kw.kind == "const"
-             else None)
+        L = shape_factors(self.Kw.matrix) if self.Kw.kind == "const" else None
         for lo in range(0, n_nodes + 1, INPUT_CHECK_CHUNK):
             nodes = h * np.arange(lo, min(lo + INPUT_CHECK_CHUNK, n_nodes + 1))
             ts = np.concatenate([nodes, nodes[:n_nodes - lo] + 0.5 * h])
             dev = self.w_true(ts) - self.cw(ts)
-            if L is not None:
-                q = np.sum(sla.solve_triangular(L, dev.T, lower=True) ** 2,
-                           axis=0)
-            else:
-                q = np.sum(dev ** 2 / self.Kw.entries(ts), axis=1)
+            q = (quadratic_forms(L, dev.T, 0.0) if L is not None
+                 else np.sum(dev ** 2 / self.Kw.entries(ts), axis=1))
             out = ts[q > 1.0 + 1e-9]
             if out.size:
                 raise ScenarioFormatError(
@@ -327,7 +328,7 @@ def y_derivative_bound(cfg: ScenarioConfig, l: int) -> float:
     """
     x_max = state_norm_bound(cfg)
     d_norm = spectral_norm(cfg.D)
-    out = 0.0
+    totals = []
     for m in (l, l + 1):
         Am = np.linalg.matrix_power(cfg.A, m)
         total = spectral_norm(cfg.C @ Am) * x_max
@@ -335,9 +336,8 @@ def y_derivative_bound(cfg: ScenarioConfig, l: int) -> float:
             total += spectral_norm(
                 cfg.C @ np.linalg.matrix_power(cfg.A, m - 1 - j) @ cfg.B) \
                 * input_deriv_bound(cfg, j)
-        total += d_norm * input_deriv_bound(cfg, m)
-        out = max(out, total)
-    return out
+        totals.append(total + d_norm * input_deriv_bound(cfg, m))
+    return float(np.max(totals))  # nan propagates
 
 
 def default_zbar0(cfg: ScenarioConfig, y0: np.ndarray,

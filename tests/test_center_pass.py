@@ -119,29 +119,93 @@ def test_estimate_steps_no_fine_node(monkeypatch, cfg_mixed):
     assert monte_carlo_containment(cfg, runs=2, seed=0)["runs"] == 2
 
 
-@pytest.mark.parametrize("kind", ["const", "diag"])
-def test_input_family_matches_broadcast_formula(cfg_ex1, kind):
-    """The contracted family equals the plain (T, terms, n_w, runs)
-    broadcast of c_w + L sum_j a_j u_j sin(w_j t + p_j)."""
+def family_cfg(cfg, kind):
+    """``cfg`` with its constant K_w, or with a time-varying diagonal one."""
     from smobserver.generators import ShapeGenerator, SignalGenerator, Term
-    cfg = cfg_ex1
-    if kind == "diag":
-        cfg = cfg.with_overrides(Kw=ShapeGenerator(
-            kind="diag", entries=SignalGenerator(components=(
-                (Term(kind="const", value=3.0),
-                 Term(kind="sin", amp=0.5, freq=0.3)),
-                (Term(kind="const", value=5.0),)))))
-    fam = pipeline._sample_input_family(np.random.default_rng(4), cfg, 7)
-    ts = 0.01 * np.arange(31)
+    if kind == "const":
+        return cfg
+    return cfg.with_overrides(Kw=ShapeGenerator(
+        kind="diag", entries=SignalGenerator(components=(
+            (Term(kind="const", value=3.0),
+             Term(kind="sin", amp=0.5, freq=0.3)),
+            (Term(kind="const", value=5.0),)))))
+
+
+def broadcast_family(fam, cfg, ts):
+    """The plain (T, terms, n_w, runs) broadcast of
+    c_w + L sum_j a_j u_j sin(w_j t + p_j)."""
     s = (fam.amps[None, :, None, :]
          * np.sin(fam.freqs[None, :, None, :] * ts[:, None, None, None]
                   + fam.phases[None, :, None, :])
          * fam.units[None, :, :, :]).sum(axis=1)
-    if kind == "const":
+    if cfg.Kw.kind == "const":
         scaled = np.einsum("ab,tbr->tar", np.linalg.cholesky(cfg.Kw.matrix),
                            s)
     else:
         diag = np.sqrt(np.stack([np.diag(M) for M in cfg.Kw(ts)]))
         scaled = diag[:, :, None] * s
-    ref = cfg.cw(ts)[:, :, None] + scaled
-    assert np.array_equal(fam(ts), ref)
+    return cfg.cw(ts)[:, :, None] + scaled
+
+
+def center_pass_calls(design, fam):
+    """(ts, fam(ts)) for every call the center pass makes over the
+    design's whole horizon, in its order."""
+    calls = []
+
+    def record(ts):
+        calls.append((np.asarray(ts), fam(ts)))
+        return calls[-1][1]
+
+    X0 = np.tile(design.cfg.xhat0[:, None], (1, fam.amps.shape[1]))
+    for _ in center_pass(design, X0, record):
+        pass
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["const", "diag"])
+def test_input_family_matches_broadcast_formula(cfg_ex1, design_ex1,
+                                                design_ex2, kind):
+    """The family, anchored per call and expanded by angle addition, agrees
+    with the broadcast sine formula to 1e-13 of the samples' size: on a
+    short grid, and on every interval the center pass asks for over the
+    full example1 and example2 horizons (t up to 50 s, where the angles
+    and so their rounding errors are largest)."""
+    cfg = family_cfg(cfg_ex1, kind)
+    fam = pipeline._sample_input_family(np.random.default_rng(4), cfg, 7)
+    ts = 0.01 * np.arange(31)
+    calls = [(ts, fam(ts))]
+    for design in (design_ex1, design_ex2):
+        calls += center_pass_calls(design, fam)
+    assert calls[-1][0][0] == pytest.approx(design_ex2.cfg.horizon - 0.1)
+    for ts, w in calls:
+        ref = broadcast_family(fam, cfg, ts)
+        assert np.max(np.abs(w - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("kind", ["const", "diag"])
+def test_input_family_is_admissible(cfg_ex1, design_ex2, kind):
+    """Every sample the center pass draws lies in the input's bounding
+    ellipsoid: (w - c_w)^T K_w^-1 (w - c_w) <= 1."""
+    cfg = family_cfg(cfg_ex1, kind)
+    fam = pipeline._sample_input_family(np.random.default_rng(6), cfg, 9)
+    for ts, w in center_pass_calls(design_ex2, fam):
+        dev = w - cfg.cw(ts)[:, :, None]
+        q = np.einsum("tar,tab,tbr->tr", dev, np.linalg.inv(cfg.Kw(ts)), dev)
+        assert np.max(q) <= 1.0 + 1e-12
+
+
+def test_sweep_builds_offset_table_at_most_twice(monkeypatch, cfg_mixed):
+    """The center pass asks for the same offsets on every interval, so a
+    sweep builds the family's table for the k = 0 call and for interval 1
+    only."""
+    build = pipeline._InputFamily._build_table
+    builds = []
+
+    def counting(self, tau):
+        builds.append(tau.size)
+        build(self, tau)
+
+    monkeypatch.setattr(pipeline._InputFamily, "_build_table", counting)
+    cfg = cfg_mixed.with_overrides(horizon=2.0)
+    assert monte_carlo_containment(cfg, runs=4, seed=3)["runs"] == 4
+    assert len(builds) <= 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smobserver.ellipsoid import (MEMBERSHIP_SLACK, Ellipsoid, axis_bounds,
-                                  quadratic_forms, volume)
+                                  quadratic_forms, shape_factors, volume)
 from smobserver.errors import InvalidEllipsoidError
 from smobserver.weak import stacking_gain
 
@@ -27,7 +27,7 @@ def test_sample_points_are_members(seed, n):
     rng = np.random.default_rng(seed)
     e = Ellipsoid(rng.standard_normal(n), _random_spd(rng, n))
     pts = e.sample(rng, 20)
-    q = quadratic_forms(e.shape, pts.T, e.center[:, None])
+    q = quadratic_forms(shape_factors(e.shape), pts.T, e.center[:, None])
     assert np.all(q <= 1.0 + MEMBERSHIP_SLACK)
 
 
@@ -37,7 +37,7 @@ def test_boundary_samples_on_unit_level(seed, n):
     rng = np.random.default_rng(seed)
     e = Ellipsoid(rng.standard_normal(n), _random_spd(rng, n))
     pts = e.sample(rng, 10, boundary=True)
-    q = quadratic_forms(e.shape, pts.T, e.center[:, None])
+    q = quadratic_forms(shape_factors(e.shape), pts.T, e.center[:, None])
     assert np.allclose(q, 1.0, rtol=0.0, atol=1e-8)
 
 
@@ -67,22 +67,25 @@ def test_axis_bounds_and_support_agree():
         assert hi[i] == pytest.approx(d @ e.center + h, rel=1e-12)
         assert lo[i] == pytest.approx(d @ e.center - h, rel=1e-12)
         top = e.center + e.shape @ d / h
-        assert quadratic_forms(e.shape, top, e.center) == pytest.approx(1.0)
+        assert quadratic_forms(shape_factors(e.shape), top,
+                               e.center) == pytest.approx(1.0)
         assert top[i] == pytest.approx(hi[i], rel=1e-12)
 
 
 def test_quadratic_form_identity_shape():
     X = np.array([[1.0, 3.0], [0.5, 0.0]])
-    q = quadratic_forms(np.eye(2), X, np.array([[1.0], [0.0]]))
+    q = quadratic_forms(shape_factors(np.eye(2)), X,
+                        np.array([[1.0], [0.0]]))
     assert q == pytest.approx([0.25, 4.0])
 
 
 def test_quadratic_forms_rejects_indefinite_shape():
-    """The Cholesky factorization is the fused shape's definiteness check; a
-    failed one is an InvalidEllipsoidError, not a numpy LinAlgError."""
+    """The Cholesky factorization the quadratic forms read is the fused
+    shape's definiteness check; a failed one is an InvalidEllipsoidError,
+    not a numpy LinAlgError."""
     with pytest.raises(InvalidEllipsoidError, match="positive definite"):
-        quadratic_forms(np.diag([1.0, -1e-3]), np.zeros((2, 1)),
-                        np.zeros((2, 1)))
+        quadratic_forms(shape_factors(np.diag([1.0, -1e-3])),
+                        np.zeros((2, 1)), np.zeros((2, 1)))
 
 
 def test_invalid_shapes_raise():
@@ -101,5 +104,5 @@ def test_boundary_points_closed_polyline():
     pts = e.boundary_points(33)
     assert pts.shape == (33, 2)
     assert np.allclose(pts[0], pts[-1], atol=1e-12)
-    q = quadratic_forms(e.shape, pts.T, e.center[:, None])
+    q = quadratic_forms(shape_factors(e.shape), pts.T, e.center[:, None])
     assert np.allclose(q, 1.0, rtol=0.0, atol=1e-10)

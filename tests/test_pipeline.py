@@ -413,6 +413,51 @@ def test_cli_rejects_bad_x0_true(tmp_path, x0_true):
         ScenarioConfig.from_dict(d)
 
 
+def _bad_scenario(tmp_path, **fields):
+    """update_grammian.yaml at a 1 s horizon with ``fields`` replaced."""
+    d = ScenarioConfig.load(UPDATE_GRAMMIAN).to_dict()
+    d["horizon"] = 1.0
+    for key, value in fields.items():
+        if key == "y_deriv_bound":
+            d["hgo"][key] = value
+        else:
+            d[key] = value
+    scen = tmp_path / "bad.yaml"
+    scen.write_text(yaml.safe_dump(d, sort_keys=False), encoding="utf-8")
+    return scen, d
+
+
+@pytest.mark.parametrize("field,value", [
+    ("xhat0", [float("nan"), 0.0]),
+    ("mc_freq_max", float("nan")),
+    ("mc_freq_max", float("inf")),
+    ("mc_freq_max", -1.0),
+    ("mc_n_terms", -2)])
+def test_cli_rejects_bad_scenario_numbers(tmp_path, capsys, field, value):
+    """A non-finite initial center, a non-finite or negative Monte Carlo
+    frequency bound, or a negative number of Monte Carlo terms is bad input
+    (exit 3) where the scenario is read: a nan frequency bound once made
+    the output-derivative bound drop its input terms and ``run`` exit 0."""
+    scen, d = _bad_scenario(tmp_path, **{field: value})
+    with pytest.raises(ScenarioFormatError, match=field):
+        ScenarioConfig.from_dict(d)
+    assert cli_main(["run", "--scenario", str(scen),
+                     "--out", str(tmp_path / "o")]) == 3
+    assert cli_main(["mc", "--scenario", str(scen), "--runs", "2"]) == 3
+    assert field in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_derivative_bound(tmp_path, capsys):
+    """A non-finite output-derivative bound is a design error (exit 3) named
+    for that bound, not for the eps1 envelope it would poison."""
+    scen, d = _bad_scenario(tmp_path, y_deriv_bound=float("nan"))
+    with pytest.raises(InvalidDesignError, match="derivative bound"):
+        build_design(ScenarioConfig.from_dict(d))
+    assert cli_main(["run", "--scenario", str(scen),
+                     "--out", str(tmp_path / "o")]) == 3
+    assert "derivative bound" in capsys.readouterr().err
+
+
 def test_horizon_must_be_whole_steps(tmp_path, cfg_mixed):
     """horizon = 1.06 with dt = 0.1 is not a whole number of steps: bad
     input (exit 3), not a crash in the center pass."""
