@@ -15,7 +15,7 @@ from .decomposition import (Decomposition, LtiSystem, build_decomposition,
 from .ellipsoid import (Ellipsoid, axis_bounds, quadratic_forms,
                         shape_factors, volume)
 from .errors import ObserverError
-from .fusion import FusedEstimate, fuse
+from .fusion import fuse
 from .generators import ShapeGenerator, SignalGenerator, Term
 from .hgo import HgoConfig, decay_constants, design_hgo
 from .pipeline import (DesignArtifacts, RunResult, TraceRow, build_design,
@@ -36,7 +36,7 @@ __all__ = [
     "select_derivative_order", "weakly_unobservable_subspace",
     "Ellipsoid", "axis_bounds", "quadratic_forms", "shape_factors", "volume",
     "ObserverError",
-    "FusedEstimate", "fuse",
+    "fuse",
     "ShapeGenerator", "SignalGenerator", "Term",
     "HgoConfig", "decay_constants", "design_hgo",
     "DesignArtifacts", "RunResult", "TraceRow", "build_design",

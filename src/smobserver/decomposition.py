@@ -16,9 +16,7 @@ from .errors import (InvalidBasisError, InvalidParameterError,
                      StrongObservabilityError)
 from .numerics import (canonical_basis, null_basis, range_basis,
                        spectral_norm)
-from .uio import (GAIN_RESIDUAL_TOL, build_markov_matrices,
-                  gain_equation_residual, gain_target, is_detectable,
-                  residual_pair)
+from .uio import GAIN_RESIDUAL_TOL, is_detectable, residual_pair
 
 
 @dataclass(frozen=True)
@@ -193,15 +191,11 @@ def select_derivative_order(dec: Decomposition, l_max: int | None = None
     residuals: dict[int, float] = {}
     scale = 1.0 + spectral_norm(dec.B1p)
     for l in range(l_max + 1):
-        _, Gl = build_markov_matrices(dec.A1, dec.C1, dec.B1p, dec.D1p, l)
-        M = gain_target(dec.B1p, l)
-        res = gain_equation_residual(Gl, M)
+        *_, A_res, C_res, res = residual_pair(dec.A1, dec.C1, dec.B1p,
+                                              dec.D1p, l)
         residuals[l] = res
-        if res <= GAIN_RESIDUAL_TOL * scale:
-            *_, A_res, C_res = residual_pair(dec.A1, dec.C1, dec.B1p,
-                                             dec.D1p, l)
-            if is_detectable(A_res, C_res):
-                return DerivativeOrderReport(l=l, residuals=residuals)
+        if res <= GAIN_RESIDUAL_TOL * scale and is_detectable(A_res, C_res):
+            return DerivativeOrderReport(l=l, residuals=residuals)
     raise StrongObservabilityError(
         f"no derivative order up to {l_max} admits a stable observer "
         f"(best residual {min(residuals.values()):.3e})")

@@ -4,30 +4,11 @@ full state space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParameterError
 from .numerics import symmetrize
 from .weak import NO_STACKING, build_Ku, stacking_gain
-
-
-@dataclass(frozen=True)
-class FusedEstimate:
-    """Full-state bound at step k: the center of each run ((n,) or
-    (n, runs)), the schedule's fused shape and the stacking gain used.  The
-    shape schedule checks the shape once, by ``ellipsoid.shape_factors``."""
-
-    center: np.ndarray
-    shape: np.ndarray
-    mu: float
-
-    def __post_init__(self):
-        # mu = 1 + s with s > 0; for extreme eps1 the float rounding of mu
-        # can land exactly on 1, which is still a valid gain record
-        if self.mu < 1.0:
-            raise InvalidParameterError("fusion gain mu must exceed 1")
 
 
 def fuse(eps1_k: float, P2: np.ndarray, P1inv: np.ndarray

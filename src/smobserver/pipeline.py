@@ -1,26 +1,25 @@
-"""End-to-end observer pipeline: the center pass, the estimator loop
-(derivative bank + unknown-input observer + weak-block observer + fusion),
-certificate evaluation, Monte Carlo containment suites, and trace emission.
+"""End-to-end observer pipeline: the estimator (derivative bank +
+unknown-input observer + weak-block observer + fusion), certificate
+evaluation, Monte Carlo containment suites, and trace emission.
 
 Every shape quantity of the estimator (error envelopes, predicted and
 updated shape matrices, gains, mixing weights, the fused shape) depends on
 the system only; the realized input and initial state reach the centers
 alone.  :func:`shape_schedule` runs the shape recursion once and checks
-every weak-block shape once; :func:`estimate` is the one estimator loop,
-which reads its shapes from that schedule and advances the centers of a
-whole batch of runs.  The plant, the derivative bank and the unknown-input
+every weak-block shape once; :func:`estimate` is the one center pass, which
+reads its shapes from that schedule and advances the centers of a whole
+batch of runs.  The plant, the derivative bank and the unknown-input
 observer form one linear time-invariant system, lifted once to the
-quadrature grid (:class:`CenterLift`) and advanced by :func:`center_pass`.
-A single run (:func:`run_algorithm1`) is the loop with one column; a Monte
-Carlo sweep (:func:`monte_carlo_containment`) is the loop with one column
-per run.  The certificate reads the schedule alone.
+quadrature grid (:class:`CenterLift`).  A single run
+(:func:`run_algorithm1`) is the pass with one column; a Monte Carlo sweep
+(:func:`monte_carlo_containment`) is the pass with one column per run.  The
+certificate reads the schedule alone.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .decomposition import (Decomposition, LtiSystem, build_decomposition,
 from .ellipsoid import (MEMBERSHIP_SLACK, Ellipsoid, axis_bounds,
                         quadratic_forms, shape_factors, volume)
 from .errors import InvalidDesignError, InvalidParameterError
-from .fusion import FusedEstimate, fuse
+from .fusion import fuse
 from .hgo import HgoConfig, _discretization, decay_constants, design_hgo
 from .numerics import expm, spectral_norm, symmetrize, zoh
 from .scenario import (ScenarioConfig, default_zbar0, input_bounds,
@@ -69,9 +68,9 @@ def simulate_plant(sys: LtiSystem, x0: np.ndarray, w_fn, dt: float,
     """Fixed-step RK4 trajectory on the grid of spacing dt/substeps.
 
     Returns (ts, xs) with xs[j] = x(ts[j]); w_fn maps an array of times to
-    an array of stacked input samples.  The estimator takes its plant
-    states from :func:`center_pass`; this node-by-node loop is the
-    reference it is tested against.
+    an array of stacked input samples.  The estimator advances its plant
+    states by the lifted recurrence of :class:`CenterLift`; this
+    node-by-node loop is the reference it is tested against.
     """
     if substeps < 1:
         raise InvalidParameterError("substeps must be >= 1")
@@ -110,7 +109,7 @@ class CenterLift:
         s(t + p h) = Mp s(t) + W u,
 
     where Mp = M^p and u stacks the p + 1 node samples of w, then its p
-    half-node samples.
+    half-node samples.  :func:`estimate` advances the centers by it.
     """
 
     Mp: np.ndarray       # (ds, ds)
@@ -173,9 +172,7 @@ class DesignArtifacts:
     """Run-independent synthesis products shared across Monte Carlo runs."""
 
     cfg: ScenarioConfig
-    sys: LtiSystem
     dec: Decomposition
-    l: int
     uio: UioDesign
     hgo_cfg: HgoConfig
     err: ErrorBoundParams
@@ -183,9 +180,6 @@ class DesignArtifacts:
     eps1_grid: np.ndarray    # eps1 at those times
     eps1_lo: float
     eps1_hi: float
-    n_fine: int
-    h_fine: float
-    quad_stride: int         # fine nodes per quad node
     y_deriv_bound: float
     lift: CenterLift
 
@@ -238,69 +232,11 @@ def build_design(cfg: ScenarioConfig) -> DesignArtifacts:
                                  "whose square overflows")
     stride = cfg.n_fine // cfg.quad_substeps
     return DesignArtifacts(
-        cfg=cfg, sys=sys, dec=dec, l=l, uio=uio, hgo_cfg=hgo_cfg, err=err,
+        cfg=cfg, dec=dec, uio=uio, hgo_cfg=hgo_cfg, err=err,
         eps1_ts=eps1_ts, eps1_grid=eps1_grid,
-        eps1_lo=eps1_lo, eps1_hi=eps1_hi,
-        n_fine=cfg.n_fine, h_fine=cfg.h_fine, quad_stride=stride,
-        y_deriv_bound=ybound,
+        eps1_lo=eps1_lo, eps1_hi=eps1_hi, y_deriv_bound=ybound,
         lift=build_center_lift(sys, hgo_cfg, uio, cfg.h_fine, stride,
                                cfg.quad_substeps))
-
-
-# -- center pass -----------------------------------------------------------
-
-#: how far ||x1 - x1hat|| may exceed eps1 before the envelope counts as broken
-EPS1_SLACK = 1e-9
-
-
-@dataclass
-class CenterSample:
-    """Centers of a batch of runs over one sample interval [t_{k-1}, t_k]."""
-
-    k: int
-    x: np.ndarray          # (n, runs) plant state at t_k
-    y: np.ndarray          # (n_y, runs) output at t_k
-    x1hat_q: np.ndarray    # (n_q + 1, n1, runs) observer on the quad nodes
-    eps1_gap: np.ndarray   # (n_q, runs) eps1 - ||x1 - x1hat|| after t_{k-1}
-
-
-def center_pass(design: DesignArtifacts, X0: np.ndarray, w_family):
-    """Yield the plant, bank and observer centers of a batch of runs, one
-    :class:`CenterSample` per sample time k = 1..n_steps.
-
-    ``X0`` (n x runs) holds the initial states and ``w_family`` maps an
-    array of times to (len, n_w, runs) input samples; it is called once
-    per sample interval, on its fine nodes followed by its half-nodes.
-    Every run starts the observer at the split of ``xhat0`` and the bank at
-    its measured output.  Each quad stride is one product with the lifted
-    map of :class:`CenterLift`, so no Python loop runs over fine nodes.
-    """
-    cfg, sys, lift = design.cfg, design.sys, design.lift
-    n, x1 = lift.n_x, lift.x1
-    n1 = design.dec.n1
-    X0 = np.asarray(X0, dtype=float)
-    runs = X0.shape[1]
-    n_fine, h, n_q = design.n_fine, design.h_fine, cfg.quad_substeps
-    s = np.zeros((lift.Mp.shape[0], runs))
-    s[:n] = X0
-    s[n:n + sys.n_y] = sys.C @ X0 + sys.D @ w_family(np.zeros(1))[0]
-    s[x1] = (design.dec.P1 @ cfg.xhat0)[:n1, None]
-    T1 = design.dec.P1[:n1]
-    offsets = np.arange(n_fine + 1)
-    for k in range(1, cfg.n_steps + 1):
-        nodes = h * ((k - 1) * n_fine + offsets)
-        w = w_family(np.concatenate([nodes, nodes[:-1] + 0.5 * h]))
-        U = np.matmul(lift.W, w[lift.gather].reshape(n_q, -1, runs))
-        S = np.empty((n_q + 1,) + s.shape)
-        S[0] = s
-        for q in range(n_q):
-            S[q + 1] = s = lift.Mp @ s + U[q]
-        err = np.matmul(T1, S[1:, :n]) - S[1:, x1]
-        gap = (design.eps1_grid[(k - 1) * n_q + 1:k * n_q + 1, None]
-               - np.linalg.norm(err, axis=1))
-        yield CenterSample(k=k, x=S[-1, :n],
-                           y=sys.C @ S[-1, :n] + sys.D @ w[n_fine],
-                           x1hat_q=S[:, x1], eps1_gap=gap)
 
 
 # -- traces ----------------------------------------------------------------
@@ -329,14 +265,14 @@ class TraceRow:
 class RunResult:
     """Everything a single pipeline execution produces.
 
-    ``fused`` and ``weak_states`` hold the per-step records of a batch of
-    one: their centers keep a run axis of length 1.  Every shape-side
-    quantity is in ``schedule``.
+    ``weak_states`` holds the per-step weak-block records of a batch of
+    one: their centers keep a run axis of length 1.  The fused center of
+    step k is ``traces[k].xhat``; every shape-side quantity is in
+    ``schedule``.
     """
 
     traces: list
     report: CertificateReport | None
-    fused: list
     weak_states: list
     schedule: ShapeSchedule
     step_log: list
@@ -433,6 +369,10 @@ def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
 
 # -- the estimator loop ----------------------------------------------------
 
+#: how far ||x1 - x1hat|| may exceed eps1 before the envelope counts as broken
+EPS1_SLACK = 1e-9
+
+
 @dataclass
 class EstimateStep:
     """Step k of :func:`estimate`: the centers of each run.  The shapes of
@@ -440,6 +380,10 @@ class EstimateStep:
 
     k: int
     x: np.ndarray            # (n, runs) plant state at t_k
+    y: np.ndarray | None     # (n_y, runs) output at t_k; None at k = 0
+    #: (n_q + 1, n1, runs) observer on the quad nodes of [t_{k-1}, t_k];
+    #: (1, n1, runs) at k = 0
+    x1hat_q: np.ndarray
     eps1_gap: np.ndarray     # (n_q, runs) since t_{k-1}; empty at k = 0
     x2hat: np.ndarray        # (n2, runs) weak-block center after the update
     xhat: np.ndarray         # (n, runs) fused center
@@ -451,47 +395,67 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
     """Run the estimator on a batch of runs, yielding one
     :class:`EstimateStep` per sample time k = 0..n_steps.
 
-    ``X0`` (n x runs) and ``w_family`` are as for :func:`center_pass`, and
-    ``schedule`` is :func:`shape_schedule` of ``design``.  The loop only
-    advances centers: the continuous blocks (plant, derivative bank,
-    unknown-input observer) to the next sample time, the x2 block by its
+    ``X0`` (n x runs) holds the initial states and ``w_family`` maps an
+    array of times to (len, n_w, runs) input samples; it is called once
+    per sample interval, on its fine nodes followed by its half-nodes.
+    ``schedule`` is :func:`shape_schedule` of ``design``.  Every run starts
+    the observer at the split of ``xhat0`` and the bank at its output at
+    t = 0.  The loop only advances centers: the continuous blocks (plant,
+    derivative bank, unknown-input observer) by one product with the lifted
+    map of :class:`CenterLift` per quad stride, the x2 block by its
     quadrature drive and, on update steps, by O_k times the innovation,
     then the fused center and each run's quadratic form.  ``log`` receives
     the stage names in the order of the published pseudocode (select the
     stacking gain, propagate, gate the update, update or skip, fuse).
     """
-    cfg, dec = design.cfg, design.dec
-    n1, n2, n_q = dec.n1, dec.n2, cfg.quad_substeps
+    cfg, dec, lift = design.cfg, design.dec, design.lift
+    sys, n, x1, n1, n2 = dec.system, lift.n_x, lift.x1, dec.n1, dec.n2
+    n_q, n_fine, h = cfg.quad_substeps, cfg.n_fine, cfg.h_fine
     log = [] if log is None else log
     X0 = np.asarray(X0, dtype=float)
     runs = X0.shape[1]
     cw_q = cfg.cw(design.eps1_ts)[:, :, None]
     cw_q = np.broadcast_to(cw_q, cw_q.shape[:2] + (runs,))
-    P1inv = schedule.P1inv
+    T1, P1inv = dec.P1[:n1], schedule.P1inv
+    offsets = np.arange(n_fine + 1)
 
     log.append("setup")
-    xp0 = np.tile((dec.P1 @ cfg.xhat0)[:, None], (1, runs))
-    x2 = xp0[n1:]
-    start = CenterSample(k=0, x=X0, y=None, x1hat_q=xp0[None, :n1],
-                         eps1_gap=np.empty((0, runs)))
-    for smp in chain([start], center_pass(design, X0, w_family)):
-        k = smp.k
+    s = np.zeros((lift.Mp.shape[0], runs))
+    s[:n] = X0
+    xp0 = dec.P1 @ cfg.xhat0
+    s[x1] = xp0[:n1, None]
+    x2 = np.tile(xp0[n1:, None], (1, runs))
+    x, y, x1hat_q, gap = X0, None, s[None, x1], np.empty((0, runs))
+    for k in range(cfg.n_steps + 1):
         if k:
             log.append("continuous")
+            nodes = h * ((k - 1) * n_fine + offsets)
+            w = w_family(np.concatenate([nodes, nodes[:-1] + 0.5 * h]))
+            if k == 1:
+                s[n:n + sys.n_y] = sys.C @ X0 + sys.D @ w[0]
+            U = np.matmul(lift.W, w[lift.gather].reshape(n_q, -1, runs))
+            S = np.empty((n_q + 1,) + s.shape)
+            S[0] = s
+            for q in range(n_q):
+                S[q + 1] = s = lift.Mp @ s + U[q]
+            x, x1hat_q = S[-1, :n], S[:, x1]
+            y = sys.C @ x + sys.D @ w[n_fine]
+            err = np.matmul(T1, S[1:, :n]) - S[1:, x1]
+            gap = (design.eps1_grid[(k - 1) * n_q + 1:k * n_q + 1, None]
+                   - np.linalg.norm(err, axis=1))
         if k and n2:
             log += ["gamma", "propagate", "gate"]
-            u = np.concatenate([smp.x1hat_q, cw_q[(k - 1) * n_q:k * n_q + 1]],
+            u = np.concatenate([x1hat_q, cw_q[(k - 1) * n_q:k * n_q + 1]],
                                axis=1)
             x2 = predict_center(x2, dec.B2p, u, cfg.dt, schedule.kernels)
             if not schedule.skipped[k]:
                 log.append("update")
-                x2 = x2 + schedule.O[k] @ (smp.y - dec.C2 @ x2
-                                           - dec.D2p @ u[-1])
+                x2 = x2 + schedule.O[k] @ (y - dec.C2 @ x2 - dec.D2p @ u[-1])
         log.append("fuse")
-        xhat = P1inv @ np.concatenate([smp.x1hat_q[-1], x2])
-        yield EstimateStep(k=k, x=smp.x, eps1_gap=smp.eps1_gap, x2hat=x2,
-                           xhat=xhat, q=quadratic_forms(schedule.factor[k],
-                                                        smp.x, xhat))
+        xhat = P1inv @ np.concatenate([x1hat_q[-1], x2])
+        yield EstimateStep(k=k, x=x, y=y, x1hat_q=x1hat_q, eps1_gap=gap,
+                           x2hat=x2, xhat=xhat,
+                           q=quadratic_forms(schedule.factor[k], x, xhat))
 
 
 def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
@@ -501,7 +465,7 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
     """Execute the full estimation loop over the scenario horizon.
 
     The run is :func:`shape_schedule` and :func:`estimate` with one column:
-    this function adds the trace rows, the per-step records and the
+    this function adds the trace rows, the weak-block records and the
     certificate.  ``step_log`` receives the stage names in the published
     order.
     """
@@ -517,7 +481,6 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
 
     sched = shape_schedule(design)
     traces: list[TraceRow] = []
-    fused_list: list[FusedEstimate] = []
     weak_list: list[WeakState] = []
     eps1_margin, worst_q = np.inf, 0.0
     log = step_log if step_log is not None else []
@@ -534,17 +497,14 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
             gamma=float(sched.gamma[k]), mu=float(sched.mu[k]),
             contained=bool(step.q[0] <= 1.0 + MEMBERSHIP_SLACK),
             skipped=bool(sched.skipped[k])))
-        fused_list.append(FusedEstimate(center=step.xhat, shape=K,
-                                        mu=float(sched.mu[k])))
         weak_list.append(WeakState(x2hat=step.x2hat, P2hat=sched.P2[k]))
         worst_q = max(worst_q, float(step.q[0]))
         eps1_margin = min(eps1_margin, np.min(step.eps1_gap, initial=np.inf))
 
     report = certify_design(design, sched) if with_certificate else None
     return RunResult(
-        traces=traces, report=report, fused=fused_list,
-        weak_states=weak_list, schedule=sched, step_log=log,
-        eps1_ok=bool(eps1_margin >= -EPS1_SLACK),
+        traces=traces, report=report, weak_states=weak_list, schedule=sched,
+        step_log=log, eps1_ok=bool(eps1_margin >= -EPS1_SLACK),
         containment_ok=all(row.contained for row in traces),
         eps1_margin=float(eps1_margin), worst_q=worst_q)
 
@@ -826,10 +786,9 @@ def emit_plot_data(run: RunResult, out_dir, ellipse_axes: tuple | None = None,
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "px", "py"])
-            for row, fu in zip(run.traces, run.fused):
-                c, K = fu.center.ravel(), fu.shape
+            for row, K in zip(run.traces, run.schedule.shape):
                 sub = Ellipsoid(
-                    np.array([c[i], c[j]]),
+                    np.array([row.xhat[i], row.xhat[j]]),
                     np.array([[K[i, i], K[i, j]], [K[j, i], K[j, j]]]))
                 for p in sub.boundary_points(ellipse_points):
                     w.writerow([_fmt(row.t), _fmt(p[0]), _fmt(p[1])])

@@ -99,10 +99,12 @@ class ScenarioConfig:
             raise ScenarioFormatError("K0 dimension mismatch")
         if not is_spd(self.K0):
             raise ScenarioFormatError("K0 must be symmetric positive definite")
-        if self.dt <= 0.0 or self.horizon <= 0.0:
-            raise ScenarioFormatError("dt and horizon must be positive")
+        for key in ("dt", "horizon"):
+            if not (np.isfinite(getattr(self, key)) and getattr(self, key) > 0):
+                raise ScenarioFormatError(f"{key} must be finite and positive")
         steps = self.horizon / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if not (np.isfinite(steps)
+                and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
             raise ScenarioFormatError("horizon is not a whole number of dt")
         if self.cw.dim != sys.n_w or self.w_true.dim != sys.n_w \
                 or self.Kw.dim != sys.n_w:
@@ -142,7 +144,7 @@ class ScenarioConfig:
             dev = self.w_true(ts) - self.cw(ts)
             q = (quadratic_forms(L, dev.T, 0.0) if L is not None
                  else np.sum(dev ** 2 / self.Kw.entries(ts), axis=1))
-            out = ts[q > 1.0 + 1e-9]
+            out = ts[~(q <= 1.0 + 1e-9)]
             if out.size:
                 raise ScenarioFormatError(
                     f"w_true leaves its bounding ellipsoid at t={out.min():.4f}")
@@ -209,50 +211,11 @@ class ScenarioConfig:
             raise ScenarioFormatError(
                 f"unsupported scenario format {d.get('format')!r}")
         try:
-            return cls._from_fields(d)
+            return cls(**{key: _read_key(d, key, *how)
+                          for key, how in _LOADERS.items()})
         except KeyError as exc:
             raise ScenarioFormatError(
                 f"scenario is missing required key {exc}") from exc
-
-    @classmethod
-    def _from_fields(cls, d: dict) -> "ScenarioConfig":
-        hgo = d.get("hgo", {})
-        cert = d.get("cert", {})
-        return cls(
-            name=d["name"],
-            A=np.asarray(d["A"], dtype=float),
-            B=np.asarray(d["B"], dtype=float),
-            C=np.asarray(d["C"], dtype=float),
-            D=np.asarray(d["D"], dtype=float),
-            xhat0=np.asarray(d["xhat0"], dtype=float),
-            K0=np.asarray(d["K0"], dtype=float),
-            cw=SignalGenerator.from_dict(d["cw"]),
-            Kw=ShapeGenerator.from_dict(d["Kw"]),
-            w_true=SignalGenerator.from_dict(d["w_true"]),
-            dt=float(d["dt"]), horizon=float(d["horizon"]),
-            uio_poles=tuple(float(p) for p in d.get("uio_poles", [])),
-            hgo=HgoSettings(
-                eps=float(hgo.get("eps", 0.01)),
-                pole=float(hgo.get("pole", 1.0)),
-                l_override=hgo.get("l_override"),
-                zbar0=hgo.get("zbar0"),
-                y_deriv_bound=hgo.get("y_deriv_bound")),
-            cert=CertOptions(
-                mode=cert.get("mode", "harvested"),
-                r=cert.get("r"),
-                margin_scale=float(cert.get("margin_scale", 0.05)),
-                harvest_margin=float(cert.get("harvest_margin", 0.05)),
-                alpha_lo=cert.get("alpha_lo"), alpha_hi=cert.get("alpha_hi"),
-                beta_lo=cert.get("beta_lo"), beta_hi=cert.get("beta_hi")),
-            plant_substeps=int(d.get("plant_substeps", 10)),
-            hgo_substeps=int(d.get("hgo_substeps", 100)),
-            quad_substeps=int(d.get("quad_substeps", 20)),
-            seed=int(d.get("seed", 0)),
-            mc_freq_max=float(d.get("mc_freq_max", 2.0)),
-            mc_n_terms=int(d.get("mc_n_terms", 3)),
-            eps1_floor=float(d.get("eps1_floor", 1e-6)),
-            x0_true=(None if d.get("x0_true") is None
-                     else np.asarray(d["x0_true"], dtype=float)))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -269,6 +232,55 @@ class ScenarioConfig:
         if not isinstance(data, dict):
             raise ScenarioFormatError("scenario file is not a mapping")
         return cls.from_dict(data)
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _hgo_settings(hgo: dict) -> HgoSettings:
+    return HgoSettings(
+        eps=float(hgo.get("eps", 0.01)), pole=float(hgo.get("pole", 1.0)),
+        l_override=hgo.get("l_override"), zbar0=hgo.get("zbar0"),
+        y_deriv_bound=hgo.get("y_deriv_bound"))
+
+
+def _cert_options(cert: dict) -> CertOptions:
+    return CertOptions(
+        mode=cert.get("mode", "harvested"), r=cert.get("r"),
+        margin_scale=float(cert.get("margin_scale", 0.05)),
+        harvest_margin=float(cert.get("harvest_margin", 0.05)),
+        alpha_lo=cert.get("alpha_lo"), alpha_hi=cert.get("alpha_hi"),
+        beta_lo=cert.get("beta_lo"), beta_hi=cert.get("beta_hi"))
+
+
+#: each scenario key's converter, and its default where the key is optional
+_LOADERS = {
+    "name": (str,), "A": (_array,), "B": (_array,), "C": (_array,),
+    "D": (_array,), "xhat0": (_array,), "K0": (_array,),
+    "cw": (SignalGenerator.from_dict,), "Kw": (ShapeGenerator.from_dict,),
+    "w_true": (SignalGenerator.from_dict,), "dt": (float,),
+    "horizon": (float,),
+    "uio_poles": (lambda poles: tuple(float(p) for p in poles), []),
+    "hgo": (_hgo_settings, {}), "cert": (_cert_options, {}),
+    "plant_substeps": (int, 10), "hgo_substeps": (int, 100),
+    "quad_substeps": (int, 20), "seed": (int, 0),
+    "mc_freq_max": (float, 2.0), "mc_n_terms": (int, 3),
+    "eps1_floor": (float, 1e-6),
+    "x0_true": (lambda x: None if x is None else _array(x), None),
+}
+
+
+def _read_key(d: dict, key: str, convert, *default):
+    """``convert`` applied to ``d[key]`` (or to ``default`` where the key
+    is absent); a value it cannot convert is a :class:`ScenarioFormatError`
+    naming ``key``."""
+    value = d.get(key, *default) if default else d[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ScenarioFormatError(
+            f"scenario key {key!r} has a malformed value: {exc}") from exc
 
 
 # -- analytic signal bounds ------------------------------------------------

@@ -58,14 +58,9 @@ def gain_target(B1p: np.ndarray, l: int) -> np.ndarray:
     return M
 
 
-def gain_equation_residual(Gl: np.ndarray, M: np.ndarray) -> float:
-    """Row-space residual ||M Gl^+ Gl - M|| of the gain constraint."""
-    Gp = np.linalg.pinv(Gl)
-    return float(np.linalg.norm(M @ Gp @ Gl - M))
-
-
 def residual_pair(A1, C1, B1p, D1p, l):
-    """(A_res, C_res) on which the remaining gain freedom acts.
+    """(A_res, C_res) on which the remaining gain freedom acts, with the
+    row-space residual ||M Gl^+ Gl - M|| of the gain constraint.
 
     With F = M Gl^+ + Y (I - Gl Gl^+), the observer matrix becomes
     E = A_res - Y C_res; Y is then an output-injection gain.
@@ -73,9 +68,10 @@ def residual_pair(A1, C1, B1p, D1p, l):
     Ol, Gl = build_markov_matrices(A1, C1, B1p, D1p, l)
     M = gain_target(B1p, l)
     Gp = np.linalg.pinv(Gl)
+    res = float(np.linalg.norm(M @ Gp @ Gl - M))
     A_res = np.atleast_2d(np.asarray(A1, dtype=float)) - M @ Gp @ Ol
     C_res = (np.eye(Gl.shape[0]) - Gl @ Gp) @ Ol
-    return Ol, Gl, M, Gp, A_res, C_res
+    return Ol, Gl, M, Gp, A_res, C_res, res
 
 
 def is_detectable(A: np.ndarray, C: np.ndarray, tol: float = 1e-8) -> bool:
@@ -118,9 +114,8 @@ def solve_uio_gain(A1, C1, B1p, D1p, l, poles) -> UioDesign:
     output injection is used instead.  Raises if the residual pair is
     undetectable or the constraint is unsolvable.
     """
-    Ol, Gl, M, Gp, A_res, C_res = residual_pair(A1, C1, B1p, D1p, l)
+    Ol, Gl, M, Gp, A_res, C_res, res = residual_pair(A1, C1, B1p, D1p, l)
     n1 = A_res.shape[0]
-    res = gain_equation_residual(Gl, M)
     if res > GAIN_RESIDUAL_TOL * (1.0 + spectral_norm(np.atleast_2d(B1p))):
         raise NoStableObserverError(
             f"gain equation unsolvable at order l={l} (residual {res:.3e})")

@@ -111,8 +111,7 @@ def test_criterion_3_shape_bounds(run_ex2, cfg_ex2):
         lam_hi_ok &= lam[-1] <= rep.p2_hi_seq[k] * (1.0 + 1e-9)
 
     sandwich_ok = True
-    for fu in run_ex2.fused:
-        K = fu.shape
+    for K in run_ex2.schedule.shape:
         scale = float(np.trace(rep.P_hi))
         sandwich_ok &= np.linalg.eigvalsh(K - rep.P_lo)[0] >= -1e-9 * scale
         sandwich_ok &= np.linalg.eigvalsh(rep.P_hi - K)[0] >= -1e-9 * scale

@@ -1,6 +1,6 @@
 """Oracle tests of the lifted center recurrence: the plant, the derivative
 bank and the unknown-input observer stepped node by node with their public
-one-step functions, against ``center_pass`` on one run and on a batch."""
+one-step functions, against ``estimate`` on one run and on a batch."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,9 @@ import smobserver.pipeline as pipeline
 import smobserver.uio as uio
 from smobserver.ellipsoid import Ellipsoid
 from smobserver.hgo import assemble_z_hat, initial_state, step_hgo
-from smobserver.pipeline import (build_design, center_pass,
+from smobserver.pipeline import (build_design, estimate,
                                  monte_carlo_containment, run_algorithm1,
-                                 simulate_plant)
+                                 shape_schedule, simulate_plant)
 from smobserver.uio import step_uio
 
 #: agreement asked of the lifted pass, relative to each block's maximum
@@ -27,9 +27,10 @@ def node_by_node(design, x0, w_fn):
     sample time after t = 0, the observer on every quad node, and
     eps1 - ||x1 - x1hat|| on every quad node after t = 0.
     """
-    cfg, sys, dec = design.cfg, design.sys, design.dec
-    n1, h, stride = dec.n1, design.h_fine, design.quad_stride
-    ts, xs = simulate_plant(sys, x0, w_fn, cfg.dt, design.n_fine, cfg.horizon)
+    cfg, dec = design.cfg, design.dec
+    sys, n1, h = dec.system, dec.n1, cfg.h_fine
+    stride = cfg.n_fine // cfg.quad_substeps
+    ts, xs = simulate_plant(sys, x0, w_fn, cfg.dt, cfg.n_fine, cfg.horizon)
     ys = xs @ sys.C.T + np.asarray(w_fn(ts)) @ sys.D.T
     st = initial_state(design.hgo_cfg, ys[0])
     x1hat = (dec.P1 @ cfg.xhat0)[:n1]
@@ -43,21 +44,24 @@ def node_by_node(design, x0, w_fn):
             x1_true = (dec.P1 @ xs[i + 1])[:n1]
             gaps.append(design.eps1_grid[len(gaps) + 1]
                         - np.linalg.norm(x1_true - x1hat))
-    samples = slice(0, None, design.n_fine)
+    samples = slice(0, None, cfg.n_fine)
     return xs[samples], ys[samples][1:], np.array(x1hat_q), np.array(gaps)
 
 
 def lifted(design, X0, w_family):
-    """center_pass's output in the layout of :func:`node_by_node`, with a
-    trailing run axis."""
+    """The centers :func:`estimate` yields, in the layout of
+    :func:`node_by_node`, with a trailing run axis."""
     n_q = design.cfg.quad_substeps
-    xs, ys, x1hat_q, gaps = [X0], [], [], []
-    for smp in center_pass(design, X0, w_family):
-        xs.append(smp.x)
-        ys.append(smp.y)
-        x1hat_q.append(smp.x1hat_q if not x1hat_q else smp.x1hat_q[1:])
-        gaps.append(smp.eps1_gap)
-        assert smp.x1hat_q.shape[0] == n_q + 1
+    xs, ys, x1hat_q, gaps = [], [], [], []
+    for step in estimate(design, X0, w_family, shape_schedule(design)):
+        xs.append(step.x)
+        gaps.append(step.eps1_gap)
+        if step.k:
+            assert step.x1hat_q.shape[0] == n_q + 1
+            ys.append(step.y)
+            x1hat_q.append(step.x1hat_q[1:])
+        else:
+            x1hat_q.append(step.x1hat_q)
     return (np.array(xs), np.array(ys), np.concatenate(x1hat_q),
             np.concatenate(gaps))
 
@@ -148,7 +152,7 @@ def broadcast_family(fam, cfg, ts):
 
 
 def center_pass_calls(design, fam):
-    """(ts, fam(ts)) for every call the center pass makes over the
+    """(ts, fam(ts)) for every call :func:`estimate` makes over the
     design's whole horizon, in its order."""
     calls = []
 
@@ -157,7 +161,7 @@ def center_pass_calls(design, fam):
         return calls[-1][1]
 
     X0 = np.tile(design.cfg.xhat0[:, None], (1, fam.amps.shape[1]))
-    for _ in center_pass(design, X0, record):
+    for _ in estimate(design, X0, record, shape_schedule(design)):
         pass
     return calls
 
@@ -167,7 +171,7 @@ def test_input_family_matches_broadcast_formula(cfg_ex1, design_ex1,
                                                 design_ex2, kind):
     """The family, anchored per call and expanded by angle addition, agrees
     with the broadcast sine formula to 1e-13 of the samples' size: on a
-    short grid, and on every interval the center pass asks for over the
+    short grid, and on every interval the estimator asks for over the
     full example1 and example2 horizons (t up to 50 s, where the angles
     and so their rounding errors are largest)."""
     cfg = family_cfg(cfg_ex1, kind)
@@ -184,7 +188,7 @@ def test_input_family_matches_broadcast_formula(cfg_ex1, design_ex1,
 
 @pytest.mark.parametrize("kind", ["const", "diag"])
 def test_input_family_is_admissible(cfg_ex1, design_ex2, kind):
-    """Every sample the center pass draws lies in the input's bounding
+    """Every sample the estimator draws lies in the input's bounding
     ellipsoid: (w - c_w)^T K_w^-1 (w - c_w) <= 1."""
     cfg = family_cfg(cfg_ex1, kind)
     fam = pipeline._sample_input_family(np.random.default_rng(6), cfg, 9)
@@ -194,10 +198,9 @@ def test_input_family_is_admissible(cfg_ex1, design_ex2, kind):
         assert np.max(q) <= 1.0 + 1e-12
 
 
-def test_sweep_builds_offset_table_at_most_twice(monkeypatch, cfg_mixed):
-    """The center pass asks for the same offsets on every interval, so a
-    sweep builds the family's table for the k = 0 call and for interval 1
-    only."""
+def test_sweep_builds_offset_table_once(monkeypatch, cfg_mixed):
+    """The estimator asks for the same offsets on every interval, so a
+    sweep builds the family's table once, for interval 1."""
     build = pipeline._InputFamily._build_table
     builds = []
 
@@ -208,4 +211,4 @@ def test_sweep_builds_offset_table_at_most_twice(monkeypatch, cfg_mixed):
     monkeypatch.setattr(pipeline._InputFamily, "_build_table", counting)
     cfg = cfg_mixed.with_overrides(horizon=2.0)
     assert monte_carlo_containment(cfg, runs=4, seed=3)["runs"] == 4
-    assert len(builds) <= 2
+    assert builds == [2 * cfg.n_fine + 1]

@@ -137,8 +137,8 @@ def test_block_coupling_structure(cfg_ex2):
 def test_derivative_order_selection(design_ex1, design_ex2):
     rep1 = select_derivative_order(design_ex1.dec)
     rep2 = select_derivative_order(design_ex2.dec)
-    assert rep1.l == design_ex1.l
-    assert rep2.l == design_ex2.l
+    assert rep1.l == design_ex1.uio.l
+    assert rep2.l == design_ex2.uio.l
     # residual at the chosen order is essentially zero
     assert rep2.residuals[rep2.l] < 1e-8
 

@@ -10,7 +10,7 @@ from smobserver.certificates import (AssumptionConstants, CertificateReport,
 from smobserver.ellipsoid import (MEMBERSHIP_SLACK, quadratic_forms,
                                   shape_factors)
 from smobserver.errors import InvalidParameterError
-from smobserver.fusion import FusedEstimate, fuse
+from smobserver.fusion import fuse
 from smobserver.weak import build_Ku, stacking_gain
 
 
@@ -71,11 +71,6 @@ def test_fuse_empty_weak_block():
     shape, mu = fuse(0.5, np.zeros((0, 0)), np.eye(2))
     assert mu == np.inf
     assert np.allclose(shape, 0.25 * np.eye(2))
-
-
-def test_fuse_rejects_bad_mu():
-    with pytest.raises(InvalidParameterError):
-        FusedEstimate(center=np.zeros(2), shape=np.eye(2), mu=0.9)
 
 
 def test_product_gain_beats_grid():
@@ -202,8 +197,7 @@ def test_certificate_report_ex2(run_ex2, design_ex2):
 def test_certificate_matrix_bounds_ex2(run_ex2):
     rep = run_ex2.report
     assert rep.P_lo is not None and rep.P_hi is not None
-    for fu in run_ex2.fused[::25]:
-        K = fu.shape
+    for K in run_ex2.schedule.shape[::25]:
         assert np.linalg.eigvalsh(K - rep.P_lo)[0] >= -1e-6 * np.trace(K)
         assert np.linalg.eigvalsh(rep.P_hi - K)[0] >= -1e-6 * np.trace(rep.P_hi)
 

@@ -432,12 +432,28 @@ def _bad_scenario(tmp_path, **fields):
     ("mc_freq_max", float("nan")),
     ("mc_freq_max", float("inf")),
     ("mc_freq_max", -1.0),
-    ("mc_n_terms", -2)])
+    ("mc_n_terms", -2),
+    ("w_true", [[{"kind": "sin", "amp": 0.3, "freq": 1.0, "phase": 0.0},
+                 {"kind": "sin", "amp": float("nan"), "freq": 0.7,
+                  "phase": 0.0}]]),
+    ("dt", "fast"),
+    ("A", "abc"),
+    ("quad_substeps", "x"),
+    ("uio_poles", "ab"),
+    ("horizon", float("nan")),
+    ("dt", float("inf")),
+    ("cw", 5),
+    ("Kw", [1]),
+    ("hgo", [1])])
 def test_cli_rejects_bad_scenario_numbers(tmp_path, capsys, field, value):
     """A non-finite initial center, a non-finite or negative Monte Carlo
-    frequency bound, or a negative number of Monte Carlo terms is bad input
-    (exit 3) where the scenario is read: a nan frequency bound once made
-    the output-derivative bound drop its input terms and ``run`` exit 0."""
+    frequency bound, a negative number of Monte Carlo terms, a nan true
+    input, a value of the wrong type or a non-finite step or horizon is bad
+    input (exit 3) named for its key where the scenario is read: a nan
+    frequency bound once made the output-derivative bound drop its input
+    terms and ``run`` exit 0, a nan true input was reported as a
+    containment violation (exit 1), and an unconvertible value escaped as a
+    traceback (exit 1)."""
     scen, d = _bad_scenario(tmp_path, **{field: value})
     with pytest.raises(ScenarioFormatError, match=field):
         ScenarioConfig.from_dict(d)
