@@ -15,7 +15,7 @@ from .errors import (CaseNotApplicableError, CertificateUnavailableError,
                      InvalidParameterError)
 from .numerics import (GRID_SUP_SAFETY, compensated_sup, expm, min_eigval,
                        simpson_matrix, spectral_norm, symmetrize)
-from .weak import NO_STACKING, build_Ku, stacking_gain
+from .weak import NO_STACKING, build_Ku, quad_kernels, stacking_gain
 
 #: series switch-over for the (e^x - 1)/x factor
 _EXPM1_SERIES_CUTOFF = 1e-4
@@ -159,16 +159,12 @@ def exponential_envelopes(A4: np.ndarray, margin_scale: float = 0.05
     A4 = np.atleast_2d(np.asarray(A4, dtype=float))
     if A4.shape[0] == 0:
         return 0.0, 1.0, 0.0, 1.0
-    lam = np.linalg.eigvals(A4)
-    rate_hi = float(np.max(lam.real))
-    margin = margin_scale * (1.0 + abs(rate_hi))
-    lambda2_hi = rate_hi + margin
-    a2_hi = GRID_SUP_SAFETY * compensated_sup(A4, lambda2_hi)
-    rate_lo = float(np.max(-lam.real))
-    margin2 = margin_scale * (1.0 + abs(rate_lo))
-    lambda2_lo = rate_lo + margin2
-    a2_lo = GRID_SUP_SAFETY * compensated_sup(-A4, lambda2_lo)
-    return lambda2_hi, a2_hi, lambda2_lo, a2_lo
+    lam = np.linalg.eigvals(A4).real
+    out = []
+    for M, rate in ((A4, float(np.max(lam))), (-A4, float(np.max(-lam)))):
+        shift = rate + margin_scale * (1.0 + abs(rate))
+        out += [shift, GRID_SUP_SAFETY * compensated_sup(M, shift)]
+    return tuple(out)
 
 
 def grammian_kappa1(A4: np.ndarray, dt: float, substeps: int = 200) -> float:
@@ -180,13 +176,8 @@ def grammian_kappa1(A4: np.ndarray, dt: float, substeps: int = 200) -> float:
     if substeps % 2:
         substeps += 1
     h = dt / substeps
-    Eh = expm(A4 * h)
-    samples = np.empty((substeps + 1, n2, n2))
-    P = np.eye(n2)
-    for j in range(substeps + 1):
-        samples[j] = P @ P.T
-        P = Eh @ P
-    G = symmetrize(simpson_matrix(samples, h))
+    P = quad_kernels(A4, h, substeps)[::-1]     # e^{A4 s}, s = 0, h, ..., dt
+    G = symmetrize(simpson_matrix(P @ P.swapaxes(-1, -2), h))
     return max(min_eigval(G), 0.0)
 
 

@@ -8,7 +8,7 @@ coordinates built on the weakly unobservable subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -167,11 +167,14 @@ def build_decomposition(sys: LtiSystem) -> Decomposition:
 
 @dataclass(frozen=True)
 class DerivativeOrderReport:
-    """Outcome of the derivative-order search: the chosen order and the
-    gain-equation residual of every candidate tried."""
+    """Outcome of the derivative-order search: the chosen order, the
+    gain-equation residual of every candidate tried, and the chosen order's
+    :func:`~smobserver.uio.residual_pair`, which the gain synthesis
+    reuses."""
 
     l: int
     residuals: dict[int, float]
+    pair: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def select_derivative_order(dec: Decomposition, l_max: int | None = None
@@ -191,11 +194,11 @@ def select_derivative_order(dec: Decomposition, l_max: int | None = None
     residuals: dict[int, float] = {}
     scale = 1.0 + spectral_norm(dec.B1p)
     for l in range(l_max + 1):
-        *_, A_res, C_res, res = residual_pair(dec.A1, dec.C1, dec.B1p,
-                                              dec.D1p, l)
+        pair = residual_pair(dec.A1, dec.C1, dec.B1p, dec.D1p, l)
+        *_, A_res, C_res, res = pair
         residuals[l] = res
         if res <= GAIN_RESIDUAL_TOL * scale and is_detectable(A_res, C_res):
-            return DerivativeOrderReport(l=l, residuals=residuals)
+            return DerivativeOrderReport(l=l, residuals=residuals, pair=pair)
     raise StrongObservabilityError(
         f"no derivative order up to {l_max} admits a stable observer "
         f"(best residual {min(residuals.values()):.3e})")

@@ -87,11 +87,6 @@ class SignalGenerator:
         return cls(components=tuple(
             tuple(Term.from_dict(t) for t in comp) for comp in data))
 
-    @classmethod
-    def constant(cls, values) -> "SignalGenerator":
-        return cls(components=tuple(
-            (Term(kind="const", value=float(v)),) for v in np.ravel(values)))
-
 
 @dataclass(frozen=True)
 class ShapeGenerator:

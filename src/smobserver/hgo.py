@@ -13,7 +13,7 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidDesignError, InvalidParameterError
-from .numerics import GRID_SUP_SAFETY, norm_envelope_grid, zoh
+from .numerics import GRID_SUP_SAFETY, compensated_sup, zoh
 
 #: fraction of the slowest eigenvalue decay used as the envelope rate a
 DECAY_RATE_SAFETY = 0.9
@@ -134,11 +134,13 @@ def assemble_z_hat(cfg: HgoConfig, st: HgoState) -> np.ndarray:
 
 
 def decay_constants(cfg: HgoConfig) -> tuple[float, float]:
-    """Fit (K, a) with ||e^{A_eta t}|| <= K e^{-a t} on a sampled grid.
+    """Fit (K, a) with ||e^{A_eta t}|| <= K e^{-a t}.
 
-    a is the DECAY_RATE_SAFETY fraction of the slowest eigenvalue decay; K
-    is the grid supremum of the compensated envelope, inflated by
-    GRID_SUP_SAFETY so the (K, a) pair stays valid between grid samples.
+    a is the DECAY_RATE_SAFETY fraction of the slowest eigenvalue decay.  K
+    is :func:`~smobserver.numerics.compensated_sup` of A_eta at shift -a on
+    a grid that resolves A_eta's fastest mode, inflated by GRID_SUP_SAFETY
+    so the (K, a) pair stays valid between grid samples; the walk ends at
+    its certified tail, a few tens of seconds past the peak.
     """
     A = cfg.a_eta
     lam = np.linalg.eigvals(A)
@@ -146,6 +148,4 @@ def decay_constants(cfg: HgoConfig) -> tuple[float, float]:
         raise InvalidDesignError("decay constants require a Hurwitz A_eta")
     a = DECAY_RATE_SAFETY * float(np.min(np.abs(lam.real)))
     h = min(0.01, 0.1 / float(np.max(np.abs(lam))))
-    ts, norms = norm_envelope_grid(A, h, shift=-a)
-    K = GRID_SUP_SAFETY * float(np.max(norms * np.exp(a * ts)))
-    return K, a
+    return GRID_SUP_SAFETY * compensated_sup(A, -a, h), a

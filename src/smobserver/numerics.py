@@ -187,17 +187,25 @@ def power_norms(Eh: np.ndarray, count: int, P: np.ndarray | None = None
     return norms, P
 
 
-def norm_envelope_grid(A: np.ndarray, h: float, decay_floor: float = 1e-6,
-                       t_max: float = 1e4, shift: float = 0.0
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of ||e^{At}|| on [0, T] at spacing h.
+#: powers that :func:`compensated_sup` walks before it first tests its
+#: certified tail; a supremum at or near t = 0 needs no more
+SUP_FIRST_WALK = 256
 
-    T is extended (by doubling) until ||e^{At}|| e^{-shift t} has decayed
-    below ``decay_floor`` relative to its peak, or t_max is hit.  Each
-    doubling extends the samples already taken (``np.arange`` grids share
-    their prefixes), and the norms come from :func:`power_norms` in
-    fixed-size batches.  Returns (ts, norms) with the *uncompensated*
-    norms.  The stopping rule converges whenever shift > max Re(eig A).
+#: inflation of the Lyapunov amplitude of :func:`lyapunov_tail` against
+#: rounding in X, in its eigenvalues and in the sampled norms
+LYAPUNOV_TAIL_SAFETY = 1.0 + 1e-6
+
+
+def norm_envelope_grid(A: np.ndarray, h: float, t_max: float = 1e4
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of ||e^{At}|| on [0, T] at spacing h, for a Hurwitz A.
+
+    T is extended (by doubling) until ||e^{At}|| has decayed below 1e-6
+    relative to its peak, or t_max is hit.  Each doubling extends the
+    samples already taken (``np.arange`` grids share their prefixes), and
+    the norms come from :func:`power_norms` in fixed-size batches.  Only
+    the eps1 envelope's tail integral uses it; suprema go through
+    :func:`compensated_sup`, whose stop is certified.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[0] == 0:
@@ -209,14 +217,57 @@ def norm_envelope_grid(A: np.ndarray, h: float, decay_floor: float = 1e-6,
         ts = np.arange(0.0, T + 0.5 * h, h)
         more, P = power_norms(Eh, ts.shape[0] - norms.shape[0], P)
         norms = np.concatenate([norms, more])
-        comp = norms * np.exp(-shift * ts)
-        if comp[-1] <= decay_floor * comp.max() or T >= t_max:
+        if norms[-1] <= 1e-6 * norms.max() or T >= t_max:
             return ts, norms
         T *= 2.0
 
 
+def lyapunov_tail(A: np.ndarray, shift: float) -> tuple[float, float]:
+    """(amp, c) with ||e^{At}|| e^{-shift t} <= amp e^{-c t} for all t >= 0.
+
+    c = (shift - max Re eig A) / 2.  X solves B^T X + X B = -I for the
+    Hurwitz B = A - (shift - c) I, so ||e^{Bt}||_X <= 1 and ||e^{Bt}|| <=
+    sqrt(kappa(X)) = amp / LYAPUNOV_TAIL_SAFETY.  This holds for the
+    computed X while the equation's residual is below 1/2 in norm.  amp is
+    inf where nothing is certified (c <= 0, or X fails that check).
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    n = A.shape[0]
+    c = 0.5 * (shift - float(np.max(np.linalg.eigvals(A).real)))
+    if not c > 0.0:
+        return np.inf, 0.0
+    B = A - (shift - c) * np.eye(n)
+    X = symmetrize(sla.solve_continuous_lyapunov(B.T, -np.eye(n)))
+    lam = np.linalg.eigvalsh(X)
+    residual = spectral_norm(B.T @ X + X @ B + np.eye(n))
+    if not (lam[0] > 0.0 and residual < 0.5):
+        return np.inf, c
+    return LYAPUNOV_TAIL_SAFETY * float(np.sqrt(lam[-1] / lam[0])), c
+
+
 def compensated_sup(A: np.ndarray, shift: float, h: float = 0.01,
                     t_max: float = 1e4) -> float:
-    """sup over a sampled grid of ||e^{At}|| e^{-shift t} (shift > max Re eig)."""
-    ts, norms = norm_envelope_grid(A, h, t_max=t_max, shift=shift)
-    return float(np.max(norms * np.exp(-shift * ts)))
+    """max over t_j = j h of ||e^{A t_j}|| e^{-shift t_j}, shift > max Re eig.
+
+    One :func:`power_norms` walk over j = 0, 1, ... takes SUP_FIRST_WALK
+    powers, then extends, in chunks that at most double it, to the first
+    t_j at which the bound amp e^{-c t} of :func:`lyapunov_tail` is no more
+    than the running maximum.  No later sample can exceed that maximum, so
+    the value equals the maximum over any longer grid bit for bit.  t_max
+    caps the walk where no tail is certified.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    if A.shape[0] == 0:
+        return 1.0
+    amp, c = lyapunov_tail(A, shift)
+    Eh, n_max = expm(A * h), int(t_max / h) + 1
+    top, count, P, stop = 0.0, 0, None, min(SUP_FIRST_WALK, n_max)
+    while count < stop:
+        norms, P = power_norms(Eh, stop - count, P)
+        ts = h * np.arange(count, stop)
+        top = max(top, float(np.max(norms * np.exp(-shift * ts))))
+        with np.errstate(divide="ignore"):   # inf where nothing is certified
+            t_stop = np.log(amp / top) / c
+        count, stop = stop, int(min(max(np.ceil(t_stop / h), stop),
+                                    2 * stop, n_max))
+    return top

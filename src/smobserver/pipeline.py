@@ -38,7 +38,8 @@ from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
                   solve_uio_gain)
 from .weak import (WeakState, build_Ku, check_shape, gamma_terms, gk_matrix,
                    measurement_update, optimize_beta, predict_center,
-                   propagate, quad_kernels, update_is_informative)
+                   predict_shape, propagate, quad_kernels,
+                   update_is_informative)
 
 
 # -- plant simulation ------------------------------------------------------
@@ -198,9 +199,10 @@ def build_design(cfg: ScenarioConfig) -> DesignArtifacts:
             "the strongly observable part is empty; this pipeline requires "
             "a nontrivial strongly observable block")
     order_rep = select_derivative_order(dec)
-    l = order_rep.l if cfg.hgo.l_override is None else int(cfg.hgo.l_override)
+    l = order_rep.l if cfg.hgo.l_override is None else cfg.hgo.l_override
     poles = cfg.uio_poles if cfg.uio_poles else _default_poles(dec.n1)
-    uio = solve_uio_gain(dec.A1, dec.C1, dec.B1p, dec.D1p, l, poles)
+    uio = solve_uio_gain(dec.A1, dec.C1, dec.B1p, dec.D1p, l, poles,
+                         order_rep.pair if l == order_rep.l else None)
     hgo_cfg = design_hgo(l, cfg.hgo.eps, cfg.hgo.pole, n_y=sys.n_y)
     K, a = decay_constants(hgo_cfg)
     ybound = cfg.hgo.y_deriv_bound
@@ -318,49 +320,50 @@ class ShapeSchedule:
 
 
 def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
-    """Run the shape recursion of the estimator once over the horizon:
-    per step, select the stacking gain, propagate, gate the update on G_k,
-    update or skip, and fuse.  :func:`~smobserver.weak.check_shape` checks
-    each weak-block shape once, and ``shape_factors`` every fused one."""
+    """Run the shape recursion of the estimator once over the horizon, in
+    three phases.  First, for all steps at once, what depends on eps1 and
+    K_w alone: the stacking gains, M2k, G_k and the update gate.  Then the
+    recursion proper, per step: alpha_k and the predicted shape, then the
+    update or its skip.  Last, the fused shapes and their factors, in one
+    batch.  :func:`~smobserver.weak.check_shape` checks each weak-block
+    shape once, and ``shape_factors`` every fused one."""
     cfg, dec = design.cfg, design.dec
     n1, n2, n_q, N = dec.n1, dec.n2, cfg.quad_substeps, cfg.n_steps
-    n, n_y = dec.P1.shape[0], dec.system.n_y
-    Kw_q = cfg.Kw(design.eps1_ts)
+    n_y = dec.system.n_y
     eps1 = design.eps1_grid[::n_q]
     gamma, alpha, beta = (np.full(N + 1, np.nan) for _ in range(3))
     skipped = np.ones(N + 1, dtype=bool)
-    P2_pred, P2s = np.empty((2, N + 1, n2, n2))
     Gk = np.full((N + 1, n_y, n_y), np.nan)
     O = np.zeros((N + 1, n2, n_y))
-    mu = np.empty(N + 1)
-    shape = np.empty((N + 1, n, n))
     P1inv = np.linalg.inv(dec.P1)
     kernels = quad_kernels(dec.A4, cfg.dt / n_q, n_q)
-    Ed = expm(dec.A4 * cfg.dt)
 
     # t = 0: split the initial ellipsoid through the coordinate change
     P2 = check_shape(symmetrize(dec.P1 @ cfg.K0 @ dec.P1.T)[n1:, n1:])
-    for k in range(N + 1):
-        e1 = float(eps1[k])
-        if k and n2:
-            sl = slice((k - 1) * n_q, k * n_q + 1)
-            gain = gamma_terms(Kw_q[k * n_q], e1, n1)
-            gamma[k] = gain[0]
-            P2, alpha[k], _ = propagate(P2, dec, design.eps1_grid[sl],
-                                        Kw_q[sl], cfg.dt, gain, kernels, Ed)
+    P2_pred, P2s = np.empty((2, N + 1, n2, n2))
+    P2_pred[:], P2s[:] = P2, P2
+    if n2:
+        Kw_q = cfg.Kw(design.eps1_ts)
+        Kw_k = Kw_q[n_q::n_q]          # K_w at t_1 .. t_N
+        gain = gamma_terms(Kw_k, eps1[1:], n1)
+        gamma[1:], beta[1:] = gain[0], 0.0
+        nodes = n_q * np.arange(N)[:, None] + np.arange(n_q + 1)
+        M2k = propagate(dec, design.eps1_grid[nodes], Kw_q[nodes], cfg.dt,
+                        gain, kernels)
+        Gk[1:] = gk_matrix(dec, build_Ku(gain, eps1[1:], Kw_k, n1))
+        informative = update_is_informative(dec, Gk[1:])
+        Ed = expm(dec.A4 * cfg.dt)
+        for k in range(1, N + 1):
+            P2, alpha[k] = predict_shape(P2, M2k[k - 1], cfg.dt, kernels, Ed)
             P2_pred[k] = check_shape(P2)
-            Gk[k] = gk_matrix(dec, build_Ku(gain, e1, Kw_q[k * n_q], n1))
-            beta[k] = 0.0
-            if update_is_informative(dec, Gk[k]):
+            if informative[k - 1]:
                 beta[k] = optimize_beta(P2_pred[k], dec.C2, Gk[k])
                 P2, O[k] = measurement_update(P2_pred[k], dec.C2, beta[k],
                                               Gk[k])
                 check_shape(P2)
                 skipped[k] = False
-        else:
-            P2_pred[k] = P2
-        P2s[k] = P2
-        shape[k], mu[k] = fuse(e1, P2, P1inv)
+            P2s[k] = P2
+    shape, mu = fuse(eps1, P2s, P1inv)
     return ShapeSchedule(
         eps1=eps1, gamma=gamma, alpha=alpha, beta=beta, skipped=skipped,
         P2_pred=P2_pred, P2=P2s, Gk=Gk, O=O, mu=mu, shape=shape,

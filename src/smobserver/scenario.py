@@ -5,7 +5,7 @@ analytic output-derivative bound used by the error envelope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from math import lcm
 
 import numpy as np
@@ -173,37 +173,17 @@ class ScenarioConfig:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = {
-            "format": FORMAT_TAG,
-            "name": self.name,
-            "A": self.A.tolist(), "B": self.B.tolist(),
-            "C": self.C.tolist(), "D": self.D.tolist(),
-            "xhat0": self.xhat0.tolist(), "K0": self.K0.tolist(),
-            "cw": self.cw.to_dict(), "Kw": self.Kw.to_dict(),
-            "w_true": self.w_true.to_dict(),
-            "dt": self.dt, "horizon": self.horizon,
-            "uio_poles": list(self.uio_poles),
-            "hgo": {"eps": self.hgo.eps, "pole": self.hgo.pole,
-                    "l_override": self.hgo.l_override,
-                    "zbar0": self.hgo.zbar0,
-                    "y_deriv_bound": self.hgo.y_deriv_bound},
-            "cert": {"mode": self.cert.mode, "r": self.cert.r,
-                     "margin_scale": self.cert.margin_scale,
-                     "harvest_margin": self.cert.harvest_margin,
-                     "alpha_lo": self.cert.alpha_lo,
-                     "alpha_hi": self.cert.alpha_hi,
-                     "beta_lo": self.cert.beta_lo,
-                     "beta_hi": self.cert.beta_hi},
-            "plant_substeps": self.plant_substeps,
-            "hgo_substeps": self.hgo_substeps,
-            "quad_substeps": self.quad_substeps,
-            "seed": self.seed,
-            "mc_freq_max": self.mc_freq_max,
-            "mc_n_terms": self.mc_n_terms,
-            "eps1_floor": self.eps1_floor,
-            "x0_true": None if self.x0_true is None else self.x0_true.tolist(),
-        }
-        return d
+        """Plain data, one entry per key of the loader table, in its order."""
+        def plain(value):
+            if isinstance(value, np.ndarray):
+                return value.tolist()
+            if isinstance(value, (HgoSettings, CertOptions)):
+                return asdict(value)
+            if isinstance(value, tuple):
+                return list(value)
+            return value.to_dict() if hasattr(value, "to_dict") else value
+        return {"format": FORMAT_TAG,
+                **{key: plain(getattr(self, key)) for key in _LOADERS}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -238,20 +218,17 @@ def _array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _hgo_settings(hgo: dict) -> HgoSettings:
-    return HgoSettings(
-        eps=float(hgo.get("eps", 0.01)), pole=float(hgo.get("pole", 1.0)),
-        l_override=hgo.get("l_override"), zbar0=hgo.get("zbar0"),
-        y_deriv_bound=hgo.get("y_deriv_bound"))
+def _optional(convert):
+    """``convert`` for a key whose value may be null."""
+    return lambda value: None if value is None else convert(value)
 
 
-def _cert_options(cert: dict) -> CertOptions:
-    return CertOptions(
-        mode=cert.get("mode", "harvested"), r=cert.get("r"),
-        margin_scale=float(cert.get("margin_scale", 0.05)),
-        harvest_margin=float(cert.get("harvest_margin", 0.05)),
-        alpha_lo=cert.get("alpha_lo"), alpha_hi=cert.get("alpha_hi"),
-        beta_lo=cert.get("beta_lo"), beta_hi=cert.get("beta_hi"))
+def _section(cls, section: str, loaders: dict):
+    """Loader of a nested ``section`` whose keys convert as in the table
+    ``loaders``; errors name them ``section.key``."""
+    return lambda d: cls(**{
+        key: _read_key(d, key, *how, name=f"{section}.{key}")
+        for key, how in loaders.items()})
 
 
 #: each scenario key's converter, and its default where the key is optional
@@ -262,25 +239,35 @@ _LOADERS = {
     "w_true": (SignalGenerator.from_dict,), "dt": (float,),
     "horizon": (float,),
     "uio_poles": (lambda poles: tuple(float(p) for p in poles), []),
-    "hgo": (_hgo_settings, {}), "cert": (_cert_options, {}),
+    "hgo": (_section(HgoSettings, "hgo", {
+        "eps": (float, 0.01), "pole": (float, 1.0),
+        "l_override": (_optional(int), None),
+        "zbar0": (_optional(float), None),
+        "y_deriv_bound": (_optional(float), None)}), {}),
+    "cert": (_section(CertOptions, "cert", {
+        "mode": (str, "harvested"), "r": (_optional(int), None),
+        "margin_scale": (float, 0.05), "harvest_margin": (float, 0.05),
+        **{key: (_optional(float), None)
+           for key in ("alpha_lo", "alpha_hi", "beta_lo", "beta_hi")}}), {}),
     "plant_substeps": (int, 10), "hgo_substeps": (int, 100),
     "quad_substeps": (int, 20), "seed": (int, 0),
     "mc_freq_max": (float, 2.0), "mc_n_terms": (int, 3),
     "eps1_floor": (float, 1e-6),
-    "x0_true": (lambda x: None if x is None else _array(x), None),
+    "x0_true": (_optional(_array), None),
 }
 
 
-def _read_key(d: dict, key: str, convert, *default):
+def _read_key(d: dict, key: str, convert, *default, name: str | None = None):
     """``convert`` applied to ``d[key]`` (or to ``default`` where the key
     is absent); a value it cannot convert is a :class:`ScenarioFormatError`
-    naming ``key``."""
+    naming the key (as ``name``, where given)."""
     value = d.get(key, *default) if default else d[key]
     try:
         return convert(value)
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ScenarioFormatError(
-            f"scenario key {key!r} has a malformed value: {exc}") from exc
+            f"scenario key {name or key!r} has a malformed value: {exc}"
+        ) from exc
 
 
 # -- analytic signal bounds ------------------------------------------------

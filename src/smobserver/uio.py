@@ -106,15 +106,19 @@ class UioDesign:
             raise InvalidDesignError("observer matrix E must be Hurwitz")
 
 
-def solve_uio_gain(A1, C1, B1p, D1p, l, poles) -> UioDesign:
+def solve_uio_gain(A1, C1, B1p, D1p, l, poles, pair=None) -> UioDesign:
     """Solve F G_l = [B1' 0 ... 0] and shape E = A1 - F O_l.
 
     The general solution's free term Y is chosen by eigenvalue assignment on
     the residual pair; if exact assignment fails, a Riccati-based stabilizing
     output injection is used instead.  Raises if the residual pair is
-    undetectable or the constraint is unsolvable.
+    undetectable or the constraint is unsolvable.  ``pair`` is
+    :func:`residual_pair` at order l where the caller holds it already (the
+    derivative-order report does); by default it is formed here.
     """
-    Ol, Gl, M, Gp, A_res, C_res, res = residual_pair(A1, C1, B1p, D1p, l)
+    if pair is None:
+        pair = residual_pair(A1, C1, B1p, D1p, l)
+    Ol, Gl, M, Gp, A_res, C_res, res = pair
     n1 = A_res.shape[0]
     if res > GAIN_RESIDUAL_TOL * (1.0 + spectral_norm(np.atleast_2d(B1p))):
         raise NoStableObserverError(
@@ -402,7 +406,7 @@ class Epsilon1Evaluator:
         """
         p = self.params
         vals = self._compute()
-        _, norms_tail = norm_envelope_grid(self.E, self.h, shift=0.0)
+        _, norms_tail = norm_envelope_grid(self.E, self.h)
         tail_integral = simpson(norms_tail, self.h)
         limit = p.delta * p.F_norm * np.sqrt(p.n_y * (p.l + 1.0)) \
             * tail_integral

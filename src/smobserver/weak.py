@@ -10,10 +10,11 @@ block.  The weak block's input bound (Q = K_w: gamma_k, K_u, G_k), the fused
 full-state set (Q = P2hat: mu_k) and the certificate's gain bounds all go
 through these two functions.
 
-Shapes and gains depend on the system only, so :func:`propagate`,
-:func:`measurement_update` and the selectors act on shapes alone; the one
-center formula here is :func:`predict_center`, the quadrature drive of the
-x2 block, which the estimator applies to every run.
+Shapes and gains depend on the system only; the one center formula here is
+:func:`predict_center`, the x2 block's quadrature drive.  Only alpha_k, the
+predicted shape, beta_k and the update depend on the previous shape, so
+:func:`gamma_terms`, :func:`propagate` (M2k), :func:`gk_matrix` and
+:func:`update_is_informative` take every step of a horizon at once.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from scipy.optimize import brentq
 
 from .errors import (DegenerateInputError, InvalidParameterError,
                      SingularInnovationError, SingularNoiseError)
-from .numerics import (expm, min_eigval, simpson_matrix, spectral_norm,
-                       symmetrize)
+from .numerics import expm, min_eigval, simpson_matrix, symmetrize
 
 #: clip applied when the closed-form alpha degenerates to an endpoint
 ALPHA_CLIP = 1e-9
@@ -63,29 +63,32 @@ def check_shape(P2: np.ndarray) -> np.ndarray:
     return P2
 
 
-def stacking_gain(t2: float, eps1: float, n1: int) -> tuple[float, float]:
+def stacking_gain(t2, eps1, n1: int):
     """(g, g/(g-1)) for stacking E(., eps1^2 I_n1) with a block of trace t2.
 
     g = 1 + s with s = sqrt(t2 / n1) / eps1 minimizes the trace of the
     product bound (Schweppe 1968; Durieu, Walter and Polyak 2001).  Both
     factors are formed from s directly, so an enormous eps1 (s underflowing
-    next to 1) still yields a finite, correct g/(g-1) = 1 + 1/s.
+    next to 1) still yields a finite, correct g/(g-1) = 1 + 1/s.  Arrays of
+    t2 and eps1 give one pair of arrays.
     """
-    if eps1 <= 0.0:
+    t2, eps1 = np.asarray(t2, dtype=float), np.asarray(eps1, dtype=float)
+    if not np.all(eps1 > 0.0):
         raise InvalidParameterError("eps1 must be positive")
-    if t2 <= 0.0 or n1 <= 0:
+    if not np.all(t2 > 0.0) or n1 <= 0:
         raise DegenerateInputError("stacking gain needs positive traces")
-    s = float(np.sqrt(t2 / n1) / eps1)
-    if s <= 0.0:
+    s = np.sqrt(t2 / n1) / eps1
+    if not np.all(s > 0.0):
         raise DegenerateInputError("stacking ratio underflowed to zero")
     return 1.0 + s, 1.0 + 1.0 / s
 
 
-def gamma_terms(Kw_k: np.ndarray, eps1_k: float, n1: int
-                ) -> tuple[float, float]:
+def gamma_terms(Kw: np.ndarray, eps1, n1: int):
     """(gamma, gamma/(gamma-1)): the :func:`stacking_gain` of the combined
-    (x1, w) input bound, gamma = 1 + sqrt(tr Kw / (n1 eps1^2))."""
-    return stacking_gain(float(np.trace(np.atleast_2d(Kw_k))), eps1_k, n1)
+    (x1, w) input bound, gamma = 1 + sqrt(tr Kw / (n1 eps1^2)), for one
+    K_w or for a stack of them against an array of eps1."""
+    return stacking_gain(np.trace(np.atleast_2d(Kw), axis1=-2, axis2=-1),
+                         eps1, n1)
 
 
 def build_Ku(gain: tuple[float, float], eps1: float | np.ndarray,
@@ -93,17 +96,19 @@ def build_Ku(gain: tuple[float, float], eps1: float | np.ndarray,
     """The stacked block diag(g1 eps1^2 I_n1, g2 Q) of the product bound.
 
     ``gain`` is a pair (g1, g2), normally (g, g/(g-1)) from
-    :func:`stacking_gain`; with Q = K_w this is the input bound K_u.  An
-    (m,) array of eps1 with an (m, q, q) stack of Q gives the m blocks.
+    :func:`stacking_gain`; with Q = K_w this is the input bound K_u.
+    Arrays of g1, g2 and eps1 and a stack of Q broadcast to one block per
+    entry: an (m,) array of eps1 with an (m, q, q) stack gives m blocks.
     """
-    g1, g2 = gain
+    g1, g2 = (np.asarray(g, dtype=float) for g in gain)
     eps1 = np.asarray(eps1, dtype=float)
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     n = n1 + Q.shape[-1]
-    Ku = np.zeros(eps1.shape + (n, n))
+    Ku = np.zeros(np.broadcast_shapes(g1.shape, g2.shape, eps1.shape,
+                                      Q.shape[:-2]) + (n, n))
     diag = np.arange(n1)
-    Ku[..., diag, diag] = g1 * eps1[..., None] ** 2
-    Ku[..., n1:, n1:] = g2 * Q
+    Ku[..., diag, diag] = (g1 * eps1 ** 2)[..., None]
+    Ku[..., n1:, n1:] = g2[..., None, None] * Q
     return symmetrize(Ku)
 
 
@@ -143,30 +148,38 @@ def alpha_k(M2k: np.ndarray, Ed: np.ndarray, P2: np.ndarray,
     return float(np.clip(a, ALPHA_CLIP, 1.0 - ALPHA_CLIP))
 
 
-def propagate(P2: np.ndarray, dec, eps1_q: np.ndarray, Kw_q: np.ndarray,
-              dt: float, gain: tuple[float, float], kernels: np.ndarray,
-              Ed: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Time update of the shape by the two-term outer bound.
+def propagate(dec, eps1_q: np.ndarray, Kw_q: np.ndarray, dt: float,
+              gain: tuple, kernels: np.ndarray) -> np.ndarray:
+    """The (N, n2, n2) input terms M2k of N steps' shape time updates.
 
-    Returns (P2_pred, alpha_used, M2k).  ``eps1_q`` (m+1,) and ``Kw_q``
-    (m+1, n_w, n_w) sample eps1 and K_w on the m + 1 quadrature nodes of
-    [t_{k-1}, t_k]; ``kernels`` is :func:`quad_kernels` of that grid and
-    ``Ed`` = e^{A4 dt}.  m, the number of Simpson sub-intervals, must be
-    even and at least 2.  ``gain`` is the step's :func:`gamma_terms` pair; M2k integrates
+    ``eps1_q`` (N, m+1) and ``Kw_q`` (N, m+1, n_w, n_w) sample eps1 and
+    K_w on the m + 1 quadrature nodes of each step [t_{k-1}, t_k], with m
+    even and at least 2; ``kernels`` is :func:`quad_kernels` of that grid
+    and ``gain`` each step's :func:`gamma_terms` pair.  M2k integrates
     e^{A4 (t_k - tau)} B2' K_u B2'^T e^{A4^T (t_k - tau)} over one
-    :func:`build_Ku` stack of every quadrature node's K_u.
+    :func:`build_Ku` stack of every step's and node's K_u.
     """
     substeps = kernels.shape[0] - 1
     if substeps < 2 or substeps % 2:
         raise InvalidParameterError("substeps must be even and >= 2")
-    Ku = build_Ku(gain, eps1_q, Kw_q, dec.n1)
+    Ku = build_Ku(tuple(np.asarray(g)[..., None] for g in gain), eps1_q,
+                  Kw_q, dec.n1)
     KBs = kernels @ dec.B2p
-    M2k = symmetrize(simpson_matrix(KBs @ Ku @ KBs.swapaxes(-1, -2),
-                                    dt / substeps))
+    # Simpson over the node axis, put first as simpson_matrix expects
+    terms = (KBs @ Ku @ KBs.swapaxes(-1, -2)).swapaxes(0, 1)
+    return symmetrize(simpson_matrix(terms, dt / substeps))
+
+
+def predict_shape(P2: np.ndarray, M2k: np.ndarray, dt: float,
+                  kernels: np.ndarray, Ed: np.ndarray
+                  ) -> tuple[np.ndarray, float]:
+    """Time update of the shape by the two-term outer bound: (P2_pred, a)
+    with P2_pred = Em P2 Em^T / a + dt M2k / (1 - a), Em = kernels[0], a =
+    :func:`alpha_k` at ``Ed`` = e^{A4 dt} and M2k from :func:`propagate`.
+    """
     a = alpha_k(M2k, Ed, P2, dt)
     Em = kernels[0]  # Eh^m = e^{A4 dt}
-    P2_pred = symmetrize(Em @ P2 @ Em.T / a + dt * M2k / (1.0 - a))
-    return P2_pred, a, M2k
+    return symmetrize(Em @ P2 @ Em.T / a + dt * M2k / (1.0 - a)), a
 
 
 def predict_center(x2: np.ndarray, B2p: np.ndarray, u: np.ndarray,
@@ -183,18 +196,21 @@ def predict_center(x2: np.ndarray, B2p: np.ndarray, u: np.ndarray,
 
 
 def gk_matrix(dec, Ku_tk: np.ndarray) -> np.ndarray:
-    """Measurement-consistency shape G_k = D2' K_u(t_k) D2'^T."""
+    """Measurement-consistency shape G_k = D2' K_u(t_k) D2'^T, of one K_u
+    or of each in a stack."""
     return symmetrize(dec.D2p @ Ku_tk @ dec.D2p.T)
 
 
 def update_is_informative(dec, Gk: np.ndarray,
-                          rank_tol: float = 1e-10) -> bool:
+                          rank_tol: float = 1e-10) -> np.ndarray:
     """False when the update must be skipped: C2 carries no information or
-    G_k is singular at the working tolerance."""
+    G_k is singular at the working tolerance.  Of one G_k, or per G_k of a
+    stack."""
     if dec.n2 == 0 or not np.any(np.abs(dec.C2) > 0.0):
-        return False
-    scale = spectral_norm(Gk)
-    return scale > 0.0 and min_eigval(Gk) > rank_tol * scale
+        return np.zeros(Gk.shape[:-2], dtype=bool)
+    scale = np.linalg.norm(Gk, 2, axis=(-2, -1))
+    lam_min = np.linalg.eigvalsh(symmetrize(Gk))[..., 0]
+    return (scale > 0.0) & (lam_min > rank_tol * scale)
 
 
 def optimize_beta(P2_pred: np.ndarray, C2: np.ndarray,

@@ -143,6 +143,25 @@ def test_derivative_order_selection(design_ex1, design_ex2):
     assert rep2.residuals[rep2.l] < 1e-8
 
 
+def test_build_design_pseudo_inverts_once_per_order(cfg_ex1, monkeypatch):
+    """The gain synthesis reuses the order search's residual pair, so
+    build_design pseudo-inverts G_l once per order tried: 2 on example1
+    (orders 0 and 1), where it once took 3."""
+    from smobserver.pipeline import build_design
+    calls = []
+    pinv = np.linalg.pinv
+
+    def counting_pinv(*args, **kwargs):
+        calls.append(1)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    design = build_design(cfg_ex1)
+    monkeypatch.undo()
+    tried = select_derivative_order(design.dec).residuals
+    assert len(calls) == len(tried) == 2
+
+
 def test_decomposition_rejects_non_orthogonal_basis(cfg_ex2):
     dec = build_decomposition(cfg_ex2.system)
     from smobserver.errors import InvalidBasisError

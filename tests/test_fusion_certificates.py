@@ -67,6 +67,50 @@ def test_fuse_contains_both_factors():
         assert np.allclose(shape, Pinv @ block @ Pinv.T, rtol=1e-12, atol=0.0)
 
 
+def test_fuse_stack_equals_single_calls():
+    """A stack of eps1 values and P2 shapes fuses, bit for bit, as the
+    per-entry calls do; an empty weak block records inf for every mu."""
+    rng = np.random.default_rng(6)
+    Pinv = np.linalg.inv(np.linalg.qr(rng.standard_normal((3, 3)))[0])
+    eps1 = np.array([0.3, 1.7, 1e40])
+    Pm = rng.standard_normal((3, 2, 2))
+    P2 = Pm @ Pm.swapaxes(1, 2) + 0.2 * np.eye(2)
+    shape, mu = fuse(eps1, P2, Pinv)
+    for k in range(3):
+        shape_k, mu_k = fuse(float(eps1[k]), P2[k], Pinv)
+        assert np.array_equal(shape[k], shape_k) and mu[k] == mu_k
+    shape, mu = fuse(eps1, np.zeros((3, 0, 0)), np.eye(2))
+    assert np.array_equal(mu, np.full(3, np.inf))
+    assert np.array_equal(shape[0], fuse(0.3, np.zeros((0, 0)), np.eye(2))[0])
+
+
+def test_certify_walks_stop_at_certified_tail(cfg_mixed, monkeypatch):
+    """The certificate's two envelope sups peak at t = 0 on the mixed
+    fixture; each walk stops within 256 powers (a walk to a 1e-6 decay
+    floor took 12,801)."""
+    import smobserver.certificates as certificates
+    import smobserver.numerics as numerics
+    from smobserver.pipeline import build_design, certify_design, shape_schedule
+    design = build_design(cfg_mixed.with_overrides(horizon=2.0))
+    schedule = shape_schedule(design)
+    walks = []
+    compensated_sup, power_norms = (certificates.compensated_sup,
+                                    numerics.power_norms)
+
+    def counting_sup(*args, **kwargs):
+        walks.append(0)
+        return compensated_sup(*args, **kwargs)
+
+    def counting_power_norms(Eh, count, P=None):
+        walks[-1] += count
+        return power_norms(Eh, count, P)
+
+    monkeypatch.setattr(certificates, "compensated_sup", counting_sup)
+    monkeypatch.setattr(numerics, "power_norms", counting_power_norms)
+    assert certify_design(design, schedule).case == "lemma7"
+    assert len(walks) == 2 and all(0 < w <= 256 for w in walks)
+
+
 def test_fuse_empty_weak_block():
     shape, mu = fuse(0.5, np.zeros((0, 0)), np.eye(2))
     assert mu == np.inf

@@ -104,3 +104,21 @@ def test_decay_constants_dominate_envelope():
         for t in ts:
             nrm = np.linalg.norm(expm(cfg.a_eta * t), 2)
             assert nrm <= K * np.exp(-a * t) * (1.0 + 1e-9)
+
+
+def test_decay_constants_walk_stops_at_certified_tail(design_ex1,
+                                                      monkeypatch):
+    """example1's derivative bank peaks near t = 10 s; the sup walk stops
+    at its certified tail within 6,401 powers (a walk to a 1e-6 decay floor
+    took 25,601)."""
+    import smobserver.numerics as numerics
+    walked = []
+    power_norms = numerics.power_norms
+
+    def counting_power_norms(Eh, count, P=None):
+        walked.append(count)
+        return power_norms(Eh, count, P)
+
+    monkeypatch.setattr(numerics, "power_norms", counting_power_norms)
+    decay_constants(design_ex1.hgo_cfg)
+    assert 0 < sum(walked) <= 6401

@@ -6,9 +6,10 @@ import scipy.linalg as sla
 
 import smobserver.numerics as numerics
 from smobserver.numerics import (canonical_basis, compensated_sup, expm,
-                                 norm_envelope_grid, null_basis, power_norms,
-                                 range_basis, simpson, simpson_matrix,
-                                 spectral_norm, unit_ball_volume, zoh)
+                                 lyapunov_tail, norm_envelope_grid,
+                                 null_basis, power_norms, range_basis,
+                                 simpson, simpson_matrix, spectral_norm,
+                                 unit_ball_volume, zoh)
 
 
 def test_expm_matches_scalar_series():
@@ -121,14 +122,13 @@ def _loop_power_norms(Eh, count, P=None):
     return norms, P
 
 
-def _loop_norm_envelope_grid(A, h, decay_floor=1e-6, t_max=1e4, shift=0.0):
+def _loop_norm_envelope_grid(A, h, decay_floor=1e-6, t_max=1e4):
     """Reference: recompute the whole grid at every doubling of T."""
     T = max(64 * h, 1.0)
     while True:
         ts = np.arange(0.0, T + 0.5 * h, h)
         norms, _ = _loop_power_norms(expm(A * h), ts.shape[0])
-        comp = norms * np.exp(-shift * ts)
-        if comp[-1] <= decay_floor * comp.max() or T >= t_max:
+        if norms[-1] <= decay_floor * norms.max() or T >= t_max:
             return ts, norms
         T *= 2.0
 
@@ -157,15 +157,80 @@ def test_power_norms_across_chunks_and_extension(monkeypatch):
     assert np.array_equal(P, P_ref)
 
 
-@pytest.mark.parametrize("A, h, shift, t_max", [
-    (np.array([[-1.0, 4.0], [0.0, -0.3]]), 0.05, 0.0, 1e4),
-    (np.array([[-0.2, 1.0], [-1.0, -0.2]]), 0.01, -0.15, 1e4),
-    (np.array([[0.4, 0.0], [1.0, -2.0]]), 0.05, 0.0, 8.0),  # stops at t_max
+@pytest.mark.parametrize("A, h, t_max", [
+    (np.array([[-1.0, 4.0], [0.0, -0.3]]), 0.05, 1e4),
+    (np.array([[-0.2, 1.0], [-1.0, -0.2]]), 0.01, 1e4),
+    (np.array([[0.4, 0.0], [1.0, -2.0]]), 0.05, 8.0),  # stops at t_max
 ])
-def test_norm_envelope_grid_extension_equals_fresh_grid(A, h, shift, t_max):
-    ts, norms = norm_envelope_grid(A, h, shift=shift, t_max=t_max)
-    ts_ref, norms_ref = _loop_norm_envelope_grid(A, h, shift=shift,
-                                                 t_max=t_max)
+def test_norm_envelope_grid_extension_equals_fresh_grid(A, h, t_max):
+    ts, norms = norm_envelope_grid(A, h, t_max=t_max)
+    ts_ref, norms_ref = _loop_norm_envelope_grid(A, h, t_max=t_max)
     assert ts.shape[0] > 64
     assert np.array_equal(ts, ts_ref)
     assert np.array_equal(norms, norms_ref)
+
+
+# -- the certified stop of compensated_sup ---------------------------------
+
+def _random_hurwitz(rng, n, skew):
+    """Q (D + U) Q^T with eigenvalues in [-3, -0.5] and a strictly upper
+    triangular U of scale ``skew``: Jordan-like and far from normal for a
+    large skew, normal for skew = 0."""
+    T = np.diag(-rng.uniform(0.5, 3.0, n))
+    T += skew * np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q @ T @ Q.T
+
+
+def _envelope_cases(A):
+    """(matrix, shift, h) as hgo.decay_constants picks them for A and as
+    certificates.exponential_envelopes picks them for A and -A."""
+    lam = np.linalg.eigvals(A)
+    a = 0.9 * float(np.min(np.abs(lam.real)))
+    cases = [(A, -a, min(0.01, 0.1 / float(np.max(np.abs(lam)))))]
+    for M in (A, -A):
+        rate = float(np.max(np.linalg.eigvals(M).real))
+        cases.append((M, rate + 0.05 * (1.0 + abs(rate)), 0.01))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_compensated_sup_stops_at_certified_tail(seed, monkeypatch):
+    """On random Hurwitz matrices, normal and far from normal, at the
+    shifts the library uses: the walk's maximum equals, bit for bit, the
+    maximum over a grid twice as long and more, and the Lyapunov bound
+    dominates every sampled compensated norm, and the exact one at spot
+    times."""
+    rng = np.random.default_rng(200 + seed)
+    A = _random_hurwitz(rng, 1 + seed % 5, (0.0, 2.0, 8.0)[seed % 3])
+    walked = []
+
+    def counting_power_norms(Eh, count, P=None):
+        walked.append(count)
+        return power_norms(Eh, count, P)
+
+    monkeypatch.setattr(numerics, "power_norms", counting_power_norms)
+    for M, shift, h in _envelope_cases(A):
+        walked.clear()
+        sup = compensated_sup(M, shift, h)
+        length = 2 * sum(walked) + 1024
+        norms, _ = power_norms(expm(M * h), length)
+        ts = h * np.arange(length)
+        comp = norms * np.exp(-shift * ts)
+        assert sup == np.max(comp)
+        amp, c = lyapunov_tail(M, shift)
+        assert np.isfinite(amp) and c > 0.0
+        assert np.all(comp <= amp * np.exp(-c * ts))
+        for t in ts[::length // 40]:
+            assert (spectral_norm(expm(M * t)) * np.exp(-shift * t)
+                    <= amp * np.exp(-c * t))
+
+
+def test_lyapunov_tail_needs_a_shift_above_the_abscissa():
+    A = np.array([[-1.0, 3.0], [0.0, -2.0]])
+    assert lyapunov_tail(A, -1.0) == (np.inf, 0.0)
+    assert lyapunov_tail(A, -1.5) == (np.inf, 0.0)
+    # with no certified tail the walk runs to t_max
+    assert compensated_sup(A, -1.0, h=0.1, t_max=5.0) == pytest.approx(
+        np.max([spectral_norm(expm(A * t)) * np.exp(t)
+                for t in 0.1 * np.arange(51)]), rel=1e-12)

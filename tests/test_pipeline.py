@@ -272,6 +272,27 @@ def test_each_weak_shape_is_checked_once(cfg_ex2, cfg_mixed, monkeypatch):
         assert len(calls) == 1 + per_step * cfg.n_steps
 
 
+def test_schedule_batches_the_p2_free_half(cfg_mixed, monkeypatch):
+    """The stacking gains, M2k, G_k, the update gate and the fusion run in
+    one batched call each per schedule, whatever the horizon; only the
+    recursion on P2 runs per step."""
+    calls = {}
+    for name in ("gamma_terms", "propagate", "gk_matrix",
+                 "update_is_informative", "fuse", "predict_shape",
+                 "optimize_beta"):
+        def counting(*args, _name=name, _fn=getattr(pipeline, name),
+                     **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counting)
+    cfg = cfg_mixed.with_overrides(horizon=2.0)
+    shape_schedule(build_design(cfg))
+    assert calls == {"gamma_terms": 1, "propagate": 1, "gk_matrix": 1,
+                     "update_is_informative": 1, "fuse": 1,
+                     "predict_shape": cfg.n_steps,
+                     "optimize_beta": cfg.n_steps}
+
+
 def test_estimate_runs_no_shape_code(cfg_mixed, monkeypatch):
     """Once the schedule is built, the center loop needs no shape function:
     with every one of them patched to raise, estimate still runs and
@@ -303,16 +324,16 @@ def test_indefinite_predicted_shape_is_bad_input(tmp_path, cfg_mixed,
                                                  monkeypatch):
     """An indefinite P2_pred stops the schedule with InvalidParameterError
     (exit 3) before optimize_beta sees it."""
-    propagate = pipeline.propagate
+    predict_shape = pipeline.predict_shape
 
     def indefinite(*args, **kwargs):
-        P2_pred, a, M2k = propagate(*args, **kwargs)
-        return -P2_pred, a, M2k
+        P2_pred, a = predict_shape(*args, **kwargs)
+        return -P2_pred, a
 
     def forbidden(*args, **kwargs):
         raise AssertionError("optimize_beta ran on an unchecked shape")
 
-    monkeypatch.setattr(pipeline, "propagate", indefinite)
+    monkeypatch.setattr(pipeline, "predict_shape", indefinite)
     monkeypatch.setattr(pipeline, "optimize_beta", forbidden)
     cfg = cfg_mixed.with_overrides(horizon=1.0)
     with pytest.raises(InvalidParameterError, match="P2hat must be SPD"):
@@ -461,6 +482,34 @@ def test_cli_rejects_bad_scenario_numbers(tmp_path, capsys, field, value):
                      "--out", str(tmp_path / "o")]) == 3
     assert cli_main(["mc", "--scenario", str(scen), "--runs", "2"]) == 3
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("hgo", "l_override", "x"),
+    ("hgo", "zbar0", "abc"),
+    ("hgo", "y_deriv_bound", "abc"),
+    ("cert", "r", "abc"),
+    ("cert", "alpha_lo", "abc")])
+def test_cli_rejects_malformed_optional_keys(tmp_path, capsys, section, key,
+                                             value):
+    """A malformed optional key of the hgo or cert section is bad input
+    (exit 3) named for its key where the scenario is read; each once
+    escaped later as a ValueError or TypeError (exit 1), and a declared
+    alpha_lo of "abc" was reported as a missing bound."""
+    d = ScenarioConfig.load(UPDATE_GRAMMIAN).to_dict()
+    d["horizon"] = 1.0
+    if section == "cert":
+        d["cert"].update(mode="declared", alpha_hi=0.9, beta_lo=0.1,
+                         beta_hi=0.9)
+    d[section][key] = value
+    scen = tmp_path / "bad.yaml"
+    scen.write_text(yaml.safe_dump(d, sort_keys=False), encoding="utf-8")
+    name = f"{section}.{key}"
+    with pytest.raises(ScenarioFormatError, match=name):
+        ScenarioConfig.from_dict(d)
+    assert cli_main(["run", "--scenario", str(scen),
+                     "--out", str(tmp_path / "o")]) == 3
+    assert name in capsys.readouterr().err
 
 
 def test_cli_rejects_non_finite_derivative_bound(tmp_path, capsys):

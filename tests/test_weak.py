@@ -9,8 +9,8 @@ from smobserver.errors import InvalidParameterError, SingularNoiseError
 from smobserver.numerics import expm
 from smobserver.weak import (BETA_HI, BETA_LO, alpha_k, build_Ku, check_shape,
                              gamma_terms, gk_matrix, measurement_update,
-                             optimize_beta, predict_center, propagate,
-                             quad_kernels, stacking_gain,
+                             optimize_beta, predict_center, predict_shape,
+                             propagate, quad_kernels, stacking_gain,
                              update_is_informative, woodbury_shape)
 
 
@@ -28,11 +28,15 @@ def _step_inputs(m=20, dt=0.1):
 
 
 def _propagate(P2, dec, inp, dt, m):
-    """propagate at the step's own gain, as the shape schedule calls it."""
+    """(P2_pred, alpha, M2k) of one step at the step's own gain, as the
+    shape schedule forms them: M2k from propagate on a batch of one step,
+    then predict_shape."""
     _, eps1, _, Kw = inp
     gain = gamma_terms(Kw[-1], float(eps1[-1]), dec.n1)
-    return propagate(P2, dec, eps1, Kw, dt, gain,
-                     quad_kernels(dec.A4, dt / m, m), expm(dec.A4 * dt))
+    kernels = quad_kernels(dec.A4, dt / m, m)
+    M2k = propagate(dec, eps1[None], Kw[None], dt, gain, kernels)[0]
+    P2_pred, a = predict_shape(P2, M2k, dt, kernels, expm(dec.A4 * dt))
+    return P2_pred, a, M2k
 
 
 def _predict_center(x2, dec, inp, dt, m):
@@ -274,6 +278,33 @@ def test_propagate_builds_ku_once_per_step(dec_mixed, monkeypatch):
     monkeypatch.setattr(weak, "build_Ku", counting_build_Ku)
     _propagate(np.array([[0.04]]), dec_mixed, _step_inputs(20, 0.1), 0.1, 20)
     assert len(calls) == 1
+
+
+def test_batched_p2_free_terms_equal_single_steps(dec_mixed):
+    """propagate's M2k stack, the gamma pairs, the G_k stack and the gate
+    over N steps equal the same functions on one step at a time, bit for
+    bit."""
+    rng = np.random.default_rng(4)
+    N, m, dt = 6, 20, 0.1
+    eps1 = rng.uniform(0.05, 2.0, (N, m + 1))
+    Kw = rng.uniform(0.1, 1.0, (N, m + 1, 1, 1))
+    kernels = quad_kernels(dec_mixed.A4, dt / m, m)
+    gain = gamma_terms(Kw[:, -1], eps1[:, -1], dec_mixed.n1)
+    M2k = propagate(dec_mixed, eps1, Kw, dt, gain, kernels)
+    Gk = gk_matrix(dec_mixed, build_Ku(gain, eps1[:, -1], Kw[:, -1],
+                                       dec_mixed.n1))
+    gate = update_is_informative(dec_mixed, Gk)
+    assert M2k.shape == (N, 1, 1) and gate.shape == (N,)
+    for k in range(N):
+        g = gamma_terms(Kw[k, -1], float(eps1[k, -1]), dec_mixed.n1)
+        assert (gain[0][k], gain[1][k]) == g
+        assert np.array_equal(
+            M2k[k], propagate(dec_mixed, eps1[k:k + 1], Kw[k:k + 1], dt, g,
+                              kernels)[0])
+        Gk_one = gk_matrix(dec_mixed, build_Ku(g, float(eps1[k, -1]),
+                                               Kw[k, -1], dec_mixed.n1))
+        assert np.array_equal(Gk[k], Gk_one)
+        assert gate[k] == update_is_informative(dec_mixed, Gk_one)
 
 
 def test_propagate_rejects_odd_substeps(dec_mixed):
