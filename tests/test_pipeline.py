@@ -494,8 +494,7 @@ def test_cli_rejects_malformed_optional_keys(tmp_path, capsys, section, key,
                                              value):
     """A malformed optional key of the hgo or cert section is bad input
     (exit 3) named for its key where the scenario is read; each once
-    escaped later as a ValueError or TypeError (exit 1), and a declared
-    alpha_lo of "abc" was reported as a missing bound."""
+    escaped later as a ValueError or TypeError (exit 1)."""
     d = ScenarioConfig.load(UPDATE_GRAMMIAN).to_dict()
     d["horizon"] = 1.0
     if section == "cert":
