@@ -79,6 +79,20 @@ class SignalGenerator:
         return np.array([sum(term.deriv_bound(order) for term in comp)
                          for comp in self.components])
 
+    def sine_bank(self, runs: int = 1) -> "SineBank":
+        """This signal as a :class:`SineBank`, the same in each of ``runs``
+        columns; a constant is the sine of frequency 0 and phase pi/2."""
+        terms = [(i, t) for i, comp in enumerate(self.components)
+                 for t in comp]
+        gains = np.zeros((self.dim, len(terms), runs))
+        freqs, phases = np.zeros((2, len(terms), runs))
+        for j, (i, t) in enumerate(terms):
+            const = t.kind == "const"
+            gains[i, j] = t.value if const else t.amp
+            freqs[j] = 0.0 if const else t.freq
+            phases[j] = np.pi / 2.0 if const else t.phase
+        return SineBank(gains=gains, freqs=freqs, phases=phases)
+
     def to_dict(self) -> list:
         return [[term.to_dict() for term in comp] for comp in self.components]
 
@@ -86,6 +100,30 @@ class SignalGenerator:
     def from_dict(cls, data: list) -> "SignalGenerator":
         return cls(components=tuple(
             tuple(Term.from_dict(t) for t in comp) for comp in data))
+
+
+@dataclass(frozen=True)
+class SineBank:
+    """A batch of vector sums of sinusoids, one per run (column):
+    w(t) = sum_j g_j sin(w_j t + p_j).  The estimator folds a bank through
+    its lifted map instead of sampling it."""
+
+    gains: np.ndarray   # (n_w, terms, runs)
+    freqs: np.ndarray   # (terms, runs), rad/s
+    phases: np.ndarray  # (terms, runs)
+
+    def __call__(self, t) -> np.ndarray:
+        """(len(t), n_w, runs) samples."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return np.einsum("ajr,tjr->tar", self.gains,
+                         np.sin(self.freqs * t[:, None, None] + self.phases))
+
+    def __add__(self, other: "SineBank") -> "SineBank":
+        """The bank of the summed signals: both term lists."""
+        return SineBank(
+            gains=np.concatenate([self.gains, other.gains], axis=1),
+            freqs=np.concatenate([self.freqs, other.freqs]),
+            phases=np.concatenate([self.phases, other.phases]))
 
 
 @dataclass(frozen=True)

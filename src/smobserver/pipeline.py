@@ -30,14 +30,15 @@ from .ellipsoid import (MEMBERSHIP_SLACK, Ellipsoid, axis_bounds,
                         quadratic_forms, shape_factors, volume)
 from .errors import InvalidDesignError, InvalidParameterError
 from .fusion import fuse
+from .generators import SignalGenerator, SineBank
 from .hgo import HgoConfig, _discretization, decay_constants, design_hgo
 from .numerics import expm, spectral_norm, symmetrize, zoh
 from .scenario import (ScenarioConfig, default_zbar0, input_bounds,
                        input_norm_bound, y_derivative_bound)
 from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
                   solve_uio_gain)
-from .weak import (WeakState, build_Ku, check_shape, gamma_terms, gk_matrix,
-                   measurement_update, optimize_beta, predict_center,
+from .weak import (WeakState, build_Ku, center_drive, check_shape,
+                   gamma_terms, gk_matrix, measurement_update, optimize_beta,
                    predict_shape, propagate, quad_kernels,
                    update_is_informative)
 
@@ -393,14 +394,81 @@ class EstimateStep:
     q: np.ndarray            # (runs,) fused quadratic form of x
 
 
+def _fold_bank(lift: CenterLift, bank: SineBank, h: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The stride table of a sine bank, built once per :func:`estimate`.
+
+    Every quad stride samples its input at the same 2p + 1 offsets tau from
+    its anchor a: the p + 1 nodes, then the p half-nodes.  With c + i s =
+    e^{i (w a + p)}, sin(w (a + tau) + p) = c sin(w tau) + s cos(w tau), so
+    the stride's lifted drive W u is Z [c; s] with
+    Z = sum_tau W_tau [g sin(w tau) | g cos(w tau)].  Returns Z (runs,
+    2 terms, ds), each term's pair of rows adjacent as in the float view of
+    a complex array, and the rotations e^{i w q p h} (runs, n_q, terms) from
+    a sample interval's start to its stride anchors.
+    """
+    n_q, stride = lift.gather.shape[0], lift.gather.shape[1] // 2
+    tau = h * np.concatenate([np.arange(stride + 1), np.arange(stride) + 0.5])
+    freqs = np.ascontiguousarray(bank.freqs.T)           # (runs, terms)
+    rot = np.exp(1j * freqs * tau[:, None, None])        # (2p+1, runs, terms)
+    samples = (bank.gains.transpose(0, 2, 1)[None, :, :, :, None]
+               * np.stack([rot.imag, rot.real], axis=-1)[:, None])
+    Z = lift.W @ samples.reshape(lift.W.shape[1], -1)
+    runs, terms = freqs.shape
+    return (np.ascontiguousarray(Z.reshape(-1, runs, 2 * terms)
+                                 .transpose(1, 2, 0)),
+            np.exp(1j * (stride * h * np.arange(n_q))[:, None]
+                   * freqs[:, None, :]))
+
+
+def _bank_drive(design: DesignArtifacts, bank: SineBank):
+    """w(0), then (U, w(t_k)) for k = 1..n_steps, U (n_q, ds, runs) the
+    lifted drive of each quad stride of [t_{k-1}, t_k]: the exact anchors
+    e^{i (w t_k + p)} of each sample time, turned to the stride anchors by
+    the rotations of :func:`_fold_bank` and multiplied by its Z."""
+    h, n_fine = design.cfg.h_fine, design.cfg.n_fine
+    Z, rot = _fold_bank(design.lift, bank, h)
+    freqs, phases = (np.ascontiguousarray(a.T)
+                     for a in (bank.freqs, bank.phases))
+
+    def anchor(k):
+        e = np.exp(1j * (freqs * (h * (n_fine * k)) + phases))  # (runs, terms)
+        return e, np.einsum("ajr,rj->ar", bank.gains, e.imag)
+
+    e, w = anchor(0)
+    yield w
+    for k in range(1, design.cfg.n_steps + 1):
+        coef = (e[:, None, :] * rot).view(float)     # (runs, n_q, 2 terms)
+        e, w = anchor(k)
+        yield np.matmul(coef, Z).transpose(1, 2, 0), w
+
+
+def _sampled_drive(design: DesignArtifacts, w_family):
+    """What :func:`_bank_drive` yields, for a callable of times: each
+    interval's samples on its fine nodes and half-nodes, gathered per
+    quad stride and multiplied by the lifted map."""
+    cfg, lift = design.cfg, design.lift
+    n_fine, h = cfg.n_fine, cfg.h_fine
+    offsets = np.arange(n_fine + 1)
+    for k in range(cfg.n_steps):
+        nodes = h * (k * n_fine + offsets)
+        w = w_family(np.concatenate([nodes, nodes[:-1] + 0.5 * h]))
+        if not k:
+            yield w[0]
+        yield (np.matmul(lift.W, w[lift.gather].reshape(
+            lift.gather.shape[0], -1, w.shape[-1])), w[n_fine])
+
+
 def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
              schedule: ShapeSchedule, log: list | None = None):
     """Run the estimator on a batch of runs, yielding one
     :class:`EstimateStep` per sample time k = 0..n_steps.
 
-    ``X0`` (n x runs) holds the initial states and ``w_family`` maps an
-    array of times to (len, n_w, runs) input samples; it is called once
-    per sample interval, on its fine nodes followed by its half-nodes.
+    ``X0`` (n x runs) holds the initial states.  ``w_family`` is the input
+    of each run: a :class:`~smobserver.generators.SineBank` with one column
+    per run, whose lifted drive is folded once (:func:`_fold_bank`), or any
+    callable mapping an array of times to (len, n_w, runs) samples, called
+    once per sample interval on its fine nodes followed by its half-nodes.
     ``schedule`` is :func:`shape_schedule` of ``design``.  Every run starts
     the observer at the split of ``xhat0`` and the bank at its output at
     t = 0.  The loop only advances centers: the continuous blocks (plant,
@@ -413,14 +481,22 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
     """
     cfg, dec, lift = design.cfg, design.dec, design.lift
     sys, n, x1, n1, n2 = dec.system, lift.n_x, lift.x1, dec.n1, dec.n2
-    n_q, n_fine, h = cfg.quad_substeps, cfg.n_fine, cfg.h_fine
+    n_q, N = cfg.quad_substeps, cfg.n_steps
     log = [] if log is None else log
     X0 = np.asarray(X0, dtype=float)
     runs = X0.shape[1]
-    cw_q = cfg.cw(design.eps1_ts)[:, :, None]
-    cw_q = np.broadcast_to(cw_q, cw_q.shape[:2] + (runs,))
     T1, P1inv = dec.P1[:n1], schedule.P1inv
-    offsets = np.arange(n_fine + 1)
+    drive = (_bank_drive(design, w_family) if isinstance(w_family, SineBank)
+             else _sampled_drive(design, w_family))
+    if n2:
+        # x2's quadrature drive and the update's feedthrough of c_w are the
+        # same in every run: take them for all N steps at once
+        Dq = center_drive(dec.B2p, cfg.dt, schedule.kernels)
+        Dx1 = Dq[:, :, :n1].transpose(1, 0, 2).reshape(n2, -1)
+        cw_q = cfg.cw(design.eps1_ts)[n_q * np.arange(N)[:, None]
+                                      + np.arange(n_q + 1)]
+        cw_drive = np.einsum("jab,kjb->ka", Dq[:, :, n1:], cw_q)[:, :, None]
+        cw_feed = (cw_q[:, -1] @ dec.D2p[:, n1:].T)[:, :, None]
 
     log.append("setup")
     s = np.zeros((lift.Mp.shape[0], runs))
@@ -429,31 +505,30 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
     s[x1] = xp0[:n1, None]
     x2 = np.tile(xp0[n1:, None], (1, runs))
     x, y, x1hat_q, gap = X0, None, s[None, x1], np.empty((0, runs))
-    for k in range(cfg.n_steps + 1):
+    for k in range(N + 1):
         if k:
             log.append("continuous")
-            nodes = h * ((k - 1) * n_fine + offsets)
-            w = w_family(np.concatenate([nodes, nodes[:-1] + 0.5 * h]))
             if k == 1:
-                s[n:n + sys.n_y] = sys.C @ X0 + sys.D @ w[0]
-            U = np.matmul(lift.W, w[lift.gather].reshape(n_q, -1, runs))
+                s[n:n + sys.n_y] = sys.C @ X0 + sys.D @ next(drive)
             S = np.empty((n_q + 1,) + s.shape)
             S[0] = s
+            S[1:], w_k = next(drive)
             for q in range(n_q):
-                S[q + 1] = s = lift.Mp @ s + U[q]
+                S[q + 1] += lift.Mp @ S[q]
+            s = S[-1]
             x, x1hat_q = S[-1, :n], S[:, x1]
-            y = sys.C @ x + sys.D @ w[n_fine]
+            y = sys.C @ x + sys.D @ w_k
             err = np.matmul(T1, S[1:, :n]) - S[1:, x1]
             gap = (design.eps1_grid[(k - 1) * n_q + 1:k * n_q + 1, None]
                    - np.linalg.norm(err, axis=1))
         if k and n2:
             log += ["gamma", "propagate", "gate"]
-            u = np.concatenate([x1hat_q, cw_q[(k - 1) * n_q:k * n_q + 1]],
-                               axis=1)
-            x2 = predict_center(x2, dec.B2p, u, cfg.dt, schedule.kernels)
+            x2 = (schedule.kernels[0] @ x2 + cw_drive[k - 1]
+                  + Dx1 @ x1hat_q.reshape(-1, runs))
             if not schedule.skipped[k]:
                 log.append("update")
-                x2 = x2 + schedule.O[k] @ (y - dec.C2 @ x2 - dec.D2p @ u[-1])
+                x2 = x2 + schedule.O[k] @ (y - dec.C2 @ x2 - cw_feed[k - 1]
+                                           - dec.D2p[:, :n1] @ x1hat_q[-1])
         log.append("fuse")
         xhat = P1inv @ np.concatenate([x1hat_q[-1], x2])
         yield EstimateStep(k=k, x=x, y=y, x1hat_q=x1hat_q, eps1_gap=gap,
@@ -469,8 +544,10 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
 
     The run is :func:`shape_schedule` and :func:`estimate` with one column:
     this function adds the trace rows, the weak-block records and the
-    certificate.  ``step_log`` receives the stage names in the published
-    order.
+    certificate.  ``w_fn`` is a :class:`~smobserver.generators.SignalGenerator`
+    (``w_true`` by default), which the pass folds as a sine bank, or a
+    callable mapping an array of times to (len, n_w) samples.  ``step_log``
+    receives the stage names in the published order.
     """
     if design is None:
         design = build_design(cfg)
@@ -478,9 +555,11 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
         x0 = cfg.x0_true if cfg.x0_true is not None else cfg.xhat0
     w_fn = cfg.w_true if w_fn is None else w_fn
     x0 = np.asarray(x0, dtype=float).ravel()
-
-    def w_one(ts):
-        return np.asarray(w_fn(ts), dtype=float)[:, :, None]
+    if isinstance(w_fn, SignalGenerator):
+        w_one = w_fn.sine_bank()
+    else:
+        def w_one(ts):
+            return np.asarray(w_fn(ts), dtype=float)[:, :, None]
 
     sched = shape_schedule(design)
     traces: list[TraceRow] = []
@@ -575,58 +654,11 @@ def _sample_initial_states(rng: np.random.Generator, cfg: ScenarioConfig,
     return ell.sample(rng, runs, boundary=boundary).T  # (n, runs)
 
 
-@dataclass
-class _InputFamily:
-    """Batched admissible inputs c_w + L(t) sum_j a_j u_j sin(w_j t + p_j).
-
-    A call anchors at t0 = ts[0], so with tau = ts - t0 each sine is
-    sin(w t0 + p) cos(w tau) + cos(w t0 + p) sin(w tau): 2 terms runs sines
-    per call, folded with the weights a_j L u_j (L = chol K_w if K_w is
-    constant).  cos(w tau) and sin(w tau) form a table kept while tau stays
-    the same.
-    """
-
-    cfg: ScenarioConfig
-    amps: np.ndarray    # (terms, runs), sum over terms <= 1
-    units: np.ndarray   # (terms, n_w, runs), unit columns
-    freqs: np.ndarray   # (terms, runs)
-    phases: np.ndarray  # (terms, runs)
-
-    def __post_init__(self):
-        Kw = self.cfg.Kw
-        weights = self.amps[:, None, :] * self.units      # (terms, n_w, runs)
-        if Kw.kind == "const":
-            weights = np.einsum("ab,jbr->jar", np.linalg.cholesky(Kw.matrix),
-                                weights)
-        # (n_w, 2 terms, runs): each weight once for cos(w tau), once for sin
-        self._weights = np.concatenate([weights, weights]).swapaxes(0, 1)
-        self._tau = self._table = None
-
-    def _build_table(self, tau: np.ndarray) -> None:
-        """(len(tau), 2 terms, runs): cos(w tau), then sin(w tau)."""
-        wt = self.freqs * tau[:, None, None]              # (T, terms, runs)
-        self._tau = tau
-        self._table = np.concatenate([np.cos(wt), np.sin(wt)], axis=1)
-
-    def __call__(self, ts) -> np.ndarray:
-        """(len(ts), n_w, runs) admissible input samples."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        tau = ts - ts[0]
-        tol = 8.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(ts))))
-        if self._tau is None or self._tau.shape != tau.shape \
-                or np.max(np.abs(self._tau - tau)) > tol:
-            self._build_table(tau)
-        anchor = self.freqs * ts[0] + self.phases         # (terms, runs)
-        coef = np.concatenate([np.sin(anchor), np.cos(anchor)])
-        w = np.einsum("tkr,akr->tar", self._table, self._weights * coef)
-        if self.cfg.Kw.kind != "const":
-            w *= np.sqrt(self.cfg.Kw.entries(ts))[:, :, None]
-        w += self.cfg.cw(ts)[:, :, None]
-        return w
-
-
-def _sample_input_family(rng: np.random.Generator, cfg: ScenarioConfig,
-                         runs: int) -> _InputFamily:
+def _draw_sines(rng: np.random.Generator, cfg: ScenarioConfig,
+                runs: int) -> SineBank:
+    """``mc_n_terms`` random sines a_j u_j sin(w_j t + p_j) per run: the
+    amplitudes a_j sum to at most 1, the u_j are unit vectors and the
+    frequencies w_j are at most ``mc_freq_max``."""
     T = cfg.mc_n_terms
     raw = rng.uniform(0.0, 1.0, size=(T, runs))
     total = rng.uniform(0.0, 1.0, size=(1, runs))
@@ -635,8 +667,31 @@ def _sample_input_family(rng: np.random.Generator, cfg: ScenarioConfig,
     units /= np.linalg.norm(units, axis=1, keepdims=True)
     freqs = rng.uniform(0.0, cfg.mc_freq_max, size=(T, runs))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(T, runs))
-    return _InputFamily(cfg=cfg, amps=amps, units=units, freqs=freqs,
-                        phases=phases)
+    return SineBank(gains=(amps[:, None, :] * units).swapaxes(0, 1),
+                    freqs=freqs, phases=phases)
+
+
+def _sample_input_family(rng: np.random.Generator, cfg: ScenarioConfig,
+                         runs: int):
+    """Random admissible inputs c_w + L(t) sum_j a_j u_j sin(w_j t + p_j),
+    L(t) L(t)^T = K_w(t), one per run (:func:`_draw_sines`).  With a
+    constant K_w the family is a :class:`~smobserver.generators.SineBank`
+    (L = chol K_w); a diagonal K_w(t) scales each sample by the square roots
+    of its entries, which is no sum of sines, so that family is a callable
+    of times."""
+    sines = _draw_sines(rng, cfg, runs)
+    Kw = cfg.Kw
+    if Kw.kind == "const":
+        L = np.linalg.cholesky(Kw.matrix)
+        return cfg.cw.sine_bank(runs) + SineBank(
+            np.einsum("ab,bjr->ajr", L, sines.gains), sines.freqs,
+            sines.phases)
+
+    def family(ts):
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        return (cfg.cw(ts)[:, :, None]
+                + np.sqrt(Kw.entries(ts))[:, :, None] * sines(ts))
+    return family
 
 
 def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
@@ -650,8 +705,9 @@ def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
     and only the centers differ between columns.  It streams one sample
     interval at a time, so memory does not grow with the horizon.
 
-    ``x0s`` (n x runs) and ``w_family`` (times -> (len, n_w, runs) samples)
-    override the random draws with explicit batches.
+    ``x0s`` (n x runs) and ``w_family`` (a sine bank or a callable of times,
+    as :func:`estimate` takes it) override the random draws with explicit
+    batches.
     """
     if runs < 0:
         raise InvalidParameterError(f"runs must be nonnegative, got {runs}")

@@ -11,7 +11,7 @@ full-state set (Q = P2hat: mu_k) and the certificate's gain bounds all go
 through these two functions.
 
 Shapes and gains depend on the system only; the one center formula here is
-:func:`predict_center`, the x2 block's quadrature drive.  Only alpha_k, the
+:func:`center_drive`, the x2 block's quadrature drive.  Only alpha_k, the
 predicted shape, beta_k and the update depend on the previous shape, so
 :func:`gamma_terms`, :func:`propagate` (M2k), :func:`gk_matrix` and
 :func:`update_is_informative` take every step of a horizon at once.
@@ -182,17 +182,20 @@ def predict_shape(P2: np.ndarray, M2k: np.ndarray, dt: float,
     return symmetrize(Em @ P2 @ Em.T / a + dt * M2k / (1.0 - a)), a
 
 
-def predict_center(x2: np.ndarray, B2p: np.ndarray, u: np.ndarray,
-                   dt: float, kernels: np.ndarray) -> np.ndarray:
-    """Predicted x2 centers e^{A4 dt} x2 + int e^{A4 (t_k - tau)} B2' u dtau
-    by Simpson's rule on the quadrature nodes of :func:`quad_kernels`.
+def center_drive(B2p: np.ndarray, dt: float,
+                 kernels: np.ndarray) -> np.ndarray:
+    """The (m+1, n2, n1+n_w) stack h w_j e^{A4 (t_k - tau_j)} B2', w_j the
+    composite Simpson weights (1, 4, 2, ..., 4, 1) / 3 on the m + 1
+    quadrature nodes of :func:`quad_kernels`.
 
-    ``x2`` is (n2, runs) and ``u`` (m+1, n1+n_w, runs) holds
-    col(x1hat, c_w) on every node of each run.
+    The predicted x2 center of a step is e^{A4 dt} x2 + sum_j drive[j]
+    u(tau_j), which integrates e^{A4 (t_k - tau)} B2' u by Simpson's rule,
+    with u = col(x1hat, c_w) on the nodes.
     """
-    h = dt / (kernels.shape[0] - 1)
-    drive = np.einsum("jab,bc,jcr->jar", kernels, B2p, u)
-    return kernels[0] @ x2 + simpson_matrix(drive, h)
+    m = kernels.shape[0] - 1
+    w = np.where(np.arange(m + 1) % 2, 4.0, 2.0)
+    w[0] = w[-1] = 1.0
+    return (dt / m / 3.0 * w)[:, None, None] * (kernels @ B2p)
 
 
 def gk_matrix(dec, Ku_tk: np.ndarray) -> np.ndarray:

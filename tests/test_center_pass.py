@@ -9,6 +9,7 @@ import smobserver.hgo as hgo
 import smobserver.pipeline as pipeline
 import smobserver.uio as uio
 from smobserver.ellipsoid import Ellipsoid
+from smobserver.generators import SignalGenerator, SineBank, Term
 from smobserver.hgo import assemble_z_hat, initial_state, step_hgo
 from smobserver.pipeline import (build_design, estimate,
                                  monte_carlo_containment, run_algorithm1,
@@ -125,7 +126,7 @@ def test_estimate_steps_no_fine_node(monkeypatch, cfg_mixed):
 
 def family_cfg(cfg, kind):
     """``cfg`` with its constant K_w, or with a time-varying diagonal one."""
-    from smobserver.generators import ShapeGenerator, SignalGenerator, Term
+    from smobserver.generators import ShapeGenerator
     if kind == "const":
         return cfg
     return cfg.with_overrides(Kw=ShapeGenerator(
@@ -135,13 +136,13 @@ def family_cfg(cfg, kind):
             (Term(kind="const", value=5.0),)))))
 
 
-def broadcast_family(fam, cfg, ts):
+def broadcast_family(sines, cfg, ts):
     """The plain (T, terms, n_w, runs) broadcast of
-    c_w + L sum_j a_j u_j sin(w_j t + p_j)."""
-    s = (fam.amps[None, :, None, :]
-         * np.sin(fam.freqs[None, :, None, :] * ts[:, None, None, None]
-                  + fam.phases[None, :, None, :])
-         * fam.units[None, :, :, :]).sum(axis=1)
+    c_w + L sum_j a_j u_j sin(w_j t + p_j), with the gains a_j u_j, the
+    frequencies and the phases of :func:`pipeline._draw_sines`."""
+    s = (sines.gains.swapaxes(0, 1)[None]
+         * np.sin(sines.freqs[None, :, None, :] * ts[:, None, None, None]
+                  + sines.phases[None, :, None, :])).sum(axis=1)
     if cfg.Kw.kind == "const":
         scaled = np.einsum("ab,tbr->tar", np.linalg.cholesky(cfg.Kw.matrix),
                            s)
@@ -151,16 +152,17 @@ def broadcast_family(fam, cfg, ts):
     return cfg.cw(ts)[:, :, None] + scaled
 
 
-def center_pass_calls(design, fam):
+def center_pass_calls(design, fam, runs):
     """(ts, fam(ts)) for every call :func:`estimate` makes over the
-    design's whole horizon, in its order."""
+    design's whole horizon, in its order, with ``fam`` wrapped in a plain
+    callable so that the estimate samples it."""
     calls = []
 
     def record(ts):
         calls.append((np.asarray(ts), fam(ts)))
         return calls[-1][1]
 
-    X0 = np.tile(design.cfg.xhat0[:, None], (1, fam.amps.shape[1]))
+    X0 = np.tile(design.cfg.xhat0[:, None], (1, runs))
     for _ in estimate(design, X0, record, shape_schedule(design)):
         pass
     return calls
@@ -169,20 +171,22 @@ def center_pass_calls(design, fam):
 @pytest.mark.parametrize("kind", ["const", "diag"])
 def test_input_family_matches_broadcast_formula(cfg_ex1, design_ex1,
                                                 design_ex2, kind):
-    """The family, anchored per call and expanded by angle addition, agrees
-    with the broadcast sine formula to 1e-13 of the samples' size: on a
-    short grid, and on every interval the estimator asks for over the
+    """The family's samples (a sine bank's for a constant K_w) agree with
+    the broadcast sine formula of its draw to 1e-13 of the samples' size:
+    on a short grid, and on every interval the estimator asks for over the
     full example1 and example2 horizons (t up to 50 s, where the angles
     and so their rounding errors are largest)."""
     cfg = family_cfg(cfg_ex1, kind)
     fam = pipeline._sample_input_family(np.random.default_rng(4), cfg, 7)
+    sines = pipeline._draw_sines(np.random.default_rng(4), cfg, 7)
+    assert isinstance(fam, SineBank) == (kind == "const")
     ts = 0.01 * np.arange(31)
     calls = [(ts, fam(ts))]
     for design in (design_ex1, design_ex2):
-        calls += center_pass_calls(design, fam)
+        calls += center_pass_calls(design, fam, 7)
     assert calls[-1][0][0] == pytest.approx(design_ex2.cfg.horizon - 0.1)
     for ts, w in calls:
-        ref = broadcast_family(fam, cfg, ts)
+        ref = broadcast_family(sines, cfg, ts)
         assert np.max(np.abs(w - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -192,23 +196,95 @@ def test_input_family_is_admissible(cfg_ex1, design_ex2, kind):
     ellipsoid: (w - c_w)^T K_w^-1 (w - c_w) <= 1."""
     cfg = family_cfg(cfg_ex1, kind)
     fam = pipeline._sample_input_family(np.random.default_rng(6), cfg, 9)
-    for ts, w in center_pass_calls(design_ex2, fam):
+    for ts, w in center_pass_calls(design_ex2, fam, 9):
         dev = w - cfg.cw(ts)[:, :, None]
         q = np.einsum("tar,tab,tbr->tr", dev, np.linalg.inv(cfg.Kw(ts)), dev)
         assert np.max(q) <= 1.0 + 1e-12
 
 
 def test_sweep_builds_offset_table_once(monkeypatch, cfg_mixed):
-    """The estimator asks for the same offsets on every interval, so a
-    sweep builds the family's table once, for interval 1."""
-    build = pipeline._InputFamily._build_table
+    """A constant-K_w sweep folds its input bank into the stride table once
+    and never samples the input, so no per-interval sample table is
+    built."""
+    fold = pipeline._fold_bank
     builds = []
 
-    def counting(self, tau):
-        builds.append(tau.size)
-        build(self, tau)
+    def counting(lift, bank, h):
+        builds.append(bank.freqs.shape)
+        return fold(lift, bank, h)
 
-    monkeypatch.setattr(pipeline._InputFamily, "_build_table", counting)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("input sampled by a constant-K_w sweep")
+
+    monkeypatch.setattr(pipeline, "_fold_bank", counting)
+    monkeypatch.setattr(pipeline, "_sampled_drive", forbidden)
+    monkeypatch.setattr(SineBank, "__call__", forbidden)
     cfg = cfg_mixed.with_overrides(horizon=2.0)
     assert monte_carlo_containment(cfg, runs=4, seed=3)["runs"] == 4
-    assert builds == [2 * cfg.n_fine + 1]
+    # one c_w term and mc_n_terms sines per run
+    assert builds == [(1 + cfg.mc_n_terms, 4)]
+
+
+def bank_with_extra_terms(cfg, runs):
+    """A Monte Carlo bank plus a c_w-like signal that holds a constant term
+    and a two-term component."""
+    extra = SignalGenerator(components=(
+        (Term(kind="const", value=0.7),),
+        (Term(kind="sin", amp=0.4, freq=1.3, phase=0.2),
+         Term(kind="sin", amp=0.3, freq=0.6, phase=2.1))))
+    fam = pipeline._sample_input_family(np.random.default_rng(8), cfg, runs)
+    return fam + extra.sine_bank(runs)
+
+
+def test_bank_drive_equals_lifted_samples(cfg_ex1, design_ex1, design_ex2):
+    """On every sample interval of the example1 and example2 horizons, the
+    drive folded from a sine bank equals lift.W times the gathered
+    broadcast-formula samples, and its w(0) and w(t_k) equal the samples,
+    to 1e-13 of each row block's size."""
+    runs = 5
+    bank = bank_with_extra_terms(cfg_ex1, runs)
+    for design in (design_ex1, design_ex2):
+        cfg, lift = design.cfg, design.lift
+        n_fine, h = cfg.n_fine, cfg.h_fine
+        blocks = (slice(0, lift.n_x), slice(lift.n_x, lift.n_x + lift.n_z),
+                  lift.x1)
+        drive = pipeline._bank_drive(design, bank)
+        w0 = next(drive)
+        offsets = np.arange(n_fine + 1)
+        for k, (U, w_k) in enumerate(drive):
+            nodes = h * (k * n_fine + offsets)
+            ts = np.concatenate([nodes, nodes[:-1] + 0.5 * h])
+            w = np.einsum("ajr,tjr->tar", bank.gains,
+                          np.sin(bank.freqs * ts[:, None, None]
+                                 + bank.phases))
+            ref = np.matmul(lift.W, w[lift.gather].reshape(
+                cfg.quad_substeps, -1, runs))
+            assert U.shape == ref.shape
+            for rows in blocks:
+                assert np.max(np.abs(U[:, rows] - ref[:, rows])) <= \
+                    1e-13 * np.max(np.abs(ref[:, rows]))
+            scale = np.max(np.abs(w))
+            assert np.max(np.abs(w_k - w[n_fine])) <= 1e-13 * scale
+            if not k:
+                assert np.max(np.abs(w0 - w[0])) <= 1e-13 * scale
+        assert k == cfg.n_steps - 1
+
+
+def test_sweep_through_bank_matches_sampled_sweep(cfg_mixed, cfg_ex1):
+    """A 20-run sweep (seed 5) through the sine bank and through the same
+    family wrapped in a plain callable agree at every step: each run's
+    quadratic form and fused center to 1e-10 of the step's largest."""
+    runs = 20
+    for cfg in (cfg_mixed, cfg_ex1.with_overrides(horizon=3.0)):
+        design = build_design(cfg)
+        schedule = shape_schedule(design)
+        rng = np.random.default_rng(5)
+        X0 = pipeline._sample_initial_states(rng, cfg, runs, False)
+        bank = pipeline._sample_input_family(rng, cfg, runs)
+        assert isinstance(bank, SineBank)
+        for b, s in zip(estimate(design, X0, bank, schedule),
+                        estimate(design, X0, lambda ts: bank(ts), schedule),
+                        strict=True):
+            for got, ref in ((b.q, s.q), (b.xhat, s.xhat)):
+                assert np.max(np.abs(got - ref)) <= \
+                    1e-10 * np.max(np.abs(ref)), (cfg.name, b.k)

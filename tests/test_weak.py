@@ -6,12 +6,13 @@ import pytest
 
 from smobserver.decomposition import build_decomposition
 from smobserver.errors import InvalidParameterError, SingularNoiseError
-from smobserver.numerics import expm
-from smobserver.weak import (BETA_HI, BETA_LO, alpha_k, build_Ku, check_shape,
-                             gamma_terms, gk_matrix, measurement_update,
-                             optimize_beta, predict_center, predict_shape,
-                             propagate, quad_kernels, stacking_gain,
-                             update_is_informative, woodbury_shape)
+from smobserver.numerics import expm, simpson_matrix
+from smobserver.weak import (BETA_HI, BETA_LO, alpha_k, build_Ku,
+                             center_drive, check_shape, gamma_terms,
+                             gk_matrix, measurement_update, optimize_beta,
+                             predict_shape, propagate, quad_kernels,
+                             stacking_gain, update_is_informative,
+                             woodbury_shape)
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +41,13 @@ def _propagate(P2, dec, inp, dt, m):
 
 
 def _predict_center(x2, dec, inp, dt, m):
-    """predict_center of one run on the step's nodes."""
+    """The predicted center of one run: e^{A4 dt} x2 plus the
+    center_drive of the step's nodes."""
     x1hat, _, cw, _ = inp
-    u = np.concatenate([x1hat, cw], axis=1)[:, :, None]
-    return predict_center(x2[:, None], dec.B2p, u, dt,
-                          quad_kernels(dec.A4, dt / m, m))[:, 0]
+    u = np.concatenate([x1hat, cw], axis=1)
+    kernels = quad_kernels(dec.A4, dt / m, m)
+    return (kernels[0] @ x2
+            + np.einsum("jab,jb->a", center_drive(dec.B2p, dt, kernels), u))
 
 
 def _gk(dec, inp):
@@ -199,6 +202,19 @@ def test_optimize_beta_checks_gk_without_is_spd(monkeypatch):
     monkeypatch.setattr(weak, "is_spd", forbidden, raising=False)
     P = np.array([[2.0, 0.3], [0.3, 1.0]])
     assert BETA_LO <= optimize_beta(P, np.eye(2), np.eye(2)) <= BETA_HI
+
+
+def test_center_drive_is_simpson_of_the_kernels(dec_mixed):
+    """Contracting the Simpson-weighted stack with any node values u gives
+    the composite Simpson integral of kernels B2' u."""
+    dt, m = 0.1, 20
+    kernels = quad_kernels(dec_mixed.A4, dt / m, m)
+    u = np.random.default_rng(3).standard_normal(
+        (m + 1, dec_mixed.B2p.shape[1], 4))
+    ref = simpson_matrix(kernels @ dec_mixed.B2p @ u, dt / m)
+    got = np.einsum("jab,jbr->ar", center_drive(dec_mixed.B2p, dt, kernels),
+                    u)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_propagate_center_matches_fine_ode(dec_mixed):
