@@ -413,9 +413,9 @@ def _fold_bank(lift: CenterLift, bank: SineBank, h: float
     rot = np.exp(1j * freqs * tau[:, None, None])        # (2p+1, runs, terms)
     samples = (bank.gains.transpose(0, 2, 1)[None, :, :, :, None]
                * np.stack([rot.imag, rot.real], axis=-1)[:, None])
-    Z = lift.W @ samples.reshape(lift.W.shape[1], -1)
     runs, terms = freqs.shape
-    return (np.ascontiguousarray(Z.reshape(-1, runs, 2 * terms)
+    Z = lift.W @ samples.reshape(lift.W.shape[1], 2 * runs * terms)
+    return (np.ascontiguousarray(Z.reshape(len(Z), runs, 2 * terms)
                                  .transpose(1, 2, 0)),
             np.exp(1j * (stride * h * np.arange(n_q))[:, None]
                    * freqs[:, None, :]))

@@ -225,6 +225,23 @@ def test_sweep_builds_offset_table_once(monkeypatch, cfg_mixed):
     assert builds == [(1 + cfg.mc_n_terms, 4)]
 
 
+def test_empty_bank_is_the_zero_input(cfg_mixed):
+    """Signals with no terms fold to banks with no terms: the run and the
+    sweep are the ones driven by zero samples."""
+    zero = SignalGenerator(components=((),))
+    cfg = cfg_mixed.with_overrides(horizon=1.0, cw=zero, w_true=zero,
+                                   mc_n_terms=0)
+    folded = run_algorithm1(cfg)
+    sampled = run_algorithm1(cfg, w_fn=lambda ts: np.zeros((len(ts), 1)))
+    for a, b in zip(folded.traces, sampled.traces, strict=True):
+        assert np.array_equal(a.x_true, b.x_true)
+        assert np.array_equal(a.xhat, b.xhat)
+    out = monte_carlo_containment(cfg, runs=2, seed=0, x0s=np.tile(
+        cfg.xhat0[:, None], (1, 2)))
+    assert out["per_run_worst_q"] == pytest.approx([sampled.worst_q] * 2,
+                                                   rel=1e-10)
+
+
 def bank_with_extra_terms(cfg, runs):
     """A Monte Carlo bank plus a c_w-like signal that holds a constant term
     and a two-term component."""
