@@ -157,34 +157,60 @@ def unit_ball_volume(n: int) -> float:
     return pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
 
 
-#: matrix powers whose norms :func:`power_norms` takes per batched SVD call;
-#: a fixed chunk keeps peak memory independent of the grid length (4096
-#: powers of a 5x5 matrix are 0.8 MB)
+#: matrix powers whose norms :func:`power_norms` takes per batched
+#: ``eigvalsh`` call; a fixed chunk keeps peak memory independent of the
+#: walk's length (4096 powers of a 5x5 matrix are 0.8 MB)
 POWER_NORM_CHUNK = 4096
 
+#: length of the power table of :func:`power_norms`: power j is the table
+#: entry j mod POWER_TABLE times the (j // POWER_TABLE)-th block power
+POWER_TABLE = 256
 
-def power_norms(Eh: np.ndarray, count: int, P: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral norms ||Eh^j P|| for j = 0..count-1, and Eh^count P.
 
-    ``P`` defaults to the identity; passing back the returned power extends
-    a sequence.  The powers are built one product at a time, P <- Eh @ P,
-    and their norms are taken by one batched SVD per chunk of
-    :data:`POWER_NORM_CHUNK` matrices, so the values equal a per-matrix
-    ``np.linalg.norm(P, 2)`` loop bit for bit.
+def power_norms(Eh: np.ndarray, count: int, start: int = 0) -> np.ndarray:
+    """Spectral norms ||Eh^j|| for j = start..start+count-1.
+
+    The powers come from a table T[i] = Eh^i, i < POWER_TABLE, built by
+    doubling, and the block powers Q_b = (Eh^POWER_TABLE)^b, built one
+    product per block: Eh^j = T[j mod POWER_TABLE] @ Q_{j // POWER_TABLE}.
+    So the bits of power j depend on j alone, and a walk extended by a
+    later ``start`` equals one longer walk.  Each norm is s sqrt(lambda_max
+    (X^T X)) with s = max |P_ij| and X = P / s, from one batched
+    ``eigvalsh`` per chunk of :data:`POWER_NORM_CHUNK` powers; the scaling
+    keeps the Gram matrix finite for any finite P.  A power that overflows
+    (a non-finite entry) has norm inf.
     """
     Eh = np.atleast_2d(np.asarray(Eh, dtype=float))
-    P = np.eye(Eh.shape[0]) if P is None else P
-    norms = np.empty(count)
-    stack = np.empty((min(count, POWER_NORM_CHUNK),) + Eh.shape)
-    for lo in range(0, count, POWER_NORM_CHUNK):
-        m = min(POWER_NORM_CHUNK, count - lo)
-        stack[0] = P
-        for i in range(1, m):
-            np.matmul(Eh, stack[i - 1], out=stack[i])
-        P = Eh @ stack[m - 1]
-        norms[lo:lo + m] = np.linalg.norm(stack[:m], 2, axis=(1, 2))
-    return norms, P
+    n, B = Eh.shape[0], POWER_TABLE
+    T = np.empty((B, n, n))
+    T[0], T[1] = np.eye(n), Eh
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = 2
+        while k < B:
+            np.matmul(T[k - 1] @ Eh, T[:k], out=T[k:2 * k])
+            k *= 2
+        stop = start + count
+        Q = np.empty((max(stop - 1, 0) // B + 1, n, n))
+        Q[0], EB = np.eye(n), T[B - 1] @ Eh
+        for b in range(1, Q.shape[0]):
+            np.matmul(EB, Q[b - 1], out=Q[b])
+        norms = np.empty(count)
+        stack = np.empty((min(count, POWER_NORM_CHUNK), n, n))
+        for lo in range(start, stop, POWER_NORM_CHUNK):
+            hi = min(lo + POWER_NORM_CHUNK, stop)
+            for b in range(lo // B, (hi - 1) // B + 1):
+                i0, i1 = max(lo, b * B), min(hi, (b + 1) * B)
+                np.matmul(T[i0 - b * B:i1 - b * B], Q[b],
+                          out=stack[i0 - lo:i1 - lo])
+            X = stack[:hi - lo]
+            s = np.max(np.abs(X), axis=(1, 2))
+            finite = np.isfinite(s)
+            X /= np.where(finite & (s > 0.0), s, 1.0)[:, None, None]
+            X[~finite] = 0.0
+            lam = np.linalg.eigvalsh(X.swapaxes(1, 2) @ X)[:, -1]
+            norms[lo - start:hi - start] = np.where(
+                finite, s * np.sqrt(lam), np.inf)
+    return norms
 
 
 #: powers that :func:`compensated_sup` walks before it first tests its
@@ -202,20 +228,21 @@ def norm_envelope_grid(A: np.ndarray, h: float, t_max: float = 1e4
 
     T is extended (by doubling) until ||e^{At}|| has decayed below 1e-6
     relative to its peak, or t_max is hit.  Each doubling extends the
-    samples already taken (``np.arange`` grids share their prefixes), and
-    the norms come from :func:`power_norms` in fixed-size batches.  Only
-    the eps1 envelope's tail integral uses it; suprema go through
-    :func:`compensated_sup`, whose stop is certified.
+    samples already taken (``np.arange`` grids share their prefixes) with
+    one :func:`power_norms` call from the next index, so the samples equal
+    one call over the final grid bit for bit.  Only the eps1 envelope's
+    tail integral uses it; suprema go through :func:`compensated_sup`,
+    whose stop is certified.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[0] == 0:
         return np.array([0.0]), np.array([1.0])
     Eh = expm(A * h)
     T = max(64 * h, 1.0)
-    norms, P = np.empty(0), None
+    norms = np.empty(0)
     while True:
         ts = np.arange(0.0, T + 0.5 * h, h)
-        more, P = power_norms(Eh, ts.shape[0] - norms.shape[0], P)
+        more = power_norms(Eh, ts.shape[0] - norms.shape[0], norms.shape[0])
         norms = np.concatenate([norms, more])
         if norms[-1] <= 1e-6 * norms.max() or T >= t_max:
             return ts, norms
@@ -250,20 +277,21 @@ def compensated_sup(A: np.ndarray, shift: float, h: float = 0.01,
     """max over t_j = j h of ||e^{A t_j}|| e^{-shift t_j}, shift > max Re eig.
 
     One :func:`power_norms` walk over j = 0, 1, ... takes SUP_FIRST_WALK
-    powers, then extends, in chunks that at most double it, to the first
-    t_j at which the bound amp e^{-c t} of :func:`lyapunov_tail` is no more
-    than the running maximum.  No later sample can exceed that maximum, so
-    the value equals the maximum over any longer grid bit for bit.  t_max
-    caps the walk where no tail is certified.
+    powers, then extends from the next index, in chunks that at most
+    double it, to the first t_j at which the bound amp e^{-c t} of
+    :func:`lyapunov_tail` is no more than the running maximum.  No later
+    sample can exceed that maximum, so the value equals the maximum over
+    any longer grid bit for bit.  t_max caps the walk where no tail is
+    certified.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[0] == 0:
         return 1.0
     amp, c = lyapunov_tail(A, shift)
     Eh, n_max = expm(A * h), int(t_max / h) + 1
-    top, count, P, stop = 0.0, 0, None, min(SUP_FIRST_WALK, n_max)
+    top, count, stop = 0.0, 0, min(SUP_FIRST_WALK, n_max)
     while count < stop:
-        norms, P = power_norms(Eh, stop - count, P)
+        norms = power_norms(Eh, stop - count, count)
         ts = h * np.arange(count, stop)
         top = max(top, float(np.max(norms * np.exp(-shift * ts))))
         with np.errstate(divide="ignore"):   # inf where nothing is certified

@@ -306,16 +306,18 @@ def state_norm_bound(cfg: ScenarioConfig, grid_step: float = 0.01) -> float:
     """
     h = grid_step
     n_steps = int(np.ceil(cfg.horizon / h)) + 1
-    norms, _ = power_norms(expm(cfg.A * h), n_steps + 1)
+    norms = power_norms(expm(cfg.A * h), n_steps + 1)
     x0_norm = float(np.linalg.norm(cfg.xhat0)) \
         + float(np.sqrt(max(np.linalg.eigvalsh(cfg.K0)[-1], 0.0)))
     w_max = input_norm_bound(cfg)
     b_norm = spectral_norm(cfg.B)
     # running integral of the norm envelope (trapezoid is fine: it is an
-    # upper-bound ingredient, and the envelope is smooth)
-    integral = np.concatenate([[0.0], np.cumsum(
-        0.5 * (norms[1:] + norms[:-1]) * h)])
-    env = norms * x0_norm + integral * b_norm * w_max
+    # upper-bound ingredient, and the envelope is smooth); an envelope that
+    # overflows gives inf (or nan), which build_design rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        integral = np.concatenate([[0.0], np.cumsum(
+            0.5 * (norms[1:] + norms[:-1]) * h)])
+        env = norms * x0_norm + integral * b_norm * w_max
     return float(np.max(env))
 
 

@@ -233,8 +233,8 @@ class Epsilon1Evaluator:
     which keeps refinement studies of the estimator grids meaningful.
     ``grid_step`` only sets the output nodes in ``ts``.
 
-    The half-step samples come from :func:`power_norms` in fixed-size
-    batches.  On first use eps1 is evaluated at every output node at once;
+    The half-step samples come from one :func:`power_norms` walk of
+    e^{E h_int / 2}.  On first use eps1 is evaluated at every output node at once;
     only the scalar I2 recursion steps node by node.  A design builds one
     evaluator and reads both its grid and :meth:`uniform_bounds` from it.
     """
@@ -257,7 +257,7 @@ class Epsilon1Evaluator:
         h2 = 0.5 * self.h_int
         n_cells = int(np.ceil(self.ts[-1] / self.h_int - 1e-9)) + 1
         Eh2 = zoh(self.E, np.zeros((self.E.shape[0], 0)), h2)[0]
-        gh, _ = power_norms(Eh2, 2 * n_cells + 1)
+        gh = power_norms(Eh2, 2 * n_cells + 1)
         self.gh = gh              # ||e^{E s}|| at s = j * h_int / 2
         self.n_cells = n_cells
         # cumulative integral of the quadratic model over full cells

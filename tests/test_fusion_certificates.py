@@ -101,9 +101,9 @@ def test_certify_walks_stop_at_certified_tail(cfg_mixed, monkeypatch):
         walks.append(0)
         return compensated_sup(*args, **kwargs)
 
-    def counting_power_norms(Eh, count, P=None):
+    def counting_power_norms(Eh, count, start=0):
         walks[-1] += count
-        return power_norms(Eh, count, P)
+        return power_norms(Eh, count, start)
 
     monkeypatch.setattr(certificates, "compensated_sup", counting_sup)
     monkeypatch.setattr(numerics, "power_norms", counting_power_norms)

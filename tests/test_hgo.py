@@ -115,9 +115,9 @@ def test_decay_constants_walk_stops_at_certified_tail(design_ex1,
     walked = []
     power_norms = numerics.power_norms
 
-    def counting_power_norms(Eh, count, P=None):
+    def counting_power_norms(Eh, count, start=0):
         walked.append(count)
-        return power_norms(Eh, count, P)
+        return power_norms(Eh, count, start)
 
     monkeypatch.setattr(numerics, "power_norms", counting_power_norms)
     decay_constants(design_ex1.hgo_cfg)

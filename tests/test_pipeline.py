@@ -123,6 +123,18 @@ def test_design_rejects_overflowing_envelope(tmp_path, cfg_ex2):
                      "--out", str(tmp_path / "o")]) == 3
 
 
+def test_design_rejects_overflowing_state_walk(tmp_path, cfg_ex2):
+    """At 400 s example2's state envelope ||e^{At}|| (eigenvalue +2)
+    overflows; its walk gives inf, so the output derivative bound is inf
+    and certify exits 3 instead of failing inside an SVD."""
+    cfg = cfg_ex2.with_overrides(horizon=400.0)
+    with pytest.raises(InvalidDesignError, match="output derivative bound"):
+        build_design(cfg)
+    scen = tmp_path / "ex2_400.yaml"
+    cfg.save(scen)
+    assert cli_main(["certify", "--scenario", str(scen)]) == 3
+
+
 def test_certify_scenario_consistency(cfg_mixed, run_mixed):
     """The certificate from the shape schedule alone is the run's."""
     rep, schedule = certify_scenario(cfg_mixed)
