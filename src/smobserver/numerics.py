@@ -162,8 +162,9 @@ def unit_ball_volume(n: int) -> float:
 #: walk's length (4096 powers of a 5x5 matrix are 0.8 MB)
 POWER_NORM_CHUNK = 4096
 
-#: length of the power table of :func:`power_norms`: power j is the table
-#: entry j mod POWER_TABLE times the (j // POWER_TABLE)-th block power
+#: length (a power of two) of the power table of :func:`power_norms`: power
+#: j is the table entry j mod POWER_TABLE times the (j // POWER_TABLE)-th
+#: block power
 POWER_TABLE = 256
 
 
