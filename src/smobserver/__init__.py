@@ -12,8 +12,8 @@ from .certificates import AssumptionConstants, CertificateReport, certify
 from .decomposition import (Decomposition, LtiSystem, build_decomposition,
                             select_derivative_order,
                             weakly_unobservable_subspace)
-from .ellipsoid import (Ellipsoid, axis_bounds, quadratic_forms,
-                        shape_factors, volume)
+from .ellipsoid import (Ellipsoid, axis_bounds, inverse_factors,
+                        quadratic_forms, volume)
 from .errors import ObserverError
 from .fusion import fuse
 from .generators import ShapeGenerator, SignalGenerator, Term
@@ -34,7 +34,8 @@ __all__ = [
     "AssumptionConstants", "CertificateReport", "certify",
     "Decomposition", "LtiSystem", "build_decomposition",
     "select_derivative_order", "weakly_unobservable_subspace",
-    "Ellipsoid", "axis_bounds", "quadratic_forms", "shape_factors", "volume",
+    "Ellipsoid", "axis_bounds", "inverse_factors", "quadratic_forms",
+    "volume",
     "ObserverError",
     "fuse",
     "ShapeGenerator", "SignalGenerator", "Term",

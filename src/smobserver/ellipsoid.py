@@ -3,9 +3,10 @@
 An ellipsoid is the set {x : (x-c)^T K^{-1} (x-c) <= 1} with center c and
 symmetric positive definite shape matrix K.  Besides validation, sampling
 and plotting this module provides the membership measure
-(:func:`quadratic_forms`, one factored shape against a batch of points), the
-volume and the per-axis bounds.  Stacking two ellipsoids into one is the
-estimator's job; see ``weak.stacking_gain`` and ``weak.build_Ku``.
+(:func:`quadratic_forms`, one inverse-factored shape against a batch of
+points), the volume and the per-axis bounds.  Stacking two ellipsoids into
+one is the estimator's job; see ``weak.stacking_gain`` and
+``weak.build_Ku``.
 """
 
 from __future__ import annotations
@@ -72,36 +73,38 @@ class Ellipsoid:
         return self.center[None, :] + u @ L.T
 
 
-def shape_factors(shapes: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of an SPD shape K, or of each shape in a stack.
-    The factorization is the shapes' definiteness check:
-    :class:`InvalidEllipsoidError` if one is not positive definite."""
+def inverse_factors(shapes: np.ndarray) -> np.ndarray:
+    """L^{-1}, L the lower Cholesky factor of an SPD shape K, or of each
+    shape in a stack, from one batched inversion.  The factorization is the
+    shapes' definiteness check: :class:`InvalidEllipsoidError` if one is not
+    positive definite."""
     try:
-        return np.linalg.cholesky(shapes)
+        return np.linalg.inv(np.linalg.cholesky(shapes))
     except np.linalg.LinAlgError:
         raise InvalidEllipsoidError("shape is not positive definite") from None
 
 
-def quadratic_forms(factor: np.ndarray, X: np.ndarray,
+def quadratic_forms(inv_factor: np.ndarray, X: np.ndarray,
                     centers: np.ndarray) -> np.ndarray:
-    """(x - c)^T K^{-1} (x - c) for every column x of ``X`` against the
-    matching column c of ``centers`` (or one broadcast center), where
-    ``factor`` is :func:`shape_factors` of the shape K."""
-    d = X - centers
-    return np.sum(d * sla.cho_solve((factor, True), d, check_finite=False),
-                  axis=0)
+    """(x - c)^T K^{-1} (x - c) = ||L^{-1} (x - c)||^2 for every column x
+    of ``X`` against the matching column c of ``centers`` (or one broadcast
+    center), where ``inv_factor`` is :func:`inverse_factors` of the shape
+    K."""
+    return np.sum((inv_factor @ (X - centers)) ** 2, axis=0)
 
 
-def volume(shape: np.ndarray) -> float:
-    """Volume of an ellipsoid of SPD shape K: unit-ball volume * sqrt(det K)."""
+def volume(shape: np.ndarray):
+    """Volume of an ellipsoid of SPD shape K: unit-ball volume * sqrt(det K),
+    of one shape or of each shape in a stack."""
     sign, logdet = np.linalg.slogdet(shape)
-    if sign <= 0:
+    if np.any(sign <= 0):
         raise InvalidEllipsoidError("volume of a non-SPD shape")
-    return unit_ball_volume(shape.shape[0]) * float(np.exp(0.5 * logdet))
+    return unit_ball_volume(shape.shape[-1]) * np.exp(0.5 * logdet)
 
 
 def axis_bounds(center: np.ndarray, shape: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tight per-coordinate bounds c_i +/- sqrt(K_ii) of E(c, K), c (n,)."""
-    half = np.sqrt(np.maximum(np.diag(shape), 0.0))
+    """Tight per-coordinate bounds c_i +/- sqrt(K_ii) of E(c, K), c (n,);
+    or of each row of centers (N, n) against a stack of N shapes."""
+    half = np.sqrt(np.maximum(np.diagonal(shape, axis1=-2, axis2=-1), 0.0))
     return center - half, center + half

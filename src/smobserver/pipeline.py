@@ -27,7 +27,7 @@ from .certificates import (AssumptionConstants, CertificateReport, certify)
 from .decomposition import (Decomposition, LtiSystem, build_decomposition,
                             select_derivative_order)
 from .ellipsoid import (MEMBERSHIP_SLACK, Ellipsoid, axis_bounds,
-                        quadratic_forms, shape_factors, volume)
+                        inverse_factors, quadratic_forms, volume)
 from .errors import InvalidDesignError, InvalidParameterError
 from .fusion import fuse
 from .generators import SignalGenerator, SineBank
@@ -40,7 +40,7 @@ from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
 from .weak import (WeakState, build_Ku, center_drive, check_shape,
                    gamma_terms, gk_matrix, measurement_update, optimize_beta,
                    predict_shape, propagate, quad_kernels,
-                   update_is_informative)
+                   update_information, update_is_informative)
 
 
 # -- plant simulation ------------------------------------------------------
@@ -111,10 +111,20 @@ class CenterLift:
         s(t + p h) = Mp s(t) + W u,
 
     where Mp = M^p and u stacks the p + 1 node samples of w, then its p
-    half-node samples.  :func:`estimate` advances the centers by it.
+    half-node samples.  Over a whole sample interval of n_q strides the
+    states at the stride ends are
+
+        s(t + (q + 1) p h) = Mp^{q+1} s(t) + F_q,    q = 0..n_q - 1,
+
+    the free response Phi s(t), Phi = [Mp; Mp^2; ..; Mp^{n_q}], plus the
+    input's forced response F_q = sum_{j <= q} Mp^{q-j} W u_j.  For a sine
+    bank whose interval table fits :data:`FOLD_BUDGET`, :func:`estimate`
+    takes F from that table and advances each sample interval by one
+    product with Phi; otherwise it steps stride by stride through Mp.
     """
 
     Mp: np.ndarray       # (ds, ds)
+    Phi: np.ndarray      # (n_q ds, ds): Mp, Mp^2, .., Mp^{n_q} stacked
     W: np.ndarray        # (ds, (2p + 1) n_w)
     n_x: int
     n_z: int             # (l + 1) n_y bank states
@@ -164,7 +174,12 @@ def build_center_lift(sys: LtiSystem, hgo_cfg: HgoConfig, uio: UioDesign,
     n_fine = stride * n_q
     gather = np.hstack([first + np.arange(stride + 1),
                         n_fine + 1 + first + np.arange(stride)])
-    return CenterLift(Mp=powers[stride], W=W, n_x=n, n_z=n_z, gather=gather)
+    Mp = powers[stride]
+    Phi = [Mp]
+    for _ in range(n_q - 1):
+        Phi.append(Mp @ Phi[-1])
+    return CenterLift(Mp=Mp, Phi=np.concatenate(Phi), W=W, n_x=n, n_z=n_z,
+                      gather=gather)
 
 
 # -- per-scenario design ---------------------------------------------------
@@ -302,7 +317,8 @@ class ShapeSchedule:
     belongs to sample time t_k, k = 0..n_steps.  Where no gain, weight or
     update gate ran (k = 0, or an empty weak block) the entries are nan
     and ``skipped``.  ``P1inv``, the step's
-    :func:`~smobserver.weak.quad_kernels` and ``factor`` serve the centers."""
+    :func:`~smobserver.weak.quad_kernels` and ``inv_factor`` serve the
+    centers."""
 
     eps1: np.ndarray       # (N+1,)
     gamma: np.ndarray      # (N+1,)
@@ -315,7 +331,7 @@ class ShapeSchedule:
     O: np.ndarray          # (N+1, n2, n_y) update gain, 0 where skipped
     mu: np.ndarray         # (N+1,) fusion gain
     shape: np.ndarray      # (N+1, n, n) fused full-state shape
-    factor: np.ndarray     # (N+1, n, n) lower Cholesky factor of ``shape``
+    inv_factor: np.ndarray  # (N+1, n, n) inverse_factors of ``shape``
     P1inv: np.ndarray      # (n, n)
     kernels: np.ndarray    # (n_q + 1, n2, n2)
 
@@ -323,11 +339,12 @@ class ShapeSchedule:
 def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
     """Run the shape recursion of the estimator once over the horizon, in
     three phases.  First, for all steps at once, what depends on eps1 and
-    K_w alone: the stacking gains, M2k, G_k and the update gate.  Then the
-    recursion proper, per step: alpha_k and the predicted shape, then the
-    update or its skip.  Last, the fused shapes and their factors, in one
+    K_w alone: the stacking gains, M2k, G_k, the update gate and, where the
+    update runs, the information C2^T G_k^{-1} C2.  Then the recursion
+    proper, per step: alpha_k and the predicted shape, then the update or
+    its skip.  Last, the fused shapes and their inverse factors, in one
     batch.  :func:`~smobserver.weak.check_shape` checks each weak-block
-    shape once, and ``shape_factors`` every fused one."""
+    shape once, and ``inverse_factors`` every fused one."""
     cfg, dec = design.cfg, design.dec
     n1, n2, n_q, N = dec.n1, dec.n2, cfg.quad_substeps, cfg.n_steps
     n_y = dec.system.n_y
@@ -340,7 +357,8 @@ def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
     kernels = quad_kernels(dec.A4, cfg.dt / n_q, n_q)
 
     # t = 0: split the initial ellipsoid through the coordinate change
-    P2 = check_shape(symmetrize(dec.P1 @ cfg.K0 @ dec.P1.T)[n1:, n1:])
+    P2 = symmetrize(dec.P1 @ cfg.K0 @ dec.P1.T)[n1:, n1:]
+    check_shape(P2)
     P2_pred, P2s = np.empty((2, N + 1, n2, n2))
     P2_pred[:], P2s[:] = P2, P2
     if n2:
@@ -353,12 +371,15 @@ def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
                         gain, kernels)
         Gk[1:] = gk_matrix(dec, build_Ku(gain, eps1[1:], Kw_k, n1))
         informative = update_is_informative(dec, Gk[1:])
+        info = np.zeros((N, n2, n2))
+        info[informative] = update_information(dec.C2, Gk[1:][informative])
         Ed = expm(dec.A4 * cfg.dt)
         for k in range(1, N + 1):
             P2, alpha[k] = predict_shape(P2, M2k[k - 1], cfg.dt, kernels, Ed)
-            P2_pred[k] = check_shape(P2)
+            P2_pred[k] = P2
+            factor = check_shape(P2)
             if informative[k - 1]:
-                beta[k] = optimize_beta(P2_pred[k], dec.C2, Gk[k])
+                beta[k] = optimize_beta(factor, info[k - 1])
                 P2, O[k] = measurement_update(P2_pred[k], dec.C2, beta[k],
                                               Gk[k])
                 check_shape(P2)
@@ -368,7 +389,7 @@ def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
     return ShapeSchedule(
         eps1=eps1, gamma=gamma, alpha=alpha, beta=beta, skipped=skipped,
         P2_pred=P2_pred, P2=P2s, Gk=Gk, O=O, mu=mu, shape=shape,
-        factor=shape_factors(shape), P1inv=P1inv, kernels=kernels)
+        inv_factor=inverse_factors(shape), P1inv=P1inv, kernels=kernels)
 
 
 # -- the estimator loop ----------------------------------------------------
@@ -394,18 +415,31 @@ class EstimateStep:
     q: np.ndarray            # (runs,) fused quadratic form of x
 
 
+#: largest interval table, in bytes, that :func:`_fold_bank` folds.  Per
+#: sample interval the folded drive reads the whole table once, so a large
+#: one is memory-bound and the stride loop is faster (crossover measured
+#: on example1, one BLAS thread: see CHANGES.md)
+FOLD_BUDGET = 1 << 20
+
+
 def _fold_bank(lift: CenterLift, bank: SineBank, h: float
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """The stride table of a sine bank, built once per :func:`estimate`.
+               ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The input table of a sine bank, built once per :func:`estimate`.
 
     Every quad stride samples its input at the same 2p + 1 offsets tau from
     its anchor a: the p + 1 nodes, then the p half-nodes.  With c + i s =
     e^{i (w a + p)}, sin(w (a + tau) + p) = c sin(w tau) + s cos(w tau), so
     the stride's lifted drive W u is Z [c; s] with
-    Z = sum_tau W_tau [g sin(w tau) | g cos(w tau)].  Returns Z (runs,
-    2 terms, ds), each term's pair of rows adjacent as in the float view of
-    a complex array, and the rotations e^{i w q p h} (runs, n_q, terms) from
-    a sample interval's start to its stride anchors.
+    Z = sum_tau W_tau [g sin(w tau) | g cos(w tau)]; the anchor of stride q
+    is the interval's anchor e turned by rot_q = e^{i w q p h}.  Since rot_q
+    is geometric, the interval's forced response at the stride ends,
+    F_q = sum_{j <= q} Mp^{q-j} Z [e rot_j], is linear in e too: F = Y e
+    with Y_q = Mp Y_{q-1} + rot_q Z.
+
+    Returns (Y, None), Y (runs, 2 terms, n_q ds), when Y fits
+    :data:`FOLD_BUDGET`; else the stride table (Z, rot), Z (runs, 2 terms,
+    ds) and rot (runs, n_q, terms).  Each term's pair of rows is adjacent
+    as in the float view of a complex array.
     """
     n_q, stride = lift.gather.shape[0], lift.gather.shape[1] // 2
     tau = h * np.concatenate([np.arange(stride + 1), np.arange(stride) + 0.5])
@@ -415,19 +449,33 @@ def _fold_bank(lift: CenterLift, bank: SineBank, h: float
                * np.stack([rot.imag, rot.real], axis=-1)[:, None])
     runs, terms = freqs.shape
     Z = lift.W @ samples.reshape(lift.W.shape[1], 2 * runs * terms)
-    return (np.ascontiguousarray(Z.reshape(len(Z), runs, 2 * terms)
-                                 .transpose(1, 2, 0)),
-            np.exp(1j * (stride * h * np.arange(n_q))[:, None]
-                   * freqs[:, None, :]))
+    Z = np.ascontiguousarray(Z.reshape(len(Z), runs, 2 * terms)
+                             .transpose(1, 2, 0))
+    rot = np.exp(1j * (stride * h * np.arange(n_q))[:, None]
+                 * freqs[:, None, :])
+    if Z.nbytes * n_q > FOLD_BUDGET:
+        return Z, rot
+    # the complex row Zc = Z_re - i Z_im gives Z [c; s] = Re(Zc (c + i s))
+    Zc = Z[:, 0::2] - 1j * Z[:, 1::2]                    # (runs, terms, ds)
+    Yc = np.empty((n_q,) + Zc.shape, dtype=complex)
+    Yc[0] = Zc
+    for q in range(1, n_q):
+        Yc[q] = Yc[q - 1] @ lift.Mp.T + rot[:, q, :, None] * Zc
+    Y = np.stack([Yc.real, -Yc.imag], axis=3)      # (n_q, runs, terms, 2, ds)
+    return (np.ascontiguousarray(Y.transpose(1, 2, 3, 0, 4))
+            .reshape(runs, 2 * terms, n_q * Z.shape[-1]), None)
 
 
 def _bank_drive(design: DesignArtifacts, bank: SineBank):
-    """w(0), then (U, w(t_k)) for k = 1..n_steps, U (n_q, ds, runs) the
-    lifted drive of each quad stride of [t_{k-1}, t_k]: the exact anchors
-    e^{i (w t_k + p)} of each sample time, turned to the stride anchors by
-    the rotations of :func:`_fold_bank` and multiplied by its Z."""
+    """w(0), then (U, w(t_k)) for k = 1..n_steps from the exact anchors
+    e^{i (w t_k + p)} of each sample time.  With the interval table of
+    :func:`_fold_bank`, U (n_q ds, runs) is the forced response of
+    [t_{k-1}, t_k] at its stride ends (see :class:`CenterLift`), one
+    product with the anchors.  With the stride table, U (n_q, ds, runs) is
+    the lifted drive of each quad stride: the anchors turned to the stride
+    anchors by the rotations, multiplied by Z."""
     h, n_fine = design.cfg.h_fine, design.cfg.n_fine
-    Z, rot = _fold_bank(design.lift, bank, h)
+    table, rot = _fold_bank(design.lift, bank, h)
     freqs, phases = (np.ascontiguousarray(a.T)
                      for a in (bank.freqs, bank.phases))
 
@@ -438,15 +486,20 @@ def _bank_drive(design: DesignArtifacts, bank: SineBank):
     e, w = anchor(0)
     yield w
     for k in range(1, design.cfg.n_steps + 1):
-        coef = (e[:, None, :] * rot).view(float)     # (runs, n_q, 2 terms)
+        if rot is None:
+            U = np.matmul(e.view(float)[:, None], table)[:, 0].T
+        else:
+            coef = (e[:, None, :] * rot).view(float)  # (runs, n_q, 2 terms)
+            U = np.matmul(coef, table).transpose(1, 2, 0)
         e, w = anchor(k)
-        yield np.matmul(coef, Z).transpose(1, 2, 0), w
+        yield U, w
 
 
 def _sampled_drive(design: DesignArtifacts, w_family):
-    """What :func:`_bank_drive` yields, for a callable of times: each
-    interval's samples on its fine nodes and half-nodes, gathered per
-    quad stride and multiplied by the lifted map."""
+    """What :func:`_bank_drive` yields with its stride table, for a
+    callable of times: each interval's samples on its fine nodes and
+    half-nodes, gathered per quad stride and multiplied by the lifted
+    map."""
     cfg, lift = design.cfg, design.lift
     n_fine, h = cfg.n_fine, cfg.h_fine
     offsets = np.arange(n_fine + 1)
@@ -472,10 +525,13 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
     ``schedule`` is :func:`shape_schedule` of ``design``.  Every run starts
     the observer at the split of ``xhat0`` and the bank at its output at
     t = 0.  The loop only advances centers: the continuous blocks (plant,
-    derivative bank, unknown-input observer) by one product with the lifted
-    map of :class:`CenterLift` per quad stride, the x2 block by its
-    quadrature drive and, on update steps, by O_k times the innovation,
-    then the fused center and each run's quadratic form.  ``log`` receives
+    derivative bank, unknown-input observer) by the lifted map of
+    :class:`CenterLift`, per sample interval one product with its stacked
+    powers Phi plus the folded bank's forced response, or, for a bank over
+    :data:`FOLD_BUDGET` and for a callable, one product with Mp per quad
+    stride; then the x2 block by its quadrature drive and, on update steps,
+    by O_k times the innovation, then the fused center and each run's
+    quadratic form.  ``log`` receives
     the stage names in the order of the published pseudocode (select the
     stacking gain, propagate, gate the update, update or skip, fuse).
     """
@@ -510,11 +566,15 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
             log.append("continuous")
             if k == 1:
                 s[n:n + sys.n_y] = sys.C @ X0 + sys.D @ next(drive)
+            U, w_k = next(drive)
             S = np.empty((n_q + 1,) + s.shape)
             S[0] = s
-            S[1:], w_k = next(drive)
-            for q in range(n_q):
-                S[q + 1] += lift.Mp @ S[q]
+            if U.ndim == 2:     # a folded bank's forced response
+                S[1:] = (lift.Phi @ s + U).reshape(n_q, -1, runs)
+            else:               # the lifted drive of each stride
+                S[1:] = U
+                for q in range(n_q):
+                    S[q + 1] += lift.Mp @ S[q]
             s = S[-1]
             x, x1hat_q = S[-1, :n], S[:, x1]
             y = sys.C @ x + sys.D @ w_k
@@ -533,7 +593,7 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
         xhat = P1inv @ np.concatenate([x1hat_q[-1], x2])
         yield EstimateStep(k=k, x=x, y=y, x1hat_q=x1hat_q, eps1_gap=gap,
                            x2hat=x2, xhat=xhat,
-                           q=quadratic_forms(schedule.factor[k], x, xhat))
+                           q=quadratic_forms(schedule.inv_factor[k], x, xhat))
 
 
 def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
@@ -562,26 +622,30 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
             return np.asarray(w_fn(ts), dtype=float)[:, :, None]
 
     sched = shape_schedule(design)
-    traces: list[TraceRow] = []
     weak_list: list[WeakState] = []
-    eps1_margin, worst_q = np.inf, 0.0
+    x_true, xhats, qs = [], [], []
+    eps1_margin = np.inf
     log = step_log if step_log is not None else []
 
     for step in estimate(design, x0[:, None], w_one, sched, log):
-        k = step.k
-        xhat, K = step.xhat[:, 0], sched.shape[k]
-        lo, hi = axis_bounds(xhat, K)
-        traces.append(TraceRow(
-            t=k * cfg.dt, x_true=step.x[:, 0].copy(),
-            xhat=xhat.copy(), lo=lo, hi=hi,
-            trP=float(np.trace(K)), vol=volume(K), eps1=float(sched.eps1[k]),
-            alpha=float(sched.alpha[k]), beta=float(sched.beta[k]),
-            gamma=float(sched.gamma[k]), mu=float(sched.mu[k]),
-            contained=bool(step.q[0] <= 1.0 + MEMBERSHIP_SLACK),
-            skipped=bool(sched.skipped[k])))
-        weak_list.append(WeakState(x2hat=step.x2hat, P2hat=sched.P2[k]))
-        worst_q = max(worst_q, float(step.q[0]))
+        x_true.append(step.x[:, 0].copy())
+        xhats.append(step.xhat[:, 0])
+        qs.append(float(step.q[0]))
+        weak_list.append(WeakState(x2hat=step.x2hat, P2hat=sched.P2[step.k]))
         eps1_margin = min(eps1_margin, np.min(step.eps1_gap, initial=np.inf))
+
+    # the shape columns of every row, one batch each
+    lo, hi = axis_bounds(np.array(xhats), sched.shape)
+    trP = np.trace(sched.shape, axis1=-2, axis2=-1)
+    vol = volume(sched.shape)
+    traces = [TraceRow(
+        t=k * cfg.dt, x_true=x_true[k], xhat=xhats[k], lo=lo[k], hi=hi[k],
+        trP=float(trP[k]), vol=float(vol[k]), eps1=float(sched.eps1[k]),
+        alpha=float(sched.alpha[k]), beta=float(sched.beta[k]),
+        gamma=float(sched.gamma[k]), mu=float(sched.mu[k]),
+        contained=bool(qs[k] <= 1.0 + MEMBERSHIP_SLACK),
+        skipped=bool(sched.skipped[k])) for k in range(len(qs))]
+    worst_q = max(0.0, max(qs))
 
     report = certify_design(design, sched) if with_certificate else None
     return RunResult(

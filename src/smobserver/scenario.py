@@ -12,7 +12,7 @@ import numpy as np
 import yaml
 
 from .decomposition import LtiSystem
-from .ellipsoid import MEMBERSHIP_SLACK, quadratic_forms, shape_factors
+from .ellipsoid import MEMBERSHIP_SLACK, inverse_factors, quadratic_forms
 from .errors import ScenarioFormatError
 from .generators import ShapeGenerator, SignalGenerator
 from .numerics import expm, is_spd, power_norms, spectral_norm
@@ -125,7 +125,7 @@ class ScenarioConfig:
             if self.x0_true.shape != (n,) \
                     or not np.all(np.isfinite(self.x0_true)):
                 raise ScenarioFormatError("x0_true must be a finite n-vector")
-            if not quadratic_forms(shape_factors(self.K0),
+            if not quadratic_forms(inverse_factors(self.K0),
                                    self.x0_true[:, None],
                                    self.xhat0[:, None])[0] \
                     <= 1.0 + MEMBERSHIP_SLACK:
@@ -137,7 +137,8 @@ class ScenarioConfig:
         every fine node and half-node, where the plant consumes it.  The
         grid is checked in time order, INPUT_CHECK_CHUNK nodes at a time."""
         h, n_nodes = self.h_fine, self.n_steps * self.n_fine
-        L = shape_factors(self.Kw.matrix) if self.Kw.kind == "const" else None
+        L = (inverse_factors(self.Kw.matrix) if self.Kw.kind == "const"
+             else None)
         for lo in range(0, n_nodes + 1, INPUT_CHECK_CHUNK):
             nodes = h * np.arange(lo, min(lo + INPUT_CHECK_CHUNK, n_nodes + 1))
             ts = np.concatenate([nodes, nodes[:n_nodes - lo] + 0.5 * h])

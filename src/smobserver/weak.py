@@ -13,22 +13,23 @@ through these two functions.
 Shapes and gains depend on the system only; the one center formula here is
 :func:`center_drive`, the x2 block's quadrature drive.  Only alpha_k, the
 predicted shape, beta_k and the update depend on the previous shape, so
-:func:`gamma_terms`, :func:`propagate` (M2k), :func:`gk_matrix` and
-:func:`update_is_informative` take every step of a horizon at once.
+:func:`gamma_terms`, :func:`propagate` (M2k), :func:`gk_matrix`,
+:func:`update_is_informative` and :func:`update_information` take every
+step of a horizon at once.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.optimize import brentq
 
 from .errors import (DegenerateInputError, InvalidParameterError,
                      SingularInnovationError, SingularNoiseError)
-from .numerics import expm, min_eigval, simpson_matrix, symmetrize
+from .numerics import expm, simpson_matrix, symmetrize
 
 #: clip applied when the closed-form alpha degenerates to an endpoint
 ALPHA_CLIP = 1e-9
@@ -53,14 +54,17 @@ class WeakState:
 
 
 def check_shape(P2: np.ndarray) -> np.ndarray:
-    """``P2`` itself if it is finite and positive definite (shapes are
-    symmetrized where they are formed), else :class:`InvalidParameterError`;
-    the shape schedule checks each weak-block shape once with it."""
-    if not np.all(np.isfinite(P2)):
+    """The lower Cholesky factor of ``P2`` if it is finite and positive
+    definite (shapes are symmetrized where they are formed), else
+    :class:`InvalidParameterError`; the shape schedule checks each
+    weak-block shape once with it, and :func:`optimize_beta` reuses the
+    factor of each predicted one."""
+    if not np.isfinite(P2).all():
         raise InvalidParameterError("weak-observer shape must be finite")
-    if not min_eigval(P2) > 0.0:
-        raise InvalidParameterError("P2hat must be SPD")
-    return P2
+    try:
+        return np.linalg.cholesky(P2)
+    except np.linalg.LinAlgError:
+        raise InvalidParameterError("P2hat must be SPD") from None
 
 
 def stacking_gain(t2, eps1, n1: int):
@@ -137,15 +141,16 @@ def alpha_k(M2k: np.ndarray, Ed: np.ndarray, P2: np.ndarray,
     Ed = e^{A4 dt}; the minimizer is sqrt(tp) / (sqrt(tp) + sqrt(dt tm))
     with tp, tm the two traces.  Degenerate endpoints are clipped into (0,1).
     """
-    tp = float(np.trace(Ed @ np.atleast_2d(P2) @ Ed.T))
-    tm = float(np.trace(np.atleast_2d(M2k)))
+    tp = float((Ed @ np.atleast_2d(P2) @ Ed.T).trace())
+    tm = float(np.atleast_2d(M2k).trace())
     if tp < 0.0 or tm < 0.0:
         raise InvalidParameterError("alpha_k traces must be nonnegative")
     if tp == 0.0 and tm == 0.0:
         warnings.warn("alpha_k: both traces vanish; defaulting to 0.5")
         return 0.5
-    a = np.sqrt(tp) / (np.sqrt(tp) + np.sqrt(dt * tm))
-    return float(np.clip(a, ALPHA_CLIP, 1.0 - ALPHA_CLIP))
+    # scalar math: this runs once per step of every shape schedule
+    a = math.sqrt(tp) / (math.sqrt(tp) + math.sqrt(dt * tm))
+    return min(max(a, ALPHA_CLIP), 1.0 - ALPHA_CLIP)
 
 
 def propagate(dec, eps1_q: np.ndarray, Kw_q: np.ndarray, dt: float,
@@ -216,29 +221,37 @@ def update_is_informative(dec, Gk: np.ndarray,
     return (scale > 0.0) & (lam_min > rank_tol * scale)
 
 
-def optimize_beta(P2_pred: np.ndarray, C2: np.ndarray,
-                  Gk: np.ndarray) -> float:
-    """Weight b minimizing f(b) = tr(((1-b) P^{-1} + b C2^T Gk^{-1} C2)^{-1}).
-
-    The generalized eigendecomposition V^T P^{-1} V = I,
-    V^T C2^T Gk^{-1} C2 V = diag(lam) (Golub and Van Loan, Matrix
-    Computations, sec. 8.7) gives f(b) = sum_i c_i / (1 - b + b lam_i) with
-    c_i = ||v_i||^2, convex in b.  The weight is BETA_LO or BETA_HI where
-    f' keeps its sign on that interval, else the one root of f'; a flat f
-    gives 0.5.  ``P2_pred`` is SPD, as the shape schedule checks it; a
-    symmetric ``Gk`` that is singular or indefinite raises
-    :class:`SingularNoiseError`.
-    """
-    Gk = np.atleast_2d(np.asarray(Gk, dtype=float))
+def update_information(C2: np.ndarray, Gk: np.ndarray) -> np.ndarray:
+    """The information C2^T Gk^{-1} C2 that the measurement set E(., Gk)
+    holds about x2, of one G_k or of each in a stack.  A symmetric ``Gk``
+    that is singular or indefinite (lam_min <= 1e-14 max(1, lam_max))
+    raises :class:`SingularNoiseError`.  It depends on G_k alone, so the
+    shape schedule takes it for every update step at once."""
     lam_G = np.linalg.eigvalsh(Gk)
-    if not lam_G[0] > 1e-14 * max(1.0, lam_G[-1]):
+    if not np.all(lam_G[..., 0] > 1e-14 * np.maximum(1.0, lam_G[..., -1])):
         raise SingularNoiseError("G_k is singular; skip the measurement update")
-    lam, V = sla.eigh(symmetrize(C2.T @ np.linalg.solve(Gk, C2)),
-                      np.linalg.inv(P2_pred))
-    c = np.sum(V ** 2, axis=0)
+    return symmetrize(C2.T @ np.linalg.solve(Gk, C2))
+
+
+def optimize_beta(factor: np.ndarray, info: np.ndarray) -> float:
+    """Weight b minimizing f(b) = tr(((1-b) P^{-1} + b A)^{-1}), with
+    ``factor`` the lower Cholesky factor L of the predicted shape P (as
+    :func:`check_shape` returns it) and ``info`` A = C2^T Gk^{-1} C2 (from
+    :func:`update_information`).
+
+    The eigendecomposition L^T A L = U diag(lam) U^T gives the generalized
+    one of the pair (A, P^{-1}): V = L U has V^T P^{-1} V = I and
+    V^T A V = diag(lam) (Golub and Van Loan, Matrix Computations, sec.
+    8.7), so f(b) = sum_i c_i / (1 - b + b lam_i) with c_i = ||v_i||^2,
+    convex in b.  The weight is BETA_LO or BETA_HI where f' keeps its sign
+    on that interval, else the one root of f'; a flat f gives 0.5.
+    """
+    lam, U = np.linalg.eigh(symmetrize(factor.T @ info @ factor))
+    c = ((factor @ U) ** 2).sum(axis=0)
+    dc = c * (1.0 - lam)
 
     def df(b: float) -> float:
-        return float(np.sum(c * (1.0 - lam) / (1.0 - b + b * lam) ** 2))
+        return float((dc / (1.0 - b + b * lam) ** 2).sum())
 
     if df(BETA_LO) >= 0.0:
         beta = BETA_LO
@@ -248,7 +261,7 @@ def optimize_beta(P2_pred: np.ndarray, C2: np.ndarray,
         beta = brentq(df, BETA_LO, BETA_HI)
     # f is convex: its variation on the interval is top - f(beta)
     bs = np.array([[BETA_LO], [BETA_HI], [beta]])
-    f_lo, f_hi, f_beta = np.sum(c / (1.0 - bs + bs * lam), axis=1)
+    f_lo, f_hi, f_beta = (c / (1.0 - bs + bs * lam)).sum(axis=1)
     top = max(f_lo, f_hi)
     if top - f_beta <= BETA_FLAT_TOL * max(top, 1.0):
         return 0.5
@@ -263,8 +276,11 @@ def measurement_update(P2_pred: np.ndarray, C2: np.ndarray, beta: float,
     if not 0.0 < beta < 1.0:
         raise InvalidParameterError("beta must lie in (0,1)")
     S = symmetrize(C2 @ P2_pred @ C2.T / (1.0 - beta) + Gk / beta)
-    if min_eigval(S) <= 0.0:
-        raise SingularInnovationError("innovation matrix is not invertible")
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise SingularInnovationError(
+            "innovation matrix is not invertible") from None
     Ok = P2_pred @ C2.T @ np.linalg.inv(S) / (1.0 - beta)
     P2 = symmetrize((np.eye(P2_pred.shape[0]) - Ok @ C2) @ P2_pred
                     / (1.0 - beta))

@@ -23,7 +23,8 @@ from smobserver.pipeline import monte_carlo_containment, run_algorithm1
 from smobserver.uio import (ErrorBoundParams, GAIN_RESIDUAL_TOL,
                             derivative_error_envelope, gain_target,
                             solve_uio_gain)
-from smobserver.weak import alpha_k, optimize_beta, woodbury_shape
+from smobserver.weak import (alpha_k, check_shape, optimize_beta,
+                             update_information, woodbury_shape)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> bool:
@@ -175,7 +176,7 @@ def test_criterion_4b_beta_line_search():
         C2 = rng.standard_normal((n_y, n2))
         Gm = rng.standard_normal((n_y, n_y))
         Gk = Gm @ Gm.T + 0.1 * np.eye(n_y)
-        b = optimize_beta(P, C2, Gk)
+        b = optimize_beta(check_shape(P), update_information(C2, Gk))
         Pinv = np.linalg.inv(P)
         CGC = C2.T @ np.linalg.solve(Gk, C2)
 

@@ -70,12 +70,15 @@ def lifted(design, X0, w_family):
 def assert_blocks_close(ref, got):
     for name, r, g in zip(("x", "y", "x1hat", "eps1 gap"), ref, got):
         assert r.shape == g.shape, name
-        scale = np.max(np.abs(r))
+        tol = RTOL * np.max(np.abs(r))
         if name == "eps1 gap":
             # the gap subtracts ||x1 - x1hat|| from eps1: judge its error
-            # against the size of the states it is made of
-            scale = np.max(np.abs(ref[2]))
-        assert np.max(np.abs(r - g)) <= RTOL * scale, name
+            # against the size of the states it is made of, plus the one
+            # rounding of that subtraction at the gap's own magnitude
+            # (eps1 reaches 1e8 on example1, where one ulp is 1.5e-8)
+            tol = (RTOL * np.max(np.abs(ref[2]))
+                   + np.spacing(np.max(np.abs(r))))
+        assert np.max(np.abs(r - g)) <= tol, name
 
 
 def scenarios(cfg_mixed, cfg_ex1, cfg_ex2):
@@ -227,15 +230,18 @@ def test_sweep_builds_offset_table_once(monkeypatch, cfg_mixed):
 
 def test_empty_bank_is_the_zero_input(cfg_mixed):
     """Signals with no terms fold to banks with no terms: the run and the
-    sweep are the ones driven by zero samples."""
+    sweep are the ones driven by zero samples, to 1e-10 of the largest
+    center (the folded run advances each interval by the stacked powers of
+    Mp, the sampled one stride by stride)."""
     zero = SignalGenerator(components=((),))
     cfg = cfg_mixed.with_overrides(horizon=1.0, cw=zero, w_true=zero,
                                    mc_n_terms=0)
     folded = run_algorithm1(cfg)
     sampled = run_algorithm1(cfg, w_fn=lambda ts: np.zeros((len(ts), 1)))
-    for a, b in zip(folded.traces, sampled.traces, strict=True):
-        assert np.array_equal(a.x_true, b.x_true)
-        assert np.array_equal(a.xhat, b.xhat)
+    for name in ("x_true", "xhat"):
+        got, ref = (np.array([getattr(row, name) for row in run.traces])
+                    for run in (folded, sampled))
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
     out = monte_carlo_containment(cfg, runs=2, seed=0, x0s=np.tile(
         cfg.xhat0[:, None], (1, 2)))
     assert out["per_run_worst_q"] == pytest.approx([sampled.worst_q] * 2,
@@ -253,11 +259,14 @@ def bank_with_extra_terms(cfg, runs):
     return fam + extra.sine_bank(runs)
 
 
-def test_bank_drive_equals_lifted_samples(cfg_ex1, design_ex1, design_ex2):
+def test_bank_drive_equals_lifted_samples(monkeypatch, cfg_ex1, design_ex1,
+                                          design_ex2):
     """On every sample interval of the example1 and example2 horizons, the
-    drive folded from a sine bank equals lift.W times the gathered
-    broadcast-formula samples, and its w(0) and w(t_k) equal the samples,
-    to 1e-13 of each row block's size."""
+    stride drives of a sine bank (the stride table, budget 0) equal lift.W
+    times the gathered broadcast-formula samples to 1e-13 of each row
+    block's size, and w(0) and w(t_k) equal the samples.  The interval
+    table (no budget) gives the forced response of those stride drives,
+    accumulated through Mp, to 1e-12 of the interval's largest entry."""
     runs = 5
     bank = bank_with_extra_terms(cfg_ex1, runs)
     for design in (design_ex1, design_ex2):
@@ -265,8 +274,12 @@ def test_bank_drive_equals_lifted_samples(cfg_ex1, design_ex1, design_ex2):
         n_fine, h = cfg.n_fine, cfg.h_fine
         blocks = (slice(0, lift.n_x), slice(lift.n_x, lift.n_x + lift.n_z),
                   lift.x1)
+        monkeypatch.setattr(pipeline, "FOLD_BUDGET", np.inf)
+        folded = list(pipeline._bank_drive(design, bank))
+        monkeypatch.setattr(pipeline, "FOLD_BUDGET", 0)
         drive = pipeline._bank_drive(design, bank)
         w0 = next(drive)
+        assert np.array_equal(folded[0], w0)
         offsets = np.arange(n_fine + 1)
         for k, (U, w_k) in enumerate(drive):
             nodes = h * (k * n_fine + offsets)
@@ -284,7 +297,63 @@ def test_bank_drive_equals_lifted_samples(cfg_ex1, design_ex1, design_ex2):
             assert np.max(np.abs(w_k - w[n_fine])) <= 1e-13 * scale
             if not k:
                 assert np.max(np.abs(w0 - w[0])) <= 1e-13 * scale
+            F = [U[0]]
+            for q in range(1, len(U)):
+                F.append(lift.Mp @ F[-1] + U[q])
+            F = np.concatenate(F)
+            assert np.max(np.abs(folded[k + 1][0] - F)) <= \
+                1e-12 * np.max(np.abs(F))
+            assert np.array_equal(folded[k + 1][1], w_k)
         assert k == cfg.n_steps - 1
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_both_sides_of_the_fold_match_node_by_node(monkeypatch, cfg_mixed,
+                                                   cfg_ex1, cfg_ex2, runs):
+    """A sine-bank input through the stride loop (budget 0) and through the
+    interval table (no budget): every column matches its node-by-node run,
+    and the two sides match each other, to RTOL."""
+    for cfg in scenarios(cfg_mixed, cfg_ex1, cfg_ex2):
+        design = build_design(cfg)
+        rng = np.random.default_rng(12)
+        X0 = Ellipsoid(cfg.xhat0, cfg.K0).sample(rng, runs).T
+        bank = (pipeline._sample_input_family(rng, cfg, runs)
+                + cfg.w_true.sine_bank(runs))
+        sides = []
+        for budget in (0, np.inf):
+            monkeypatch.setattr(pipeline, "FOLD_BUDGET", budget)
+            sides.append(lifted(design, X0, bank))
+        for r in range(runs):
+            ref = node_by_node(design, X0[:, r],
+                               lambda ts, r=r: bank(ts)[:, :, r])
+            for got in sides:
+                assert_blocks_close(ref, tuple(a[..., r] for a in got))
+            assert_blocks_close(*(tuple(a[..., r] for a in got)
+                                  for got in sides))
+
+
+def test_fold_side_follows_the_table_size(monkeypatch, cfg_ex1):
+    """A single example1 run folds its bank into the interval table; the
+    200-run example1 sweep, whose table (5.5 MiB) exceeds FOLD_BUDGET,
+    keeps the stride loop."""
+    fold = pipeline._fold_bank
+    folded = []
+
+    def recording(lift, bank, h):
+        table, rot = fold(lift, bank, h)
+        folded.append((bank.freqs.shape[1], rot is None, table.nbytes))
+        return table, rot
+
+    monkeypatch.setattr(pipeline, "_fold_bank", recording)
+    cfg = cfg_ex1.with_overrides(horizon=0.5)
+    run_algorithm1(cfg, with_certificate=False)
+    assert monte_carlo_containment(cfg, runs=200, seed=1)["runs"] == 200
+    (one, one_folded, one_bytes), (sweep, sweep_folded, stride_bytes) = \
+        folded
+    assert (one, sweep) == (1, 200)
+    assert one_folded and one_bytes <= pipeline.FOLD_BUDGET
+    assert not sweep_folded
+    assert stride_bytes * cfg.quad_substeps > 5 * 2 ** 20
 
 
 def test_sweep_through_bank_matches_sampled_sweep(cfg_mixed, cfg_ex1):

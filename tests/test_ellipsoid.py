@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smobserver.ellipsoid import (MEMBERSHIP_SLACK, Ellipsoid, axis_bounds,
-                                  quadratic_forms, shape_factors, volume)
+                                  inverse_factors, quadratic_forms, volume)
 from smobserver.errors import InvalidEllipsoidError
 from smobserver.weak import stacking_gain
 
@@ -27,7 +27,7 @@ def test_sample_points_are_members(seed, n):
     rng = np.random.default_rng(seed)
     e = Ellipsoid(rng.standard_normal(n), _random_spd(rng, n))
     pts = e.sample(rng, 20)
-    q = quadratic_forms(shape_factors(e.shape), pts.T, e.center[:, None])
+    q = quadratic_forms(inverse_factors(e.shape), pts.T, e.center[:, None])
     assert np.all(q <= 1.0 + MEMBERSHIP_SLACK)
 
 
@@ -37,7 +37,7 @@ def test_boundary_samples_on_unit_level(seed, n):
     rng = np.random.default_rng(seed)
     e = Ellipsoid(rng.standard_normal(n), _random_spd(rng, n))
     pts = e.sample(rng, 10, boundary=True)
-    q = quadratic_forms(shape_factors(e.shape), pts.T, e.center[:, None])
+    q = quadratic_forms(inverse_factors(e.shape), pts.T, e.center[:, None])
     assert np.allclose(q, 1.0, rtol=0.0, atol=1e-8)
 
 
@@ -67,14 +67,14 @@ def test_axis_bounds_and_support_agree():
         assert hi[i] == pytest.approx(d @ e.center + h, rel=1e-12)
         assert lo[i] == pytest.approx(d @ e.center - h, rel=1e-12)
         top = e.center + e.shape @ d / h
-        assert quadratic_forms(shape_factors(e.shape), top,
+        assert quadratic_forms(inverse_factors(e.shape), top,
                                e.center) == pytest.approx(1.0)
         assert top[i] == pytest.approx(hi[i], rel=1e-12)
 
 
 def test_quadratic_form_identity_shape():
     X = np.array([[1.0, 3.0], [0.5, 0.0]])
-    q = quadratic_forms(shape_factors(np.eye(2)), X,
+    q = quadratic_forms(inverse_factors(np.eye(2)), X,
                         np.array([[1.0], [0.0]]))
     assert q == pytest.approx([0.25, 4.0])
 
@@ -84,7 +84,7 @@ def test_quadratic_forms_rejects_indefinite_shape():
     shape's definiteness check; a failed one is an InvalidEllipsoidError,
     not a numpy LinAlgError."""
     with pytest.raises(InvalidEllipsoidError, match="positive definite"):
-        quadratic_forms(shape_factors(np.diag([1.0, -1e-3])),
+        quadratic_forms(inverse_factors(np.diag([1.0, -1e-3])),
                         np.zeros((2, 1)), np.zeros((2, 1)))
 
 
@@ -104,5 +104,30 @@ def test_boundary_points_closed_polyline():
     pts = e.boundary_points(33)
     assert pts.shape == (33, 2)
     assert np.allclose(pts[0], pts[-1], atol=1e-12)
-    q = quadratic_forms(shape_factors(e.shape), pts.T, e.center[:, None])
+    q = quadratic_forms(inverse_factors(e.shape), pts.T, e.center[:, None])
     assert np.allclose(q, 1.0, rtol=0.0, atol=1e-10)
+
+
+def test_inverse_factor_forms_match_cho_solve(design_ex1, design_ex2,
+                                              run_mixed):
+    """On the worst-conditioned fused shapes of example1, example2 (cond
+    up to 2.6e25) and the mixed run, ||L^-1 d||^2 agrees with scipy's
+    cho_solve to 2e-15 relative, for d along every principal axis and along
+    random directions."""
+    import scipy.linalg as sla
+
+    from smobserver.pipeline import shape_schedule
+    rng = np.random.default_rng(3)
+    for shapes in (shape_schedule(design_ex1).shape,
+                   shape_schedule(design_ex2).shape, run_mixed.schedule.shape):
+        for k in np.argsort(np.linalg.cond(shapes))[-3:]:
+            K = shapes[k]
+            lam, V = np.linalg.eigh(K)
+            D = np.hstack([V * np.sqrt(lam), np.sqrt(lam[-1])
+                           * rng.standard_normal((len(K), 8))])
+            ref = np.sum(D * sla.cho_solve((np.linalg.cholesky(K), True), D),
+                         axis=0)
+            q = quadratic_forms(inverse_factors(K), D, 0.0)
+            assert np.max(np.abs(q - ref) / ref) <= 2e-15
+    # one batched inversion gives each shape's own inverse factor
+    assert np.array_equal(inverse_factors(shapes)[k], inverse_factors(K))

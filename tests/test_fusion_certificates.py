@@ -7,8 +7,8 @@ from smobserver.certificates import (AssumptionConstants, CertificateReport,
                                      expm1_over_x, exponential_envelopes,
                                      gamma_bounds, grammian_kappa1,
                                      grammian_rho, theorem2_bounds)
-from smobserver.ellipsoid import (MEMBERSHIP_SLACK, quadratic_forms,
-                                  shape_factors)
+from smobserver.ellipsoid import (MEMBERSHIP_SLACK, inverse_factors,
+                                  quadratic_forms)
 from smobserver.errors import InvalidParameterError
 from smobserver.fusion import fuse
 from smobserver.weak import build_Ku, stacking_gain
@@ -56,7 +56,7 @@ def test_fuse_contains_both_factors():
         U2 = rng.standard_normal((n2, 200))
         U2 /= np.linalg.norm(U2, axis=0)
         dev = np.vstack([eps1 * U1, np.linalg.cholesky(P2) @ U2])
-        q = quadratic_forms(shape_factors(block), dev,
+        q = quadratic_forms(inverse_factors(block), dev,
                             np.zeros((n1 + n2, 1)))
         assert np.all(q <= 1.0 + MEMBERSHIP_SLACK)
         assert np.max(q) >= 0.5  # the bound is not vacuous

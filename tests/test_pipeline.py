@@ -252,6 +252,18 @@ def test_emit_traces_deterministic(tmp_path, run_mixed):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_trace_shape_columns_equal_per_step_values(run_mixed, run_ex2):
+    """The batched trP, vol, lo and hi of every trace row equal, bit for
+    bit, the per-step values of the row's own shape and center."""
+    from smobserver.ellipsoid import axis_bounds, volume
+    for run in (run_mixed, run_ex2):
+        for row, K in zip(run.traces, run.schedule.shape, strict=True):
+            lo, hi = axis_bounds(row.xhat, K)
+            assert row.trP == float(np.trace(K))
+            assert row.vol == volume(K)
+            assert np.array_equal(row.lo, lo) and np.array_equal(row.hi, hi)
+
+
 def test_emit_plot_data_files(tmp_path, run_mixed):
     written = emit_plot_data(run_mixed, tmp_path, ellipse_axes=(0, 1))
     names = {p.split("/")[-1] for p in map(str, written)}
@@ -285,13 +297,14 @@ def test_each_weak_shape_is_checked_once(cfg_ex2, cfg_mixed, monkeypatch):
 
 
 def test_schedule_batches_the_p2_free_half(cfg_mixed, monkeypatch):
-    """The stacking gains, M2k, G_k, the update gate and the fusion run in
-    one batched call each per schedule, whatever the horizon; only the
-    recursion on P2 runs per step."""
+    """The stacking gains, M2k, G_k, the update gate, the update's
+    information matrices and the fusion run in one batched call each per
+    schedule, whatever the horizon; only the recursion on P2 runs per
+    step."""
     calls = {}
     for name in ("gamma_terms", "propagate", "gk_matrix",
-                 "update_is_informative", "fuse", "predict_shape",
-                 "optimize_beta"):
+                 "update_is_informative", "update_information", "fuse",
+                 "predict_shape", "optimize_beta"):
         def counting(*args, _name=name, _fn=getattr(pipeline, name),
                      **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
@@ -300,7 +313,8 @@ def test_schedule_batches_the_p2_free_half(cfg_mixed, monkeypatch):
     cfg = cfg_mixed.with_overrides(horizon=2.0)
     shape_schedule(build_design(cfg))
     assert calls == {"gamma_terms": 1, "propagate": 1, "gk_matrix": 1,
-                     "update_is_informative": 1, "fuse": 1,
+                     "update_is_informative": 1, "update_information": 1,
+                     "fuse": 1,
                      "predict_shape": cfg.n_steps,
                      "optimize_beta": cfg.n_steps}
 
@@ -308,20 +322,22 @@ def test_schedule_batches_the_p2_free_half(cfg_mixed, monkeypatch):
 def test_estimate_runs_no_shape_code(cfg_mixed, monkeypatch):
     """Once the schedule is built, the center loop needs no shape function:
     with every one of them patched to raise, estimate still runs and
-    reproduces the run."""
+    reproduces the run driven by the same callable input."""
     import smobserver.fusion as fusion
     import smobserver.weak as weak
     cfg = cfg_mixed.with_overrides(horizon=1.0)
     design = build_design(cfg)
     schedule = shape_schedule(design)
-    run = run_algorithm1(cfg, design=design, with_certificate=False)
+    run = run_algorithm1(cfg, design=design, with_certificate=False,
+                         w_fn=lambda ts: cfg.w_true(ts))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("shape function called by the center loop")
 
     for name in ("propagate", "measurement_update", "optimize_beta", "fuse",
                  "gk_matrix", "gamma_terms", "build_Ku",
-                 "update_is_informative", "check_shape", "quad_kernels"):
+                 "update_is_informative", "update_information",
+                 "check_shape", "quad_kernels"):
         for mod in (pipeline, weak, fusion):
             monkeypatch.setattr(mod, name, forbidden, raising=False)
     steps = list(estimate(design, cfg.xhat0[:, None],

@@ -11,8 +11,14 @@ from smobserver.weak import (BETA_HI, BETA_LO, alpha_k, build_Ku,
                              center_drive, check_shape, gamma_terms,
                              gk_matrix, measurement_update, optimize_beta,
                              predict_shape, propagate, quad_kernels,
-                             stacking_gain, update_is_informative,
-                             woodbury_shape)
+                             stacking_gain, update_information,
+                             update_is_informative, woodbury_shape)
+
+
+def beta_of(P2_pred, C2, Gk):
+    """:func:`optimize_beta` from the factor and the information matrix
+    that the shape schedule hands it."""
+    return optimize_beta(check_shape(P2_pred), update_information(C2, Gk))
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +157,7 @@ def test_optimize_beta_matches_dense_grid():
         C2 = rng.standard_normal((n_y, n2))
         Gm = rng.standard_normal((n_y, n_y))
         Gk = Gm @ Gm.T + 0.2 * np.eye(n_y)
-        b = optimize_beta(P, C2, Gk)
+        b = beta_of(P, C2, Gk)
 
         Pinv = np.linalg.inv(P)
         CGC = C2.T @ np.linalg.solve(Gk, C2)
@@ -170,26 +176,54 @@ def test_optimize_beta_matches_dense_grid():
         assert abs(b - b_grid) <= 1e-4
 
 
+def test_optimize_beta_equals_generalized_eigh_form():
+    """The weight from the factor's eigendecomposition equals the one from
+    scipy's generalized eigh of (C2^T Gk^-1 C2, P^-1), to 1e-10."""
+    import scipy.linalg as sla
+    from scipy.optimize import brentq
+    rng = np.random.default_rng(10)
+    for _ in range(50):
+        n2, n_y = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        Pm = rng.standard_normal((n2, n2))
+        P = Pm @ Pm.T + 0.1 * np.eye(n2)
+        C2 = rng.standard_normal((n_y, n2))
+        Gm = rng.standard_normal((n_y, n_y))
+        Gk = Gm @ Gm.T + 0.1 * np.eye(n_y)
+        lam, V = sla.eigh(C2.T @ np.linalg.solve(Gk, C2), np.linalg.inv(P))
+        c = np.sum(V ** 2, axis=0)
+
+        def df(b):
+            return np.sum(c * (1.0 - lam) / (1.0 - b + b * lam) ** 2)
+
+        ref = (BETA_LO if df(BETA_LO) >= 0.0 else BETA_HI
+               if df(BETA_HI) <= 0.0 else brentq(df, BETA_LO, BETA_HI))
+        assert abs(beta_of(P, C2, Gk) - ref) <= 1e-10
+
+
 def test_optimize_beta_monotone_scalar_block_hits_endpoints():
     """With n2 = 1 the objective c / (1 - b + b lam) is monotone, so the
     weight is exactly an endpoint of [BETA_LO, BETA_HI]."""
     P, C2 = np.array([[1.0]]), np.array([[1.0]])
     # lam = 0.25 < 1: the trace grows with b
-    assert optimize_beta(P, C2, np.array([[4.0]])) == BETA_LO
+    assert beta_of(P, C2, np.array([[4.0]])) == BETA_LO
     # lam = 4 > 1: the trace falls with b
-    assert optimize_beta(P, C2, np.array([[0.25]])) == BETA_HI
+    assert beta_of(P, C2, np.array([[0.25]])) == BETA_HI
 
 
 def test_optimize_beta_flat_objective_gives_half():
     """C2^T Gk^{-1} C2 = P^{-1} makes the objective constant in b."""
     P = np.array([[2.0, 0.3], [0.3, 1.0]])
-    assert optimize_beta(P, np.eye(2), P) == 0.5
+    assert beta_of(P, np.eye(2), P) == 0.5
 
 
 def test_optimize_beta_rejects_singular_gk():
+    """The G_k test runs in :func:`update_information`, before any beta: a
+    singular or indefinite G_k raises, alone or anywhere in a stack."""
     for Gk in (np.zeros((2, 2)), np.diag([1.0, -1.0])):
         with pytest.raises(SingularNoiseError):
-            optimize_beta(np.eye(2), np.eye(2), Gk)
+            beta_of(np.eye(2), np.eye(2), Gk)
+        with pytest.raises(SingularNoiseError):
+            update_information(np.eye(2), np.stack([np.eye(2), Gk]))
 
 
 def test_optimize_beta_checks_gk_without_is_spd(monkeypatch):
@@ -201,7 +235,7 @@ def test_optimize_beta_checks_gk_without_is_spd(monkeypatch):
 
     monkeypatch.setattr(weak, "is_spd", forbidden, raising=False)
     P = np.array([[2.0, 0.3], [0.3, 1.0]])
-    assert BETA_LO <= optimize_beta(P, np.eye(2), np.eye(2)) <= BETA_HI
+    assert BETA_LO <= beta_of(P, np.eye(2), np.eye(2)) <= BETA_HI
 
 
 def test_center_drive_is_simpson_of_the_kernels(dec_mixed):
@@ -335,7 +369,7 @@ def test_measurement_update_matches_woodbury(dec_mixed):
     P2p, _, _ = _propagate(np.array([[0.04]]), dec_mixed, inp, dt, m)
     Gk = _gk(dec_mixed, inp)
     assert update_is_informative(dec_mixed, Gk)
-    beta = optimize_beta(P2p, dec_mixed.C2, Gk)
+    beta = beta_of(P2p, dec_mixed.C2, Gk)
     P2, Ok = measurement_update(P2p, dec_mixed.C2, beta, Gk)
     ref = woodbury_shape(P2p, dec_mixed.C2, Gk, beta)
     assert np.allclose(P2, ref, rtol=1e-10, atol=1e-14)
@@ -349,7 +383,7 @@ def test_measurement_update_shrinks_trace(dec_mixed):
     inp = _step_inputs(m, dt)
     P2p, _, _ = _propagate(np.array([[0.04]]), dec_mixed, inp, dt, m)
     Gk = _gk(dec_mixed, inp)
-    beta = optimize_beta(P2p, dec_mixed.C2, Gk)
+    beta = beta_of(P2p, dec_mixed.C2, Gk)
     P2, _ = measurement_update(P2p, dec_mixed.C2, beta, Gk)
     # the optimizer does at least as well as the interval endpoints; the
     # beta -> 0 limit itself lies just outside the clipped interval
@@ -371,5 +405,7 @@ def test_check_shape_rejects_indefinite_shape():
         check_shape(np.diag([1.0, -1e-9]))
     with pytest.raises(InvalidParameterError, match="finite"):
         check_shape(np.array([[np.inf]]))
-    P = np.diag([1.0, 1e-9])
-    assert check_shape(P) is P
+    P = np.array([[1.0, 1e-6], [1e-6, 1e-9 + 1e-12]])
+    L = check_shape(P)
+    assert np.array_equal(L, np.tril(L))
+    assert np.allclose(L @ L.T, P, rtol=1e-14, atol=0.0)
