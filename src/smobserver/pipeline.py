@@ -486,13 +486,12 @@ def _bank_drive(design: DesignArtifacts, bank: SineBank):
     e, w = anchor(0)
     yield w
     for k in range(1, design.cfg.n_steps + 1):
-        if rot is None:
-            U = np.matmul(e.view(float)[:, None], table)[:, 0].T
-        else:
-            coef = (e[:, None, :] * rot).view(float)  # (runs, n_q, 2 terms)
-            U = np.matmul(coef, table).transpose(1, 2, 0)
+        coef = (e.view(float)[:, None] if rot is None        # (runs, 1 or
+                else (e[:, None, :] * rot).view(float))      # n_q, 2 terms)
         e, w = anchor(k)
-        yield U, w
+        # yielded, not bound: this frame would hold it into the next interval
+        yield (np.matmul(coef, table)[:, 0].T if rot is None
+               else np.matmul(coef, table).transpose(1, 2, 0)), w
 
 
 def _sampled_drive(design: DesignArtifacts, w_family):
@@ -578,6 +577,7 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
                 S[1:] = U
                 for q in range(n_q):
                     S[q + 1] += lift.Mp @ S[q]
+            del U   # before the next interval's drive is formed
             s = S[-1]
             x, x1hat_q = S[-1, :n], S[:, x1]
             y = sys.C @ x + sys.D @ w_k
