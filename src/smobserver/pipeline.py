@@ -486,8 +486,10 @@ def _bank_drive(design: DesignArtifacts, bank: SineBank):
     e, w = anchor(0)
     yield w
     for k in range(1, design.cfg.n_steps + 1):
-        coef = (e.view(float)[:, None] if rot is None        # (runs, 1 or
-                else (e[:, None, :] * rot).view(float))      # n_q, 2 terms)
+        # (runs, 1, 2 terms) for the interval table, (runs, n_q, 2 terms)
+        # for the stride table
+        coef = (e.view(float)[:, None] if rot is None
+                else (e[:, None, :] * rot).view(float))
         e, w = anchor(k)
         # yielded, not bound: this frame would hold it into the next interval
         yield (np.matmul(coef, table)[:, 0].T if rot is None
