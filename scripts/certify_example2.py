@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Evaluate the boundedness certificate for the third-order benchmark and
-cross-check it against the realized weak-block shapes of its schedule."""
+cross-check it against the realized shapes of its schedule."""
 
 import yaml
 
@@ -15,7 +15,7 @@ def main() -> None:
         print(f"certificate unavailable: {rep.reason}")
         raise SystemExit(2)
 
-    problem = rep.shape_inconsistency(schedule.P2)
+    problem = rep.shape_inconsistency(schedule.P2, schedule.shape)
     if problem:
         print(f"case {rep.case}: certificate INCONSISTENT at {problem}")
         raise SystemExit(2)

@@ -15,7 +15,8 @@ from .errors import (CaseNotApplicableError, CertificateUnavailableError,
                      InvalidParameterError)
 from .numerics import (GRID_SUP_SAFETY, compensated_sup, expm, min_eigval,
                        simpson_matrix, spectral_norm, symmetrize)
-from .weak import NO_STACKING, build_Ku, quad_kernels, stacking_gain
+from .weak import (NO_STACKING, build_Ku, quad_kernels, stacking_gain,
+                   update_is_informative)
 
 #: series switch-over for the (e^x - 1)/x factor
 _EXPM1_SERIES_CUTOFF = 1e-4
@@ -108,24 +109,35 @@ class CertificateReport:
                 d[k] = float(v)
         return d
 
-    def shape_inconsistency(self, P2: np.ndarray) -> str | None:
-        """The first realized weak-block shape of the (N+1, n2, n2) stack
-        ``P2`` with an eigenvalue outside [p2_lo, p2_hi], described; None
-        when the run respects both bounds."""
-        if P2.size == 0:
+    def shape_inconsistency(self, P2: np.ndarray,
+                            P: np.ndarray) -> str | None:
+        """The first step at which a realized shape breaks the certificate,
+        described; None when the run respects every bound.  ``P2`` is the
+        (N+1, n2, n2) stack of weak-block shapes, whose eigenvalues must lie
+        in [p2_lo, p2_hi]; ``P`` the (N+1, n, n) stack of fused shapes,
+        which must lie in the Theorem 2 sandwich P_lo <= P_k <= P_hi up to
+        -1e-9 tr P_hi."""
+        checks = []       # (failing steps, values, description)
+        if P2.size:
+            lam = np.linalg.eigvalsh(P2)
+            lo, hi = lam[:, 0], lam[:, -1]
+            if self.p2_lo > 0.0:
+                checks.append((lo < self.p2_lo * (1.0 - 1e-9), lo,
+                               f"lambda_min {{:.6g}} < p2_lo {self.p2_lo:.6g}"))
+            checks.append((hi > self.p2_hi * (1.0 + 1e-9), hi,
+                           f"lambda_max {{:.6g}} > p2_hi {self.p2_hi:.6g}"))
+        tol = -1e-9 * float(np.trace(self.P_hi))
+        for name, gap in (("P_k - P_lo", P - self.P_lo),
+                          ("P_hi - P_k", self.P_hi - P)):
+            low = np.linalg.eigvalsh(gap)[:, 0]
+            checks.append((low < tol, low,
+                           f"lambda_min({name}) {{:.6g}} < {tol:.6g}"))
+        firsts = [(int(np.argmax(bad)), values, text)
+                  for bad, values, text in checks if bad.any()]
+        if not firsts:
             return None
-        lam = np.linalg.eigvalsh(P2)
-        low = (lam[:, 0] < self.p2_lo * (1.0 - 1e-9)) & (self.p2_lo > 0.0)
-        high = lam[:, -1] > self.p2_hi * (1.0 + 1e-9)
-        bad = np.flatnonzero(low | high)
-        if not bad.size:
-            return None
-        k = int(bad[0])
-        if low[k]:
-            return (f"step {k}: lambda_min {lam[k, 0]:.6g} "
-                    f"< p2_lo {self.p2_lo:.6g}")
-        return (f"step {k}: lambda_max {lam[k, -1]:.6g} "
-                f"> p2_hi {self.p2_hi:.6g}")
+        k, values, text = min(firsts, key=lambda first: first[0])
+        return f"step {k}: " + text.format(values[k])
 
 
 def gamma_bounds(const: AssumptionConstants, eps1_lo: float, eps1_hi: float,
@@ -243,7 +255,8 @@ def lemma6_uniform_bound(rep: CertificateReport, dt: float) -> float:
 
 def grammian_rho(dec, Gk_seq: list, r: int, dt: float) -> float:
     """Smallest windowed-Grammian eigenvalue over the supplied G_k sequence;
-    a window that holds a singular G_k is skipped."""
+    a window that holds a G_k whose update the estimator skips
+    (:func:`update_is_informative`) is skipped."""
     if r < 1:
         raise InvalidParameterError("window length r must be >= 1")
     n2, C2 = dec.n2, np.atleast_2d(dec.C2)
@@ -251,8 +264,7 @@ def grammian_rho(dec, Gk_seq: list, r: int, dt: float) -> float:
     N = G.shape[0]
     if n2 == 0 or not np.any(np.abs(C2) > 0.0) or N <= r:
         return 0.0
-    lam = np.linalg.eigvalsh(symmetrize(G))
-    ok = lam[:, 0] > 1e-12 * np.max(np.abs(lam), axis=1)
+    ok = update_is_informative(dec, G)
     if not np.all(ok):
         warnings.warn("singular G_k excluded from Grammian window")
     terms = np.zeros((N, n2, n2))

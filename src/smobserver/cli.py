@@ -89,8 +89,8 @@ def cmd_certify(args) -> int:
     if rep.case == "none":
         print(f"certificate unavailable: {rep.reason}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    # cross-check the certificate against the realized weak-block shapes
-    problem = rep.shape_inconsistency(schedule.P2)
+    # cross-check the certificate against the realized shapes
+    problem = rep.shape_inconsistency(schedule.P2, schedule.shape)
     if problem:
         print(f"certificate inconsistency at {problem}", file=sys.stderr)
         return EXIT_CERTIFICATE

@@ -7,15 +7,16 @@ module stays independent of how the decomposition was produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.signal import place_poles
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.signal import lfilter, place_poles
 
 from .errors import (InvalidDesignError, InvalidParameterError,
                      NoStableObserverError)
-from .numerics import (norm_envelope_grid, power_norms, simpson,
+from .numerics import (expm, norm_envelope_grid, power_norms, simpson,
                        spectral_norm, zoh)
 
 #: residual tolerance on the gain constraint F G_l = [B1' 0 ... 0]
@@ -97,9 +98,6 @@ class UioDesign:
     Gl: np.ndarray
     F: np.ndarray
     E: np.ndarray
-    #: ZOH discretizations (Ed, Fd) of this design, keyed by step size
-    zoh_cache: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
 
     def __post_init__(self):
         if self.E.size and np.max(np.linalg.eigvals(self.E).real) >= 0.0:
@@ -167,10 +165,7 @@ def step_uio(des: UioDesign, x1hat: np.ndarray, zhat: np.ndarray,
     """
     if h <= 0.0:
         raise InvalidParameterError("step size must be positive")
-    pair = des.zoh_cache.get(h)
-    if pair is None:
-        pair = des.zoh_cache[h] = zoh(des.E, des.F, h)
-    Ed, Fd = pair
+    Ed, Fd = zoh(des.E, des.F, h)
     return Ed @ np.asarray(x1hat, dtype=float) + Fd @ np.asarray(zhat, dtype=float)
 
 
@@ -213,8 +208,23 @@ def derivative_error_envelope(p: ErrorBoundParams, order: int,
     return float(steady + transient * np.exp(-p.a * t / p.eps))
 
 
-#: default internal integration step for the envelope convolutions
+#: largest cell of the envelope convolutions
 EPS1_INT_STEP = 0.005
+
+
+def _cell_weights(r: float, H: float) -> np.ndarray:
+    """Weights w with int_0^H q(u) e^{-r(H-u)} du = w @ (q(0), q(H/2), q(H))
+    for every quadratic q; w at r = 0 is Simpson's rule H/6 (1, 4, 1).
+
+    The moments m_k = int_0^1 e^{-rH(1-s)} s^k/k! ds, k = 0..2, are the
+    first row of one 4x4 exponential (Van Loan, IEEE TAC 23(3), 1978); the
+    weights map them onto the node values of q.
+    """
+    T = np.diag(np.ones(3), 1)
+    T[0, 0] = -r * H
+    _, m0, m1, m2 = expm(T)[0]
+    return H * np.array([m0 - 3.0 * m1 + 4.0 * m2, 4.0 * m1 - 8.0 * m2,
+                         4.0 * m2 - m1])
 
 
 class Epsilon1Evaluator:
@@ -225,161 +235,54 @@ class Epsilon1Evaluator:
         I1(t) = int_0^t ||e^{Es}|| ds,
         I2(t) = int_0^t ||e^{Es}|| e^{-a(t-s)/eps} ds,
 
-    are computed on a fixed internal grid whose spacing depends only on E,
-    never on the requested output grid: ||e^{Es}|| is modeled as piecewise
-    quadratic through half-step samples and integrated against the
-    exponential kernel in closed form.  As a result the values at a given
-    time agree across different output spacings to rounding accuracy,
-    which keeps refinement studies of the estimator grids meaningful.
-    ``grid_step`` only sets the output nodes in ``ts``.
+    are integrated over cells of size h_int = h / m that refine the output
+    grid of step h = ``grid_step``: m is the least whole number with h_int
+    <= min(EPS1_INT_STEP, 0.1 / |lambda|max(E)).  On each cell ||e^{Es}|| is
+    the quadratic through its samples at the cell's ends and midpoint, and
+    one weight vector per kernel (:func:`_cell_weights`) integrates it
+    exactly: I1 sums the cells, I2 follows the recursion I2 <- e^{-r h_int}
+    I2 + cell increment with r = a/eps.  Output node i is cell boundary m i.
 
-    The half-step samples come from one :func:`power_norms` walk of
-    e^{E h_int / 2}.  On first use eps1 is evaluated at every output node at once;
-    only the scalar I2 recursion steps node by node.  A design builds one
-    evaluator and reads both its grid and :meth:`uniform_bounds` from it.
+    Values at a shared time therefore agree exactly between output grids
+    whose cells coincide (the same h_int, as for steps 0.1, 0.02 and 0.005
+    at the default cell size) and to the accuracy of the quadratic model
+    elsewhere.
+
+    The half-cell samples ``gh`` come from one :func:`power_norms` walk of
+    e^{E h_int / 2}.  A design builds one evaluator and reads both its grid
+    and :meth:`uniform_bounds` from it.
     """
 
     def __init__(self, params: ErrorBoundParams, E: np.ndarray,
                  grid_step: float, horizon: float):
-        if np.max(np.linalg.eigvals(np.atleast_2d(E)).real) >= 0.0:
+        self.E = np.atleast_2d(np.asarray(E, dtype=float))
+        lam = np.linalg.eigvals(self.E)
+        if np.max(lam.real) >= 0.0:
             raise InvalidDesignError("eps1 requires a Hurwitz E")
         self.params = params
-        self.E = np.atleast_2d(np.asarray(E, dtype=float))
         self.h = float(grid_step)
         if self.h <= 0.0:
             raise InvalidParameterError("grid_step must be positive")
         n_steps = int(np.ceil(horizon / self.h - 1e-9)) + 1
         self.ts = self.h * np.arange(n_steps + 1)
-        # internal cell size: resolves E's dynamics, independent of ts
-        lam = np.linalg.eigvals(self.E)
-        lam_max = float(np.max(np.abs(lam))) if lam.size else 1.0
-        self.h_int = min(EPS1_INT_STEP, 0.1 / max(lam_max, 1e-12))
-        h2 = 0.5 * self.h_int
-        n_cells = int(np.ceil(self.ts[-1] / self.h_int - 1e-9)) + 1
-        Eh2 = zoh(self.E, np.zeros((self.E.shape[0], 0)), h2)[0]
-        gh = power_norms(Eh2, 2 * n_cells + 1)
-        self.gh = gh              # ||e^{E s}|| at s = j * h_int / 2
-        self.n_cells = n_cells
-        # cumulative integral of the quadratic model over full cells
-        cell = (h2 / 3.0) * (gh[0:-2:2] + 4.0 * gh[1:-1:2] + gh[2::2])
-        self.cum1 = np.concatenate([[0.0], np.cumsum(cell)])
-        self._vals: np.ndarray | None = None   # cached eps1 at output nodes
-
-    # -- internal-grid helpers, elementwise over arrays of cells/times ------
-    #
-    # Squares and cubes use np.float_power, which is libm pow like Python's
-    # float ``**``; numpy's ``**`` on arrays rounds them differently.  With
-    # libm pow the arrays equal a scalar node-by-node evaluation bit for bit.
-
-    def _cell_coeffs(self, j: np.ndarray):
-        """Quadratic model of g on cells j in the local coordinate
-        w = (u - midpoint)/h2, w in [-1, 1]."""
-        g0, g1, g2 = self.gh[2 * j], self.gh[2 * j + 1], self.gh[2 * j + 2]
-        return g1, 0.5 * (g2 - g0), 0.5 * (g2 - 2.0 * g1 + g0)
-
-    def _g_at(self, t: np.ndarray) -> np.ndarray:
-        """||e^{Et}|| from the cells' quadratic models."""
-        j = np.minimum((t / self.h_int).astype(np.intp), self.n_cells - 1)
-        A, B, C = self._cell_coeffs(j)
-        w = (t - (j + 0.5) * self.h_int) / (0.5 * self.h_int)
-        return A + B * w + C * w * w
-
-    def _plain_piece(self, j: np.ndarray, a: np.ndarray,
-                     b: np.ndarray) -> np.ndarray:
-        """int_a^b g(u) du for [a, b] inside cell j (quadratic model)."""
-        A, B, C = self._cell_coeffs(j)
-        h2 = 0.5 * self.h_int
-        mid = (j + 0.5) * self.h_int
-        wa, wb = (a - mid) / h2, (b - mid) / h2
-        pw = np.float_power
-        return h2 * (A * (wb - wa) + B * (pw(wb, 2) - pw(wa, 2)) / 2.0
-                     + C * (pw(wb, 3) - pw(wa, 3)) / 3.0)
-
-    def _kernel_piece(self, j: np.ndarray, a: np.ndarray, b: np.ndarray,
-                      T: np.ndarray, r: float) -> np.ndarray:
-        """int_a^b g(u) e^{r (u - T)} du for [a, b] inside cell j, u <= T.
-
-        Uses exact moments of the quadratic model against the exponential;
-        falls back to Simpson when the kernel barely varies on the piece.
-        """
-        A, B, C = self._cell_coeffs(j)
-        h2 = 0.5 * self.h_int
-        mid = (j + 0.5) * self.h_int
-        pw = np.float_power
-        # q as a polynomial in v = u - T: q = c0 + c1 v + c2 v^2
-        v1 = mid - T
-        c2 = C / h2 ** 2
-        c1 = B / h2 - 2.0 * C * v1 / h2 ** 2
-        c0 = A - B * v1 / h2 + C * pw(v1, 2) / h2 ** 2
-        va, vb = a - T, b - T
-        d = r * (vb - va)
-        out = np.empty(d.shape)
-        # kernel almost constant on the piece: 5-node Simpson is exact to
-        # far below working precision here
-        flat = d < 1e-3
-        fa, fb = va[flat, None], vb[flat, None]
-        vs = np.arange(5.0) * ((fb - fa) / 4.0) + fa
-        vs[:, -1:] = fb
-        q = c0[flat, None] + c1[flat, None] * vs + c2[flat, None] * vs ** 2
-        f = q * np.exp(r * vs)
-        out[flat] = (fb - fa)[:, 0] / 12.0 * (
-            f[:, 0] + 4.0 * f[:, 1] + 2.0 * f[:, 2] + 4.0 * f[:, 3] + f[:, 4])
-        steep = ~flat
-        va, vb = va[steep], vb[steep]
-        e_a, e_b = np.exp(r * va), np.exp(r * vb)
-        m0 = e_a * np.expm1(d[steep]) / r
-        m1 = (vb * e_b - va * e_a - m0) / r
-        m2 = (pw(vb, 2) * e_b - pw(va, 2) * e_a - 2.0 * m1) / r
-        out[steep] = c0[steep] * m0 + c1[steep] * m1 + c2[steep] * m2
-        return out
-
-    def _i1(self, t: np.ndarray) -> np.ndarray:
-        """int_0^t g(u) du."""
-        j = np.minimum((t / self.h_int + 1e-12).astype(np.intp), self.n_cells)
-        out = self.cum1[j]
-        left = j * self.h_int
-        part = (t > left + 1e-15) & (j < self.n_cells)
-        out[part] += self._plain_piece(j[part], left[part], t[part])
-        return out
-
-    def _i2_increments(self, r: float) -> np.ndarray:
-        """int_{t0}^{t1} g(u) e^{r(u - t1)} du for every pair of adjacent
-        output nodes, summed piece by piece over the internal cells."""
-        t0, t1 = self.ts[:-1], self.ts[1:]
-        out = np.zeros(t0.shape)
-        j = (t0 / self.h_int + 1e-12).astype(np.intp)
-        u = t0
-        live = (u < t1 - 1e-15) & (j < self.n_cells)
-        while live.any():
-            right = np.minimum((j + 1) * self.h_int, t1)
-            hit = live & (right > u + 1e-15)
-            out[hit] += self._kernel_piece(j[hit], u[hit], right[hit],
-                                           t1[hit], r)
-            u, j = right, j + 1
-            live &= (u < t1 - 1e-15) & (j < self.n_cells)
-        return out
-
-    def _compute(self) -> np.ndarray:
-        """eps1 at every output node: ||e^{Et}|| init_norm + scale Psi(t),
-        with I2 from the exact kernel recursion
-        I2(t_{m+1}) = e^{-r h} I2(t_m) + local increment."""
-        if self._vals is not None:
-            return self._vals
-        p = self.params
+        # cells resolve E's dynamics and refine the output grid
+        cell = min(EPS1_INT_STEP, 0.1 / float(np.max(np.abs(lam))))
+        m = int(np.ceil(self.h / cell - 1e-9))
+        self.h_int = self.h / m
+        self.gh = power_norms(expm(0.5 * self.h_int * self.E),
+                              2 * m * n_steps + 1)  # at s = j h_int / 2
+        cells = sliding_window_view(self.gh, 3)[::2]
+        p = params
         r = p.a / p.eps
+        i1 = np.cumsum(cells @ _cell_weights(0.0, self.h_int))
+        i2 = lfilter([1.0], [1.0, -np.exp(-r * self.h_int)],
+                     cells @ _cell_weights(r, self.h_int))
         coef = (p.K * np.sqrt(p.l + 1.0) / p.eps ** p.l) * p.zbar0 \
             - p.eps ** p.l * p.delta
         scale = p.F_norm * np.sqrt(p.n_y * (p.l + 1.0))
-        decay = np.exp(-r * np.diff(self.ts)).tolist()
-        inc = self._i2_increments(r).tolist()
-        i2 = np.empty(self.ts.size)
-        i2[0] = acc = 0.0
-        for m in range(len(inc)):
-            acc = decay[m] * acc + inc[m]
-            i2[m + 1] = acc
-        psi = p.delta * self._i1(self.ts) + coef * i2
-        self._vals = self._g_at(self.ts) * p.init_norm + scale * psi
-        return self._vals
+        psi = np.concatenate([[0.0], p.delta * i1[m - 1::m]
+                              + coef * i2[m - 1::m]])
+        self._vals = self.gh[::2 * m] * p.init_norm + scale * psi
 
     def _index(self, t: float) -> int:
         m = int(round(t / self.h))
@@ -389,12 +292,12 @@ class Epsilon1Evaluator:
         return m
 
     def at(self, t: float) -> float:
-        return float(self._compute()[self._index(t)])
+        return float(self._vals[self._index(t)])
 
     def grid(self, t_end: float) -> tuple[np.ndarray, np.ndarray]:
         """eps1 at every output grid time up to t_end."""
         m_end = self._index(t_end)
-        return self.ts[:m_end + 1].copy(), self._compute()[:m_end + 1].copy()
+        return self.ts[:m_end + 1].copy(), self._vals[:m_end + 1].copy()
 
     def uniform_bounds(self, eps1_floor: float = 1e-6) -> tuple[float, float]:
         """(inf, sup) of eps1 over the output grid, sup merged with the
@@ -405,7 +308,7 @@ class Epsilon1Evaluator:
         concentrates where ||e^{Et}|| has died out.
         """
         p = self.params
-        vals = self._compute()
+        vals = self._vals
         _, norms_tail = norm_envelope_grid(self.E, self.h)
         tail_integral = simpson(norms_tail, self.h)
         limit = p.delta * p.F_norm * np.sqrt(p.n_y * (p.l + 1.0)) \

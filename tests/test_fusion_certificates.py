@@ -11,7 +11,8 @@ from smobserver.ellipsoid import (MEMBERSHIP_SLACK, inverse_factors,
                                   quadratic_forms)
 from smobserver.errors import InvalidParameterError
 from smobserver.fusion import fuse
-from smobserver.weak import build_Ku, stacking_gain
+from smobserver.weak import (build_Ku, stacking_gain,
+                             update_is_informative)
 
 
 # -- fusion ----------------------------------------------------------------
@@ -222,6 +223,20 @@ def test_grammian_rho_hand_example():
         C2 = np.eye(2)
     Gk_seq = [np.eye(2)] * 6
     assert grammian_rho(_Dec(), Gk_seq, 2, 0.1) == pytest.approx(3.0)
+
+
+def test_grammian_window_skips_what_the_update_gate_skips():
+    """G_k = diag(1, 1e-11) fails the update gate (lambda_min <= 1e-10
+    ||G_k||), so the estimator skips its update; every window of length 2
+    holds it, so the certificate may count no window."""
+    class _Dec:
+        n2 = 2
+        A4 = np.zeros((2, 2))
+        C2 = np.eye(2)
+    Gk_seq = [np.eye(2), np.eye(2), np.diag([1.0, 1e-11]), np.eye(2)]
+    assert not update_is_informative(_Dec(), Gk_seq[2])
+    with pytest.warns(UserWarning, match="excluded from Grammian window"):
+        assert grammian_rho(_Dec(), Gk_seq, 2, 0.1) == 0.0
 
 
 def test_certificate_report_ex2(run_ex2, design_ex2):

@@ -141,7 +141,7 @@ def test_certify_scenario_consistency(cfg_mixed, run_mixed):
     assert rep.case in ("lemma6", "lemma7")
     assert yaml.safe_dump(rep.to_dict()) == yaml.safe_dump(
         run_mixed.report.to_dict())
-    assert rep.shape_inconsistency(schedule.P2) is None
+    assert rep.shape_inconsistency(schedule.P2, schedule.shape) is None
     assert np.array_equal(schedule.P2, [ws.P2hat for ws in
                                         run_mixed.weak_states])
 
@@ -407,6 +407,33 @@ def test_cli_certify_inconsistent_exits_2(tmp_path, cfg_mixed, monkeypatch,
     cfg_mixed.with_overrides(horizon=2.0).save(scen)
     assert cli_main(["certify", "--scenario", str(scen)]) == 2
     assert "lambda_max" in capsys.readouterr().err
+
+
+def test_shape_inconsistency_checks_the_theorem2_sandwich(
+        run_ex1, run_ex2, run_mixed, cfg_ex1, tmp_path, monkeypatch, capsys):
+    """Each run's fused shapes lie in [P_lo, P_hi].  Halving example1's
+    P_hi puts it below the largest realized shape (4.0e17 against
+    2.4e17), and certify exits 2."""
+    from dataclasses import replace
+    for run in (run_ex1, run_ex2, run_mixed):
+        sched = run.schedule
+        assert run.report.shape_inconsistency(sched.P2, sched.shape) is None
+    half = replace(run_ex1.report, P_hi=0.5 * run_ex1.report.P_hi)
+    problem = half.shape_inconsistency(run_ex1.schedule.P2,
+                                       run_ex1.schedule.shape)
+    assert "P_hi - P_k" in problem
+    certify_design = pipeline.certify_design
+
+    def half_P_hi(*args, **kwargs):
+        rep = certify_design(*args, **kwargs)
+        rep.P_hi = 0.5 * rep.P_hi
+        return rep
+
+    monkeypatch.setattr(pipeline, "certify_design", half_P_hi)
+    scen = tmp_path / "ex1.yaml"
+    cfg_ex1.save(scen)
+    assert cli_main(["certify", "--scenario", str(scen)]) == 2
+    assert "P_hi - P_k" in capsys.readouterr().err
 
 
 def test_cli_missing_scenario_exits_3(tmp_path):

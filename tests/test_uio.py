@@ -13,8 +13,8 @@ from smobserver.uio import (Epsilon1Evaluator, ErrorBoundParams,
                             GAIN_RESIDUAL_TOL, UioDesign,
                             build_markov_matrices,
                             derivative_error_envelope,
-                            epsilon1_uniform_bounds, gain_target,
-                            solve_uio_gain, step_uio)
+                            _cell_weights, epsilon1_uniform_bounds,
+                            gain_target, solve_uio_gain, step_uio)
 
 
 def test_markov_matrices_hand_example():
@@ -91,8 +91,10 @@ def _scalar_params(delta=0.2, zbar0=0.5, K=1.5, a=0.6, eps=0.05, l=1,
                             l=l, F_norm=F_norm, init_norm=init_norm, n_y=n_y)
 
 
-def test_eps1_scalar_closed_form():
-    """Against the analytic value for E = [-b]:
+@pytest.mark.parametrize("grid_step", [0.05, 0.0050001, 0.0123])
+def test_eps1_scalar_closed_form(grid_step):
+    """Against the analytic value for E = [-b] at every output node, also
+    on grids that the default cell size does not divide:
 
     g(t) = e^{-bt}, I1 = (1 - e^{-bt})/b,
     I2 = (e^{-bt} - e^{-rt})/(r - b) with r = a/eps.
@@ -104,13 +106,29 @@ def test_eps1_scalar_closed_form():
     coef = p.K * np.sqrt(p.l + 1.0) / p.eps ** p.l * p.zbar0 \
         - p.eps ** p.l * p.delta
     scale = p.F_norm * np.sqrt(p.n_y * (p.l + 1.0))
-    ev = Epsilon1Evaluator(p, E, 0.05, 2.0)
-    for t in (0.05, 0.3, 0.75, 1.5, 2.0):
-        I1 = (1.0 - np.exp(-b * t)) / b
-        I2 = (np.exp(-b * t) - np.exp(-r * t)) / (r - b)
-        ref = np.exp(-b * t) * p.init_norm \
-            + scale * (p.delta * I1 + coef * I2)
-        assert ev.at(t) == pytest.approx(ref, rel=1e-8)
+    ev = Epsilon1Evaluator(p, E, grid_step, 2.0)
+    t, vals = ev.grid(ev.ts[-1])
+    I1 = (1.0 - np.exp(-b * t)) / b
+    I2 = (np.exp(-b * t) - np.exp(-r * t)) / (r - b)
+    ref = np.exp(-b * t) * p.init_norm + scale * (p.delta * I1 + coef * I2)
+    assert np.allclose(vals, ref, rtol=1e-8, atol=0.0)
+
+
+def test_cell_weights_integrate_quadratics_exactly():
+    """w(0) is Simpson's rule; for r > 0 the weights integrate 1, u and u^2
+    against e^{-r(H-u)} on [0, H] as the closed form does."""
+    import mpmath
+    H = 0.005
+    assert np.allclose(_cell_weights(0.0, H), H / 6.0 * np.array([1, 4, 1]),
+                       rtol=1e-15, atol=0.0)
+    mpmath.mp.dps = 40
+    for r in (1e-8, 1.0, 90.0, 1e4):
+        w = _cell_weights(r, H)
+        for k in range(3):
+            nodes = np.array([0.0, H / 2, H]) ** k
+            exact = mpmath.quad(lambda u: u ** k * mpmath.exp(-r * (H - u)),
+                                [0, H])
+            assert float(w @ nodes) == pytest.approx(float(exact), rel=1e-14)
 
 
 def test_eps1_grid_independence():
@@ -200,19 +218,21 @@ def test_build_design_builds_one_eps1_evaluator(cfg_mixed, monkeypatch):
 
 # -- vectorized eps1 against the node-by-node loop -------------------------
 
-def _loop_eps1(ev, counts):
-    """Reference: the per-node scalar evaluation of eps1 on ``ev.ts``.
-
-    ``counts["simpson"]`` records how many pieces took the flat-kernel
-    Simpson branch."""
+def _loop_eps1(ev):
+    """Reference: the per-node scalar evaluation of eps1 on ``ev.ts``, with
+    ||e^{Es}|| the piecewise quadratic through the half-cell samples
+    ``ev.gh`` and each piece integrated by its exponential moments."""
     h2 = 0.5 * ev.h_int
+    n_cells = (ev.gh.size - 1) // 2
+    cum1 = np.concatenate([[0.0], np.cumsum(
+        (h2 / 3.0) * (ev.gh[0:-2:2] + 4.0 * ev.gh[1:-1:2] + ev.gh[2::2]))])
 
     def coeffs(j):
         g0, g1, g2 = ev.gh[2 * j], ev.gh[2 * j + 1], ev.gh[2 * j + 2]
         return g1, 0.5 * (g2 - g0), 0.5 * (g2 - 2.0 * g1 + g0)
 
     def g_at(t):
-        j = min(int(t / ev.h_int), ev.n_cells - 1)
+        j = min(int(t / ev.h_int), n_cells - 1)
         A, B, C = coeffs(j)
         w = (t - (j + 0.5) * ev.h_int) / (0.5 * ev.h_int)
         return A + B * w + C * w * w
@@ -234,7 +254,6 @@ def _loop_eps1(ev, counts):
         va, vb = a - T, b - T
         d = r * (vb - va)
         if d < 1e-3:
-            counts["simpson"] += 1
             vs = np.linspace(va, vb, 5)
             q = c0 + c1 * vs + c2 * vs ** 2
             f = q * np.exp(r * vs)
@@ -247,10 +266,10 @@ def _loop_eps1(ev, counts):
         return c0 * m0 + c1 * m1 + c2 * m2
 
     def i1(t):
-        j = min(int(t / ev.h_int + 1e-12), ev.n_cells)
-        out = ev.cum1[j]
+        j = min(int(t / ev.h_int + 1e-12), n_cells)
+        out = cum1[j]
         left = j * ev.h_int
-        if t > left + 1e-15 and j < ev.n_cells:
+        if t > left + 1e-15 and j < n_cells:
             out += plain_piece(j, left, t)
         return float(out)
 
@@ -258,7 +277,7 @@ def _loop_eps1(ev, counts):
         out = 0.0
         j = int(t0 / ev.h_int + 1e-12)
         u = t0
-        while u < t1 - 1e-15 and j < ev.n_cells:
+        while u < t1 - 1e-15 and j < n_cells:
             right = min((j + 1) * ev.h_int, t1)
             if right > u + 1e-15:
                 out += kernel_piece(j, u, right, t1, r)
@@ -282,26 +301,21 @@ def _loop_eps1(ev, counts):
     return vals
 
 
-@pytest.mark.parametrize("E, grid_step, horizon, eps, simpson", [
-    # ten internal cells per output step
-    (np.array([[-3.0]]), 0.05, 2.0, 0.05, False),
-    # output nodes just off the cell boundaries: sliver pieces
-    (np.array([[-2.0, 1.0], [0.0, -3.0]]), 0.0050001, 1.0, 0.05, True),
-    # fast E: internal cells finer than the default step
-    (np.array([[-40.0, 5.0], [0.0, -25.0]]), 0.0123, 1.5, 0.01, False),
+@pytest.mark.parametrize("E, grid_step, horizon, eps", [
+    # ten cells per output step
+    (np.array([[-3.0]]), 0.05, 2.0, 0.05),
+    # fast E: five cells of 0.00246 per output step, finer than the default
+    (np.array([[-40.0, 5.0], [0.0, -25.0]]), 0.0123, 1.5, 0.01),
 ])
-def test_eps1_vectorized_equals_node_loop(E, grid_step, horizon, eps,
-                                          simpson):
+def test_eps1_vectorized_equals_node_loop(E, grid_step, horizon, eps):
     ev = Epsilon1Evaluator(_scalar_params(eps=eps), E, grid_step, horizon)
-    counts = {"simpson": 0}
-    ref = _loop_eps1(ev, counts)
-    assert (counts["simpson"] > 0) == simpson
-    assert np.array_equal(ev.grid(ev.ts[-1])[1], ref)
+    assert np.allclose(ev.grid(ev.ts[-1])[1], _loop_eps1(ev),
+                       rtol=1e-13, atol=0.0)
 
 
 def test_eps1_design_grid_equals_node_loop(design_ex1):
     cfg = design_ex1.cfg
     ev = Epsilon1Evaluator(design_ex1.err, design_ex1.uio.E,
                            cfg.dt / cfg.quad_substeps, cfg.horizon)
-    assert np.array_equal(ev.grid(ev.ts[-1])[1],
-                          _loop_eps1(ev, {"simpson": 0}))
+    assert np.allclose(ev.grid(ev.ts[-1])[1], _loop_eps1(ev),
+                       rtol=1e-13, atol=0.0)
