@@ -117,18 +117,18 @@ def test_eps1_scalar_closed_form(grid_step):
 def test_cell_weights_integrate_quadratics_exactly():
     """w(0) is Simpson's rule; for r > 0 the weights integrate 1, u and u^2
     against e^{-r(H-u)} on [0, H] as the closed form does."""
-    import mpmath
+    mpmath = pytest.importorskip("mpmath")
     H = 0.005
     assert np.allclose(_cell_weights(0.0, H), H / 6.0 * np.array([1, 4, 1]),
                        rtol=1e-15, atol=0.0)
-    mpmath.mp.dps = 40
     for r in (1e-8, 1.0, 90.0, 1e4):
         w = _cell_weights(r, H)
         for k in range(3):
             nodes = np.array([0.0, H / 2, H]) ** k
-            exact = mpmath.quad(lambda u: u ** k * mpmath.exp(-r * (H - u)),
-                                [0, H])
-            assert float(w @ nodes) == pytest.approx(float(exact), rel=1e-14)
+            with mpmath.workdps(40):
+                exact = float(mpmath.quad(
+                    lambda u: u ** k * mpmath.exp(-r * (H - u)), [0, H]))
+            assert float(w @ nodes) == pytest.approx(exact, rel=1e-14)
 
 
 def test_eps1_grid_independence():
