@@ -18,15 +18,14 @@ from .errors import ObserverError
 from .fusion import fuse
 from .generators import ShapeGenerator, SignalGenerator, Term
 from .hgo import HgoConfig, decay_constants, design_hgo
-from .pipeline import (DesignArtifacts, RunResult, TraceRow, build_design,
+from .pipeline import (DesignArtifacts, RunResult, build_design,
                        certify_scenario, emit_plot_data, emit_traces,
                        monte_carlo_containment, parse_traces, run_algorithm1)
 from .scenario import (BUILTIN_SCENARIOS, CertOptions, HgoSettings,
                        ScenarioConfig, example1, example2)
 from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
                   solve_uio_gain)
-from .weak import (WeakState, measurement_update, optimize_beta, propagate,
-                   stacking_gain)
+from .weak import measurement_update, optimize_beta, propagate, stacking_gain
 
 __version__ = "0.1.0"
 
@@ -40,13 +39,12 @@ __all__ = [
     "fuse",
     "ShapeGenerator", "SignalGenerator", "Term",
     "HgoConfig", "decay_constants", "design_hgo",
-    "DesignArtifacts", "RunResult", "TraceRow", "build_design",
+    "DesignArtifacts", "RunResult", "build_design",
     "certify_scenario", "emit_plot_data", "emit_traces",
     "monte_carlo_containment", "parse_traces", "run_algorithm1",
     "BUILTIN_SCENARIOS", "CertOptions", "HgoSettings", "ScenarioConfig",
     "example1", "example2",
     "Epsilon1Evaluator", "ErrorBoundParams", "UioDesign", "solve_uio_gain",
-    "WeakState", "measurement_update", "optimize_beta", "propagate",
-    "stacking_gain",
+    "measurement_update", "optimize_beta", "propagate", "stacking_gain",
     "__version__",
 ]

@@ -115,29 +115,32 @@ class CertificateReport:
         described; None when the run respects every bound.  ``P2`` is the
         (N+1, n2, n2) stack of weak-block shapes, whose eigenvalues must lie
         in [p2_lo, p2_hi]; ``P`` the (N+1, n, n) stack of fused shapes,
-        which must lie in the Theorem 2 sandwich P_lo <= P_k <= P_hi up to
-        -1e-9 tr P_hi."""
-        checks = []       # (failing steps, values, description)
+        which must lie in the Theorem 2 sandwich P_lo <= P_k <= P_hi.  Each
+        side's tolerance scales with its own upper matrix: -1e-9 tr P_k
+        below, -1e-9 tr P_hi above, so a vacuous P_hi cannot excuse a P_k
+        below P_lo."""
+        checks = []       # (failing steps, values, bounds, description)
         if P2.size:
             lam = np.linalg.eigvalsh(P2)
             lo, hi = lam[:, 0], lam[:, -1]
             if self.p2_lo > 0.0:
-                checks.append((lo < self.p2_lo * (1.0 - 1e-9), lo,
-                               f"lambda_min {{:.6g}} < p2_lo {self.p2_lo:.6g}"))
-            checks.append((hi > self.p2_hi * (1.0 + 1e-9), hi,
-                           f"lambda_max {{:.6g}} > p2_hi {self.p2_hi:.6g}"))
-        tol = -1e-9 * float(np.trace(self.P_hi))
-        for name, gap in (("P_k - P_lo", P - self.P_lo),
-                          ("P_hi - P_k", self.P_hi - P)):
+                checks.append((lo < self.p2_lo * (1.0 - 1e-9), lo, self.p2_lo,
+                               "lambda_min {:.6g} < p2_lo {:.6g}"))
+            checks.append((hi > self.p2_hi * (1.0 + 1e-9), hi, self.p2_hi,
+                           "lambda_max {:.6g} > p2_hi {:.6g}"))
+        for name, gap, upper in (("P_k - P_lo", P - self.P_lo, P),
+                                 ("P_hi - P_k", self.P_hi - P, self.P_hi)):
             low = np.linalg.eigvalsh(gap)[:, 0]
-            checks.append((low < tol, low,
-                           f"lambda_min({name}) {{:.6g}} < {tol:.6g}"))
-        firsts = [(int(np.argmax(bad)), values, text)
-                  for bad, values, text in checks if bad.any()]
+            tol = -1e-9 * np.trace(upper, axis1=-2, axis2=-1)
+            checks.append((low < tol, low, tol,
+                           f"lambda_min({name}) {{:.6g}} < {{:.6g}}"))
+        firsts = [(int(np.argmax(bad)), values, bounds, text)
+                  for bad, values, bounds, text in checks if bad.any()]
         if not firsts:
             return None
-        k, values, text = min(firsts, key=lambda first: first[0])
-        return f"step {k}: " + text.format(values[k])
+        k, values, bounds, text = min(firsts, key=lambda first: first[0])
+        return f"step {k}: " + text.format(
+            values[k], np.broadcast_to(bounds, values.shape)[k])
 
 
 def gamma_bounds(const: AssumptionConstants, eps1_lo: float, eps1_hi: float,

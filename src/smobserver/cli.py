@@ -58,7 +58,7 @@ def _run_and_emit(cfg: ScenarioConfig, out_dir: str,
     print(f"{cfg.name}: {n} rows, worst quadratic form "
           f"{run.worst_q:.6g}, eps1 margin {run.eps1_margin:.6g}")
     if not run.containment_ok:
-        bad = [r.t for r in run.traces if not r.contained]
+        bad = run.traces.t[~run.traces.contained].tolist()
         print(f"CONTAINMENT VIOLATION at t = {bad}", file=sys.stderr)
         return EXIT_VIOLATION
     if not run.eps1_ok:

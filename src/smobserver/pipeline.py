@@ -18,10 +18,10 @@ certificate reads the schedule alone.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.recfunctions import structured_to_unstructured
 
 from .certificates import (AssumptionConstants, CertificateReport, certify)
 from .decomposition import (Decomposition, LtiSystem, build_decomposition,
@@ -37,7 +37,7 @@ from .scenario import (ScenarioConfig, default_zbar0, input_bounds,
                        input_norm_bound, y_derivative_bound)
 from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
                   solve_uio_gain)
-from .weak import (WeakState, build_Ku, center_drive, check_shape,
+from .weak import (build_Ku, center_drive, check_shape,
                    gamma_terms, gk_matrix, measurement_update, optimize_beta,
                    predict_shape, propagate, quad_kernels,
                    update_information, update_is_informative)
@@ -259,39 +259,33 @@ def build_design(cfg: ScenarioConfig) -> DesignArtifacts:
 
 # -- traces ----------------------------------------------------------------
 
-@dataclass
-class TraceRow:
-    """One estimator sample: truth, estimate, per-axis bounds, diagnostics."""
-
-    t: float
-    x_true: np.ndarray
-    xhat: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    trP: float
-    vol: float
-    eps1: float
-    alpha: float
-    beta: float
-    gamma: float
-    mu: float
-    contained: bool
-    skipped: bool
+def trace_dtype(n: int) -> np.dtype:
+    """One sample of a run of an n-state plant, one field per ``traces.csv``
+    column in file order: time, true state, fused center, per-axis bounds,
+    the shape diagnostics, then the containment and update-skip flags."""
+    vec = (float, (n,))
+    return np.dtype(
+        [("t", float), ("x_true", *vec), ("xhat", *vec), ("lo", *vec),
+         ("hi", *vec)]
+        + [(name, float) for name in ("trP", "vol", "eps1", "alpha", "beta",
+                                      "gamma", "mu")]
+        + [("contained", bool), ("skipped", bool)])
 
 
 @dataclass
 class RunResult:
     """Everything a single pipeline execution produces.
 
-    ``weak_states`` holds the per-step weak-block records of a batch of
-    one: their centers keep a run axis of length 1.  The fused center of
-    step k is ``traces[k].xhat``; every shape-side quantity is in
-    ``schedule``.
+    ``traces`` is one record with a row per sample time t_k and the fields
+    of :func:`trace_dtype`: ``traces.trP`` is a column, ``traces[k].xhat``
+    the fused center of step k.  ``weak_states`` is the weak block's record
+    on the same rows, with fields ``x2hat`` (n2,) and ``P2hat`` (n2, n2).
+    Every other shape-side quantity is in ``schedule``.
     """
 
-    traces: list
+    traces: np.recarray
     report: CertificateReport | None
-    weak_states: list
+    weak_states: np.recarray
     schedule: ShapeSchedule
     step_log: list
     eps1_ok: bool
@@ -608,7 +602,7 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
     """Execute the full estimation loop over the scenario horizon.
 
     The run is :func:`shape_schedule` and :func:`estimate` with one column:
-    this function adds the trace rows, the weak-block records and the
+    this function gathers the trace and weak-block records and adds the
     certificate.  ``w_fn`` is a :class:`~smobserver.generators.SignalGenerator`
     (``w_true`` by default), which the pass folds as a sine bank, or a
     callable mapping an array of times to (len, n_w) samples.  ``step_log``
@@ -627,37 +621,37 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
             return np.asarray(w_fn(ts), dtype=float)[:, :, None]
 
     sched = shape_schedule(design)
-    weak_list: list[WeakState] = []
-    x_true, xhats, qs = [], [], []
+    n2 = design.dec.n2
+    traces = np.recarray(cfg.n_steps + 1, dtype=trace_dtype(x0.size))
+    weak = np.recarray(len(traces), dtype=[("x2hat", float, (n2,)),
+                                           ("P2hat", float, (n2, n2))])
+    qs = np.empty(len(traces))
     eps1_margin = np.inf
     log = step_log if step_log is not None else []
 
     for step in estimate(design, x0[:, None], w_one, sched, log):
-        x_true.append(step.x[:, 0].copy())
-        xhats.append(step.xhat[:, 0])
-        qs.append(float(step.q[0]))
-        weak_list.append(WeakState(x2hat=step.x2hat, P2hat=sched.P2[step.k]))
+        traces.x_true[step.k] = step.x[:, 0]
+        traces.xhat[step.k] = step.xhat[:, 0]
+        weak.x2hat[step.k] = step.x2hat[:, 0]
+        qs[step.k] = step.q[0]
         eps1_margin = min(eps1_margin, np.min(step.eps1_gap, initial=np.inf))
 
-    # the shape columns of every row, one batch each
-    lo, hi = axis_bounds(np.array(xhats), sched.shape)
-    trP = np.trace(sched.shape, axis1=-2, axis2=-1)
-    vol = volume(sched.shape)
-    traces = [TraceRow(
-        t=k * cfg.dt, x_true=x_true[k], xhat=xhats[k], lo=lo[k], hi=hi[k],
-        trP=float(trP[k]), vol=float(vol[k]), eps1=float(sched.eps1[k]),
-        alpha=float(sched.alpha[k]), beta=float(sched.beta[k]),
-        gamma=float(sched.gamma[k]), mu=float(sched.mu[k]),
-        contained=bool(qs[k] <= 1.0 + MEMBERSHIP_SLACK),
-        skipped=bool(sched.skipped[k])) for k in range(len(qs))]
-    worst_q = max(0.0, max(qs))
+    # the shape columns, one batch each
+    traces.t = np.arange(len(traces)) * cfg.dt
+    traces.lo, traces.hi = axis_bounds(traces.xhat, sched.shape)
+    traces.trP = np.trace(sched.shape, axis1=-2, axis2=-1)
+    traces.vol = volume(sched.shape)
+    for name in ("eps1", "alpha", "beta", "gamma", "mu", "skipped"):
+        traces[name] = getattr(sched, name)
+    traces.contained = qs <= 1.0 + MEMBERSHIP_SLACK
+    weak.P2hat = sched.P2
 
     report = certify_design(design, sched) if with_certificate else None
     return RunResult(
-        traces=traces, report=report, weak_states=weak_list, schedule=sched,
+        traces=traces, report=report, weak_states=weak, schedule=sched,
         step_log=log, eps1_ok=bool(eps1_margin >= -EPS1_SLACK),
-        containment_ok=all(row.contained for row in traces),
-        eps1_margin=float(eps1_margin), worst_q=worst_q)
+        containment_ok=bool(traces.contained.all()),
+        eps1_margin=float(eps1_margin), worst_q=max(0.0, float(qs.max())))
 
 
 # -- certificates ----------------------------------------------------------
@@ -818,64 +812,49 @@ def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
 
 # -- emission --------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _write_csv(path, header: list, values: np.ndarray,
+               flags: np.ndarray | None = None) -> None:
+    """A CSV file of ``header`` and one line per row of the float table
+    ``values``, followed by that row of the integer table ``flags``.  Floats
+    are written shortest-round-trip, so equal runs give byte-identical
+    files; lines end in CRLF, as :mod:`csv` writes them."""
+    rows = values.tolist()
+    if flags is not None:
+        for row, extra in zip(rows, flags.tolist()):
+            row += extra
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def trace_header(n: int) -> list:
-    cols = ["t"]
-    cols += [f"x_true{i}" for i in range(n)]
-    cols += [f"xhat{i}" for i in range(n)]
-    cols += [f"lo{i}" for i in range(n)]
-    cols += [f"hi{i}" for i in range(n)]
-    cols += ["trP", "vol", "eps1", "alpha", "beta", "gamma", "mu",
-             "contained", "skipped"]
+    """The ``traces.csv`` column names: one per scalar field of
+    :func:`trace_dtype`, and name0 .. name{n-1} per vector field."""
+    dtype = trace_dtype(n)
+    cols = []
+    for name in dtype.names:
+        cols += ([f"{name}{i}" for i in range(n)] if dtype[name].shape
+                 else [name])
     return cols
 
 
-def emit_traces(traces: list, path) -> None:
-    """Fixed-layout CSV; float formatting is shortest-round-trip, so equal
-    runs produce byte-identical files."""
-    n = traces[0].x_true.shape[0] if traces else 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trace_header(n))
-        for row in traces:
-            writer.writerow(
-                [_fmt(row.t)]
-                + [_fmt(v) for v in row.x_true]
-                + [_fmt(v) for v in row.xhat]
-                + [_fmt(v) for v in row.lo]
-                + [_fmt(v) for v in row.hi]
-                + [_fmt(row.trP), _fmt(row.vol), _fmt(row.eps1),
-                   _fmt(row.alpha), _fmt(row.beta), _fmt(row.gamma),
-                   _fmt(row.mu),
-                   str(int(row.contained)), str(int(row.skipped))])
+def emit_traces(traces: np.recarray, path) -> None:
+    """``traces.csv``: every field of the :func:`trace_dtype` record
+    ``traces`` in column order, the two flags as 0 or 1."""
+    names = traces.dtype.names
+    flags = [name for name in names if traces.dtype[name] == bool]
+    floats = [name for name in names if name not in flags]
+    _write_csv(path, trace_header(traces.dtype["x_true"].shape[0]),
+               structured_to_unstructured(traces[floats], dtype=float),
+               structured_to_unstructured(traces[flags], dtype=int))
 
 
-def parse_traces(path) -> list:
+def parse_traces(path) -> np.recarray:
     """Inverse of :func:`emit_traces`."""
-    out = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n = sum(1 for c in header if c.startswith("x_true"))
-        for rec in reader:
-            vals = rec
-            i = 1
-            x_true = np.array([float(v) for v in vals[i:i + n]]); i += n
-            xhat = np.array([float(v) for v in vals[i:i + n]]); i += n
-            lo = np.array([float(v) for v in vals[i:i + n]]); i += n
-            hi = np.array([float(v) for v in vals[i:i + n]]); i += n
-            trP, vol, eps1, alpha, beta, gamma, mu = (
-                float(v) for v in vals[i:i + 7])
-            out.append(TraceRow(
-                t=float(vals[0]), x_true=x_true, xhat=xhat, lo=lo, hi=hi,
-                trP=trP, vol=vol, eps1=eps1, alpha=alpha, beta=beta,
-                gamma=gamma, mu=mu,
-                contained=bool(int(vals[i + 7])),
-                skipped=bool(int(vals[i + 8]))))
-    return out
+    with open(path, encoding="utf-8") as fh:
+        n = sum(c.startswith("x_true") for c in fh.readline().split(","))
+    return np.loadtxt(path, dtype=trace_dtype(n), delimiter=",", skiprows=1,
+                      ndmin=1, encoding="utf-8").view(np.recarray)
 
 
 def emit_plot_data(run: RunResult, out_dir, ellipse_axes: tuple | None = None,
@@ -883,42 +862,22 @@ def emit_plot_data(run: RunResult, out_dir, ellipse_axes: tuple | None = None,
     """Per-figure CSV series: volume curve, per-axis bound bands, and
     (optionally) projected ellipse polylines for a chosen coordinate pair."""
     import os
-    written = []
-    n = run.traces[0].x_true.shape[0]
-
-    path = os.path.join(out_dir, "plot_volume.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "vol", "trP"])
-        for row in run.traces:
-            w.writerow([_fmt(row.t), _fmt(row.vol), _fmt(row.trP)])
-    written.append(path)
-
-    path = os.path.join(out_dir, "plot_bounds.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        head = ["t"]
-        for i in range(n):
-            head += [f"x{i}", f"lo{i}", f"hi{i}"]
-        w.writerow(head)
-        for row in run.traces:
-            rec = [_fmt(row.t)]
-            for i in range(n):
-                rec += [_fmt(row.x_true[i]), _fmt(row.lo[i]), _fmt(row.hi[i])]
-            w.writerow(rec)
-    written.append(path)
-
+    tr = run.traces
+    n = tr.dtype["x_true"].shape[0]
+    written = [os.path.join(out_dir, name)
+               for name in ("plot_volume.csv", "plot_bounds.csv")]
+    _write_csv(written[0], ["t", "vol", "trP"],
+               np.column_stack([tr.t, tr.vol, tr.trP]))
+    bands = np.stack([tr.x_true, tr.lo, tr.hi], axis=-1).reshape(len(tr), -1)
+    _write_csv(written[1], ["t"] + [f"{c}{i}" for i in range(n)
+                                    for c in ("x", "lo", "hi")],
+               np.column_stack([tr.t, bands]))
     if ellipse_axes is not None:
-        i, j = ellipse_axes
-        path = os.path.join(out_dir, f"plot_ellipses_x{i}x{j}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "px", "py"])
-            for row, K in zip(run.traces, run.schedule.shape):
-                sub = Ellipsoid(
-                    np.array([row.xhat[i], row.xhat[j]]),
-                    np.array([[K[i, i], K[i, j]], [K[j, i], K[j, j]]]))
-                for p in sub.boundary_points(ellipse_points):
-                    w.writerow([_fmt(row.t), _fmt(p[0]), _fmt(p[1])])
+        ij = list(ellipse_axes)
+        path = os.path.join(out_dir, "plot_ellipses_x{}x{}.csv".format(*ij))
+        points = [Ellipsoid(c[ij], K[np.ix_(ij, ij)]).boundary_points(
+            ellipse_points) for c, K in zip(tr.xhat, run.schedule.shape)]
+        _write_csv(path, ["t", "px", "py"], np.column_stack(
+            [np.repeat(tr.t, ellipse_points), np.concatenate(points)]))
         written.append(path)
     return written

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -42,15 +41,6 @@ BETA_FLAT_TOL = 1e-12
 
 #: gain pair when the second factor is empty: the ball enters uninflated
 NO_STACKING = (1.0, np.inf)
-
-
-@dataclass
-class WeakState:
-    """Ellipsoidal estimate E(x2hat, P2hat) of the x2 block at step k: the
-    center of each run ((n2,) or (n2, runs)) and the schedule's shape."""
-
-    x2hat: np.ndarray
-    P2hat: np.ndarray
 
 
 def check_shape(P2: np.ndarray) -> np.ndarray:

@@ -290,6 +290,22 @@ def test_realized_gains_inside_certificate_bounds(run_name, request):
         assert np.all(vals <= hi * (1.0 + rel))
 
 
+def test_sandwich_lower_side_scales_with_the_shape():
+    """A vacuous P_hi does not excuse a fused shape below P_lo: the lower
+    side's tolerance is -1e-9 tr P_k, not -1e-9 tr P_hi."""
+    rep = CertificateReport(alpha_lo=0.1, alpha_hi=0.9, beta_lo=0.0,
+                            beta_hi=0.0, w_lo=0.0, w_hi=1.0, eps1_lo=1.0,
+                            eps1_hi=1.0, P_lo=np.eye(2),
+                            P_hi=1e150 * np.eye(2))
+    P2 = np.empty((3, 0, 0))
+    rounding = np.eye(2) - 1e-12 * np.eye(2)
+    assert rep.shape_inconsistency(
+        P2, np.stack([2.0 * np.eye(2), rounding, rounding])) is None
+    below = np.stack([2.0 * np.eye(2), rounding, 0.5 * np.eye(2)])
+    assert (rep.shape_inconsistency(P2, below)
+            == "step 2: lambda_min(P_k - P_lo) -0.5 < -1e-09")
+
+
 def test_certificate_serializes(run_ex2):
     d = run_ex2.report.to_dict()
     assert isinstance(d["P_lo"], list)

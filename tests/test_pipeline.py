@@ -1,6 +1,7 @@
 """Tests of the end-to-end pipeline: plant integration oracles, the
 estimation loop ordering, Monte Carlo batching, trace emission, and the CLI."""
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -231,18 +232,90 @@ def test_trace_header_layout():
     assert len(cols) == 1 + 4 * 2 + 9
 
 
-def test_emit_parse_round_trip(tmp_path, run_mixed):
-    path = tmp_path / "traces.csv"
-    emit_traces(run_mixed.traces, path)
-    back = parse_traces(path)
-    assert len(back) == len(run_mixed.traces)
-    for a, b in zip(run_mixed.traces, back):
-        assert a.t == b.t
-        assert np.array_equal(a.x_true, b.x_true)
-        assert np.array_equal(a.lo, b.lo)
-        assert (a.trP, a.vol, a.eps1) == (b.trP, b.vol, b.eps1)
-        assert (np.isnan(a.alpha) and np.isnan(b.alpha)) or a.alpha == b.alpha
-        assert a.contained == b.contained and a.skipped == b.skipped
+def test_emit_parse_round_trip(tmp_path, run_mixed, run_ex2):
+    """Every field of the trace record survives a write and a read, nan
+    entries included."""
+    for run in (run_mixed, run_ex2):
+        path = tmp_path / "traces.csv"
+        emit_traces(run.traces, path)
+        back = parse_traces(path)
+        assert back.dtype == run.traces.dtype
+        for name in back.dtype.names:
+            np.testing.assert_array_equal(back[name], run.traces[name],
+                                          err_msg=name, strict=True)
+
+
+def _fmt(v) -> str:
+    return repr(float(v))
+
+
+def _row_emit_traces(traces, path) -> None:
+    """Reference writer: ``traces.csv`` one row and one cell at a time."""
+    n = traces.dtype["x_true"].shape[0]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(trace_header(n))
+        for row in traces:
+            writer.writerow(
+                [_fmt(row.t)] + [_fmt(v) for v in row.x_true]
+                + [_fmt(v) for v in row.xhat] + [_fmt(v) for v in row.lo]
+                + [_fmt(v) for v in row.hi]
+                + [_fmt(row.trP), _fmt(row.vol), _fmt(row.eps1),
+                   _fmt(row.alpha), _fmt(row.beta), _fmt(row.gamma),
+                   _fmt(row.mu), str(int(row.contained)),
+                   str(int(row.skipped))])
+
+
+def _row_emit_plot_data(run, out_dir, ellipse_axes) -> None:
+    """Reference writer: the plot files one row and one cell at a time."""
+    n = run.traces.dtype["x_true"].shape[0]
+    with open(out_dir / "plot_volume.csv", "w", newline="",
+              encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "vol", "trP"])
+        for row in run.traces:
+            w.writerow([_fmt(row.t), _fmt(row.vol), _fmt(row.trP)])
+    with open(out_dir / "plot_bounds.csv", "w", newline="",
+              encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        head = ["t"]
+        for i in range(n):
+            head += [f"x{i}", f"lo{i}", f"hi{i}"]
+        w.writerow(head)
+        for row in run.traces:
+            rec = [_fmt(row.t)]
+            for i in range(n):
+                rec += [_fmt(row.x_true[i]), _fmt(row.lo[i]), _fmt(row.hi[i])]
+            w.writerow(rec)
+    i, j = ellipse_axes
+    with open(out_dir / f"plot_ellipses_x{i}x{j}.csv", "w", newline="",
+              encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "px", "py"])
+        for row, K in zip(run.traces, run.schedule.shape):
+            sub = Ellipsoid(
+                np.array([row.xhat[i], row.xhat[j]]),
+                np.array([[K[i, i], K[i, j]], [K[j, i], K[j, j]]]))
+            for p in sub.boundary_points(50):
+                w.writerow([_fmt(row.t), _fmt(p[0]), _fmt(p[1])])
+
+
+@pytest.mark.parametrize("run_name,axes", [("run_mixed", (0, 1)),
+                                           ("run_ex2", (1, 2))])
+def test_column_writers_match_row_writers(run_name, axes, tmp_path, request):
+    """The column writers produce the bytes of a per-cell csv.writer."""
+    run = request.getfixturevalue(run_name)
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    new.mkdir(), ref.mkdir()
+    emit_traces(run.traces, new / "traces.csv")
+    written = emit_plot_data(run, new, ellipse_axes=axes)
+    _row_emit_traces(run.traces, ref / "traces.csv")
+    _row_emit_plot_data(run, ref, axes)
+    names = sorted(p.name for p in ref.iterdir())
+    assert sorted(p.name for p in new.iterdir()) == names
+    assert len(written) == 3
+    for name in names:
+        assert (new / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_emit_traces_deterministic(tmp_path, run_mixed):
@@ -383,6 +456,20 @@ def test_cli_run_and_certify(tmp_path, cfg_mixed):
     assert (out / "certificate.yaml").exists()
     assert cli_main(["mc", "--scenario", str(scen), "--runs", "3",
                      "--seed", "1"]) == 0
+
+
+def test_cli_run_reports_violation_times(tmp_path, cfg_mixed, monkeypatch,
+                                         capsys):
+    """A run whose every row fails containment exits 1 and names each
+    sample time as a plain float."""
+    monkeypatch.setattr(pipeline, "MEMBERSHIP_SLACK", -2.0)
+    scen = tmp_path / "mixed.yaml"
+    cfg_mixed.save(scen)
+    assert cli_main(["run", "--scenario", str(scen),
+                     "--out", str(tmp_path / "out")]) == 1
+    times = [k * cfg_mixed.dt for k in range(cfg_mixed.n_steps + 1)]
+    assert (capsys.readouterr().err
+            == f"CONTAINMENT VIOLATION at t = {times}\n")
 
 
 def test_cli_certify_mixed_exits_0(tmp_path, cfg_mixed, capsys):
