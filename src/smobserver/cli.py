@@ -2,7 +2,9 @@
 evaluate boundedness certificates, and sweep Monte Carlo containment.
 
 Exit codes: 0 on success, 1 on containment or envelope violation, 2 on a
-certificate inconsistency, 3 on bad input.
+certificate inconsistency, 3 on bad input, including a system or scenario
+whose design or certificate meets a singular or non-convergent linear
+algebra step.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import os
 import sys
 
+import numpy as np
 import yaml
 
 from .errors import ObserverError
@@ -155,6 +158,10 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except np.linalg.LinAlgError as exc:
+        print("error: linear algebra failed: " + " ".join(str(exc).split()),
+              file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InvalidEllipsoidError, InvalidParameterError
-from .numerics import min_eigval, spectral_norm, symmetrize, unit_ball_volume
+from .numerics import symmetrize, unit_ball_volume
 
 #: slack on the unit quadratic form absorbed by membership tests
 MEMBERSHIP_SLACK = 1e-9
@@ -39,14 +39,7 @@ class Ellipsoid:
         if K.shape[0] != K.shape[1] or K.shape[0] != c.shape[0]:
             raise InvalidEllipsoidError(
                 f"dimension mismatch: center {c.shape[0]}, shape {K.shape}")
-        scale = spectral_norm(K)
-        if not np.allclose(K, K.T, atol=SYM_TOL * (1.0 + scale), rtol=0.0):
-            raise InvalidEllipsoidError("shape matrix is not symmetric")
-        K = symmetrize(K)
-        lam_min = min_eigval(K)
-        if lam_min <= 0.0:
-            raise InvalidEllipsoidError(
-                f"shape matrix is not positive definite (min eig {lam_min:g})")
+        K, _ = checked_shapes(K)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "shape", K)
 
@@ -73,6 +66,42 @@ class Ellipsoid:
         return self.center[None, :] + u @ L.T
 
 
+def checked_shapes(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A shape matrix K, or each in a stack, symmetrized, and its
+    eigenvalues in ascending order.  :class:`InvalidEllipsoidError` unless
+    each K is symmetric to SYM_TOL (1 + ||K||_2) and positive definite."""
+    scale = np.linalg.norm(shapes, 2, axis=(-2, -1))[..., None, None]
+    if not np.all(np.abs(shapes - shapes.swapaxes(-1, -2))
+                  <= SYM_TOL * (1.0 + scale)):
+        raise InvalidEllipsoidError("shape matrix is not symmetric")
+    K = symmetrize(shapes)
+    lam = np.linalg.eigvalsh(K)
+    lam_min = np.min(lam, initial=np.inf)
+    if lam_min <= 0.0:
+        raise InvalidEllipsoidError(
+            f"shape matrix is not positive definite (min eig {lam_min:g})")
+    return K, lam
+
+
+def boundary_polylines(centers: np.ndarray, shapes: np.ndarray,
+                       n_points: int = 50) -> np.ndarray:
+    """:meth:`Ellipsoid.boundary_points` of each 2-D ellipsoid of a stack,
+    centers (N, 2) and shapes (N, 2, 2), as (N, n_points, 2), after one
+    batched :func:`checked_shapes`.  Each square root is closed form: with
+    eigenvalues l0, l1 of K, sqrt(det K) = sqrt(l0) sqrt(l1) and
+    sqrt(tr K + 2 sqrt(det K)) = sqrt(l0) + sqrt(l1), so
+    sqrt(K) = (K + sqrt(det K) I) / sqrt(tr K + 2 sqrt(det K))."""
+    if shapes.shape[1:] != (2, 2) or centers.shape != (len(shapes), 2):
+        raise InvalidParameterError("boundary polylines are 2-D only")
+    K, lam = checked_shapes(shapes)
+    r = np.sqrt(lam)
+    root = ((K + (r[:, :1] * r[:, 1:])[:, :, None] * np.eye(2))
+            / (r[:, 0] + r[:, 1])[:, None, None])
+    phi = np.linspace(0.0, 2.0 * np.pi, n_points)
+    circle = np.vstack([np.cos(phi), np.sin(phi)])
+    return centers[:, None, :] + (root @ circle).swapaxes(1, 2)
+
+
 def inverse_factors(shapes: np.ndarray) -> np.ndarray:
     """L^{-1}, L the lower Cholesky factor of an SPD shape K, or of each
     shape in a stack, from one batched inversion.  The factorization is the
@@ -89,8 +118,10 @@ def quadratic_forms(inv_factor: np.ndarray, X: np.ndarray,
     """(x - c)^T K^{-1} (x - c) = ||L^{-1} (x - c)||^2 for every column x
     of ``X`` against the matching column c of ``centers`` (or one broadcast
     center), where ``inv_factor`` is :func:`inverse_factors` of the shape
-    K."""
-    return np.sum((inv_factor @ (X - centers)) ** 2, axis=0)
+    K; or of each matrix in a stack of ``X`` and ``centers`` against the
+    matching shape of a stack of inverse factors."""
+    r = inv_factor @ (X - centers)
+    return np.sum(r ** 2, axis=max(r.ndim - 2, 0))
 
 
 def volume(shape: np.ndarray):

@@ -27,7 +27,8 @@ from .certificates import (AssumptionConstants, CertificateReport, certify)
 from .decomposition import (Decomposition, LtiSystem, build_decomposition,
                             select_derivative_order)
 from .ellipsoid import (MEMBERSHIP_SLACK, Ellipsoid, axis_bounds,
-                        inverse_factors, quadratic_forms, volume)
+                        boundary_polylines, inverse_factors, quadratic_forms,
+                        volume)
 from .errors import InvalidDesignError, InvalidParameterError
 from .fusion import fuse
 from .generators import SignalGenerator, SineBank
@@ -53,7 +54,7 @@ def rk4_recurrence(A: np.ndarray, B: np.ndarray, h: float
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    A2, A3, A4 = A @ A, None, None
+    A2 = A @ A
     A3 = A2 @ A
     A4 = A3 @ A
     n = A.shape[0]
@@ -117,10 +118,13 @@ class CenterLift:
         s(t + (q + 1) p h) = Mp^{q+1} s(t) + F_q,    q = 0..n_q - 1,
 
     the free response Phi s(t), Phi = [Mp; Mp^2; ..; Mp^{n_q}], plus the
-    input's forced response F_q = sum_{j <= q} Mp^{q-j} W u_j.  For a sine
-    bank whose interval table fits :data:`FOLD_BUDGET`, :func:`estimate`
-    takes F from that table and advances each sample interval by one
-    product with Phi; otherwise it steps stride by stride through Mp.
+    input's forced response F_q = sum_{j <= q} Mp^{q-j} W u_j.  Only the
+    states at the sample times depend on each other, s(t_k) = Mp^{n_q}
+    s(t_{k-1}) + F_{n_q - 1}: :func:`estimate` advances a chunk of sample
+    intervals by that recurrence alone, then takes the chunk's other quad
+    nodes in one product with Phi.  For a sine bank whose interval table
+    fits :data:`FOLD_BUDGET`, F comes from that table; otherwise the pass
+    steps stride by stride through Mp.
     """
 
     Mp: np.ndarray       # (ds, ds)
@@ -128,9 +132,8 @@ class CenterLift:
     W: np.ndarray        # (ds, (2p + 1) n_w)
     n_x: int
     n_z: int             # (l + 1) n_y bank states
-    #: (n_q, 2p + 1) positions of each quad stride's input samples in one
-    #: sample interval's [n_fine + 1 nodes; n_fine half-nodes]
-    gather: np.ndarray
+    stride: int          # p fine steps per quad stride
+    n_q: int             # quad strides per sample interval
 
     @property
     def x1(self) -> slice:
@@ -170,16 +173,12 @@ def build_center_lift(sys: LtiSystem, hgo_cfg: HgoConfig, uio: UioDesign,
         nodes[m + 1] += P @ G1
         half[m] = P @ Gh
     W = np.concatenate([nodes, half]).transpose(1, 0, 2).reshape(ds, -1)
-    first = stride * np.arange(n_q)[:, None]
-    n_fine = stride * n_q
-    gather = np.hstack([first + np.arange(stride + 1),
-                        n_fine + 1 + first + np.arange(stride)])
     Mp = powers[stride]
     Phi = [Mp]
     for _ in range(n_q - 1):
         Phi.append(Mp @ Phi[-1])
     return CenterLift(Mp=Mp, Phi=np.concatenate(Phi), W=W, n_x=n, n_z=n_z,
-                      gather=gather)
+                      stride=stride, n_q=n_q)
 
 
 # -- per-scenario design ---------------------------------------------------
@@ -393,26 +392,31 @@ EPS1_SLACK = 1e-9
 
 
 @dataclass
-class EstimateStep:
-    """Step k of :func:`estimate`: the centers of each run.  The shapes of
-    step k are entry k of the :class:`ShapeSchedule`."""
+class EstimateChunk:
+    """Steps ``k`` (a slice) of :func:`estimate`: the centers of each run,
+    each with a leading step axis of length b.  The shapes of step k are
+    entry k of the :class:`ShapeSchedule`."""
 
-    k: int
-    x: np.ndarray            # (n, runs) plant state at t_k
-    y: np.ndarray | None     # (n_y, runs) output at t_k; None at k = 0
-    #: (n_q + 1, n1, runs) observer on the quad nodes of [t_{k-1}, t_k];
-    #: (1, n1, runs) at k = 0
+    k: slice
+    x: np.ndarray            # (b, n, runs) plant state at t_k
+    y: np.ndarray            # (b, n_y, runs) output at t_k
+    #: (b, n_q + 1, n1, runs) observer on the quad nodes of [t_{k-1}, t_k];
+    #: (1, 1, n1, runs) at k = 0
     x1hat_q: np.ndarray
-    eps1_gap: np.ndarray     # (n_q, runs) since t_{k-1}; empty at k = 0
-    x2hat: np.ndarray        # (n2, runs) weak-block center after the update
-    xhat: np.ndarray         # (n, runs) fused center
-    q: np.ndarray            # (runs,) fused quadratic form of x
+    #: (b, n_q, runs) eps1 - ||x1 - x1hat|| on the quad nodes after t_{k-1};
+    #: (1, 0, runs) at k = 0
+    eps1_gap: np.ndarray
+    x2hat: np.ndarray        # (b, n2, runs) weak-block center after the update
+    xhat: np.ndarray         # (b, n, runs) fused center
+    q: np.ndarray            # (b, runs) fused quadratic form of x
 
 
-#: largest interval table, in bytes, that :func:`_fold_bank` folds.  Per
-#: sample interval the folded drive reads the whole table once, so a large
-#: one is memory-bound and the stride loop is faster (crossover measured
-#: on example1, one BLAS thread: see CHANGES.md)
+#: byte budget of the center pass.  It is the largest interval table that
+#: :func:`_fold_bank` folds: per chunk the folded drive reads the whole
+#: table once, so a large one is memory-bound and the stride loop is faster
+#: (crossover measured on example1, one BLAS thread: see CHANGES.md).  It
+#: also sizes the chunks of :func:`estimate`: as many sample intervals as
+#: keep the states of all runs on the chunk's quad nodes within it.
 FOLD_BUDGET = 1 << 20
 
 
@@ -435,7 +439,7 @@ def _fold_bank(lift: CenterLift, bank: SineBank, h: float
     ds) and rot (runs, n_q, terms).  Each term's pair of rows is adjacent
     as in the float view of a complex array.
     """
-    n_q, stride = lift.gather.shape[0], lift.gather.shape[1] // 2
+    n_q, stride = lift.n_q, lift.stride
     tau = h * np.concatenate([np.arange(stride + 1), np.arange(stride) + 0.5])
     freqs = np.ascontiguousarray(bank.freqs.T)           # (runs, terms)
     rot = np.exp(1j * freqs * tau[:, None, None])        # (2p+1, runs, terms)
@@ -460,139 +464,221 @@ def _fold_bank(lift: CenterLift, bank: SineBank, h: float
     return Y.reshape(runs, 2 * terms, n_q * Z.shape[-1]), None
 
 
-def _bank_drive(design: DesignArtifacts, bank: SineBank):
-    """w(0), then (U, w(t_k)) for k = 1..n_steps from the exact anchors
-    e^{i (w t_k + p)} of each sample time.  With the interval table of
-    :func:`_fold_bank`, U (n_q ds, runs) is the forced response of
-    [t_{k-1}, t_k] at its stride ends (see :class:`CenterLift`), one
-    product with the anchors.  With the stride table, U (n_q, ds, runs) is
-    the lifted drive of each quad stride: the anchors turned to the stride
-    anchors by the rotations, multiplied by Z."""
-    h, n_fine = design.cfg.h_fine, design.cfg.n_fine
-    table, rot = _fold_bank(design.lift, bank, h)
-    freqs, phases = (np.ascontiguousarray(a.T)
-                     for a in (bank.freqs, bank.phases))
-
-    def anchor(k):
-        e = np.exp(1j * (freqs * (h * (n_fine * k)) + phases))  # (runs, terms)
-        return e, np.einsum("ajr,rj->ar", bank.gains, e.imag)
-
-    e, w = anchor(0)
-    yield w
-    for k in range(1, design.cfg.n_steps + 1):
-        # (runs, 1, 2 terms) for the interval table, (runs, n_q, 2 terms)
-        # for the stride table
-        coef = (e.view(float)[:, None] if rot is None
-                else (e[:, None, :] * rot).view(float))
-        e, w = anchor(k)
-        # yielded, not bound: this frame would hold it into the next interval
-        yield (np.matmul(coef, table)[:, 0].T if rot is None
-               else np.matmul(coef, table).transpose(1, 2, 0)), w
+def _chunks(n_steps: int, steps: int):
+    """(k0, b): the chunks of ``steps`` sample intervals that cover
+    [t_0, t_{n_steps}], the last one possibly shorter."""
+    for k0 in range(0, n_steps, steps):
+        yield k0, min(steps, n_steps - k0)
 
 
-def _sampled_drive(design: DesignArtifacts, w_family):
-    """What :func:`_bank_drive` yields with its stride table, for a
-    callable of times: each interval's samples on its fine nodes and
-    half-nodes, gathered per quad stride and multiplied by the lifted
-    map."""
+def _bank_drive(design: DesignArtifacts, bank: SineBank, table: np.ndarray,
+                rot: np.ndarray | None, steps: int):
+    """(U, w) per chunk of :func:`_chunks`, from the exact anchors
+    e^{i (w t_k + p)} of the sample times k0..k0 + b.  w (b + 1, runs, n_w)
+    samples the bank at those times.  With the interval table of
+    :func:`_fold_bank`, U (runs, b, n_q, ds) is each interval's forced
+    response at its stride ends (see :class:`CenterLift`), one product
+    with the anchors.  With the stride table, U (n_q, b, runs, ds) is the
+    lifted drive of each quad stride: the anchors turned to the stride
+    anchors by the rotations, multiplied by Z.  U is a view of one buffer,
+    which the next chunk overwrites."""
     cfg, lift = design.cfg, design.lift
-    n_fine, h = cfg.n_fine, cfg.h_fine
-    offsets = np.arange(n_fine + 1)
-    for k in range(cfg.n_steps):
-        nodes = h * (k * n_fine + offsets)
-        w = w_family(np.concatenate([nodes, nodes[:-1] + 0.5 * h]))
-        if not k:
-            yield w[0]
-        yield (np.matmul(lift.W, w[lift.gather].reshape(
-            lift.gather.shape[0], -1, w.shape[-1])), w[n_fine])
+    h, n_fine, n_q, ds = cfg.h_fine, cfg.n_fine, lift.n_q, lift.Mp.shape[0]
+    terms, runs = bank.freqs.shape
+    buf = np.empty(runs * steps * n_q * ds)
+    if rot is not None:
+        coef = np.empty((runs, n_q, steps, terms), dtype=complex)
+    e = np.exp(1j * bank.phases)[None]                    # t = 0
+    for k0, b in _chunks(cfg.n_steps, steps):
+        t = h * (n_fine * np.arange(k0 + 1, k0 + b + 1))
+        e = np.concatenate([e[-1:], np.exp(1j * (bank.freqs * t[:, None, None]
+                                                 + bank.phases))])
+        anchors = e[:b].transpose(2, 0, 1)                # (runs, b, terms)
+        if rot is None:
+            U = buf[:runs * b * n_q * ds].reshape(runs, b, n_q, ds)
+            np.matmul(np.ascontiguousarray(anchors).view(float), table,
+                      out=U.reshape(runs, b, -1))
+        else:
+            U = buf[:runs * b * n_q * ds].reshape(n_q, b, runs, ds)
+            turned = np.multiply(anchors[:, None], rot[:, :, None],
+                                 out=coef[:, :, :b])
+            np.matmul(turned.view(float).reshape(runs, n_q * b, -1), table,
+                      out=U.reshape(n_q * b, runs, ds).transpose(1, 0, 2))
+        yield U, np.einsum("ajr,bjr->bra", bank.gains, e.imag)
+
+
+def _sampled_drive(design: DesignArtifacts, w_family, steps: int, runs: int):
+    """What :func:`_bank_drive` yields with its stride table, for a
+    callable of times: each chunk's samples on its fine nodes and
+    half-nodes, from one call, gathered per quad stride and multiplied by
+    the lifted map."""
+    cfg, lift = design.cfg, design.lift
+    n_fine, h, p, n_q = cfg.n_fine, cfg.h_fine, lift.stride, lift.n_q
+    ds = lift.Mp.shape[0]
+    buf = np.empty(runs * steps * n_q * ds)
+    for k0, b in _chunks(cfg.n_steps, steps):
+        nodes = h * (k0 * n_fine + np.arange(b * n_fine + 1))
+        w = np.asarray(w_family(np.concatenate([nodes, nodes[:-1] + 0.5 * h])))
+        # stride q of interval j starts at fine node (j n_q + q) p
+        first = p * (n_q * np.arange(b) + np.arange(n_q)[:, None])[..., None]
+        gather = np.concatenate([first + np.arange(p + 1),
+                                 nodes.size + first + np.arange(p)], axis=-1)
+        U = buf[:runs * b * n_q * ds].reshape(n_q, b, runs, ds)
+        u = w[gather].transpose(0, 1, 4, 2, 3)    # (n_q, b, runs, 2p+1, n_w)
+        np.matmul(u.reshape(n_q * b * runs, -1), lift.W.T,
+                  out=U.reshape(-1, ds))
+        yield U, w[:nodes.size:n_fine].transpose(0, 2, 1)
 
 
 def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
              schedule: ShapeSchedule, log: list | None = None):
     """Run the estimator on a batch of runs, yielding one
-    :class:`EstimateStep` per sample time k = 0..n_steps.
+    :class:`EstimateChunk` for k = 0, then one per chunk of sample
+    intervals up to k = n_steps.
 
     ``X0`` (n x runs) holds the initial states.  ``w_family`` is the input
     of each run: a :class:`~smobserver.generators.SineBank` with one column
     per run, whose lifted drive is folded once (:func:`_fold_bank`), or any
     callable mapping an array of times to (len, n_w, runs) samples, called
-    once per sample interval on its fine nodes followed by its half-nodes.
+    once per chunk on its fine nodes followed by its half-nodes.
     ``schedule`` is :func:`shape_schedule` of ``design``.  Every run starts
     the observer at the split of ``xhat0`` and the bank at its output at
-    t = 0.  The loop only advances centers: the continuous blocks (plant,
-    derivative bank, unknown-input observer) by the lifted map of
-    :class:`CenterLift`, per sample interval one product with its stacked
-    powers Phi plus the folded bank's forced response, or, for a bank over
-    :data:`FOLD_BUDGET` and for a callable, one product with Mp per quad
-    stride; then the x2 block by its quadrature drive and, on update steps,
-    by O_k times the innovation, then the fused center and each run's
-    quadratic form.  ``log`` receives
-    the stage names in the order of the published pseudocode (select the
-    stacking gain, propagate, gate the update, update or skip, fuse).
+    t = 0.  A chunk holds as many sample intervals as keep the lifted states
+    of all runs on its quad nodes within :data:`FOLD_BUDGET`; its buffers
+    are allocated once per call.
+
+    The pass only advances centers.  Per chunk it advances the continuous
+    blocks (plant, derivative bank, unknown-input observer) by the lifted
+    map of :class:`CenterLift`: for a folded bank, a loop of one product
+    with Mp^{n_q} per interval takes the states at the sample times, then
+    one product with Phi plus the forced responses takes every other quad
+    node; for a bank over :data:`FOLD_BUDGET` and for a callable, a loop of
+    one product with Mp per quad stride.  The rest is taken for the whole
+    chunk at once: the outputs, the eps1 gaps, the x2 block's quadrature
+    drive and innovation terms, the fused centers and each run's quadratic
+    form; only the x2 recursion (e^{A4 dt} and, on update steps, O_k times
+    the innovation) stays a loop over the chunk's steps.  ``log`` receives
+    the stage names of each step in the order of the published pseudocode
+    (select the stacking gain, propagate, gate the update, update or skip,
+    fuse).
     """
     cfg, dec, lift = design.cfg, design.dec, design.lift
     sys, n, x1, n1, n2 = dec.system, lift.n_x, lift.x1, dec.n1, dec.n2
-    n_q, N = cfg.quad_substeps, cfg.n_steps
-    log = [] if log is None else log
+    n_q, N, ds = lift.n_q, cfg.n_steps, lift.Mp.shape[0]
     X0 = np.asarray(X0, dtype=float)
     runs = X0.shape[1]
-    T1, P1inv = dec.P1[:n1], schedule.P1inv
-    drive = (_bank_drive(design, w_family) if isinstance(w_family, SineBank)
-             else _sampled_drive(design, w_family))
+    stack = (n_q + 1) * ds * max(runs, 1) * 8    # bytes per interval
+    steps = int(max(1, min(N, FOLD_BUDGET // stack)))
+    if isinstance(w_family, SineBank):
+        table, rot = _fold_bank(lift, w_family, cfg.h_fine)
+        folded = rot is None
+        drive = _bank_drive(design, w_family, table, rot, steps)
+    else:
+        folded, drive = False, _sampled_drive(design, w_family, steps, runs)
+    # (n_q, N) eps1 on the quad nodes after the start of each interval
+    eps1_q = design.eps1_grid[1:N * n_q + 1].reshape(N, n_q).T[:, :, None]
+    P1invT = schedule.P1inv.T
+    gap_map = np.zeros((n1, ds))        # x1 - x1hat = T1 x - x1hat
+    gap_map[:, :n], gap_map[:, x1] = dec.P1[:n1], -np.eye(n1)
+    MpT = np.ascontiguousarray(lift.Mp.T)
+    PhiT = lift.Phi.reshape(n_q, ds, ds).transpose(0, 2, 1)
+    MpnT = np.ascontiguousarray(PhiT[-1])
     if n2:
-        # x2's quadrature drive and the update's feedthrough of c_w are the
-        # same in every run: take them for all N steps at once
+        # x2's quadrature drive from x1hat on an interval's quad nodes; the
+        # drive of c_w and the update's feedthrough of it are the same in
+        # every run: take them for all N steps at once
         Dq = center_drive(dec.B2p, cfg.dt, schedule.kernels)
-        Dx1 = Dq[:, :, :n1].transpose(1, 0, 2).reshape(n2, -1)
+        D0, Dn = Dq[0, :, :n1].T, Dq[1:, :, :n1].transpose(0, 2, 1)
         cw_q = cfg.cw(design.eps1_ts)[n_q * np.arange(N)[:, None]
                                       + np.arange(n_q + 1)]
-        cw_drive = np.einsum("jab,kjb->ka", Dq[:, :, n1:], cw_q)[:, :, None]
-        cw_feed = (cw_q[:, -1] @ dec.D2p[:, n1:].T)[:, :, None]
+        cw_drive = (cw_q.reshape(N, -1) @ Dq[:, :, n1:].transpose(0, 2, 1)
+                    .reshape(-1, n2))[:, None]
+        cw_feed = (cw_q[:, -1] @ dec.D2p[:, n1:].T)[:, None]
+        K0T, C2T, D2T = schedule.kernels[0].T, dec.C2.T, dec.D2p[:, :n1].T
+        OT = schedule.O.transpose(0, 2, 1)
+    stages = ["continuous"] + (["gamma", "propagate", "gate"] if n2 else [])
+    stages = (stages + ["fuse"], stages + ["update", "fuse"])
 
-    log.append("setup")
-    s = np.zeros((lift.Mp.shape[0], runs))
-    s[:n] = X0
+    if log is not None:
+        log += ["setup", "fuse"]
+    s = np.zeros((runs, ds))
+    s[:, :n] = X0.T
     xp0 = dec.P1 @ cfg.xhat0
-    s[x1] = xp0[:n1, None]
-    x2 = np.tile(xp0[n1:, None], (1, runs))
-    x, y, x1hat_q, gap = X0, None, s[None, x1], np.empty((0, runs))
-    for k in range(N + 1):
-        if k:
-            log.append("continuous")
-            if k == 1:
-                s[n:n + sys.n_y] = sys.C @ X0 + sys.D @ next(drive)
-            # S before the drive's arrays: in the other order the allocator
-            # returns and re-faults pages every interval (14,000 minor
-            # faults per 200-run example1 sweep, about 6 % of its time)
-            S = np.empty((n_q + 1,) + s.shape)
-            S[0] = s
-            U, w_k = next(drive)
-            if U.ndim == 2:     # a folded bank's forced response
-                S[1:] = (lift.Phi @ s + U).reshape(n_q, -1, runs)
-            else:               # the lifted drive of each stride
-                S[1:] = U
+    s[:, x1] = xp0[:n1]
+    x2 = np.tile(xp0[n1:], (runs, 1))
+    U, w = next(drive)
+    s[:, n:n + sys.n_y] = X0.T @ sys.C.T + w[0] @ sys.D.T
+    xhat = np.concatenate([s[:, x1], x2], axis=1) @ P1invT
+    yield EstimateChunk(
+        k=slice(0, 1), x=X0[None].copy(), y=s[:, n:n + sys.n_y].T[None].copy(),
+        x1hat_q=s[:, x1].T[None, None].copy(), eps1_gap=np.empty((1, 0, runs)),
+        x2hat=x2.T[None].copy(), xhat=xhat.T[None],
+        q=quadratic_forms(schedule.inv_factor[0], X0, xhat.T)[None])
+
+    chain_buf = np.empty((steps + 1) * runs * ds)
+    node_buf = np.empty(n_q * steps * runs * ds if folded else 0)
+    tmp = np.empty((runs, ds))
+    for k0, b in _chunks(N, steps):
+        if k0:
+            U, w = next(drive)
+        # chain: the states at t_{k0} .. t_{k0+b}; S: every quad node of the
+        # chunk's intervals after their start, so S[-1] = chain[1:]
+        chain = chain_buf[:(b + 1) * runs * ds].reshape(b + 1, runs, ds)
+        chain[0] = s
+        if folded:
+            S = node_buf[:n_q * b * runs * ds].reshape(n_q, b, runs, ds)
+            for j in range(b):
+                np.matmul(chain[j], MpnT, out=tmp)
+                np.add(tmp, U[:, j, -1], out=chain[j + 1])
+            np.matmul(chain[:b].reshape(-1, ds), PhiT[:-1],
+                      out=S[:-1].reshape(n_q - 1, -1, ds))
+            S[:-1] += U.transpose(2, 1, 0, 3)[:-1]
+            S[-1] = chain[1:]
+        else:   # each stride's drive turns into its end state in place
+            S, prev = U, s
+            for j in range(b):
                 for q in range(n_q):
-                    S[q + 1] += lift.Mp @ S[q]
-            del U   # before the next interval's drive is formed
-            s = S[-1]
-            x, x1hat_q = S[-1, :n], S[:, x1]
-            y = sys.C @ x + sys.D @ w_k
-            err = np.matmul(T1, S[1:, :n]) - S[1:, x1]
-            gap = (design.eps1_grid[(k - 1) * n_q + 1:k * n_q + 1, None]
-                   - np.linalg.norm(err, axis=1))
-        if k and n2:
-            log += ["gamma", "propagate", "gate"]
-            x2 = (schedule.kernels[0] @ x2 + cw_drive[k - 1]
-                  + Dx1 @ x1hat_q.reshape(-1, runs))
-            if not schedule.skipped[k]:
-                log.append("update")
-                x2 = x2 + schedule.O[k] @ (y - dec.C2 @ x2 - cw_feed[k - 1]
-                                           - dec.D2p[:, :n1] @ x1hat_q[-1])
-        log.append("fuse")
-        xhat = P1inv @ np.concatenate([x1hat_q[-1], x2])
-        yield EstimateStep(k=k, x=x, y=y, x1hat_q=x1hat_q, eps1_gap=gap,
-                           x2hat=x2, xhat=xhat,
-                           q=quadratic_forms(schedule.inv_factor[k], x, xhat))
+                    np.matmul(prev, MpT, out=tmp)
+                    prev = S[q, j]
+                    prev += tmp
+            chain[1:] = S[-1]
+        s = chain[b].copy()
+
+        nodes, ends = S.reshape(-1, ds), S[-1].reshape(-1, ds)
+        x, x1hat = ends[:, :n], ends[:, x1]
+        y = ((x @ sys.C.T).reshape(b, runs, -1)
+             + (w.reshape(-1, w.shape[-1]) @ sys.D.T).reshape(b + 1, runs, -1)
+             [1:])
+        gap = eps1_q[:, k0:k0 + b] - np.linalg.norm(
+            gap_map @ nodes.T, axis=0).reshape(n_q, b, runs)
+        X2 = np.empty((b, runs, n2))
+        if n2:
+            pre = (np.einsum("qbri,qia->bra", S[..., x1], Dn)
+                   + (chain[:b, :, x1].reshape(-1, n1) @ D0).reshape(b, runs,
+                                                                     n2)
+                   + cw_drive[k0:k0 + b])
+            innov = (y - cw_feed[k0:k0 + b]
+                     - (x1hat @ D2T).reshape(b, runs, -1))
+            for j in range(b):
+                x2 = x2 @ K0T + pre[j]
+                if not schedule.skipped[k0 + 1 + j]:
+                    x2 = x2 + (innov[j] - x2 @ C2T) @ OT[k0 + 1 + j]
+                X2[j] = x2
+        xhat = (np.concatenate([x1hat, X2.reshape(b * runs, n2)], axis=1)
+                @ P1invT).reshape(b, runs, n).transpose(0, 2, 1)
+        x = x.reshape(b, runs, n).transpose(0, 2, 1).copy()
+        x1hat_q = np.empty((b, n_q + 1, n1, runs))
+        x1hat_q[:, 0] = chain[:b, :, x1].transpose(0, 2, 1)
+        x1hat_q[:, 1:] = S[..., x1].transpose(1, 0, 3, 2)
+        if log is not None:
+            for k in range(k0 + 1, k0 + b + 1):
+                log += stages[not schedule.skipped[k]]
+        yield EstimateChunk(
+            k=slice(k0 + 1, k0 + b + 1), x=x, y=y.transpose(0, 2, 1),
+            x1hat_q=x1hat_q, eps1_gap=gap.transpose(1, 0, 2),
+            x2hat=X2.transpose(0, 2, 1), xhat=xhat,
+            q=quadratic_forms(schedule.inv_factor[k0 + 1:k0 + b + 1], x,
+                              xhat))
 
 
 def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
@@ -628,13 +714,12 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
     qs = np.empty(len(traces))
     eps1_margin = np.inf
     log = step_log if step_log is not None else []
-
-    for step in estimate(design, x0[:, None], w_one, sched, log):
-        traces.x_true[step.k] = step.x[:, 0]
-        traces.xhat[step.k] = step.xhat[:, 0]
-        weak.x2hat[step.k] = step.x2hat[:, 0]
-        qs[step.k] = step.q[0]
-        eps1_margin = min(eps1_margin, np.min(step.eps1_gap, initial=np.inf))
+    for chunk in estimate(design, x0[:, None], w_one, sched, log):
+        traces.x_true[chunk.k] = chunk.x[:, :, 0]
+        traces.xhat[chunk.k] = chunk.xhat[:, :, 0]
+        weak.x2hat[chunk.k] = chunk.x2hat[:, :, 0]
+        qs[chunk.k] = chunk.q[:, 0]
+        eps1_margin = min(eps1_margin, np.min(chunk.eps1_gap, initial=np.inf))
 
     # the shape columns, one batch each
     traces.t = np.arange(len(traces)) * cfg.dt
@@ -765,8 +850,9 @@ def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
 
     The sweep is :func:`estimate` with one column per run: every shape,
     gain and weight comes from one :func:`shape_schedule` and is shared,
-    and only the centers differ between columns.  It streams one sample
-    interval at a time, so memory does not grow with the horizon.
+    and only the centers differ between columns.  It streams one chunk of
+    sample intervals at a time, each within :data:`FOLD_BUDGET`, so memory
+    does not grow with the horizon.
 
     ``x0s`` (n x runs) and ``w_family`` (a sine bank or a callable of times,
     as :func:`estimate` takes it) override the random draws with explicit
@@ -790,11 +876,12 @@ def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
     contained = np.ones(runs, dtype=bool)
     eps1_violations = 0
     eps1_margin = np.inf
-    for step in estimate(design, X, family, schedule):
-        eps1_margin = min(eps1_margin, np.min(step.eps1_gap, initial=np.inf))
-        eps1_violations += int(np.sum(step.eps1_gap < -EPS1_SLACK))
-        per_run_worst = np.maximum(per_run_worst, step.q)
-        contained &= step.q <= 1.0 + MEMBERSHIP_SLACK
+    for chunk in estimate(design, X, family, schedule):
+        eps1_margin = min(eps1_margin, np.min(chunk.eps1_gap, initial=np.inf))
+        eps1_violations += int(np.sum(chunk.eps1_gap < -EPS1_SLACK))
+        worst = np.max(chunk.q, axis=0)
+        per_run_worst = np.maximum(per_run_worst, worst)
+        contained &= worst <= 1.0 + MEMBERSHIP_SLACK
 
     rate = float(np.mean(contained))
     return {
@@ -875,9 +962,10 @@ def emit_plot_data(run: RunResult, out_dir, ellipse_axes: tuple | None = None,
     if ellipse_axes is not None:
         ij = list(ellipse_axes)
         path = os.path.join(out_dir, "plot_ellipses_x{}x{}.csv".format(*ij))
-        points = [Ellipsoid(c[ij], K[np.ix_(ij, ij)]).boundary_points(
-            ellipse_points) for c, K in zip(tr.xhat, run.schedule.shape)]
+        points = boundary_polylines(tr.xhat[:, ij],
+                                    run.schedule.shape[:, ij][:, :, ij],
+                                    ellipse_points)
         _write_csv(path, ["t", "px", "py"], np.column_stack(
-            [np.repeat(tr.t, ellipse_points), np.concatenate(points)]))
+            [np.repeat(tr.t, ellipse_points), points.reshape(-1, 2)]))
         written.append(path)
     return written

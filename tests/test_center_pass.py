@@ -53,18 +53,23 @@ def lifted(design, X0, w_family):
     """The centers :func:`estimate` yields, in the layout of
     :func:`node_by_node`, with a trailing run axis."""
     n_q = design.cfg.quad_substeps
-    xs, ys, x1hat_q, gaps = [], [], [], []
-    for step in estimate(design, X0, w_family, shape_schedule(design)):
-        xs.append(step.x)
-        gaps.append(step.eps1_gap)
-        if step.k:
-            assert step.x1hat_q.shape[0] == n_q + 1
-            ys.append(step.y)
-            x1hat_q.append(step.x1hat_q[1:])
-        else:
-            x1hat_q.append(step.x1hat_q)
-    return (np.array(xs), np.array(ys), np.concatenate(x1hat_q),
-            np.concatenate(gaps))
+    first, *chunks = estimate(design, X0, w_family, shape_schedule(design))
+    assert first.k == slice(0, 1) and first.x1hat_q.shape[:2] == (1, 1)
+    assert first.eps1_gap.shape[:2] == (1, 0)
+    for chunk in chunks:
+        assert chunk.x1hat_q.shape[1] == n_q + 1
+        assert np.array_equal(chunk.x1hat_q[1:, 0], chunk.x1hat_q[:-1, -1])
+    chunks = [first] + chunks
+    assert [c.k.start for c in chunks[1:]] == [c.k.stop for c in chunks[:-1]]
+
+    def joined(name):
+        return np.concatenate([getattr(c, name) for c in chunks])
+
+    n1, runs = first.x1hat_q.shape[2:]
+    x1hat_q = np.concatenate([first.x1hat_q[0]] + [
+        c.x1hat_q[:, 1:].reshape(-1, n1, runs) for c in chunks[1:]])
+    gaps = np.concatenate([c.eps1_gap.reshape(-1, runs) for c in chunks])
+    return joined("x"), joined("y")[1:], x1hat_q, gaps
 
 
 def assert_blocks_close(ref, got):
@@ -187,7 +192,7 @@ def test_input_family_matches_broadcast_formula(cfg_ex1, design_ex1,
     calls = [(ts, fam(ts))]
     for design in (design_ex1, design_ex2):
         calls += center_pass_calls(design, fam, 7)
-    assert calls[-1][0][0] == pytest.approx(design_ex2.cfg.horizon - 0.1)
+    assert np.max(calls[-1][0]) == pytest.approx(design_ex2.cfg.horizon)
     for ts, w in calls:
         ref = broadcast_family(sines, cfg, ts)
         assert np.max(np.abs(w - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
@@ -262,49 +267,65 @@ def bank_with_extra_terms(cfg, runs):
 def test_bank_drive_equals_lifted_samples(monkeypatch, cfg_ex1, design_ex1,
                                           design_ex2):
     """On every sample interval of the example1 and example2 horizons, the
-    stride drives of a sine bank (the stride table, budget 0) equal lift.W
-    times the gathered broadcast-formula samples to 1e-13 of each row
-    block's size, and w(0) and w(t_k) equal the samples.  The interval
-    table (no budget) gives the forced response of those stride drives,
-    accumulated through Mp, to 1e-12 of the interval's largest entry."""
+    stride drives of a sine bank (the stride table, budget 0, one interval
+    per chunk) equal lift.W times the gathered broadcast-formula samples to
+    1e-13 of each row block's size, and w(0) and w(t_k) equal the samples.
+    The interval table (no budget, 7 intervals per chunk) gives the forced
+    response of those stride drives, accumulated through Mp, to 1e-12 of
+    the interval's largest entry, and the same w(t_k)."""
     runs = 5
     bank = bank_with_extra_terms(cfg_ex1, runs)
+
+    def drives(design, budget, steps):
+        monkeypatch.setattr(pipeline, "FOLD_BUDGET", budget)
+        table, rot = pipeline._fold_bank(design.lift, bank, design.cfg.h_fine)
+        assert (rot is None) == (budget == np.inf)
+        # each chunk's U is a view of one buffer: copy it before the next;
+        # the stride drives come step major, the forced responses run major
+        chunks = [(U.copy() if rot is None else U.transpose(2, 1, 0, 3).copy(),
+                   w) for U, w in
+                  pipeline._bank_drive(design, bank, table, rot, steps)]
+        assert all(len(w) == U.shape[1] + 1 for U, w in chunks)
+        return (np.concatenate([U for U, _ in chunks], axis=1),
+                np.concatenate([chunks[0][1][:1]]
+                               + [w[1:] for _, w in chunks]))
+
     for design in (design_ex1, design_ex2):
         cfg, lift = design.cfg, design.lift
-        n_fine, h = cfg.n_fine, cfg.h_fine
+        n_fine, h, p, n_q = cfg.n_fine, cfg.h_fine, lift.stride, lift.n_q
         blocks = (slice(0, lift.n_x), slice(lift.n_x, lift.n_x + lift.n_z),
                   lift.x1)
-        monkeypatch.setattr(pipeline, "FOLD_BUDGET", np.inf)
-        folded = list(pipeline._bank_drive(design, bank))
-        monkeypatch.setattr(pipeline, "FOLD_BUDGET", 0)
-        drive = pipeline._bank_drive(design, bank)
-        w0 = next(drive)
-        assert np.array_equal(folded[0], w0)
+        folded, w_folded = drives(design, np.inf, 7)
+        strides, w_strides = drives(design, 0, 1)
+        assert np.array_equal(w_folded, w_strides)
+        assert strides.shape == folded.shape == (runs, cfg.n_steps, n_q,
+                                                 lift.Mp.shape[0])
         offsets = np.arange(n_fine + 1)
-        for k, (U, w_k) in enumerate(drive):
+        first = p * np.arange(n_q)[:, None]
+        gather = np.hstack([first + np.arange(p + 1),
+                            n_fine + 1 + first + np.arange(p)])
+        for k in range(cfg.n_steps):
             nodes = h * (k * n_fine + offsets)
             ts = np.concatenate([nodes, nodes[:-1] + 0.5 * h])
             w = np.einsum("ajr,tjr->tar", bank.gains,
                           np.sin(bank.freqs * ts[:, None, None]
                                  + bank.phases))
-            ref = np.matmul(lift.W, w[lift.gather].reshape(
-                cfg.quad_substeps, -1, runs))
-            assert U.shape == ref.shape
+            ref = np.matmul(lift.W, w[gather].reshape(n_q, -1, runs))
+            U = strides[:, k].transpose(1, 2, 0)
             for rows in blocks:
                 assert np.max(np.abs(U[:, rows] - ref[:, rows])) <= \
                     1e-13 * np.max(np.abs(ref[:, rows]))
             scale = np.max(np.abs(w))
-            assert np.max(np.abs(w_k - w[n_fine])) <= 1e-13 * scale
+            assert np.max(np.abs(w_strides[k + 1] - w[n_fine].T)) <= \
+                1e-13 * scale
             if not k:
-                assert np.max(np.abs(w0 - w[0])) <= 1e-13 * scale
+                assert np.max(np.abs(w_strides[0] - w[0].T)) <= 1e-13 * scale
             F = [U[0]]
-            for q in range(1, len(U)):
+            for q in range(1, n_q):
                 F.append(lift.Mp @ F[-1] + U[q])
-            F = np.concatenate(F)
-            assert np.max(np.abs(folded[k + 1][0] - F)) <= \
+            F = np.array(F)
+            assert np.max(np.abs(folded[:, k].transpose(1, 2, 0) - F)) <= \
                 1e-12 * np.max(np.abs(F))
-            assert np.array_equal(folded[k + 1][1], w_k)
-        assert k == cfg.n_steps - 1
 
 
 @pytest.mark.parametrize("runs", [1, 3])

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smobserver.ellipsoid import (MEMBERSHIP_SLACK, Ellipsoid, axis_bounds,
-                                  inverse_factors, quadratic_forms, volume)
+                                  boundary_polylines, inverse_factors,
+                                  quadratic_forms, volume)
 from smobserver.errors import InvalidEllipsoidError
 from smobserver.weak import stacking_gain
 
@@ -97,6 +98,37 @@ def test_invalid_shapes_raise():
         Ellipsoid(np.zeros(3), np.eye(2))
     with pytest.raises(InvalidEllipsoidError):
         Ellipsoid(np.zeros(2), np.diag([1.0, 0.0]))  # only PSD
+
+
+def test_boundary_polylines_match_per_row_points():
+    """The batched polylines (closed-form square roots) equal each row's
+    ``Ellipsoid.boundary_points`` (``sqrtm``) to 1e-12 of the row's largest
+    coordinate, from well-conditioned shapes to condition number 1e6 and
+    scales from 1e-6 to 1e90 (a 2x2 shape of condition number c fixes its
+    square root only to about 1e-16 sqrt(c) of its norm, whichever way it
+    is taken); a non-symmetric or an indefinite shape anywhere in the
+    stack raises the error ``Ellipsoid`` raises."""
+    rng = np.random.default_rng(3)
+    N = 200
+    rot = np.linalg.qr(rng.standard_normal((N, 2, 2)))[0]
+    lam = 10.0 ** rng.uniform(-6.0, 0.0, (N, 2))
+    lam[:, 0] = 1.0
+    scale = 10.0 ** rng.uniform(-6.0, 90.0, N)[:, None, None]
+    shapes = scale * np.einsum("kij,kj,klj->kil", rot, lam, rot)
+    centers = np.sqrt(scale[:, 0]) * rng.standard_normal((N, 2))
+    got = boundary_polylines(centers, shapes, 17)
+    assert got.shape == (N, 17, 2)
+    for c, K, pts in zip(centers, shapes, got):
+        ref = Ellipsoid(c, K).boundary_points(17)
+        assert np.max(np.abs(pts - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for bad, match in ((np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+                       (np.diag([1.0, 0.0]), "positive definite"),
+                       (-np.eye(2), "positive definite")):
+        stack = np.concatenate([shapes[:5], bad[None], shapes[5:9]])
+        with pytest.raises(InvalidEllipsoidError, match=match):
+            boundary_polylines(centers[:10], stack)
+        with pytest.raises(InvalidEllipsoidError, match=match):
+            Ellipsoid(np.zeros(2), bad)
 
 
 def test_boundary_points_closed_polyline():

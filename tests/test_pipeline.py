@@ -75,6 +75,50 @@ def test_rk4_recurrence_weights_sum():
 
 # -- estimation loop --------------------------------------------------------
 
+def joined(chunks) -> dict:
+    """The centers, outputs and quadratic forms of :func:`estimate`'s
+    chunks joined along the step axis, and the eps1 gaps as one row per
+    quad node."""
+    chunks = list(chunks)
+    out = {name: np.concatenate([getattr(c, name) for c in chunks])
+           for name in ("x", "y", "x2hat", "xhat", "q")}
+    out["eps1_gap"] = np.concatenate(
+        [c.eps1_gap.reshape(-1, c.q.shape[-1]) for c in chunks])
+    return out
+
+
+@pytest.mark.parametrize("path", ["bank", "callable"])
+def test_estimate_is_chunk_invariant(monkeypatch, cfg_mixed, cfg_ex2, path):
+    """Chunks of one sample interval, of 7 (which split the mixed fixture's
+    run of updates and leave a short last chunk) and of the whole horizon
+    give the same states, centers, quadratic forms and eps1 gaps, to 1e-12
+    of each block's largest entry, through a sine bank and through a plain
+    callable."""
+    runs = 3
+    for cfg in (cfg_mixed, cfg_ex2.with_overrides(horizon=3.0)):
+        design = build_design(cfg)
+        schedule = shape_schedule(design)
+        rng = np.random.default_rng(21)
+        X0 = Ellipsoid(cfg.xhat0, cfg.K0).sample(rng, runs).T
+        bank = pipeline._sample_input_family(rng, cfg, runs)
+        family = bank if path == "bank" else (lambda ts: bank(ts))
+        lift, N = design.lift, cfg.n_steps
+        stack = (lift.n_q + 1) * lift.Mp.shape[0] * runs * 8
+        got = []
+        for steps in (1, 7, N):
+            monkeypatch.setattr(pipeline, "FOLD_BUDGET", steps * stack)
+            chunks = list(estimate(design, X0, family, schedule))
+            assert [c.q.shape[0] for c in chunks] == \
+                [1] + [steps] * (N // steps) + [N % steps] * bool(N % steps)
+            got.append(joined(chunks))
+        assert N % 7
+        assert schedule.skipped[1:].any() == (cfg is not cfg_mixed)
+        for name, ref in got[-1].items():
+            for other in got[:-1]:
+                assert np.max(np.abs(other[name] - ref)) <= \
+                    1e-12 * np.max(np.abs(ref)), (cfg.name, name)
+
+
 def test_step_log_algorithm_order(cfg_mixed):
     log = []
     run_algorithm1(cfg_mixed.with_overrides(horizon=0.3), step_log=log)
@@ -201,19 +245,17 @@ def test_batch_columns_match_single_runs(cfg_mixed):
     X0 = Ellipsoid(cfg.xhat0, cfg.K0).sample(rng, 3).T
     family = pipeline._sample_input_family(rng, cfg, 3)
     schedule = shape_schedule(design)
-    batch = list(estimate(design, X0, family, schedule))
+    batch = joined(estimate(design, X0, family, schedule))
     out = monte_carlo_containment(cfg, runs=3, seed=0, x0s=X0,
                                   w_family=family)
     for r in range(3):
         def w_r(ts, r=r):
             return family(ts)[:, :, r:r + 1]
 
-        single = list(estimate(design, X0[:, r:r + 1], w_r, schedule))
-        assert len(single) == len(batch) == cfg.n_steps + 1
-        for b, s in zip(batch, single):
-            for got, ref in ((b.xhat[:, r], s.xhat[:, 0]),
-                             (b.x2hat[:, r], s.x2hat[:, 0]),
-                             (b.q[r:r + 1], s.q)):
+        single = joined(estimate(design, X0[:, r:r + 1], w_r, schedule))
+        assert len(single["q"]) == len(batch["q"]) == cfg.n_steps + 1
+        for name in ("xhat", "x2hat", "q"):
+            for got, ref in zip(batch[name][..., r:r + 1], single[name]):
                 assert np.max(np.abs(got - ref)) <= 1e-10 * max(
                     1.0, np.max(np.abs(ref)))
         run = run_algorithm1(cfg, design=design, x0=X0[:, r],
@@ -303,7 +345,9 @@ def _row_emit_plot_data(run, out_dir, ellipse_axes) -> None:
 @pytest.mark.parametrize("run_name,axes", [("run_mixed", (0, 1)),
                                            ("run_ex2", (1, 2))])
 def test_column_writers_match_row_writers(run_name, axes, tmp_path, request):
-    """The column writers produce the bytes of a per-cell csv.writer."""
+    """The column writers produce the bytes of a per-cell csv.writer; the
+    ellipse polylines, whose square roots are closed form in the batch and
+    ``sqrtm`` per row, agree to 1e-12 of each row's largest coordinate."""
     run = request.getfixturevalue(run_name)
     new, ref = tmp_path / "new", tmp_path / "ref"
     new.mkdir(), ref.mkdir()
@@ -315,7 +359,15 @@ def test_column_writers_match_row_writers(run_name, axes, tmp_path, request):
     assert sorted(p.name for p in new.iterdir()) == names
     assert len(written) == 3
     for name in names:
-        assert (new / name).read_bytes() == (ref / name).read_bytes(), name
+        if name.startswith("plot_ellipses"):
+            got, want = (np.loadtxt(d / name, delimiter=",", skiprows=1)
+                         .reshape(len(run.traces), 50, 3) for d in (new, ref))
+            assert np.array_equal(got[..., 0], want[..., 0])
+            assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-12
+                          * np.max(np.abs(want[..., 1:]), axis=(1, 2)))
+        else:
+            assert (new / name).read_bytes() == (ref / name).read_bytes(), \
+                name
 
 
 def test_emit_traces_deterministic(tmp_path, run_mixed):
@@ -413,12 +465,12 @@ def test_estimate_runs_no_shape_code(cfg_mixed, monkeypatch):
                  "check_shape", "quad_kernels"):
         for mod in (pipeline, weak, fusion):
             monkeypatch.setattr(mod, name, forbidden, raising=False)
-    steps = list(estimate(design, cfg.xhat0[:, None],
-                          lambda ts: cfg.w_true(ts)[:, :, None], schedule))
-    assert len(steps) == cfg.n_steps + 1
-    assert np.array_equal([st.xhat[:, 0] for st in steps],
+    steps = joined(estimate(design, cfg.xhat0[:, None],
+                            lambda ts: cfg.w_true(ts)[:, :, None], schedule))
+    assert len(steps["xhat"]) == cfg.n_steps + 1
+    assert np.array_equal(steps["xhat"][:, :, 0],
                           [row.xhat for row in run.traces])
-    assert max(float(st.q[0]) for st in steps) == run.worst_q
+    assert float(np.max(steps["q"])) == run.worst_q
 
 
 def test_indefinite_predicted_shape_is_bad_input(tmp_path, cfg_mixed,
@@ -588,6 +640,28 @@ def _bad_scenario(tmp_path, **fields):
     scen = tmp_path / "bad.yaml"
     scen.write_text(yaml.safe_dump(d, sort_keys=False), encoding="utf-8")
     return scen, d
+
+
+@pytest.mark.parametrize("command", ["run", "certify"])
+@pytest.mark.parametrize("target", ["update_information", "grammian_rho"])
+def test_cli_linear_algebra_failure_is_bad_input(tmp_path, monkeypatch, capsys,
+                                                 command, target):
+    """A LinAlgError from the weak-block update or from the certificate's
+    Grammian window (a singular G_k) exits 3 with a one-line error, not a
+    traceback: ``cli.main`` used to let it escape."""
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular\nmatrix")
+
+    import smobserver.certificates as certificates
+    module = pipeline if target == "update_information" else certificates
+    monkeypatch.setattr(module, target, singular)
+    scen, _ = _bad_scenario(tmp_path)
+    args = [command, "--scenario", str(scen)]
+    if command == "run":
+        args += ["--out", str(tmp_path / "o")]
+    assert cli_main(args) == 3
+    err = capsys.readouterr().err
+    assert err == "error: linear algebra failed: Singular matrix\n"
 
 
 @pytest.mark.parametrize("field,value", [
