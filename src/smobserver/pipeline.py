@@ -578,8 +578,7 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
     # (n_q, N) eps1 on the quad nodes after the start of each interval
     eps1_q = design.eps1_grid[1:N * n_q + 1].reshape(N, n_q).T[:, :, None]
     P1invT = schedule.P1inv.T
-    gap_map = np.zeros((n1, ds))        # x1 - x1hat = T1 x - x1hat
-    gap_map[:, :n], gap_map[:, x1] = dec.P1[:n1], -np.eye(n1)
+    T1 = dec.P1[:n1]                    # x1 = T1 x
     MpT = np.ascontiguousarray(lift.Mp.T)
     PhiT = lift.Phi.reshape(n_q, ds, ds).transpose(0, 2, 1)
     MpnT = np.ascontiguousarray(PhiT[-1])
@@ -649,8 +648,10 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
         y = ((x @ sys.C.T).reshape(b, runs, -1)
              + (w.reshape(-1, w.shape[-1]) @ sys.D.T).reshape(b + 1, runs, -1)
              [1:])
-        gap = eps1_q[:, k0:k0 + b] - np.linalg.norm(
-            gap_map @ nodes.T, axis=0).reshape(n_q, b, runs)
+        err = T1 @ nodes[:, :n].T
+        err -= nodes[:, x1].T
+        err = np.sqrt(np.einsum("ij,ij->j", err, err))
+        gap = eps1_q[:, k0:k0 + b] - err.reshape(n_q, b, runs)
         X2 = np.empty((b, runs, n2))
         if n2:
             pre = (np.einsum("qbri,qia->bra", S[..., x1], Dn)
