@@ -16,7 +16,7 @@ from .errors import (CaseNotApplicableError, CertificateUnavailableError,
 from .numerics import (GRID_SUP_SAFETY, compensated_sup, expm, min_eigval,
                        simpson_matrix, spectral_norm, symmetrize)
 from .weak import (NO_STACKING, build_Ku, quad_kernels, stacking_gain,
-                   update_is_informative)
+                   update_information, update_is_informative)
 
 #: series switch-over for the (e^x - 1)/x factor
 _EXPM1_SERIES_CUTOFF = 1e-4
@@ -271,8 +271,7 @@ def grammian_rho(dec, Gk_seq: list, r: int, dt: float) -> float:
     if not np.all(ok):
         warnings.warn("singular G_k excluded from Grammian window")
     terms = np.zeros((N, n2, n2))
-    terms[ok] = C2.T @ np.linalg.solve(
-        G[ok], np.broadcast_to(C2, (int(np.sum(ok)),) + C2.shape))
+    terms[ok] = update_information(dec, G[ok])[0]
     # window k = r..N-1 sums M^T term_i M, M = e^{-(k-i) A4 dt}, newest first
     Einv = expm(-np.atleast_2d(dec.A4) * dt)
     S, M = np.zeros((N - r, n2, n2)), np.eye(n2)

@@ -37,10 +37,6 @@ class SingularNoiseError(ObserverError):
     """Measurement-noise shape G_k is singular; update must be skipped."""
 
 
-class SingularInnovationError(ObserverError):
-    """Innovation covariance is not invertible."""
-
-
 class CertificateUnavailableError(ObserverError):
     """No boundedness certificate applies to the given data."""
 

@@ -33,14 +33,13 @@ from .errors import InvalidDesignError, InvalidParameterError
 from .fusion import fuse
 from .generators import SignalGenerator, SineBank
 from .hgo import HgoConfig, _discretization, decay_constants, design_hgo
-from .numerics import expm, spectral_norm, symmetrize, zoh
+from .numerics import spectral_norm, symmetrize, zoh
 from .scenario import (ScenarioConfig, default_zbar0, input_bounds,
                        input_norm_bound, y_derivative_bound)
 from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
                   solve_uio_gain)
-from .weak import (build_Ku, center_drive, check_shape,
-                   gamma_terms, gk_matrix, measurement_update, optimize_beta,
-                   predict_shape, propagate, quad_kernels,
+from .weak import (build_Ku, center_drive, check_shape, gamma_terms,
+                   gk_matrix, propagate, quad_kernels, shape_recursion,
                    update_information, update_is_informative)
 
 
@@ -333,11 +332,10 @@ def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
     """Run the shape recursion of the estimator once over the horizon, in
     three phases.  First, for all steps at once, what depends on eps1 and
     K_w alone: the stacking gains, M2k, G_k, the update gate and, where the
-    update runs, the information C2^T G_k^{-1} C2.  Then the recursion
-    proper, per step: alpha_k and the predicted shape, then the update or
-    its skip.  Last, the fused shapes and their inverse factors, in one
-    batch.  :func:`~smobserver.weak.check_shape` checks each weak-block
-    shape once, and ``inverse_factors`` every fused one."""
+    update runs, C2^T G_k^{-1} C2 and G_k^{-1} C2.  Then the recursion on
+    P2 (:func:`~smobserver.weak.shape_recursion`), which checks every
+    weak-block shape.  Last, the fused shapes and their inverse factors,
+    in one batch."""
     cfg, dec = design.cfg, design.dec
     n1, n2, n_q, N = dec.n1, dec.n2, cfg.quad_substeps, cfg.n_steps
     n_y = dec.system.n_y
@@ -352,32 +350,23 @@ def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
     # t = 0: split the initial ellipsoid through the coordinate change
     P2 = symmetrize(dec.P1 @ cfg.K0 @ dec.P1.T)[n1:, n1:]
     check_shape(P2)
-    P2_pred, P2s = np.empty((2, N + 1, n2, n2))
-    P2_pred[:], P2s[:] = P2, P2
+    P2_pred = P2s = np.broadcast_to(P2, (N + 1, n2, n2))
     if n2:
         Kw_q = cfg.Kw(design.eps1_ts)
         Kw_k = Kw_q[n_q::n_q]          # K_w at t_1 .. t_N
         gain = gamma_terms(Kw_k, eps1[1:], n1)
-        gamma[1:], beta[1:] = gain[0], 0.0
+        gamma[1:] = gain[0]
         nodes = n_q * np.arange(N)[:, None] + np.arange(n_q + 1)
         M2k = propagate(dec, design.eps1_grid[nodes], Kw_q[nodes], cfg.dt,
                         gain, kernels)
         Gk[1:] = gk_matrix(dec, build_Ku(gain, eps1[1:], Kw_k, n1))
         informative = update_is_informative(dec, Gk[1:])
-        info = np.zeros((N, n2, n2))
-        info[informative] = update_information(dec.C2, Gk[1:][informative])
-        Ed = expm(dec.A4 * cfg.dt)
-        for k in range(1, N + 1):
-            P2, alpha[k] = predict_shape(P2, M2k[k - 1], cfg.dt, kernels, Ed)
-            P2_pred[k] = P2
-            factor = check_shape(P2)
-            if informative[k - 1]:
-                beta[k] = optimize_beta(factor, info[k - 1])
-                P2, O[k] = measurement_update(P2_pred[k], dec.C2, beta[k],
-                                              Gk[k])
-                check_shape(P2)
-                skipped[k] = False
-            P2s[k] = P2
+        info, GiC = np.zeros((N, n2, n2)), np.zeros((N, n_y, n2))
+        info[informative], GiC[informative] = update_information(
+            dec, Gk[1:][informative])
+        skipped[1:] = ~informative
+        alpha[1:], beta[1:], P2_pred, P2s, O[1:] = shape_recursion(
+            P2, kernels[0], cfg.dt * M2k, informative, info, GiC)
     shape, mu = fuse(eps1, P2s, P1inv)
     return ShapeSchedule(
         eps1=eps1, gamma=gamma, alpha=alpha, beta=beta, skipped=skipped,

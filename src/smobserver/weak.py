@@ -15,19 +15,19 @@ Shapes and gains depend on the system only; the one center formula here is
 predicted shape, beta_k and the update depend on the previous shape, so
 :func:`gamma_terms`, :func:`propagate` (M2k), :func:`gk_matrix`,
 :func:`update_is_informative` and :func:`update_information` take every
-step of a horizon at once.
+step of a horizon at once, and :func:`shape_recursion` runs the rest.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf as potrf, dsyevd as syevd
 from scipy.optimize import brentq
 
 from .errors import (DegenerateInputError, InvalidParameterError,
-                     SingularInnovationError, SingularNoiseError)
+                     SingularNoiseError)
 from .numerics import expm, simpson_matrix, symmetrize
 
 #: clip applied when the closed-form alpha degenerates to an endpoint
@@ -44,17 +44,24 @@ NO_STACKING = (1.0, np.inf)
 
 
 def check_shape(P2: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factor of ``P2`` if it is finite and positive
-    definite (shapes are symmetrized where they are formed), else
-    :class:`InvalidParameterError`; the shape schedule checks each
-    weak-block shape once with it, and :func:`optimize_beta` reuses the
-    factor of each predicted one."""
+    """The lower Cholesky factor of ``P2``, or of each shape of a stack, if
+    it is finite and positive definite, else :class:`InvalidParameterError`
+    for the first bad shape.  The shape schedule checks each weak-block
+    shape with it; one shape goes to LAPACK's potrf directly, since an
+    update step factors one and :func:`optimize_beta` reuses the factor."""
+    if P2.ndim > 2:  # one batch, else one at a time up to the bad shape
+        if np.isfinite(P2).all():
+            try:
+                return np.linalg.cholesky(P2)
+            except np.linalg.LinAlgError:
+                pass
+        return np.array([check_shape(P) for P in P2]).reshape(P2.shape)
     if not np.isfinite(P2).all():
         raise InvalidParameterError("weak-observer shape must be finite")
-    try:
-        return np.linalg.cholesky(P2)
-    except np.linalg.LinAlgError:
-        raise InvalidParameterError("P2hat must be SPD") from None
+    L, fail = potrf(P2, lower=1, clean=1)
+    if fail:
+        raise InvalidParameterError("P2hat must be SPD")
+    return L
 
 
 def stacking_gain(t2, eps1, n1: int):
@@ -123,26 +130,6 @@ def quad_kernels(A4: np.ndarray, h: float, substeps: int) -> np.ndarray:
     return kernels
 
 
-def alpha_k(M2k: np.ndarray, Ed: np.ndarray, P2: np.ndarray,
-            dt: float) -> float:
-    """Trace-minimizing mixing weight for the predicted shape matrix.
-
-    Minimizes tr(Ed P2 Ed^T / a + dt M2k / (1-a)) over a in (0,1), with
-    Ed = e^{A4 dt}; the minimizer is sqrt(tp) / (sqrt(tp) + sqrt(dt tm))
-    with tp, tm the two traces.  Degenerate endpoints are clipped into (0,1).
-    """
-    tp = float((Ed @ np.atleast_2d(P2) @ Ed.T).trace())
-    tm = float(np.atleast_2d(M2k).trace())
-    if tp < 0.0 or tm < 0.0:
-        raise InvalidParameterError("alpha_k traces must be nonnegative")
-    if tp == 0.0 and tm == 0.0:
-        warnings.warn("alpha_k: both traces vanish; defaulting to 0.5")
-        return 0.5
-    # scalar math: this runs once per step of every shape schedule
-    a = math.sqrt(tp) / (math.sqrt(tp) + math.sqrt(dt * tm))
-    return min(max(a, ALPHA_CLIP), 1.0 - ALPHA_CLIP)
-
-
 def propagate(dec, eps1_q: np.ndarray, Kw_q: np.ndarray, dt: float,
               gain: tuple, kernels: np.ndarray) -> np.ndarray:
     """The (N, n2, n2) input terms M2k of N steps' shape time updates.
@@ -163,18 +150,6 @@ def propagate(dec, eps1_q: np.ndarray, Kw_q: np.ndarray, dt: float,
     # Simpson over the node axis, put first as simpson_matrix expects
     terms = (KBs @ Ku @ KBs.swapaxes(-1, -2)).swapaxes(0, 1)
     return symmetrize(simpson_matrix(terms, dt / substeps))
-
-
-def predict_shape(P2: np.ndarray, M2k: np.ndarray, dt: float,
-                  kernels: np.ndarray, Ed: np.ndarray
-                  ) -> tuple[np.ndarray, float]:
-    """Time update of the shape by the two-term outer bound: (P2_pred, a)
-    with P2_pred = Em P2 Em^T / a + dt M2k / (1 - a), Em = kernels[0], a =
-    :func:`alpha_k` at ``Ed`` = e^{A4 dt} and M2k from :func:`propagate`.
-    """
-    a = alpha_k(M2k, Ed, P2, dt)
-    Em = kernels[0]  # Eh^m = e^{A4 dt}
-    return symmetrize(Em @ P2 @ Em.T / a + dt * M2k / (1.0 - a)), a
 
 
 def center_drive(B2p: np.ndarray, dt: float,
@@ -199,87 +174,126 @@ def gk_matrix(dec, Ku_tk: np.ndarray) -> np.ndarray:
     return symmetrize(dec.D2p @ Ku_tk @ dec.D2p.T)
 
 
-def update_is_informative(dec, Gk: np.ndarray,
-                          rank_tol: float = 1e-10) -> np.ndarray:
+def update_is_informative(dec, Gk: np.ndarray) -> np.ndarray:
     """False when the update must be skipped: C2 carries no information or
-    G_k is singular at the working tolerance.  Of one G_k, or per G_k of a
-    stack."""
+    the symmetric G_k is singular at the working tolerance, lam_min(G_k)
+    <= 1e-10 lam_max(G_k).  Of one G_k, or per G_k of a stack."""
     if dec.n2 == 0 or not np.any(np.abs(dec.C2) > 0.0):
         return np.zeros(Gk.shape[:-2], dtype=bool)
-    scale = np.linalg.norm(Gk, 2, axis=(-2, -1))
-    lam_min = np.linalg.eigvalsh(symmetrize(Gk))[..., 0]
-    return (scale > 0.0) & (lam_min > rank_tol * scale)
+    lam = np.linalg.eigvalsh(Gk)
+    return lam[..., 0] > 1e-10 * lam[..., -1]
 
 
-def update_information(C2: np.ndarray, Gk: np.ndarray) -> np.ndarray:
-    """The information C2^T Gk^{-1} C2 that the measurement set E(., Gk)
-    holds about x2, of one G_k or of each in a stack.  A symmetric ``Gk``
-    that is singular or indefinite (lam_min <= 1e-14 max(1, lam_max))
-    raises :class:`SingularNoiseError`.  It depends on G_k alone, so the
-    shape schedule takes it for every update step at once."""
-    lam_G = np.linalg.eigvalsh(Gk)
-    if not np.all(lam_G[..., 0] > 1e-14 * np.maximum(1.0, lam_G[..., -1])):
+def update_information(dec, Gk: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(C2^T Gk^{-1} C2, Gk^{-1} C2) of one G_k or of each in a stack: the
+    information that E(., Gk) holds about x2, and the factor of it that the
+    update gain reads.  A G_k at which :func:`update_is_informative` skips
+    the update raises :class:`SingularNoiseError`."""
+    if not np.all(update_is_informative(dec, Gk)):
         raise SingularNoiseError("G_k is singular; skip the measurement update")
-    return symmetrize(C2.T @ np.linalg.solve(Gk, C2))
+    GiC = np.linalg.solve(Gk, dec.C2)
+    return symmetrize(dec.C2.T @ GiC), GiC
 
 
-def optimize_beta(factor: np.ndarray, info: np.ndarray) -> float:
+def optimize_beta(factor: np.ndarray, info: np.ndarray
+                  ) -> tuple[float, np.ndarray, np.ndarray]:
     """Weight b minimizing f(b) = tr(((1-b) P^{-1} + b A)^{-1}), with
     ``factor`` the lower Cholesky factor L of the predicted shape P (as
     :func:`check_shape` returns it) and ``info`` A = C2^T Gk^{-1} C2 (from
-    :func:`update_information`).
+    :func:`update_information`).  Returns (b, lam, V), the weight and the
+    eigenbasis that :func:`measurement_update` reuses.
 
     The eigendecomposition L^T A L = U diag(lam) U^T gives the generalized
     one of the pair (A, P^{-1}): V = L U has V^T P^{-1} V = I and
     V^T A V = diag(lam) (Golub and Van Loan, Matrix Computations, sec.
     8.7), so f(b) = sum_i c_i / (1 - b + b lam_i) with c_i = ||v_i||^2,
     convex in b.  The weight is BETA_LO or BETA_HI where f' keeps its sign
-    on that interval, else the one root of f'; a flat f gives 0.5.
+    on that interval, else the one root of f'; a flat f gives 0.5.  It is
+    scalar work, so it runs on Python floats after one direct syevd call.
     """
-    lam, U = np.linalg.eigh(symmetrize(factor.T @ info @ factor))
-    c = ((factor @ U) ** 2).sum(axis=0)
-    dc = c * (1.0 - lam)
+    lam, U, fail = syevd(factor.T @ info @ factor, lower=1)
+    if fail:
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    V = factor @ U
+    terms = list(zip(lam.tolist(), (V * V).sum(axis=0).tolist()))
+
+    def f(b: float) -> float:
+        return sum(c / (1.0 - b + b * l) for l, c in terms)
 
     def df(b: float) -> float:
-        return float((dc / (1.0 - b + b * lam) ** 2).sum())
+        return sum(c * (1.0 - l) / (1.0 - b + b * l) ** 2 for l, c in terms)
 
-    if df(BETA_LO) >= 0.0:
-        beta = BETA_LO
-    elif df(BETA_HI) <= 0.0:
-        beta = BETA_HI
-    else:
-        beta = brentq(df, BETA_LO, BETA_HI)
-    # f is convex: its variation on the interval is top - f(beta)
-    bs = np.array([[BETA_LO], [BETA_HI], [beta]])
-    f_lo, f_hi, f_beta = (c / (1.0 - bs + bs * lam)).sum(axis=1)
-    top = max(f_lo, f_hi)
-    if top - f_beta <= BETA_FLAT_TOL * max(top, 1.0):
-        return 0.5
-    return float(beta)
+    beta = (BETA_LO if df(BETA_LO) >= 0.0 else BETA_HI if df(BETA_HI) <= 0.0
+            else brentq(df, BETA_LO, BETA_HI))
+    top = max(f(BETA_LO), f(BETA_HI))  # f is convex: its range is top - f(b)
+    if top - f(beta) <= BETA_FLAT_TOL * max(top, 1.0):
+        beta = 0.5
+    return beta, lam, V
 
 
-def measurement_update(P2_pred: np.ndarray, C2: np.ndarray, beta: float,
-                       Gk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Data update of the shape: fuses the prediction with the measurement
-    set E(., Gk) at mixing weight beta.  Returns (P2, O_k); each run's
-    center moves by O_k (y_k - C2 x2 - D2' u(t_k))."""
+def measurement_update(V: np.ndarray, lam: np.ndarray, beta: float,
+                       GiC: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Data update of the shape at mixing weight beta, in the eigenbasis
+    (lam, V) of :func:`optimize_beta`, with ``GiC`` = Gk^{-1} C2.  Returns
+    (P2, O_k): P2 = ((1-beta) P2_pred^{-1} + beta C2^T Gk^{-1} C2)^{-1} =
+    V diag(1 / (1 - beta + beta lam)) V^T and O_k = beta P2 C2^T Gk^{-1};
+    each run's center moves by O_k (y_k - C2 x2 - D2' u(t_k))."""
     if not 0.0 < beta < 1.0:
         raise InvalidParameterError("beta must lie in (0,1)")
-    S = symmetrize(C2 @ P2_pred @ C2.T / (1.0 - beta) + Gk / beta)
-    try:
-        np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        raise SingularInnovationError(
-            "innovation matrix is not invertible") from None
-    Ok = P2_pred @ C2.T @ np.linalg.inv(S) / (1.0 - beta)
-    P2 = symmetrize((np.eye(P2_pred.shape[0]) - Ok @ C2) @ P2_pred
-                    / (1.0 - beta))
-    return P2, Ok
+    P2 = symmetrize((V / (1.0 - beta + beta * lam)) @ V.T)
+    return P2, beta * P2 @ GiC.T
 
 
-def woodbury_shape(P2_pred: np.ndarray, C2: np.ndarray, Gk: np.ndarray,
-                   beta: float) -> np.ndarray:
-    """Equivalent inverse-combination form of the updated shape matrix."""
-    X = symmetrize((1.0 - beta) * np.linalg.inv(P2_pred)
-                   + beta * C2.T @ np.linalg.solve(Gk, C2))
-    return symmetrize(np.linalg.inv(X))
+def shape_recursion(P2: np.ndarray, Em: np.ndarray, dtM2k: np.ndarray,
+                    update: np.ndarray, info: np.ndarray, GiC: np.ndarray):
+    """(alpha, beta, O) of steps 1..N, 0 where no update runs, and the
+    predicted and updated shapes of steps 0..N, from the checked shape
+    ``P2``, ``Em`` = e^{A4 dt}, the stack ``dtM2k`` = dt M2k and, where
+    ``update`` is open, each step's :func:`update_information` pair.
+
+    The shape is carried as u = vech(P): P_pred = Em P Em^T / a + dt M2k /
+    (1 - a) is u <- K u / a + vech(dt M2k) / (1 - a), and alpha_k = a =
+    sqrt(tp) / (sqrt(tp) + sqrt(tm)) minimizes tr P_pred, with tp =
+    tr(Em P Em^T) = w . u and tm = tr(dt M2k).  A predicted shape that an
+    update reads is checked at once, for its factor; the other shapes in
+    one batch at the end, and the first bad one raises."""
+    N, n2 = dtM2k.shape[0], dtM2k.shape[-1]
+    rows, cols = np.tril_indices(n2)
+    sym = np.empty((n2, n2), dtype=int)  # u[sym] is the shape of u
+    sym[rows, cols] = sym[cols, rows] = np.arange(rows.size)
+    dup = (sym.reshape(-1, 1) == np.arange(rows.size)).astype(float)
+    K = np.kron(Em, Em)[rows * n2 + cols] @ dup
+    w = (Em.T @ Em).reshape(-1) @ dup
+    tm = np.trace(dtM2k, axis1=1, axis2=2)
+    if not np.all(tm >= 0.0):
+        raise InvalidParameterError("alpha_k traces must be nonnegative")
+    m = dtM2k[:, rows, cols]
+    alpha, beta = np.empty(N), np.zeros(N)
+    O = np.zeros((N, n2, GiC.shape[-2]))
+    u_pred, u_upd = np.empty((2, N + 1, rows.size))
+    u = u_pred[0] = u_upd[0] = P2[rows, cols]
+    unread = np.stack((~update, update), axis=1)  # shapes no update reads
+
+    def check_before(k: int) -> None:
+        both = np.stack((u_pred[1:k + 1], u_upd[1:k + 1]), axis=1)
+        check_shape(both[unread[:k]][:, sym])
+
+    for k, (tm_k, opens) in enumerate(zip(tm.tolist(), update.tolist())):
+        tp = max(float(w @ u), 0.0)  # < 0 only past a shape that fails
+        a = (math.sqrt(tp) / (math.sqrt(tp) + math.sqrt(tm_k))
+             if tp + tm_k > 0.0 else 0.5)
+        alpha[k] = a = min(max(a, ALPHA_CLIP), 1.0 - ALPHA_CLIP)
+        u = u_pred[k + 1] = K @ u / a + m[k] / (1.0 - a)
+        if opens:
+            try:
+                factor = check_shape(u[sym])
+            except InvalidParameterError:
+                check_before(k)  # an earlier bad shape raises first
+                raise
+            beta[k], lam, V = optimize_beta(factor, info[k])
+            P, O[k] = measurement_update(V, lam, beta[k], GiC[k])
+            u = P[rows, cols]
+        u_upd[k + 1] = u
+    check_before(N)
+    return alpha, beta, u_pred[:, sym], u_upd[:, sym], O

@@ -34,6 +34,29 @@ def make_mixed_scenario(horizon: float = 10.0) -> ScenarioConfig:
         uio_poles=(-2.0,))
 
 
+def make_mixed3_scenario(horizon: float = 1.0) -> ScenarioConfig:
+    """The mixed system with a two-state weak block: x1 strongly observable
+    through y1, and each of x2, x3 hidden from its own output by its own
+    input, yet visible in C2, so the update engages every step."""
+    def sines(*terms):
+        return tuple(tuple(Term(kind="sin", amp=a, freq=f) for a, f in row)
+                     for row in terms)
+    return ScenarioConfig(
+        name="mixed3",
+        A=np.array([[-1.0, 0.0, 0.0], [0.2, -2.0, 0.1], [0.1, 0.3, -1.5]]),
+        B=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        C=np.eye(3),
+        D=np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]),
+        xhat0=np.array([0.1, -0.2, 0.05]),
+        K0=0.05 * np.eye(3),
+        cw=SignalGenerator(components=sines(((0.3, 1.0),), ((0.2, 0.5),))),
+        Kw=ShapeGenerator(kind="const", matrix=0.5 * np.eye(2)),
+        w_true=SignalGenerator(components=sines(((0.3, 1.0), (0.5, 0.7)),
+                                                ((0.2, 0.5),))),
+        dt=0.1, horizon=horizon,
+        uio_poles=(-2.0,))
+
+
 @pytest.fixture(scope="session")
 def cfg_ex1():
     return example1()

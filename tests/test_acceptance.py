@@ -8,6 +8,7 @@ block, the second an uninformative output).
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from smobserver.pipeline import monte_carlo_containment, run_algorithm1
 from smobserver.uio import (ErrorBoundParams, GAIN_RESIDUAL_TOL,
                             derivative_error_envelope, gain_target,
                             solve_uio_gain)
-from smobserver.weak import (alpha_k, check_shape, optimize_beta,
-                             update_information, woodbury_shape)
+from smobserver.weak import (check_shape, optimize_beta, shape_recursion,
+                             update_information)
+from oracles import woodbury_shape
 
 
 def _verdict(num: int, ok: bool, detail: str) -> bool:
@@ -152,7 +154,9 @@ def test_criterion_4a_alpha_closed_form():
         P2 = Pm @ Pm.T + 0.05 * np.eye(n2)
         dt = float(rng.uniform(0.02, 0.5))
         Ed = expm(A4 * dt)
-        a = alpha_k(M2k, Ed, P2, dt)
+        alpha = shape_recursion(P2, Ed, dt * M2k[None], np.zeros(1, bool),
+                                np.zeros((1, n2, n2)), np.zeros((1, 1, n2)))[0]
+        a = float(alpha[0])
         tp = float(np.trace(Ed @ P2 @ Ed.T))
         tm = float(np.trace(M2k))
         obj = tp / grid + dt * tm / (1.0 - grid)
@@ -176,7 +180,8 @@ def test_criterion_4b_beta_line_search():
         C2 = rng.standard_normal((n_y, n2))
         Gm = rng.standard_normal((n_y, n_y))
         Gk = Gm @ Gm.T + 0.1 * np.eye(n_y)
-        b = optimize_beta(check_shape(P), update_information(C2, Gk))
+        info = update_information(SimpleNamespace(n2=n2, C2=C2), Gk)[0]
+        b = optimize_beta(check_shape(P), info)[0]
         Pinv = np.linalg.inv(P)
         CGC = C2.T @ np.linalg.solve(Gk, C2)
 

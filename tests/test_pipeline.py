@@ -400,48 +400,72 @@ def test_emit_plot_data_files(tmp_path, run_mixed):
 
 def test_each_weak_shape_is_checked_once(cfg_ex2, cfg_mixed, monkeypatch):
     """The schedule checks the initial weak shape, each predicted shape and
-    each updated shape once: 1 + n_steps checks on example2, where the
-    update never fires, and 1 + 2 n_steps on the mixed scenario, where it
-    fires every step; a Monte Carlo sweep checks them once per sweep."""
-    calls = []
-    check_shape = pipeline.check_shape
+    each updated shape exactly once: the predicted shape of an update step
+    on its own, as beta reads its factor, and every other one in a batch.
+    That is 1 + n_steps shapes on example2, where the update never fires,
+    and 1 + 2 n_steps on the mixed scenario, where it fires every step; a
+    Monte Carlo sweep checks them once per sweep."""
+    import smobserver.weak as weak
+    checked = []
+    check_shape = weak.check_shape
 
-    def counting_check_shape(P2):
-        calls.append(P2.shape)
+    def recording(P2):
+        checked.extend(P.tobytes() for P in P2.reshape((-1,) + P2.shape[-2:]))
         return check_shape(P2)
 
-    monkeypatch.setattr(pipeline, "check_shape", counting_check_shape)
+    for module in (pipeline, weak):
+        monkeypatch.setattr(module, "check_shape", recording)
     for cfg, per_step in ((cfg_ex2, 1), (cfg_mixed, 2)):
         cfg = cfg.with_overrides(horizon=2.0)
-        calls.clear()
-        run_algorithm1(cfg, with_certificate=False)
-        assert len(calls) == 1 + per_step * cfg.n_steps
-        calls.clear()
+        checked.clear()
+        schedule = run_algorithm1(cfg, with_certificate=False).schedule
+        updated = schedule.P2[1:][~schedule.skipped[1:]]
+        shapes = [schedule.P2[0], *schedule.P2_pred[1:], *updated]
+        assert len(shapes) == 1 + per_step * cfg.n_steps
+        assert sorted(checked) == sorted(P.tobytes() for P in shapes)
+        checked.clear()
         monte_carlo_containment(cfg, runs=2, seed=0)
-        assert len(calls) == 1 + per_step * cfg.n_steps
+        assert len(checked) == 1 + per_step * cfg.n_steps
 
 
 def test_schedule_batches_the_p2_free_half(cfg_mixed, monkeypatch):
     """The stacking gains, M2k, G_k, the update gate, the update's
-    information matrices and the fusion run in one batched call each per
-    schedule, whatever the horizon; only the recursion on P2 runs per
-    step."""
+    information matrices, the recursion and the fusion run in one call
+    each per schedule, whatever the horizon.  In the recursion,
+    optimize_beta and measurement_update run once per update step, and no
+    numpy.linalg function runs per step: their calls do not grow with the
+    horizon."""
+    import smobserver.weak as weak
     calls = {}
-    for name in ("gamma_terms", "propagate", "gk_matrix",
-                 "update_is_informative", "update_information", "fuse",
-                 "predict_shape", "optimize_beta"):
-        def counting(*args, _name=name, _fn=getattr(pipeline, name),
-                     **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
+
+    def count(module, name):
+        def counting(*args, _fn=getattr(module, name), **kwargs):
+            calls[name] = calls.get(name, 0) + 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(pipeline, name, counting)
-    cfg = cfg_mixed.with_overrides(horizon=2.0)
-    shape_schedule(build_design(cfg))
-    assert calls == {"gamma_terms": 1, "propagate": 1, "gk_matrix": 1,
-                     "update_is_informative": 1, "update_information": 1,
-                     "fuse": 1,
-                     "predict_shape": cfg.n_steps,
-                     "optimize_beta": cfg.n_steps}
+        monkeypatch.setattr(module, name, counting)
+
+    for name in ("gamma_terms", "propagate", "gk_matrix",
+                 "update_is_informative", "update_information",
+                 "shape_recursion", "fuse"):
+        count(pipeline, name)
+    for name in ("optimize_beta", "measurement_update"):
+        count(weak, name)
+    linalg = ("cholesky", "eigh", "eigvalsh", "inv", "solve")
+    for name in linalg:
+        count(np.linalg, name)
+    linalg_calls = []
+    for horizon in (1.0, 2.0):
+        cfg = cfg_mixed.with_overrides(horizon=horizon)
+        design = build_design(cfg)
+        calls.clear()
+        assert not shape_schedule(design).skipped[1:].any()
+        linalg_calls.append({name: calls.pop(name, 0) for name in linalg})
+        assert calls == {"gamma_terms": 1, "propagate": 1, "gk_matrix": 1,
+                         "update_is_informative": 1, "update_information": 1,
+                         "shape_recursion": 1, "fuse": 1,
+                         "optimize_beta": cfg.n_steps,
+                         "measurement_update": cfg.n_steps}
+    assert linalg_calls[0] == linalg_calls[1]
 
 
 def test_estimate_runs_no_shape_code(cfg_mixed, monkeypatch):
@@ -473,29 +497,59 @@ def test_estimate_runs_no_shape_code(cfg_mixed, monkeypatch):
     assert float(np.max(steps["q"])) == run.worst_q
 
 
-def test_indefinite_predicted_shape_is_bad_input(tmp_path, cfg_mixed,
-                                                 monkeypatch):
-    """An indefinite P2_pred stops the schedule with InvalidParameterError
-    (exit 3) before optimize_beta sees it."""
-    predict_shape = pipeline.predict_shape
+def _indefinite_step(monkeypatch, k: int) -> None:
+    """Make step k's predicted weak shape indefinite: M2k gains
+    c diag(1, -1, 0, ...), which keeps its trace, with c large."""
+    propagate = pipeline.propagate
 
     def indefinite(*args, **kwargs):
-        P2_pred, a = predict_shape(*args, **kwargs)
-        return -P2_pred, a
+        M2k = propagate(*args, **kwargs)
+        swing = np.zeros(M2k.shape[-1])
+        swing[:2] = 1e6 * np.trace(M2k[k - 1]), -1e6 * np.trace(M2k[k - 1])
+        M2k[k - 1] += np.diag(swing)
+        return M2k
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("optimize_beta ran on an unchecked shape")
+    monkeypatch.setattr(pipeline, "propagate", indefinite)
 
-    monkeypatch.setattr(pipeline, "predict_shape", indefinite)
-    monkeypatch.setattr(pipeline, "optimize_beta", forbidden)
-    cfg = cfg_mixed.with_overrides(horizon=1.0)
-    with pytest.raises(InvalidParameterError, match="P2hat must be SPD"):
-        shape_schedule(build_design(cfg))
-    scen = tmp_path / "mixed.yaml"
+
+def test_indefinite_predicted_shape_is_bad_input(tmp_path, cfg_ex2,
+                                                 monkeypatch):
+    """An indefinite P2_pred on update step k (1 or 4) stops the schedule
+    with InvalidParameterError (exit 3 from run and certify) before
+    optimize_beta sees it; on a step without an update, the batched check
+    stops it.  The update steps are those of the mixed system with a
+    two-state weak block."""
+    import smobserver.weak as weak
+    from conftest import make_mixed3_scenario
+    cfg = make_mixed3_scenario(horizon=1.0)
+    design = build_design(cfg)
+    assert design.dec.n2 == 2 and not shape_schedule(design).skipped[1:].any()
+    scen = tmp_path / "mixed3.yaml"
     cfg.save(scen)
-    assert cli_main(["run", "--scenario", str(scen),
-                     "--out", str(tmp_path / "o")]) == 3
-    assert cli_main(["certify", "--scenario", str(scen)]) == 3
+    optimize_beta = weak.optimize_beta
+    ex2 = build_design(cfg_ex2.with_overrides(horizon=1.0))
+    for k in (1, 4):
+        calls = []
+
+        def before_step_k(*args, **kwargs):
+            calls.append(1)
+            if len(calls) >= k:
+                raise AssertionError("optimize_beta ran on an unchecked shape")
+            return optimize_beta(*args, **kwargs)
+
+        monkeypatch.undo()
+        _indefinite_step(monkeypatch, k)
+        monkeypatch.setattr(weak, "optimize_beta", before_step_k)
+        with pytest.raises(InvalidParameterError, match="P2hat must be SPD"):
+            shape_schedule(design)
+        assert len(calls) == k - 1
+        for args in (["run", "--scenario", str(scen), "--out", str(tmp_path)],
+                     ["certify", "--scenario", str(scen)]):
+            calls.clear()
+            assert cli_main(args) == 3
+            assert len(calls) == k - 1
+        with pytest.raises(InvalidParameterError, match="P2hat must be SPD"):
+            shape_schedule(ex2)
 
 
 def test_cli_run_and_certify(tmp_path, cfg_mixed):

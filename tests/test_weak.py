@@ -1,24 +1,50 @@
 """Tests of the discrete ellipsoidal observer for the weakly unobservable
 block: parameter selectors, propagation, and the measurement update."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from smobserver.decomposition import build_decomposition
 from smobserver.errors import InvalidParameterError, SingularNoiseError
 from smobserver.numerics import expm, simpson_matrix
-from smobserver.weak import (BETA_HI, BETA_LO, alpha_k, build_Ku,
+from smobserver.weak import (ALPHA_CLIP, BETA_HI, BETA_LO, build_Ku,
                              center_drive, check_shape, gamma_terms,
                              gk_matrix, measurement_update, optimize_beta,
-                             predict_shape, propagate, quad_kernels,
+                             propagate, quad_kernels, shape_recursion,
                              stacking_gain, update_information,
-                             update_is_informative, woodbury_shape)
+                             update_is_informative)
+from oracles import kalman_update, woodbury_shape
+
+
+def block(C2):
+    """The weak-block fields that the update gate and information read."""
+    return SimpleNamespace(n2=C2.shape[-1], C2=C2)
 
 
 def beta_of(P2_pred, C2, Gk):
-    """:func:`optimize_beta` from the factor and the information matrix
-    that the shape schedule hands it."""
-    return optimize_beta(check_shape(P2_pred), update_information(C2, Gk))
+    """:func:`optimize_beta`'s weight from the factor and the information
+    matrix that the shape schedule hands it."""
+    return optimize_beta(check_shape(P2_pred),
+                         update_information(block(C2), Gk)[0])[0]
+
+
+def update_of(P2_pred, C2, Gk):
+    """(beta, P2, O_k) of one update as the shape schedule runs it."""
+    info, GiC = update_information(block(C2), Gk)
+    beta, lam, V = optimize_beta(check_shape(P2_pred), info)
+    return (beta,) + measurement_update(V, lam, beta, GiC)
+
+
+def predict_one(P2, M2k, Em, dt):
+    """(P2_pred, alpha) of one step without an update, from
+    :func:`shape_recursion`."""
+    n2, n_y = P2.shape[0], 1
+    alpha, _, P2_pred, _, _ = shape_recursion(
+        P2, Em, dt * M2k[None], np.zeros(1, dtype=bool),
+        np.zeros((1, n2, n2)), np.zeros((1, n_y, n2)))
+    return P2_pred[1], float(alpha[0])
 
 
 @pytest.fixture(scope="module")
@@ -37,12 +63,12 @@ def _step_inputs(m=20, dt=0.1):
 def _propagate(P2, dec, inp, dt, m):
     """(P2_pred, alpha, M2k) of one step at the step's own gain, as the
     shape schedule forms them: M2k from propagate on a batch of one step,
-    then predict_shape."""
+    then the recursion's prediction."""
     _, eps1, _, Kw = inp
     gain = gamma_terms(Kw[-1], float(eps1[-1]), dec.n1)
     kernels = quad_kernels(dec.A4, dt / m, m)
     M2k = propagate(dec, eps1[None], Kw[None], dt, gain, kernels)[0]
-    P2_pred, a = predict_shape(P2, M2k, dt, kernels, expm(dec.A4 * dt))
+    P2_pred, a = predict_one(P2, M2k, kernels[0], dt)
     return P2_pred, a, M2k
 
 
@@ -121,7 +147,8 @@ def test_quad_kernels_match_power_loop_and_cache_by_value():
 
 
 def test_alpha_k_is_grid_argmin():
-    """The closed form must hit the grid minimum of the trace objective."""
+    """The recursion's closed-form alpha must hit the grid minimum of the
+    trace objective."""
     rng = np.random.default_rng(8)
     grid = np.arange(1e-4, 1.0, 1e-4)
     for _ in range(20):
@@ -133,18 +160,25 @@ def test_alpha_k_is_grid_argmin():
         P2 = Pm @ Pm.T + 0.1 * np.eye(n2)
         dt = float(rng.uniform(0.05, 0.5))
         Ed = expm(A4 * dt)
-        a = alpha_k(M2k, Ed, P2, dt)
+        P2_pred, a = predict_one(P2, M2k, Ed, dt)
         tp = np.trace(Ed @ P2 @ Ed.T)
         tm = np.trace(M2k)
         obj = tp / grid + dt * tm / (1.0 - grid)
         assert tp / a + dt * tm / (1.0 - a) <= np.min(obj) + 1e-8
+        ref = Ed @ P2 @ Ed.T / a + dt * M2k / (1.0 - a)
+        assert np.allclose(P2_pred, ref, rtol=1e-13, atol=0.0)
 
 
 def test_alpha_k_clips_degenerate_cases():
-    with pytest.warns(UserWarning):
-        a = alpha_k(np.zeros((1, 1)), np.zeros((1, 1)),
-                    np.zeros((1, 1)), 0.1)
-    assert a == 0.5
+    """No input (M2k = 0) puts alpha at its clip, and so does a vanishing
+    shape; with both, alpha is 0.5, and the vanishing predicted shape
+    fails its check."""
+    _, a = predict_one(np.eye(1), np.zeros((1, 1)), np.eye(1), 0.1)
+    assert a == 1.0 - ALPHA_CLIP
+    _, a = predict_one(np.eye(1), np.eye(1), np.zeros((1, 1)), 0.1)
+    assert a == ALPHA_CLIP
+    with pytest.raises(InvalidParameterError, match="SPD"):
+        predict_one(np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1), 0.1)
 
 
 def test_optimize_beta_matches_dense_grid():
@@ -223,7 +257,8 @@ def test_optimize_beta_rejects_singular_gk():
         with pytest.raises(SingularNoiseError):
             beta_of(np.eye(2), np.eye(2), Gk)
         with pytest.raises(SingularNoiseError):
-            update_information(np.eye(2), np.stack([np.eye(2), Gk]))
+            update_information(block(np.eye(2)),
+                               np.stack([np.eye(2), Gk]))
 
 
 def test_optimize_beta_checks_gk_without_is_spd(monkeypatch):
@@ -363,19 +398,50 @@ def test_propagate_rejects_odd_substeps(dec_mixed):
 
 
 def test_measurement_update_matches_woodbury(dec_mixed):
-    """The gain-form update and the inverse-combination form agree."""
+    """The eigenbasis update equals the gain form and the
+    inverse-combination form, shape and gain."""
     dt, m = 0.1, 20
     inp = _step_inputs(m, dt)
     P2p, _, _ = _propagate(np.array([[0.04]]), dec_mixed, inp, dt, m)
     Gk = _gk(dec_mixed, inp)
     assert update_is_informative(dec_mixed, Gk)
-    beta = beta_of(P2p, dec_mixed.C2, Gk)
-    P2, Ok = measurement_update(P2p, dec_mixed.C2, beta, Gk)
+    beta, P2, Ok = update_of(P2p, dec_mixed.C2, Gk)
+    P2_ref, Ok_ref = kalman_update(P2p, dec_mixed.C2, Gk, beta)
+    assert np.allclose(P2, P2_ref, rtol=1e-12, atol=0.0)
+    assert np.allclose(Ok, Ok_ref, rtol=1e-12, atol=0.0)
     ref = woodbury_shape(P2p, dec_mixed.C2, Gk, beta)
     assert np.allclose(P2, ref, rtol=1e-10, atol=1e-14)
-    # the gain form: P2 = (I - O_k C2) P2_pred / (1 - beta)
-    assert np.allclose(P2, (np.eye(1) - Ok @ dec_mixed.C2) @ P2p
-                       / (1.0 - beta), rtol=1e-12, atol=0.0)
+
+
+def test_measurement_update_matches_oracles_on_random_blocks():
+    """The same on random blocks, n2 <= 4 and n_y <= 3, where beta is an
+    interior root as often as an endpoint.  At beta = BETA_HI the gain form
+    of the shape, (I - O_k C2) P / (1 - beta), cancels about six digits
+    (up to 15 % of the shape on these blocks against a 50-digit
+    reference), so the shape's oracle is the inverse-combination form and
+    the gain's the information form beta P2 C2^T Gk^{-1}; the gain form of
+    the gain still agrees to 1e-7."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n2, n_y = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        Pm = rng.standard_normal((n2, n2))
+        P = Pm @ Pm.T + 0.1 * np.eye(n2)
+        C2 = rng.standard_normal((n_y, n2))
+        Gm = rng.standard_normal((n_y, n_y))
+        Gk = Gm @ Gm.T + 0.1 * np.eye(n_y)
+        beta, P2, Ok = update_of(P, C2, Gk)
+        P2_ref = woodbury_shape(P, C2, Gk, beta)
+        Ok_ref = beta * P2_ref @ C2.T @ np.linalg.inv(Gk)
+        assert np.linalg.norm(P2 - P2_ref) <= 1e-11 * np.linalg.norm(P2_ref)
+        assert np.linalg.norm(Ok - Ok_ref) <= 1e-11 * np.linalg.norm(Ok_ref)
+        _, Ok_gain = kalman_update(P, C2, Gk, beta)
+        assert np.linalg.norm(Ok - Ok_gain) <= 1e-7 * np.linalg.norm(Ok_ref)
+        assert np.array_equal(P2, P2.T)
+
+
+def test_measurement_update_rejects_beta_outside_the_interval():
+    with pytest.raises(InvalidParameterError, match="beta"):
+        measurement_update(np.eye(1), np.ones(1), 1.0, np.ones((1, 1)))
 
 
 def test_measurement_update_shrinks_trace(dec_mixed):
@@ -383,8 +449,7 @@ def test_measurement_update_shrinks_trace(dec_mixed):
     inp = _step_inputs(m, dt)
     P2p, _, _ = _propagate(np.array([[0.04]]), dec_mixed, inp, dt, m)
     Gk = _gk(dec_mixed, inp)
-    beta = beta_of(P2p, dec_mixed.C2, Gk)
-    P2, _ = measurement_update(P2p, dec_mixed.C2, beta, Gk)
+    _, P2, _ = update_of(P2p, dec_mixed.C2, Gk)
     # the optimizer does at least as well as the interval endpoints; the
     # beta -> 0 limit itself lies just outside the clipped interval
     for b_ref in (BETA_LO, BETA_HI):
@@ -409,3 +474,41 @@ def test_check_shape_rejects_indefinite_shape():
     L = check_shape(P)
     assert np.array_equal(L, np.tril(L))
     assert np.allclose(L @ L.T, P, rtol=1e-14, atol=0.0)
+
+
+def test_check_shape_of_a_stack_raises_at_its_first_bad_shape():
+    """A stack gives every factor at once, or the error of its first bad
+    shape in order."""
+    good = np.array([[2.0, 0.3], [0.3, 1.0]])
+    stack = np.stack([good, 2.0 * good, np.eye(2)])
+    L = check_shape(stack)
+    assert np.allclose(L, [check_shape(P) for P in stack], rtol=1e-15,
+                       atol=0.0)
+    bad = np.diag([1.0, -1.0])
+    nan = np.full((2, 2), np.nan)
+    with pytest.raises(InvalidParameterError, match="SPD"):
+        check_shape(np.stack([good, bad, nan]))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        check_shape(np.stack([good, nan, bad]))
+    assert check_shape(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
+
+def test_gate_and_information_apply_one_test():
+    """A G_k the gate opens is one update_information inverts, and one it
+    closes is one it rejects, at every scale whose inverse is finite: a
+    well-conditioned G_k = 1e-15 I used to pass the gate and then raise."""
+    C2 = np.eye(2)
+    dec = block(C2)
+    for scale in (1e-150, 1e-15, 1.0, 1e15, 1e300):
+        for ratio in (1.0, 1e-9, 1e-11, 0.0, -1e-3):
+            Gk = scale * np.diag([1.0, ratio])
+            opens = bool(update_is_informative(dec, Gk))
+            assert opens == (ratio > 1e-10)
+            if opens:
+                info, GiC = update_information(dec, Gk)
+                assert np.allclose(GiC, np.linalg.inv(Gk), rtol=1e-14,
+                                   atol=0.0)
+                assert np.array_equal(info, C2.T @ GiC)
+            else:
+                with pytest.raises(SingularNoiseError):
+                    update_information(dec, Gk)
