@@ -29,7 +29,8 @@ def random_design(seed: int, n2: int, gates: list):
 
     G_k = D2' K_u D2'^T sees only the second input, through D2w, and
     K_w(t_k) = diag(1, 0) on the steps whose gate is closed, so the update
-    gate itself closes exactly there.  n_y is 1, or 2 when n2 >= 2."""
+    gate itself closes exactly there.  n_y is 2 for a third of the seeds
+    when n2 >= 2, else 1."""
     rng = np.random.default_rng(seed)
     n1, n_w, n_q, dt, N = 1 + seed % 2, 2, 4, 0.1, len(gates)
     n_y = 1 + (n2 >= 2 and seed % 3 == 0)
