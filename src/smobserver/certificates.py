@@ -13,10 +13,9 @@ import numpy as np
 
 from .errors import (CaseNotApplicableError, CertificateUnavailableError,
                      InvalidParameterError)
-from .numerics import (GRID_SUP_SAFETY, compensated_sup, expm, min_eigval,
-                       simpson_matrix, spectral_norm, symmetrize)
-from .weak import (NO_STACKING, build_Ku, quad_kernels, stacking_gain,
-                   update_information, update_is_informative)
+from .numerics import (GRID_SUP_SAFETY, compensated_sup, expm,
+                       simpson_weights, spectral_norm, symmetrize)
+from .weak import NO_STACKING, build_Ku, quad_kernels, stacking_gain
 
 #: series switch-over for the (e^x - 1)/x factor
 _EXPM1_SERIES_CUTOFF = 1e-4
@@ -182,18 +181,16 @@ def exponential_envelopes(A4: np.ndarray, margin_scale: float = 0.05
     return tuple(out)
 
 
-def grammian_kappa1(A4: np.ndarray, dt: float, substeps: int = 200) -> float:
+def grammian_kappa1(A4: np.ndarray, dt: float) -> float:
     """lambda_min of the short-horizon Grammian int_0^dt e^{A4 s} e^{A4^T s} ds."""
     A4 = np.atleast_2d(np.asarray(A4, dtype=float))
-    n2 = A4.shape[0]
-    if n2 == 0:
+    if A4.shape[0] == 0:
         return 0.0
-    if substeps % 2:
-        substeps += 1
-    h = dt / substeps
-    P = quad_kernels(A4, h, substeps)[::-1]     # e^{A4 s}, s = 0, h, ..., dt
-    G = symmetrize(simpson_matrix(P @ P.swapaxes(-1, -2), h))
-    return max(min_eigval(G), 0.0)
+    m = 200                                     # Simpson intervals
+    P = quad_kernels(A4, dt / m, m)             # e^{A4 s}, s = dt, ..., 0
+    w = simpson_weights(m, dt / m)[:, None, None]
+    G = symmetrize(np.sum(w * (P @ P.swapaxes(-1, -2)), axis=0))
+    return max(float(np.linalg.eigvalsh(G)[0]), 0.0)
 
 
 def _row_space_sigma_min(M: np.ndarray) -> float:
@@ -256,29 +253,25 @@ def lemma6_uniform_bound(rep: CertificateReport, dt: float) -> float:
     return float(p2_hi)
 
 
-def grammian_rho(dec, Gk_seq: list, r: int, dt: float) -> float:
-    """Smallest windowed-Grammian eigenvalue over the supplied G_k sequence;
-    a window that holds a G_k whose update the estimator skips
-    (:func:`update_is_informative`) is skipped."""
+def grammian_rho(dec, info: np.ndarray, skipped: np.ndarray, r: int,
+                 dt: float) -> float:
+    """Smallest windowed-Grammian eigenvalue over the shape schedule's
+    information terms ``info`` = C2^T G_k^{-1} C2; a window that holds a
+    step whose update the schedule ``skipped`` is skipped."""
     if r < 1:
         raise InvalidParameterError("window length r must be >= 1")
-    n2, C2 = dec.n2, np.atleast_2d(dec.C2)
-    G = np.asarray(Gk_seq, dtype=float).reshape(-1, C2.shape[0], C2.shape[0])
-    N = G.shape[0]
-    if n2 == 0 or not np.any(np.abs(C2) > 0.0) or N <= r:
+    n2, N = dec.n2, len(skipped)
+    if n2 == 0 or not np.any(np.abs(dec.C2) > 0.0) or N <= r:
         return 0.0
-    ok = update_is_informative(dec, G)
-    if not np.all(ok):
+    if np.any(skipped):
         warnings.warn("singular G_k excluded from Grammian window")
-    terms = np.zeros((N, n2, n2))
-    terms[ok] = update_information(dec, G[ok])[0]
     # window k = r..N-1 sums M^T term_i M, M = e^{-(k-i) A4 dt}, newest first
     Einv = expm(-np.atleast_2d(dec.A4) * dt)
     S, M = np.zeros((N - r, n2, n2)), np.eye(n2)
     for step in range(r + 1):
-        S += M.T @ terms[r - step:N - step] @ M
+        S += M.T @ info[r - step:N - step] @ M
         M = Einv @ M
-    whole = np.convolve(~ok, np.ones(r + 1, dtype=int), "valid") == 0
+    whole = np.convolve(skipped, np.ones(r + 1, dtype=int), "valid") == 0
     if not np.any(whole):
         return 0.0
     rho = np.min(np.linalg.eigvalsh(symmetrize(S[whole]))[:, 0])
@@ -336,12 +329,13 @@ def theorem2_bounds(rep: CertificateReport, P1: np.ndarray, n1: int,
 
 
 def certify(dec, const: AssumptionConstants, eps1_lo: float, eps1_hi: float,
-            dt: float, P20_norm: float, horizon_k: int,
-            Gk_seq: np.ndarray | list = (), r: int | None = None,
+            dt: float, P20_norm: float, horizon_k: int, info: np.ndarray,
+            skipped: np.ndarray, r: int | None = None,
             margin_scale: float = 0.05) -> CertificateReport:
     """Full certificate dispatch: envelopes, recursion bounds, then the
     stable-case bound if applicable, else the Grammian-window bound, else a
-    report with case "none" and the failing precondition."""
+    report with case "none" and the failing precondition.  ``info`` and
+    ``skipped`` are the shape schedule's, of steps 1..N; r defaults to n2."""
     n1, n2, n_w = dec.n1, dec.n2, dec.system.n_w
     rep = CertificateReport(
         alpha_lo=const.alpha_lo, alpha_hi=const.alpha_hi,
@@ -359,14 +353,13 @@ def certify(dec, const: AssumptionConstants, eps1_lo: float, eps1_hi: float,
     (rep.lambda2_hi, rep.a2_hi,
      rep.lambda2_lo, rep.a2_lo) = exponential_envelopes(dec.A4, margin_scale)
     rep = lemma5_bounds(rep, dec, dt, P20_norm, horizon_k)
-    if r is None:
-        r = max(n2, 1)
     if rep.f_bar < 1.0 - rep.beta_hi:
         rep.p2_hi = lemma6_uniform_bound(rep, dt)
         rep.case = "lemma6"
     else:
         try:
-            rho = grammian_rho(dec, Gk_seq, r, dt)
+            r = n2 if r is None else r
+            rho = grammian_rho(dec, info, skipped, r, dt)
             rep.p2_hi = lemma7_uniform_bound(rep, rho, r, dt)
             rep.case = "lemma7"
         except (CertificateUnavailableError, InvalidParameterError) as exc:

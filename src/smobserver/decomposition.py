@@ -177,28 +177,25 @@ class DerivativeOrderReport:
     pair: tuple | None = field(default=None, compare=False, repr=False)
 
 
-def select_derivative_order(dec: Decomposition, l_max: int | None = None
-                            ) -> DerivativeOrderReport:
+def select_derivative_order(dec: Decomposition) -> DerivativeOrderReport:
     """Smallest l for which a stable unknown-input observer gain exists.
 
     An order qualifies when the gain equation F G_l = [B1' 0 ... 0] is
     solvable (row-space residual below tolerance) and the residual pair left
-    over after enforcing it is detectable.  Raises if no order up to l_max
-    (default n1) qualifies.
+    over after enforcing it is detectable.  Raises if no order up to n1
+    qualifies.
     """
     n1 = dec.n1
     if n1 == 0:
         return DerivativeOrderReport(l=0, residuals={0: 0.0})
-    if l_max is None:
-        l_max = n1
     residuals: dict[int, float] = {}
     scale = 1.0 + spectral_norm(dec.B1p)
-    for l in range(l_max + 1):
+    for l in range(n1 + 1):
         pair = residual_pair(dec.A1, dec.C1, dec.B1p, dec.D1p, l)
         *_, A_res, C_res, res = pair
         residuals[l] = res
         if res <= GAIN_RESIDUAL_TOL * scale and is_detectable(A_res, C_res):
             return DerivativeOrderReport(l=l, residuals=residuals, pair=pair)
     raise StrongObservabilityError(
-        f"no derivative order up to {l_max} admits a stable observer "
+        f"no derivative order up to {n1} admits a stable observer "
         f"(best residual {min(residuals.values()):.3e})")

@@ -69,7 +69,10 @@ class Ellipsoid:
 def checked_shapes(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A shape matrix K, or each in a stack, symmetrized, and its
     eigenvalues in ascending order.  :class:`InvalidEllipsoidError` unless
-    each K is symmetric to SYM_TOL (1 + ||K||_2) and positive definite."""
+    each K is finite, symmetric to SYM_TOL (1 + ||K||_2) and positive
+    definite."""
+    if not np.all(np.isfinite(shapes)):
+        raise InvalidEllipsoidError("shape matrix is not finite")
     scale = np.linalg.norm(shapes, 2, axis=(-2, -1))[..., None, None]
     if not np.all(np.abs(shapes - shapes.swapaxes(-1, -2))
                   <= SYM_TOL * (1.0 + scale)):

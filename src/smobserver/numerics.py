@@ -55,27 +55,12 @@ def symmetrize(K: np.ndarray) -> np.ndarray:
     return 0.5 * (K + K.swapaxes(-1, -2))
 
 
-def min_eigval(K: np.ndarray) -> float:
-    if K.size == 0:
-        return np.inf
-    return float(np.linalg.eigvalsh(symmetrize(K))[0])
-
-
-def is_spd(K: np.ndarray) -> bool:
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.shape[0] != K.shape[1]:
-        return False
-    if not np.allclose(K, K.T, rtol=1e-8, atol=1e-8 * (1.0 + spectral_norm(K))):
-        return False
-    return min_eigval(K) > 0.0
-
-
 def default_rank_tol(M: np.ndarray, smax: float) -> float:
     """Conventional numerical-rank cutoff: max(m,n) * eps * sigma_max."""
     return max(M.shape) * EPS * smax
 
 
-def null_basis(M: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+def null_basis(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space (columns)."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[1] == 0:
@@ -83,14 +68,11 @@ def null_basis(M: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     if M.shape[0] == 0 or not np.any(M):
         return np.eye(M.shape[1])
     _, s, vt = np.linalg.svd(M)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(M, s[0])
-    r = int(np.sum(s > rank_tol))
+    r = int(np.sum(s > default_rank_tol(M, s[0])))
     return vt[r:].T
 
 
-def range_basis(M: np.ndarray, scale: float = 0.0,
-                rank_tol: float | None = None) -> np.ndarray:
+def range_basis(M: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the column space.
 
     ``scale`` sets the magnitude against which rank is judged; pass 1.0 when
@@ -101,10 +83,8 @@ def range_basis(M: np.ndarray, scale: float = 0.0,
     if M.shape[1] == 0 or M.size == 0:
         return np.zeros((M.shape[0], 0))
     u, s, _ = np.linalg.svd(M, full_matrices=False)
-    if rank_tol is None:
-        ref = max(scale, s[0] if s.size else 0.0)
-        rank_tol = default_rank_tol(M, ref)
-    r = int(np.sum(s > rank_tol))
+    ref = max(scale, s[0] if s.size else 0.0)
+    r = int(np.sum(s > default_rank_tol(M, ref)))
     return u[:, :r]
 
 
@@ -137,19 +117,20 @@ def canonical_basis(V: np.ndarray) -> np.ndarray:
 
 
 def simpson(y: np.ndarray, dx: float) -> float:
-    """Composite Simpson integral of samples ``y`` at uniform spacing."""
+    """Integral of samples ``y`` at uniform spacing by scipy's Simpson rule,
+    which also takes an odd number of intervals."""
     y = np.asarray(y, dtype=float)
     if y.shape[-1] < 2:
         return 0.0
     return float(_simpson(y, dx=dx, axis=-1))
 
 
-def simpson_matrix(Y: np.ndarray, dx: float) -> np.ndarray:
-    """Composite Simpson integral of a sampled matrix path Y[j] -> int Y dt."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape[0] < 2:
-        return np.zeros(Y.shape[1:])
-    return _simpson(Y, dx=dx, axis=0)
+def simpson_weights(m: int, dx: float) -> np.ndarray:
+    """The m + 1 weights dx (1, 4, 2, 4, ..., 2, 4, 1) / 3 of the composite
+    Simpson rule on m intervals of width dx, m even."""
+    w = np.where(np.arange(m + 1) % 2, 4.0, 2.0)
+    w[0] = w[-1] = 1.0
+    return dx / 3.0 * w
 
 
 def unit_ball_volume(n: int) -> float:

@@ -5,15 +5,16 @@ evaluation, Monte Carlo containment suites, and trace emission.
 Every shape quantity of the estimator (error envelopes, predicted and
 updated shape matrices, gains, mixing weights, the fused shape) depends on
 the system only; the realized input and initial state reach the centers
-alone.  :func:`shape_schedule` runs the shape recursion once and checks
-every weak-block shape once; :func:`estimate` is the one center pass, which
-reads its shapes from that schedule and advances the centers of a whole
-batch of runs.  The plant, the derivative bank and the unknown-input
-observer form one linear time-invariant system, lifted once to the
-quadrature grid (:class:`CenterLift`).  A single run
-(:func:`run_algorithm1`) is the pass with one column; a Monte Carlo sweep
-(:func:`monte_carlo_containment`) is the pass with one column per run.  The
-certificate reads the schedule alone.
+alone.  :func:`shape_schedule` runs the shape recursion once, checks
+every weak-block shape once and records each step's update gate once, in
+``skipped``; :func:`estimate` is the one center pass, which reads its
+shapes from that schedule and advances the centers of a whole batch of
+runs.  The plant, the derivative bank and the unknown-input observer form
+one linear time-invariant system, lifted once to the quadrature grid
+(:class:`CenterLift`).  A single run (:func:`run_algorithm1`) is the pass
+with one column; a Monte Carlo sweep (:func:`monte_carlo_containment`) is
+the pass with one column per run.  The certificate reads the schedule
+alone, its gate and information terms C2^T G_k^{-1} C2 included.
 """
 
 from __future__ import annotations
@@ -195,7 +196,6 @@ class DesignArtifacts:
     eps1_grid: np.ndarray    # eps1 at those times
     eps1_lo: float
     eps1_hi: float
-    y_deriv_bound: float
     lift: CenterLift
 
 
@@ -240,8 +240,7 @@ def build_design(cfg: ScenarioConfig) -> DesignArtifacts:
                            init_norm=init_norm, n_y=sys.n_y)
     quad_step = cfg.dt / cfg.quad_substeps
     ev = Epsilon1Evaluator(err, uio.E, quad_step, cfg.horizon)
-    eps1_ts, eps1_grid = ev.grid(ev.ts[min(len(ev.ts) - 1,
-                                           cfg.n_steps * cfg.quad_substeps)])
+    eps1_ts, eps1_grid = ev.grid(ev.ts[cfg.n_steps * cfg.quad_substeps])
     eps1_lo, eps1_hi = ev.uniform_bounds(cfg.eps1_floor)
     if not eps1_hi < np.sqrt(np.finfo(float).max):  # eps1^2 must be finite
         raise InvalidDesignError(f"the eps1 envelope reaches {eps1_hi:.3g}, "
@@ -250,7 +249,7 @@ def build_design(cfg: ScenarioConfig) -> DesignArtifacts:
     return DesignArtifacts(
         cfg=cfg, dec=dec, uio=uio, hgo_cfg=hgo_cfg, err=err,
         eps1_ts=eps1_ts, eps1_grid=eps1_grid,
-        eps1_lo=eps1_lo, eps1_hi=eps1_hi, y_deriv_bound=ybound,
+        eps1_lo=eps1_lo, eps1_hi=eps1_hi,
         lift=build_center_lift(sys, hgo_cfg, uio, cfg.h_fine, stride,
                                cfg.quad_substeps))
 
@@ -308,9 +307,9 @@ class ShapeSchedule:
     """Every shape-side quantity of the estimator; entry k of each array
     belongs to sample time t_k, k = 0..n_steps.  Where no gain, weight or
     update gate ran (k = 0, or an empty weak block) the entries are nan
-    and ``skipped``.  ``P1inv``, the step's
-    :func:`~smobserver.weak.quad_kernels` and ``inv_factor`` serve the
-    centers."""
+    and ``skipped``, the one record of the update gate.  ``P1inv``, the
+    step's :func:`~smobserver.weak.quad_kernels` and ``inv_factor`` serve
+    the centers."""
 
     eps1: np.ndarray       # (N+1,)
     gamma: np.ndarray      # (N+1,)
@@ -320,6 +319,7 @@ class ShapeSchedule:
     P2_pred: np.ndarray    # (N+1, n2, n2) predicted weak-block shape
     P2: np.ndarray         # (N+1, n2, n2) updated, or predicted if skipped
     Gk: np.ndarray         # (N+1, n_y, n_y)
+    info: np.ndarray       # (N+1, n2, n2) C2^T G_k^-1 C2, 0 where skipped
     O: np.ndarray          # (N+1, n2, n_y) update gain, 0 where skipped
     mu: np.ndarray         # (N+1,) fusion gain
     shape: np.ndarray      # (N+1, n, n) fused full-state shape
@@ -343,6 +343,7 @@ def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
     gamma, alpha, beta = (np.full(N + 1, np.nan) for _ in range(3))
     skipped = np.ones(N + 1, dtype=bool)
     Gk = np.full((N + 1, n_y, n_y), np.nan)
+    info = np.zeros((N + 1, n2, n2))
     O = np.zeros((N + 1, n2, n_y))
     P1inv = np.linalg.inv(dec.P1)
     kernels = quad_kernels(dec.A4, cfg.dt / n_q, n_q)
@@ -361,16 +362,16 @@ def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
                         gain, kernels)
         Gk[1:] = gk_matrix(dec, build_Ku(gain, eps1[1:], Kw_k, n1))
         informative = update_is_informative(dec, Gk[1:])
-        info, GiC = np.zeros((N, n2, n2)), np.zeros((N, n_y, n2))
-        info[informative], GiC[informative] = update_information(
+        GiC = np.zeros((N, n_y, n2))
+        info[1:][informative], GiC[informative] = update_information(
             dec, Gk[1:][informative])
         skipped[1:] = ~informative
         alpha[1:], beta[1:], P2_pred, P2s, O[1:] = shape_recursion(
-            P2, kernels[0], cfg.dt * M2k, informative, info, GiC)
+            P2, kernels[0], cfg.dt * M2k, informative, info[1:], GiC)
     shape, mu = fuse(eps1, P2s, P1inv)
     return ShapeSchedule(
         eps1=eps1, gamma=gamma, alpha=alpha, beta=beta, skipped=skipped,
-        P2_pred=P2_pred, P2=P2s, Gk=Gk, O=O, mu=mu, shape=shape,
+        P2_pred=P2_pred, P2=P2s, Gk=Gk, info=info, O=O, mu=mu, shape=shape,
         inv_factor=inverse_factors(shape), P1inv=P1inv, kernels=kernels)
 
 
@@ -520,7 +521,7 @@ def _sampled_drive(design: DesignArtifacts, w_family, steps: int, runs: int):
 
 
 def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
-             schedule: ShapeSchedule, log: list | None = None):
+             schedule: ShapeSchedule):
     """Run the estimator on a batch of runs, yielding one
     :class:`EstimateChunk` for k = 0, then one per chunk of sample
     intervals up to k = n_steps.
@@ -546,10 +547,7 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
     chunk at once: the outputs, the eps1 gaps, the x2 block's quadrature
     drive and innovation terms, the fused centers and each run's quadratic
     form; only the x2 recursion (e^{A4 dt} and, on update steps, O_k times
-    the innovation) stays a loop over the chunk's steps.  ``log`` receives
-    the stage names of each step in the order of the published pseudocode
-    (select the stacking gain, propagate, gate the update, update or skip,
-    fuse).
+    the innovation) stays a loop over the chunk's steps.
     """
     cfg, dec, lift = design.cfg, design.dec, design.lift
     sys, n, x1, n1, n2 = dec.system, lift.n_x, lift.x1, dec.n1, dec.n2
@@ -584,11 +582,7 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
         cw_feed = (cw_q[:, -1] @ dec.D2p[:, n1:].T)[:, None]
         K0T, C2T, D2T = schedule.kernels[0].T, dec.C2.T, dec.D2p[:, :n1].T
         OT = schedule.O.transpose(0, 2, 1)
-    stages = ["continuous"] + (["gamma", "propagate", "gate"] if n2 else [])
-    stages = (stages + ["fuse"], stages + ["update", "fuse"])
 
-    if log is not None:
-        log += ["setup", "fuse"]
     s = np.zeros((runs, ds))
     s[:, :n] = X0.T
     xp0 = dec.P1 @ cfg.xhat0
@@ -660,9 +654,6 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
         x1hat_q = np.empty((b, n_q + 1, n1, runs))
         x1hat_q[:, 0] = chain[:b, :, x1].transpose(0, 2, 1)
         x1hat_q[:, 1:] = S[..., x1].transpose(1, 0, 3, 2)
-        if log is not None:
-            for k in range(k0 + 1, k0 + b + 1):
-                log += stages[not schedule.skipped[k]]
         yield EstimateChunk(
             k=slice(k0 + 1, k0 + b + 1), x=x, y=y.transpose(0, 2, 1),
             x1hat_q=x1hat_q, eps1_gap=gap.transpose(1, 0, 2),
@@ -682,7 +673,8 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
     certificate.  ``w_fn`` is a :class:`~smobserver.generators.SignalGenerator`
     (``w_true`` by default), which the pass folds as a sine bank, or a
     callable mapping an array of times to (len, n_w) samples.  ``step_log``
-    receives the stage names in the published order.
+    receives the stage names in the published order (stacking gain,
+    propagate, gate, update where the schedule's gate opened, fuse).
     """
     if design is None:
         design = build_design(cfg)
@@ -703,8 +695,7 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
                                            ("P2hat", float, (n2, n2))])
     qs = np.empty(len(traces))
     eps1_margin = np.inf
-    log = step_log if step_log is not None else []
-    for chunk in estimate(design, x0[:, None], w_one, sched, log):
+    for chunk in estimate(design, x0[:, None], w_one, sched):
         traces.x_true[chunk.k] = chunk.x[:, :, 0]
         traces.xhat[chunk.k] = chunk.xhat[:, :, 0]
         weak.x2hat[chunk.k] = chunk.x2hat[:, :, 0]
@@ -720,6 +711,11 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
         traces[name] = getattr(sched, name)
     traces.contained = qs <= 1.0 + MEMBERSHIP_SLACK
     weak.P2hat = sched.P2
+    log = step_log if step_log is not None else []
+    stages = ["continuous"] + (["gamma", "propagate", "gate"] if n2 else [])
+    log += ["setup", "fuse"]
+    for skipped in sched.skipped[1:].tolist():
+        log += stages + ([] if skipped else ["update"]) + ["fuse"]
 
     report = certify_design(design, sched) if with_certificate else None
     return RunResult(
@@ -731,9 +727,10 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
 
 # -- certificates ----------------------------------------------------------
 
-def assumption_constants(cfg: ScenarioConfig, alphas: np.ndarray,
-                         betas: np.ndarray) -> AssumptionConstants:
-    """Build the Assumption-level parameter bounds, declared or harvested."""
+def assumption_constants(cfg: ScenarioConfig,
+                         schedule: ShapeSchedule) -> AssumptionConstants:
+    """Build the Assumption-level parameter bounds, declared or harvested
+    from ``schedule``; beta_lo is 0 where it skipped an update."""
     w_lo, w_hi = input_bounds(cfg)
     if cfg.cert.mode == "declared":
         return AssumptionConstants(
@@ -741,19 +738,17 @@ def assumption_constants(cfg: ScenarioConfig, alphas: np.ndarray,
             beta_lo=cfg.cert.beta_lo, beta_hi=cfg.cert.beta_hi,
             w_lo=w_lo, w_hi=w_hi, source="declared")
     m = cfg.cert.harvest_margin
+    alphas, skipped = schedule.alpha[1:], schedule.skipped[1:]
     a_real = alphas[np.isfinite(alphas)]
     if a_real.size:
         a_lo = max(float(np.min(a_real)) * (1.0 - m), 1e-12)
         a_hi = min(float(np.max(a_real)) * (1.0 + m), 1.0 - 1e-12)
     else:
         a_lo = a_hi = 0.5
-    b_real = betas[np.isfinite(betas)]
-    b_pos = b_real[b_real > 0.0]
-    if b_pos.size:
-        b_lo = float(np.min(b_pos)) * (1.0 - m)
-        b_hi = min(float(np.max(b_real)) * (1.0 + m), 1.0 - 1e-12)
-        if b_pos.size < b_real.size:
-            b_lo = 0.0  # some steps skipped the update
+    ran = schedule.beta[1:][~skipped]
+    if ran.size:
+        b_lo = 0.0 if skipped.any() else float(np.min(ran)) * (1.0 - m)
+        b_hi = min(float(np.max(ran)) * (1.0 + m), 1.0 - 1e-12)
     else:
         b_lo = b_hi = 0.0
     return AssumptionConstants(alpha_lo=a_lo, alpha_hi=a_hi,
@@ -766,12 +761,12 @@ def certify_design(design: DesignArtifacts,
     """The certificate of ``design``, with harvested constants and the
     Grammian window taken from its shape schedule."""
     cfg = design.cfg
-    const = assumption_constants(cfg, schedule.alpha[1:], schedule.beta[1:])
+    const = assumption_constants(cfg, schedule)
     P20_norm = spectral_norm(design.dec.P1 @ cfg.K0 @ design.dec.P1.T)
-    r = cfg.cert.r if cfg.cert.r is not None else max(design.dec.n2, 1)
     return certify(design.dec, const, design.eps1_lo, design.eps1_hi,
-                   cfg.dt, P20_norm, cfg.n_steps, Gk_seq=schedule.Gk[1:],
-                   r=r, margin_scale=cfg.cert.margin_scale)
+                   cfg.dt, P20_norm, cfg.n_steps, schedule.info[1:],
+                   schedule.skipped[1:], r=cfg.cert.r,
+                   margin_scale=cfg.cert.margin_scale)
 
 
 def certify_scenario(cfg: ScenarioConfig
@@ -850,9 +845,10 @@ def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
     """
     if runs < 0:
         raise InvalidParameterError(f"runs must be nonnegative, got {runs}")
-    if runs == 0:
-        return {"runs": 0, "containment_rate": None, "worst_q": None,
-                "eps1_violations": 0, "seed": seed,
+    if runs == 0:   # the keys of a sweep, in its order
+        return {"runs": 0, "seed": seed, "boundary": boundary,
+                "containment_rate": None, "worst_q": None, "min_margin": None,
+                "eps1_violations": 0, "eps1_margin": None,
                 "per_run_worst_q": []}
     design = build_design(cfg)
     schedule = shape_schedule(design)
@@ -934,8 +930,8 @@ def parse_traces(path) -> np.recarray:
                       ndmin=1, encoding="utf-8").view(np.recarray)
 
 
-def emit_plot_data(run: RunResult, out_dir, ellipse_axes: tuple | None = None,
-                   ellipse_points: int = 50) -> list:
+def emit_plot_data(run: RunResult, out_dir,
+                   ellipse_axes: tuple | None = None) -> list:
     """Per-figure CSV series: volume curve, per-axis bound bands, and
     (optionally) projected ellipse polylines for a chosen coordinate pair."""
     import os
@@ -953,9 +949,8 @@ def emit_plot_data(run: RunResult, out_dir, ellipse_axes: tuple | None = None,
         ij = list(ellipse_axes)
         path = os.path.join(out_dir, "plot_ellipses_x{}x{}.csv".format(*ij))
         points = boundary_polylines(tr.xhat[:, ij],
-                                    run.schedule.shape[:, ij][:, :, ij],
-                                    ellipse_points)
+                                    run.schedule.shape[:, ij][:, :, ij])
         _write_csv(path, ["t", "px", "py"], np.column_stack(
-            [np.repeat(tr.t, ellipse_points), points.reshape(-1, 2)]))
+            [np.repeat(tr.t, points.shape[1]), points.reshape(-1, 2)]))
         written.append(path)
     return written

@@ -12,10 +12,11 @@ import numpy as np
 import yaml
 
 from .decomposition import LtiSystem
-from .ellipsoid import MEMBERSHIP_SLACK, inverse_factors, quadratic_forms
-from .errors import ScenarioFormatError
+from .ellipsoid import (MEMBERSHIP_SLACK, checked_shapes, inverse_factors,
+                        quadratic_forms)
+from .errors import InvalidEllipsoidError, ScenarioFormatError
 from .generators import ShapeGenerator, SignalGenerator
-from .numerics import expm, is_spd, power_norms, spectral_norm
+from .numerics import expm, power_norms, spectral_norm
 
 FORMAT_TAG = "smobserver-scenario/1"
 
@@ -52,6 +53,11 @@ class CertOptions:
     def __post_init__(self):
         if self.mode not in ("declared", "harvested"):
             raise ScenarioFormatError("cert mode must be declared|harvested")
+        if self.r is not None and self.r < 1:
+            raise ScenarioFormatError(f"cert.r must be >= 1, got {self.r}")
+        if not (np.isfinite(self.margin_scale) and self.margin_scale > 0.0):
+            raise ScenarioFormatError("cert.margin_scale must be finite and "
+                                      f"positive, got {self.margin_scale}")
         if self.mode == "declared":
             vals = (self.alpha_lo, self.alpha_hi, self.beta_lo, self.beta_hi)
             if any(v is None for v in vals):
@@ -97,8 +103,11 @@ class ScenarioConfig:
             raise ScenarioFormatError("xhat0 must be a finite n-vector")
         if self.K0.shape != (n, n):
             raise ScenarioFormatError("K0 dimension mismatch")
-        if not is_spd(self.K0):
-            raise ScenarioFormatError("K0 must be symmetric positive definite")
+        try:
+            checked_shapes(self.K0)
+        except InvalidEllipsoidError:
+            raise ScenarioFormatError(
+                "K0 must be symmetric positive definite") from None
         for key in ("dt", "horizon"):
             if not (np.isfinite(getattr(self, key)) and getattr(self, key) > 0):
                 raise ScenarioFormatError(f"{key} must be finite and positive")
@@ -299,13 +308,13 @@ def input_deriv_bound(cfg: ScenarioConfig, order: int) -> float:
     return center + max(family, declared - center)
 
 
-def state_norm_bound(cfg: ScenarioConfig, grid_step: float = 0.01) -> float:
-    """sup over [0, horizon] of ||x(t)|| for any admissible run.
+def state_norm_bound(cfg: ScenarioConfig) -> float:
+    """sup over [0, horizon] of ||x(t)|| for any admissible run (0.01 grid).
 
     ||x(t)|| <= ||e^{At}|| (||xhat0|| + sqrt(lam_max K0))
                + int_0^t ||e^{As}|| ds * ||B|| * sup||w||.
     """
-    h = grid_step
+    h = 0.01
     n_steps = int(np.ceil(cfg.horizon / h)) + 1
     norms = power_norms(expm(cfg.A * h), n_steps + 1)
     x0_norm = float(np.linalg.norm(cfg.xhat0)) \

@@ -75,13 +75,13 @@ def residual_pair(A1, C1, B1p, D1p, l):
     return Ol, Gl, M, Gp, A_res, C_res, res
 
 
-def is_detectable(A: np.ndarray, C: np.ndarray, tol: float = 1e-8) -> bool:
-    """PBH test: every eigenvalue with Re >= 0 must be observable."""
+def is_detectable(A: np.ndarray, C: np.ndarray) -> bool:
+    """PBH test: every eigenvalue with Re >= -1e-8 must be observable."""
     n = A.shape[0]
     if n == 0:
         return True
     for lam in np.linalg.eigvals(A):
-        if lam.real >= -tol:
+        if lam.real >= -1e-8:
             pencil = np.vstack([lam * np.eye(n) - A, C.astype(complex)])
             s = np.linalg.svd(pencil, compute_uv=False)
             if np.linalg.matrix_rank(pencil, tol=1e-10 * max(1.0, s[0])) < n:

@@ -28,7 +28,7 @@ from scipy.optimize import brentq
 
 from .errors import (DegenerateInputError, InvalidParameterError,
                      SingularNoiseError)
-from .numerics import expm, simpson_matrix, symmetrize
+from .numerics import expm, simpson_weights, symmetrize
 
 #: clip applied when the closed-form alpha degenerates to an endpoint
 ALPHA_CLIP = 1e-9
@@ -147,25 +147,22 @@ def propagate(dec, eps1_q: np.ndarray, Kw_q: np.ndarray, dt: float,
     Ku = build_Ku(tuple(np.asarray(g)[..., None] for g in gain), eps1_q,
                   Kw_q, dec.n1)
     KBs = kernels @ dec.B2p
-    # Simpson over the node axis, put first as simpson_matrix expects
-    terms = (KBs @ Ku @ KBs.swapaxes(-1, -2)).swapaxes(0, 1)
-    return symmetrize(simpson_matrix(terms, dt / substeps))
+    w = simpson_weights(substeps, dt / substeps)[:, None, None]
+    return symmetrize(np.sum(w * (KBs @ Ku @ KBs.swapaxes(-1, -2)), axis=-3))
 
 
 def center_drive(B2p: np.ndarray, dt: float,
                  kernels: np.ndarray) -> np.ndarray:
-    """The (m+1, n2, n1+n_w) stack h w_j e^{A4 (t_k - tau_j)} B2', w_j the
-    composite Simpson weights (1, 4, 2, ..., 4, 1) / 3 on the m + 1
-    quadrature nodes of :func:`quad_kernels`.
+    """The (m+1, n2, n1+n_w) stack w_j e^{A4 (t_k - tau_j)} B2', w_j the
+    :func:`~smobserver.numerics.simpson_weights` of the m + 1 quadrature
+    nodes of :func:`quad_kernels`.
 
     The predicted x2 center of a step is e^{A4 dt} x2 + sum_j drive[j]
     u(tau_j), which integrates e^{A4 (t_k - tau)} B2' u by Simpson's rule,
     with u = col(x1hat, c_w) on the nodes.
     """
     m = kernels.shape[0] - 1
-    w = np.where(np.arange(m + 1) % 2, 4.0, 2.0)
-    w[0] = w[-1] = 1.0
-    return (dt / m / 3.0 * w)[:, None, None] * (kernels @ B2p)
+    return simpson_weights(m, dt / m)[:, None, None] * (kernels @ B2p)
 
 
 def gk_matrix(dec, Ku_tk: np.ndarray) -> np.ndarray:

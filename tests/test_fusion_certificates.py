@@ -214,29 +214,32 @@ def test_assumption_constants_validation():
                             beta_hi=0.2, w_lo=1.0, w_hi=2.0)
 
 
+class _Dec:
+    """A4 = 0, C2 = I: the weak block of the Grammian hand examples."""
+    n2 = 2
+    A4 = np.zeros((2, 2))
+    C2 = np.eye(2)
+
+
 def test_grammian_rho_hand_example():
-    """A4 = 0, C2 = I, G_k = I: each window term is the identity, so the
-    window of length r sums to (r+1) I and rho = r + 1."""
-    class _Dec:
-        n2 = 2
-        A4 = np.zeros((2, 2))
-        C2 = np.eye(2)
-    Gk_seq = [np.eye(2)] * 6
-    assert grammian_rho(_Dec(), Gk_seq, 2, 0.1) == pytest.approx(3.0)
+    """A4 = 0, C2 = I, G_k = I: each window term C2^T G_k^{-1} C2 is the
+    identity, so the window of length r sums to (r+1) I and rho = r + 1."""
+    info = np.broadcast_to(np.eye(2), (6, 2, 2))
+    assert grammian_rho(_Dec(), info, np.zeros(6, dtype=bool), 2, 0.1) == \
+        pytest.approx(3.0)
 
 
 def test_grammian_window_skips_what_the_update_gate_skips():
     """G_k = diag(1, 1e-11) fails the update gate (lambda_min <= 1e-10
-    ||G_k||), so the estimator skips its update; every window of length 2
-    holds it, so the certificate may count no window."""
-    class _Dec:
-        n2 = 2
-        A4 = np.zeros((2, 2))
-        C2 = np.eye(2)
+    ||G_k||), so the schedule skips its update and records no information
+    for it; every window of length 2 holds it, so the certificate may count
+    no window."""
     Gk_seq = [np.eye(2), np.eye(2), np.diag([1.0, 1e-11]), np.eye(2)]
-    assert not update_is_informative(_Dec(), Gk_seq[2])
+    skipped = ~update_is_informative(_Dec(), np.array(Gk_seq))
+    assert skipped.tolist() == [False, False, True, False]
+    info = np.eye(2) * ~skipped[:, None, None]
     with pytest.warns(UserWarning, match="excluded from Grammian window"):
-        assert grammian_rho(_Dec(), Gk_seq, 2, 0.1) == 0.0
+        assert grammian_rho(_Dec(), info, skipped, 2, 0.1) == 0.0
 
 
 def test_certificate_report_ex2(run_ex2, design_ex2):

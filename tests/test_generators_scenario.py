@@ -137,11 +137,13 @@ def test_cli_rejects_input_escaping_between_samples(tmp_path, cfg_mixed):
 
 
 @pytest.mark.parametrize("K0", [-1e-3 * np.eye(5),
-                                np.diag([1e-3] * 5) + np.eye(5, k=1) * 1e-3],
-                         ids=["negative", "asymmetric"])
+                                np.diag([1e-3] * 5) + np.eye(5, k=1) * 1e-3,
+                                np.diag([np.nan] + [1e-3] * 4)],
+                         ids=["negative", "asymmetric", "nan"])
 def test_cli_rejects_invalid_K0(tmp_path, capsys, K0):
     """example1's empty weak block reads K0 only through a spectral norm, so
-    an indefinite or asymmetric K0 used to run to "all rows contained"."""
+    an indefinite or asymmetric K0 used to run to "all rows contained"; a
+    nan K0 escaped the check as a failed SVD, not named for K0."""
     import yaml
     from smobserver.cli import main as cli_main
     from smobserver.scenario import example1

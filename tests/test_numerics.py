@@ -4,13 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg as sla
 
 import smobserver.numerics as numerics
 from smobserver.numerics import (canonical_basis, compensated_sup, expm,
                                  lyapunov_tail, norm_envelope_grid,
                                  null_basis, power_norms, range_basis,
-                                 simpson, simpson_matrix, spectral_norm,
+                                 simpson, simpson_weights, spectral_norm,
                                  unit_ball_volume, zoh)
 
 
@@ -88,12 +89,16 @@ def test_simpson_exact_on_cubic():
     assert simpson(y, xs[1] - xs[0]) == pytest.approx(exact, rel=1e-13)
 
 
-def test_simpson_matrix_matches_scalar():
-    xs = np.linspace(0.0, 1.0, 11)
-    Y = np.stack([np.diag([x ** 2, np.sin(x)]) for x in xs])
-    out = simpson_matrix(Y, xs[1] - xs[0])
-    assert out[0, 0] == pytest.approx(simpson(xs ** 2, 0.1), rel=1e-13)
-    assert out[1, 1] == pytest.approx(simpson(np.sin(xs), 0.1), rel=1e-13)
+def test_simpson_weights_match_scipy():
+    """The weights reproduce scipy's composite Simpson rule on any even
+    number of intervals, for a matrix path contracted over its node axis."""
+    for m in (2, 4, 10, 200):
+        xs = np.linspace(0.0, 1.0, m + 1)
+        Y = np.stack([np.diag([x ** 2, np.sin(x)]) for x in xs])
+        w = simpson_weights(m, xs[1] - xs[0])
+        ref = scipy.integrate.simpson(Y, dx=xs[1] - xs[0], axis=0)
+        assert np.allclose(np.sum(w[:, None, None] * Y, axis=0), ref,
+                           rtol=1e-13, atol=1e-15)
 
 
 def test_unit_ball_volume_known_values():

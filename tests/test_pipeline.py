@@ -198,6 +198,10 @@ def test_mc_empty():
     out = monte_carlo_containment(example2(), runs=0, seed=0)
     assert out["runs"] == 0
     assert out["containment_rate"] is None
+    # the same record as a sweep, key for key and in order
+    sweep = monte_carlo_containment(example2().with_overrides(horizon=0.2),
+                                    runs=1, seed=0)
+    assert list(out) == list(sweep)
 
 
 def test_mc_mixed_contained(cfg_mixed):
@@ -466,6 +470,45 @@ def test_schedule_batches_the_p2_free_half(cfg_mixed, monkeypatch):
                          "optimize_beta": cfg.n_steps,
                          "measurement_update": cfg.n_steps}
     assert linalg_calls[0] == linalg_calls[1]
+
+
+def test_schedule_decides_the_update_gate_once(cfg_mixed, monkeypatch):
+    """One run tests the update gate on the G_k stack twice, in
+    shape_schedule and in update_information's guard, and takes the
+    information once; the certificate makes no gate decision of its own.
+    With both functions patched to raise, certify_design still gives the
+    run's lemma7 certificate from the schedule's ``info`` and ``skipped``."""
+    import smobserver.certificates as certificates
+    import smobserver.weak as weak
+    names = ("update_is_informative", "update_information")
+    modules = (pipeline, weak, certificates)
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        wrapper = counting(name, getattr(weak, name))
+        for mod in modules:
+            monkeypatch.setattr(mod, name, wrapper, raising=False)
+    cfg = cfg_mixed.with_overrides(horizon=2.0)
+    design = build_design(cfg)
+    run = run_algorithm1(cfg, design=design)
+    assert calls == {"update_is_informative": 2, "update_information": 1}
+    assert run.report.case == "lemma7"
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("update gate evaluated by the certificate")
+
+    for name in names:
+        for mod in (weak, certificates):
+            monkeypatch.setattr(mod, name, forbidden, raising=False)
+    rep = pipeline.certify_design(design, run.schedule)
+    assert yaml.safe_dump(rep.to_dict()) == yaml.safe_dump(
+        run.report.to_dict())
 
 
 def test_estimate_runs_no_shape_code(cfg_mixed, monkeypatch):
@@ -778,6 +821,30 @@ def test_cli_rejects_malformed_optional_keys(tmp_path, capsys, section, key,
         ScenarioConfig.from_dict(d)
     assert cli_main(["run", "--scenario", str(scen),
                      "--out", str(tmp_path / "o")]) == 3
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("r", 0), ("r", -3), ("margin_scale", -1.0), ("margin_scale", 0.0),
+    ("margin_scale", float("nan")), ("margin_scale", float("inf"))])
+def test_cli_rejects_out_of_range_cert_options(tmp_path, capsys, key, value):
+    """A window length r < 1, or an envelope margin that is not finite and
+    positive, is bad input (exit 3) named for its key where the scenario is
+    read: r <= 0 once gave a case-none certificate (``certify`` exit 2,
+    ``run`` exit 0), margin_scale 0 an uncertified amplitude walk, and a
+    negative or non-finite margin_scale a traceback (exit 1)."""
+    d = ScenarioConfig.load(UPDATE_GRAMMIAN).to_dict()
+    d["horizon"] = 1.0
+    d["cert"][key] = value
+    scen = tmp_path / "bad.yaml"
+    scen.write_text(yaml.safe_dump(d, sort_keys=False), encoding="utf-8")
+    name = f"cert.{key}"
+    with pytest.raises(ScenarioFormatError, match=name):
+        ScenarioConfig.from_dict(d)
+    assert cli_main(["run", "--scenario", str(scen),
+                     "--out", str(tmp_path / "o")]) == 3
+    assert name in capsys.readouterr().err
+    assert cli_main(["certify", "--scenario", str(scen)]) == 3
     assert name in capsys.readouterr().err
 
 

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from smobserver.decomposition import build_decomposition
 from smobserver.errors import InvalidParameterError, SingularNoiseError
-from smobserver.numerics import expm, simpson_matrix
+from smobserver.numerics import expm
 from smobserver.weak import (ALPHA_CLIP, BETA_HI, BETA_LO, build_Ku,
                              center_drive, check_shape, gamma_terms,
                              gk_matrix, measurement_update, optimize_beta,
@@ -280,7 +281,8 @@ def test_center_drive_is_simpson_of_the_kernels(dec_mixed):
     kernels = quad_kernels(dec_mixed.A4, dt / m, m)
     u = np.random.default_rng(3).standard_normal(
         (m + 1, dec_mixed.B2p.shape[1], 4))
-    ref = simpson_matrix(kernels @ dec_mixed.B2p @ u, dt / m)
+    ref = scipy.integrate.simpson(kernels @ dec_mixed.B2p @ u, dx=dt / m,
+                                  axis=0)
     got = np.einsum("jab,jbr->ar", center_drive(dec_mixed.B2p, dt, kernels),
                     u)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
