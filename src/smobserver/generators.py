@@ -158,14 +158,8 @@ class ShapeGenerator:
 
     def __call__(self, t) -> np.ndarray:
         if self.kind == "const":
-            t = np.asarray(t, dtype=float)
-            if t.ndim == 0:
-                return self.matrix.copy()
-            return np.tile(self.matrix, (t.shape[0], 1, 1))
-        vals = self.entries(t)
-        if vals.ndim == 1:
-            return np.diag(vals)
-        return np.stack([np.diag(v) for v in vals])
+            return np.tile(self.matrix, np.shape(t)[:1] + (1, 1))
+        return self.entries(t)[..., None] * np.eye(self.dim)
 
     def eig_bounds(self) -> tuple[float, float]:
         """(inf, sup) over time of the shape's eigenvalues."""

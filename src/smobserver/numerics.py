@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import simpson as _simpson
 
 EPS = float(np.finfo(float).eps)
 
@@ -116,15 +115,6 @@ def canonical_basis(V: np.ndarray) -> np.ndarray:
     return B / nrm
 
 
-def simpson(y: np.ndarray, dx: float) -> float:
-    """Integral of samples ``y`` at uniform spacing by scipy's Simpson rule,
-    which also takes an odd number of intervals."""
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] < 2:
-        return 0.0
-    return float(_simpson(y, dx=dx, axis=-1))
-
-
 def simpson_weights(m: int, dx: float) -> np.ndarray:
     """The m + 1 weights dx (1, 4, 2, 4, ..., 2, 4, 1) / 3 of the composite
     Simpson rule on m intervals of width dx, m even."""
@@ -204,30 +194,29 @@ SUP_FIRST_WALK = 256
 LYAPUNOV_TAIL_SAFETY = 1.0 + 1e-6
 
 
-def norm_envelope_grid(A: np.ndarray, h: float, t_max: float = 1e4
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of ||e^{At}|| on [0, T] at spacing h, for a Hurwitz A.
+def norm_envelope_grid(A: np.ndarray, h: float, t_min: float,
+                       t_max: float = 1e4) -> np.ndarray:
+    """Samples ||e^{A j h}||, j = 0, 1, ..., over [0, T] for a Hurwitz A.
 
-    T is extended (by doubling) until ||e^{At}|| has decayed below 1e-6
-    relative to its peak, or t_max is hit.  Each doubling extends the
-    samples already taken (``np.arange`` grids share their prefixes) with
-    one :func:`power_norms` call from the next index, so the samples equal
-    one call over the final grid bit for bit.  Only the eps1 envelope's
-    tail integral uses it; suprema go through :func:`compensated_sup`,
-    whose stop is certified.
+    T starts at max(t_min, 64 h, 1) and doubles until ||e^{AT}|| has
+    decayed below 1e-6 relative to the peak, or T >= t_max.  The first pass
+    takes the ceil(T/h + 1/2) samples of ``np.arange(0, T + h/2, h)``, so a
+    t_min of n h gives exactly n + 1.  Each doubling extends the samples
+    already taken with one :func:`power_norms` call from the next index, so
+    they equal one call over the final grid bit for bit.  It is the eps1
+    envelope's one walk: the output grid up to t_min and the tail of its
+    t -> inf limit.  Suprema go through :func:`compensated_sup`, whose stop
+    is certified.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[0] == 0:
-        return np.array([0.0]), np.array([1.0])
-    Eh = expm(A * h)
-    T = max(64 * h, 1.0)
+    Eh = expm(np.atleast_2d(np.asarray(A, dtype=float)) * h)
+    T = max(t_min, 64 * h, 1.0)
     norms = np.empty(0)
     while True:
-        ts = np.arange(0.0, T + 0.5 * h, h)
-        more = power_norms(Eh, ts.shape[0] - norms.shape[0], norms.shape[0])
+        count = int(np.ceil((T + 0.5 * h) / h))
+        more = power_norms(Eh, count - norms.shape[0], norms.shape[0])
         norms = np.concatenate([norms, more])
         if norms[-1] <= 1e-6 * norms.max() or T >= t_max:
-            return ts, norms
+            return norms
         T *= 2.0
 
 

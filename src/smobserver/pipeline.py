@@ -35,8 +35,7 @@ from .fusion import fuse
 from .generators import SignalGenerator, SineBank
 from .hgo import HgoConfig, _discretization, decay_constants, design_hgo
 from .numerics import spectral_norm, symmetrize, zoh
-from .scenario import (ScenarioConfig, default_zbar0, input_bounds,
-                       input_norm_bound, y_derivative_bound)
+from .scenario import ScenarioConfig, input_norm_bound, y_derivative_bound
 from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
                   solve_uio_gain)
 from .weak import (build_Ku, center_drive, check_shape, gamma_terms,
@@ -226,12 +225,11 @@ def build_design(cfg: ScenarioConfig) -> DesignArtifacts:
         raise InvalidDesignError(f"the output derivative bound is {ybound}")
     delta = ybound * K * cfg.hgo.eps / a
     zbar0 = cfg.hgo.zbar0
-    if zbar0 is None:
-        y0_norm = (float(np.linalg.norm(sys.C @ cfg.xhat0))
-                   + spectral_norm(sys.C)
-                   * float(np.sqrt(max(np.linalg.eigvalsh(cfg.K0)[-1], 0.0)))
-                   + spectral_norm(sys.D) * input_norm_bound(cfg))
-        zbar0 = default_zbar0(cfg, np.array([y0_norm]), ybound)
+    if zbar0 is None:  # a bound on ||y(0)||, plus ybound
+        zbar0 = (float(np.linalg.norm(sys.C @ cfg.xhat0))
+                 + spectral_norm(sys.C)
+                 * float(np.sqrt(max(np.linalg.eigvalsh(cfg.K0)[-1], 0.0)))
+                 + spectral_norm(sys.D) * input_norm_bound(cfg) + ybound)
     init_norm = float(np.sqrt(
         spectral_norm(dec.P1 @ cfg.K0 @ dec.P1.T)))
     err = ErrorBoundParams(K=K, a=a, eps=cfg.hgo.eps, delta=delta,
@@ -284,7 +282,6 @@ class RunResult:
     report: CertificateReport | None
     weak_states: np.recarray
     schedule: ShapeSchedule
-    step_log: list
     eps1_ok: bool
     containment_ok: bool
     eps1_margin: float   # min over checks of eps1 - ||e1||
@@ -672,9 +669,10 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
     this function gathers the trace and weak-block records and adds the
     certificate.  ``w_fn`` is a :class:`~smobserver.generators.SignalGenerator`
     (``w_true`` by default), which the pass folds as a sine bank, or a
-    callable mapping an array of times to (len, n_w) samples.  ``step_log``
-    receives the stage names in the published order (stacking gain,
-    propagate, gate, update where the schedule's gate opened, fuse).
+    callable mapping an array of times to (len, n_w) samples.  A ``step_log``
+    list, where one is passed, receives the stage names in the published
+    order (stacking gain, propagate, gate, update where the schedule's gate
+    opened, fuse).
     """
     if design is None:
         design = build_design(cfg)
@@ -711,16 +709,17 @@ def run_algorithm1(cfg: ScenarioConfig, design: DesignArtifacts | None = None,
         traces[name] = getattr(sched, name)
     traces.contained = qs <= 1.0 + MEMBERSHIP_SLACK
     weak.P2hat = sched.P2
-    log = step_log if step_log is not None else []
-    stages = ["continuous"] + (["gamma", "propagate", "gate"] if n2 else [])
-    log += ["setup", "fuse"]
-    for skipped in sched.skipped[1:].tolist():
-        log += stages + ([] if skipped else ["update"]) + ["fuse"]
+    if step_log is not None:
+        stages = ["continuous"] + (["gamma", "propagate", "gate"] if n2
+                                   else [])
+        step_log += ["setup", "fuse"]
+        for skipped in sched.skipped[1:].tolist():
+            step_log += stages + ([] if skipped else ["update"]) + ["fuse"]
 
     report = certify_design(design, sched) if with_certificate else None
     return RunResult(
         traces=traces, report=report, weak_states=weak, schedule=sched,
-        step_log=log, eps1_ok=bool(eps1_margin >= -EPS1_SLACK),
+        eps1_ok=bool(eps1_margin >= -EPS1_SLACK),
         containment_ok=bool(traces.contained.all()),
         eps1_margin=float(eps1_margin), worst_q=max(0.0, float(qs.max())))
 
@@ -731,7 +730,7 @@ def assumption_constants(cfg: ScenarioConfig,
                          schedule: ShapeSchedule) -> AssumptionConstants:
     """Build the Assumption-level parameter bounds, declared or harvested
     from ``schedule``; beta_lo is 0 where it skipped an update."""
-    w_lo, w_hi = input_bounds(cfg)
+    w_lo, w_hi = cfg.Kw.eig_bounds()
     if cfg.cert.mode == "declared":
         return AssumptionConstants(
             alpha_lo=cfg.cert.alpha_lo, alpha_hi=cfg.cert.alpha_hi,

@@ -282,11 +282,6 @@ def _read_key(d: dict, key: str, convert, *default, name: str | None = None):
 
 # -- analytic signal bounds ------------------------------------------------
 
-def input_bounds(cfg: ScenarioConfig) -> tuple[float, float]:
-    """(w_lo, w_hi): eigenvalue range of K_w(t) over all times."""
-    return cfg.Kw.eig_bounds()
-
-
 def input_norm_bound(cfg: ScenarioConfig) -> float:
     """sup over time of ||w|| for any admissible input."""
     center = float(np.linalg.norm(cfg.cw.deriv_bound(0)))
@@ -349,12 +344,6 @@ def y_derivative_bound(cfg: ScenarioConfig, l: int) -> float:
                 * input_deriv_bound(cfg, j)
         totals.append(total + d_norm * input_deriv_bound(cfg, m))
     return float(np.max(totals))  # nan propagates
-
-
-def default_zbar0(cfg: ScenarioConfig, y0: np.ndarray,
-                  y_deriv_bound_val: float) -> float:
-    """Conservative initial derivative-stack error bound."""
-    return float(np.linalg.norm(y0)) + y_deriv_bound_val
 
 
 # -- built-in scenarios ----------------------------------------------------

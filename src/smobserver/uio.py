@@ -1,6 +1,9 @@
 """Unknown-input observer for the strongly observable block and its
 guaranteed error envelope eps1(t).
 
+The envelope, its t -> inf limit included, comes from one walk of
+||e^{Es}|| and one quadrature rule (:class:`Epsilon1Evaluator`).
+
 All routines take the subsystem blocks (A1, C1, B1p, D1p) directly so the
 module stays independent of how the decomposition was produced.
 """
@@ -16,8 +19,7 @@ from scipy.signal import lfilter, place_poles
 
 from .errors import (InvalidDesignError, InvalidParameterError,
                      NoStableObserverError)
-from .numerics import (expm, norm_envelope_grid, power_norms, simpson,
-                       spectral_norm, zoh)
+from .numerics import expm, norm_envelope_grid, spectral_norm, zoh
 
 #: residual tolerance on the gain constraint F G_l = [B1' 0 ... 0]
 GAIN_RESIDUAL_TOL = 1e-8
@@ -248,8 +250,11 @@ class Epsilon1Evaluator:
     at the default cell size) and to the accuracy of the quadratic model
     elsewhere.
 
-    The half-cell samples ``gh`` come from one :func:`power_norms` walk of
-    e^{E h_int / 2}.  A design builds one evaluator and reads both its grid
+    The half-cell samples ``gh`` come from one :func:`norm_envelope_grid`
+    walk of e^{E h_int / 2}, which runs past the horizon until ||e^{Es}||
+    has decayed.  The whole walk's cells give I1(inf), and with it the
+    t -> inf limit ``limit`` of eps1; only the cells up to the horizon enter
+    the output grid.  A design builds one evaluator and reads both its grid
     and :meth:`uniform_bounds` from it.
     """
 
@@ -269,20 +274,25 @@ class Epsilon1Evaluator:
         cell = min(EPS1_INT_STEP, 0.1 / float(np.max(np.abs(lam))))
         m = int(np.ceil(self.h / cell - 1e-9))
         self.h_int = self.h / m
-        self.gh = power_norms(expm(0.5 * self.h_int * self.E),
-                              2 * m * n_steps + 1)  # at s = j h_int / 2
+        # at s = j h_int / 2; the first 2 m n_steps + 1 span the output grid
+        self.gh = norm_envelope_grid(self.E, 0.5 * self.h_int,
+                                     n_steps * self.h)
         cells = sliding_window_view(self.gh, 3)[::2]
         p = params
         r = p.a / p.eps
         i1 = np.cumsum(cells @ _cell_weights(0.0, self.h_int))
         i2 = lfilter([1.0], [1.0, -np.exp(-r * self.h_int)],
-                     cells @ _cell_weights(r, self.h_int))
+                     cells[:m * n_steps] @ _cell_weights(r, self.h_int))
         coef = (p.K * np.sqrt(p.l + 1.0) / p.eps ** p.l) * p.zbar0 \
             - p.eps ** p.l * p.delta
         scale = p.F_norm * np.sqrt(p.n_y * (p.l + 1.0))
-        psi = np.concatenate([[0.0], p.delta * i1[m - 1::m]
+        psi = np.concatenate([[0.0], p.delta * i1[m - 1:m * n_steps:m]
                               + coef * i2[m - 1::m]])
-        self._vals = self.gh[::2 * m] * p.init_norm + scale * psi
+        self._vals = self.gh[:2 * m * n_steps + 1:2 * m] * p.init_norm \
+            + scale * psi
+        # the transient integral I2 vanishes as t -> inf: its kernel
+        # concentrates where ||e^{Et}|| has died out
+        self.limit = p.delta * scale * float(i1[-1])
 
     def _index(self, t: float) -> int:
         m = int(round(t / self.h))
@@ -301,20 +311,10 @@ class Epsilon1Evaluator:
 
     def uniform_bounds(self, eps1_floor: float = 1e-6) -> tuple[float, float]:
         """(inf, sup) of eps1 over the output grid, sup merged with the
-        t->inf limit.
-
-        The asymptotic value is delta * ||F|| sqrt(n_y(l+1)) * int_0^inf
-        ||e^{Es}|| ds; the transient integral vanishes because its kernel
-        concentrates where ||e^{Et}|| has died out.
-        """
-        p = self.params
-        vals = self._vals
-        _, norms_tail = norm_envelope_grid(self.E, self.h)
-        tail_integral = simpson(norms_tail, self.h)
-        limit = p.delta * p.F_norm * np.sqrt(p.n_y * (p.l + 1.0)) \
-            * tail_integral
-        hi = max(float(np.max(vals)), limit)
-        lo = max(float(np.min(vals)), eps1_floor)
+        t -> inf limit delta ||F|| sqrt(n_y(l+1)) int_0^inf ||e^{Es}|| ds
+        that the constructor's walk integrated."""
+        hi = max(float(np.max(self._vals)), self.limit)
+        lo = max(float(np.min(self._vals)), eps1_floor)
         return lo, hi
 
 

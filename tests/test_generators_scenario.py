@@ -7,7 +7,6 @@ import pytest
 from smobserver.errors import ScenarioFormatError
 from smobserver.generators import ShapeGenerator, SignalGenerator, Term
 from smobserver.scenario import (BUILTIN_SCENARIOS, ScenarioConfig,
-                                 default_zbar0, input_bounds,
                                  input_deriv_bound, input_norm_bound,
                                  state_norm_bound, y_derivative_bound)
 
@@ -181,7 +180,7 @@ def test_scenario_rejects_bad_format(tmp_path, cfg_mixed):
 
 
 def test_input_bounds_and_norms(cfg_ex2):
-    w_lo, w_hi = input_bounds(cfg_ex2)
+    w_lo, w_hi = cfg_ex2.Kw.eig_bounds()
     assert (w_lo, w_hi) == (3.0, 5.0)
     bound = input_norm_bound(cfg_ex2)
     ts = np.linspace(0.0, cfg_ex2.horizon, 2000)
@@ -225,6 +224,3 @@ def test_y_derivative_bound_dominates_numerical(cfg_mixed):
         interior = d[10:-10]
         assert bound >= np.max(np.linalg.norm(interior, axis=1))
 
-
-def test_default_zbar0():
-    assert default_zbar0(None, np.array([3.0, 4.0]), 2.0) == pytest.approx(7.0)

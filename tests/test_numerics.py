@@ -11,7 +11,7 @@ import smobserver.numerics as numerics
 from smobserver.numerics import (canonical_basis, compensated_sup, expm,
                                  lyapunov_tail, norm_envelope_grid,
                                  null_basis, power_norms, range_basis,
-                                 simpson, simpson_weights, spectral_norm,
+                                 simpson_weights, spectral_norm,
                                  unit_ball_volume, zoh)
 
 
@@ -86,7 +86,8 @@ def test_simpson_exact_on_cubic():
     xs = np.linspace(0.0, 2.0, 21)
     y = xs ** 3 - 2.0 * xs
     exact = 2.0 ** 4 / 4.0 - 2.0 ** 2
-    assert simpson(y, xs[1] - xs[0]) == pytest.approx(exact, rel=1e-13)
+    w = simpson_weights(xs.size - 1, xs[1] - xs[0])
+    assert w @ y == pytest.approx(exact, rel=1e-13)
 
 
 def test_simpson_weights_match_scipy():
@@ -108,8 +109,19 @@ def test_unit_ball_volume_known_values():
 
 
 def test_norm_envelope_grid_scalar_decay():
-    ts, norms = norm_envelope_grid(np.array([[-1.0]]), 0.05)
+    norms = norm_envelope_grid(np.array([[-1.0]]), 0.05, 0.0)
+    ts = 0.05 * np.arange(norms.size)
     assert np.allclose(norms, np.exp(-ts), rtol=1e-10)
+    # the walk stops at the first doubling of T past the decay
+    assert norms[-1] <= 1e-6 < norms[(norms.size - 1) // 2]
+
+
+def test_norm_envelope_grid_first_pass_covers_t_min():
+    """A t_min of n h (at least 64 h and 1) gives a first pass of exactly
+    n + 1 samples; a t_min past the decay ends the walk there."""
+    for n, h in [(6001, 0.0025), (400, 0.0025), (1001, 0.03)]:
+        norms = norm_envelope_grid(np.array([[-50.0]]), h, n * h)
+        assert norms.size == n + 1
 
 
 def test_compensated_sup_scalar():
@@ -233,15 +245,15 @@ def test_power_norms_across_chunks_and_extension(monkeypatch):
             assert np.array_equal(power_norms(Eh, 1100), whole)
 
 
-def _fresh_norm_envelope_grid(A, h, decay_floor=1e-6, t_max=1e4):
+def _fresh_norm_envelope_grid(A, h, t_min, decay_floor=1e-6, t_max=1e4):
     """Reference: one power_norms call over the whole grid at every
     doubling of T."""
-    T = max(64 * h, 1.0)
+    T = max(t_min, 64 * h, 1.0)
     while True:
         ts = np.arange(0.0, T + 0.5 * h, h)
         norms = power_norms(expm(A * h), ts.shape[0])
         if norms[-1] <= decay_floor * norms.max() or T >= t_max:
-            return ts, norms
+            return norms
         T *= 2.0
 
 
@@ -251,11 +263,14 @@ def _fresh_norm_envelope_grid(A, h, decay_floor=1e-6, t_max=1e4):
     (np.array([[0.4, 0.0], [1.0, -2.0]]), 0.05, 8.0),  # stops at t_max
 ])
 def test_norm_envelope_grid_extension_equals_fresh_grid(A, h, t_max):
-    ts, norms = norm_envelope_grid(A, h, t_max=t_max)
-    ts_ref, norms_ref = _fresh_norm_envelope_grid(A, h, t_max=t_max)
-    assert ts.shape[0] > 64
-    assert np.array_equal(ts, ts_ref)
-    assert np.array_equal(norms, norms_ref)
+    norms = norm_envelope_grid(A, h, 0.0, t_max=t_max)
+    assert norms.shape[0] > 64
+    assert np.array_equal(norms, _fresh_norm_envelope_grid(A, h, 0.0,
+                                                           t_max=t_max))
+    # a walk that starts past the first default T extends the same way
+    norms = norm_envelope_grid(A, 0.0025, 3.7, t_max=t_max)
+    assert np.array_equal(norms, _fresh_norm_envelope_grid(A, 0.0025, 3.7,
+                                                           t_max=t_max))
 
 
 # -- the certified stop of compensated_sup ---------------------------------

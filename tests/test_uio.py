@@ -171,6 +171,30 @@ def test_eps1_uniform_bounds_bracket_grid():
     assert hi >= limit * (1.0 - 1e-6)
 
 
+def test_eps1_limit_comes_from_the_evaluator_walk(monkeypatch):
+    """uniform_bounds walks ||e^{Es}|| no further: the evaluator's one walk
+    already ran past its 1 s horizon to the decay, so the supremum holds
+    the limit delta ||F|| sqrt(n_y(l+1)) int_0^inf e^{-s/2} ds, which the
+    grid itself stays far below."""
+    import smobserver.numerics as numerics
+    import smobserver.uio as uio
+
+    p = _scalar_params(zbar0=0.0, init_norm=0.0)
+    ev = Epsilon1Evaluator(p, np.array([[-0.5]]), 0.1, 1.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("uniform_bounds walked ||e^{Es}||")
+
+    for module, name in [(numerics, "power_norms"),
+                         (numerics, "norm_envelope_grid"),
+                         (uio, "norm_envelope_grid")]:
+        monkeypatch.setattr(module, name, forbidden)
+    limit = p.delta * p.F_norm * np.sqrt(p.n_y * (p.l + 1.0)) * 2.0
+    _, hi = ev.uniform_bounds()
+    assert limit * (1.0 - 2e-6) <= hi <= limit
+    assert np.max(ev.grid(ev.ts[-1])[1]) < 0.5 * limit
+
+
 def test_psi_recoverable(design_ex2):
     """eps1 must follow the published decomposition
     eps1(t) = ||e^{Et}|| init_norm + ||F|| sqrt(n_y (l+1)) Psi(t), where

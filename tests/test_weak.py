@@ -262,16 +262,19 @@ def test_optimize_beta_rejects_singular_gk():
                                np.stack([np.eye(2), Gk]))
 
 
-def test_optimize_beta_checks_gk_without_is_spd(monkeypatch):
-    """G_k's one check is an eigenvalue test, not a second is_spd."""
+def test_optimize_beta_does_not_recheck_gk(monkeypatch):
+    """G_k is checked once, in :func:`update_information`: optimize_beta
+    takes the information it returned and tests G_k no further."""
     import smobserver.weak as weak
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("is_spd called by optimize_beta")
+        raise AssertionError("optimize_beta re-checked G_k")
 
-    monkeypatch.setattr(weak, "is_spd", forbidden, raising=False)
     P = np.array([[2.0, 0.3], [0.3, 1.0]])
-    assert BETA_LO <= beta_of(P, np.eye(2), np.eye(2)) <= BETA_HI
+    info = update_information(block(np.eye(2)), np.eye(2))[0]
+    monkeypatch.setattr(weak, "update_is_informative", forbidden)
+    monkeypatch.setattr(weak, "update_information", forbidden)
+    assert BETA_LO <= optimize_beta(check_shape(P), info)[0] <= BETA_HI
 
 
 def test_center_drive_is_simpson_of_the_kernels(dec_mixed):
