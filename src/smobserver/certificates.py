@@ -11,8 +11,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import (CaseNotApplicableError, CertificateUnavailableError,
-                     InvalidParameterError)
+from .errors import CertificateUnavailableError, InvalidParameterError
 from .numerics import (GRID_SUP_SAFETY, compensated_sup, expm,
                        simpson_weights, spectral_norm, symmetrize)
 from .weak import NO_STACKING, build_Ku, quad_kernels, stacking_gain
@@ -30,11 +29,7 @@ def expm1_over_x(x: float) -> float:
 
 @dataclass(frozen=True)
 class AssumptionConstants:
-    """Declared or harvested uniform bounds on the per-step parameters.
-
-    ``source`` records how the constants were obtained: "declared" for
-    user-supplied values, "harvested" for pilot-run extremes with margin.
-    """
+    """Declared or harvested uniform bounds on the per-step parameters."""
 
     alpha_lo: float
     alpha_hi: float
@@ -42,7 +37,6 @@ class AssumptionConstants:
     beta_hi: float
     w_lo: float
     w_hi: float
-    source: str = "declared"
 
     def __post_init__(self):
         if not (0.0 < self.alpha_lo <= self.alpha_hi < 1.0):
@@ -239,11 +233,8 @@ def lemma5_bounds(rep: CertificateReport, dec, dt: float, P20_norm: float,
 
 
 def lemma6_uniform_bound(rep: CertificateReport, dt: float) -> float:
-    """Uniform upper bound for the sufficiently stable case f < 1 - beta_hi."""
-    if not rep.f_bar < 1.0 - rep.beta_hi:
-        raise CaseNotApplicableError(
-            f"requires f_bar < 1 - beta_hi (f_bar={rep.f_bar:.4g}, "
-            f"1-beta_hi={1.0 - rep.beta_hi:.4g})")
+    """Uniform upper bound for the sufficiently stable case f < 1 - beta_hi,
+    which :func:`certify` checks before it picks this lemma."""
     p2_hi = (rep.f_bar * rep.p2_hi_seq[0] / (1.0 - rep.beta_hi)
              + rep.q_bar / (1.0 - rep.beta_hi - rep.f_bar))
     # sufficient-stability condition on the decay rate (reported, not gating)
@@ -280,9 +271,8 @@ def grammian_rho(dec, info: np.ndarray, skipped: np.ndarray, r: int,
 
 def lemma7_uniform_bound(rep: CertificateReport, rho_lo: float, r: int,
                          dt: float) -> float:
-    """Uniform upper bound for the marginal case via the Grammian window."""
-    if rep.f_bar < 1.0 - rep.beta_hi:
-        raise CaseNotApplicableError("applies only when f_bar >= 1 - beta_hi")
+    """Uniform upper bound for the marginal case f >= 1 - beta_hi via the
+    Grammian window."""
     if rho_lo <= 0.0:
         raise CertificateUnavailableError("Grammian lower bound rho is zero")
     if rep.beta_lo <= 0.0:

@@ -103,7 +103,8 @@ def cmd_certify(args) -> int:
 
 def cmd_mc(args) -> int:
     cfg = _apply_overrides(ScenarioConfig.load(args.scenario), args)
-    summary = monte_carlo_containment(cfg, runs=args.runs, seed=args.seed,
+    seed = cfg.seed if args.seed is None else args.seed
+    summary = monte_carlo_containment(cfg, runs=args.runs, seed=seed,
                                       boundary=args.boundary)
     printable = {k: v for k, v in summary.items() if k != "per_run_worst_q"}
     print(yaml.safe_dump(printable, sort_keys=False))
@@ -141,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo containment sweep")
     p.add_argument("--scenario", required=True)
     p.add_argument("--runs", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="sweep seed (default: the scenario's seed)")
     p.add_argument("--boundary", action="store_true",
                    help="sample initial states on the ellipsoid boundary")
     _add_substep_overrides(p)

@@ -41,9 +41,5 @@ class CertificateUnavailableError(ObserverError):
     """No boundedness certificate applies to the given data."""
 
 
-class CaseNotApplicableError(CertificateUnavailableError):
-    """Preconditions of the requested certificate case are violated."""
-
-
 class ScenarioFormatError(ObserverError):
     """Scenario file is malformed or fails validation."""

@@ -194,30 +194,18 @@ SUP_FIRST_WALK = 256
 LYAPUNOV_TAIL_SAFETY = 1.0 + 1e-6
 
 
-def norm_envelope_grid(A: np.ndarray, h: float, t_min: float,
-                       t_max: float = 1e4) -> np.ndarray:
-    """Samples ||e^{A j h}||, j = 0, 1, ..., over [0, T] for a Hurwitz A.
+def norm_envelope_grid(A: np.ndarray, h: float, t_end: float) -> np.ndarray:
+    """Samples ||e^{A j h}|| at the ceil(t_end/h + 1/2) points of
+    ``np.arange(0, t_end + h/2, h)``, so a t_end of n h gives exactly n + 1.
 
-    T starts at max(t_min, 64 h, 1) and doubles until ||e^{AT}|| has
-    decayed below 1e-6 relative to the peak, or T >= t_max.  The first pass
-    takes the ceil(T/h + 1/2) samples of ``np.arange(0, T + h/2, h)``, so a
-    t_min of n h gives exactly n + 1.  Each doubling extends the samples
-    already taken with one :func:`power_norms` call from the next index, so
-    they equal one call over the final grid bit for bit.  It is the eps1
-    envelope's one walk: the output grid up to t_min and the tail of its
-    t -> inf limit.  Suprema go through :func:`compensated_sup`, whose stop
-    is certified.
+    One :func:`power_norms` call, so a shorter t_end's samples are the bit
+    for bit prefix of a longer one's.  It is the eps1 envelope's one walk,
+    which ends at the output grid's horizon; the envelope bounds the t ->
+    inf tail from these samples in closed form.  Suprema go through
+    :func:`compensated_sup`, whose stop is certified.
     """
     Eh = expm(np.atleast_2d(np.asarray(A, dtype=float)) * h)
-    T = max(t_min, 64 * h, 1.0)
-    norms = np.empty(0)
-    while True:
-        count = int(np.ceil((T + 0.5 * h) / h))
-        more = power_norms(Eh, count - norms.shape[0], norms.shape[0])
-        norms = np.concatenate([norms, more])
-        if norms[-1] <= 1e-6 * norms.max() or T >= t_max:
-            return norms
-        T *= 2.0
+    return power_norms(Eh, int(np.ceil((t_end + 0.5 * h) / h)))
 
 
 def lyapunov_tail(A: np.ndarray, shift: float) -> tuple[float, float]:

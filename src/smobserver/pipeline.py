@@ -315,7 +315,6 @@ class ShapeSchedule:
     skipped: np.ndarray    # (N+1,) bool
     P2_pred: np.ndarray    # (N+1, n2, n2) predicted weak-block shape
     P2: np.ndarray         # (N+1, n2, n2) updated, or predicted if skipped
-    Gk: np.ndarray         # (N+1, n_y, n_y)
     info: np.ndarray       # (N+1, n2, n2) C2^T G_k^-1 C2, 0 where skipped
     O: np.ndarray          # (N+1, n2, n_y) update gain, 0 where skipped
     mu: np.ndarray         # (N+1,) fusion gain
@@ -339,7 +338,6 @@ def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
     eps1 = design.eps1_grid[::n_q]
     gamma, alpha, beta = (np.full(N + 1, np.nan) for _ in range(3))
     skipped = np.ones(N + 1, dtype=bool)
-    Gk = np.full((N + 1, n_y, n_y), np.nan)
     info = np.zeros((N + 1, n2, n2))
     O = np.zeros((N + 1, n2, n_y))
     P1inv = np.linalg.inv(dec.P1)
@@ -357,18 +355,18 @@ def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
         nodes = n_q * np.arange(N)[:, None] + np.arange(n_q + 1)
         M2k = propagate(dec, design.eps1_grid[nodes], Kw_q[nodes], cfg.dt,
                         gain, kernels)
-        Gk[1:] = gk_matrix(dec, build_Ku(gain, eps1[1:], Kw_k, n1))
-        informative = update_is_informative(dec, Gk[1:])
+        Gk = gk_matrix(dec, build_Ku(gain, eps1[1:], Kw_k, n1))
+        informative = update_is_informative(dec, Gk)
         GiC = np.zeros((N, n_y, n2))
         info[1:][informative], GiC[informative] = update_information(
-            dec, Gk[1:][informative])
+            dec, Gk[informative])
         skipped[1:] = ~informative
         alpha[1:], beta[1:], P2_pred, P2s, O[1:] = shape_recursion(
             P2, kernels[0], cfg.dt * M2k, informative, info[1:], GiC)
     shape, mu = fuse(eps1, P2s, P1inv)
     return ShapeSchedule(
         eps1=eps1, gamma=gamma, alpha=alpha, beta=beta, skipped=skipped,
-        P2_pred=P2_pred, P2=P2s, Gk=Gk, info=info, O=O, mu=mu, shape=shape,
+        P2_pred=P2_pred, P2=P2s, info=info, O=O, mu=mu, shape=shape,
         inv_factor=inverse_factors(shape), P1inv=P1inv, kernels=kernels)
 
 
@@ -735,7 +733,7 @@ def assumption_constants(cfg: ScenarioConfig,
         return AssumptionConstants(
             alpha_lo=cfg.cert.alpha_lo, alpha_hi=cfg.cert.alpha_hi,
             beta_lo=cfg.cert.beta_lo, beta_hi=cfg.cert.beta_hi,
-            w_lo=w_lo, w_hi=w_hi, source="declared")
+            w_lo=w_lo, w_hi=w_hi)
     m = cfg.cert.harvest_margin
     alphas, skipped = schedule.alpha[1:], schedule.skipped[1:]
     a_real = alphas[np.isfinite(alphas)]
@@ -752,7 +750,7 @@ def assumption_constants(cfg: ScenarioConfig,
         b_lo = b_hi = 0.0
     return AssumptionConstants(alpha_lo=a_lo, alpha_hi=a_hi,
                                beta_lo=b_lo, beta_hi=b_hi,
-                               w_lo=w_lo, w_hi=w_hi, source="harvested")
+                               w_lo=w_lo, w_hi=w_hi)
 
 
 def certify_design(design: DesignArtifacts,

@@ -1,8 +1,9 @@
 """Unknown-input observer for the strongly observable block and its
 guaranteed error envelope eps1(t).
 
-The envelope, its t -> inf limit included, comes from one walk of
-||e^{Es}|| and one quadrature rule (:class:`Epsilon1Evaluator`).
+The envelope comes from one walk of ||e^{Es}|| up to the horizon and one
+quadrature rule; its t -> inf limit adds a closed-form bound on the tail
+(:class:`Epsilon1Evaluator`).
 
 All routines take the subsystem blocks (A1, C1, B1p, D1p) directly so the
 module stays independent of how the decomposition was produced.
@@ -19,7 +20,8 @@ from scipy.signal import lfilter, place_poles
 
 from .errors import (InvalidDesignError, InvalidParameterError,
                      NoStableObserverError)
-from .numerics import expm, norm_envelope_grid, spectral_norm, zoh
+from .numerics import (expm, lyapunov_tail, norm_envelope_grid,
+                       spectral_norm, zoh)
 
 #: residual tolerance on the gain constraint F G_l = [B1' 0 ... 0]
 GAIN_RESIDUAL_TOL = 1e-8
@@ -251,11 +253,15 @@ class Epsilon1Evaluator:
     elsewhere.
 
     The half-cell samples ``gh`` come from one :func:`norm_envelope_grid`
-    walk of e^{E h_int / 2}, which runs past the horizon until ||e^{Es}||
-    has decayed.  The whole walk's cells give I1(inf), and with it the
-    t -> inf limit ``limit`` of eps1; only the cells up to the horizon enter
-    the output grid.  A design builds one evaluator and reads both its grid
-    and :meth:`uniform_bounds` from it.
+    walk of e^{E h_int / 2} that ends at the horizon T.  The t -> inf limit
+    ``limit`` of eps1 needs I1(inf), which the constructor bounds in closed
+    form from samples it already holds: with g_j = ||e^{E t_j}|| at the cell
+    ends, submultiplicativity gives I1(inf) <= I1(t_j) / (1 - g_j) for every
+    g_j < 1, and the Lyapunov certificate ||e^{Et}|| <= amp e^{-ct} of
+    :func:`~smobserver.numerics.lyapunov_tail` gives I1(inf) <= I1(T) +
+    g(T) amp / c.  The smaller of the two enters; where both are inf, so is
+    the limit.  A design builds one evaluator and reads both its grid and
+    :meth:`uniform_bounds` from it.
     """
 
     def __init__(self, params: ErrorBoundParams, E: np.ndarray,
@@ -274,7 +280,7 @@ class Epsilon1Evaluator:
         cell = min(EPS1_INT_STEP, 0.1 / float(np.max(np.abs(lam))))
         m = int(np.ceil(self.h / cell - 1e-9))
         self.h_int = self.h / m
-        # at s = j h_int / 2; the first 2 m n_steps + 1 span the output grid
+        # at s = j h_int / 2, j = 0 .. 2 m n_steps
         self.gh = norm_envelope_grid(self.E, 0.5 * self.h_int,
                                      n_steps * self.h)
         cells = sliding_window_view(self.gh, 3)[::2]
@@ -282,17 +288,22 @@ class Epsilon1Evaluator:
         r = p.a / p.eps
         i1 = np.cumsum(cells @ _cell_weights(0.0, self.h_int))
         i2 = lfilter([1.0], [1.0, -np.exp(-r * self.h_int)],
-                     cells[:m * n_steps] @ _cell_weights(r, self.h_int))
+                     cells @ _cell_weights(r, self.h_int))
         coef = (p.K * np.sqrt(p.l + 1.0) / p.eps ** p.l) * p.zbar0 \
             - p.eps ** p.l * p.delta
         scale = p.F_norm * np.sqrt(p.n_y * (p.l + 1.0))
-        psi = np.concatenate([[0.0], p.delta * i1[m - 1:m * n_steps:m]
+        psi = np.concatenate([[0.0], p.delta * i1[m - 1::m]
                               + coef * i2[m - 1::m]])
-        self._vals = self.gh[:2 * m * n_steps + 1:2 * m] * p.init_norm \
-            + scale * psi
+        self._vals = self.gh[::2 * m] * p.init_norm + scale * psi
         # the transient integral I2 vanishes as t -> inf: its kernel
         # concentrates where ||e^{Et}|| has died out
-        self.limit = p.delta * scale * float(i1[-1])
+        g = self.gh[2::2]
+        contracts = g < 1.0
+        i1_inf = np.min(i1[contracts] / (1.0 - g[contracts]), initial=np.inf)
+        amp, c = lyapunov_tail(self.E, 0.0)
+        if np.isfinite(amp):
+            i1_inf = min(i1_inf, i1[-1] + g[-1] * amp / c)
+        self.limit = p.delta * scale * float(i1_inf)
 
     def _index(self, t: float) -> int:
         m = int(round(t / self.h))
@@ -311,8 +322,9 @@ class Epsilon1Evaluator:
 
     def uniform_bounds(self, eps1_floor: float = 1e-6) -> tuple[float, float]:
         """(inf, sup) of eps1 over the output grid, sup merged with the
-        t -> inf limit delta ||F|| sqrt(n_y(l+1)) int_0^inf ||e^{Es}|| ds
-        that the constructor's walk integrated."""
+        t -> inf limit delta ||F|| sqrt(n_y(l+1)) int_0^inf ||e^{Es}|| ds,
+        whose tail past the horizon the constructor bounded in closed
+        form."""
         hi = max(float(np.max(self._vals)), self.limit)
         lo = max(float(np.min(self._vals)), eps1_floor)
         return lo, hi

@@ -24,7 +24,8 @@ from smobserver.pipeline import monte_carlo_containment, run_algorithm1
 from smobserver.uio import (ErrorBoundParams, GAIN_RESIDUAL_TOL,
                             derivative_error_envelope, gain_target,
                             solve_uio_gain)
-from smobserver.weak import (check_shape, optimize_beta, shape_recursion,
+from smobserver.weak import (build_Ku, check_shape, gamma_terms, gk_matrix,
+                             optimize_beta, shape_recursion,
                              update_information)
 from oracles import woodbury_shape
 
@@ -346,12 +347,15 @@ def test_criterion_7_woodbury_equivalence(run_ex1, run_ex2, run_mixed,
     checked = 0
     worst_rel = 0.0
     dec = build_decomposition(cfg_mixed.system)
+    Kw = cfg_mixed.Kw(run_mixed.traces.t)
     for k, row in enumerate(run_mixed.traces):
         if k == 0 or row.skipped:
             continue
         beta = float(run_mixed.schedule.beta[k])
         P_pred = run_mixed.schedule.P2_pred[k]
-        Gk = run_mixed.schedule.Gk[k]
+        eps1 = float(run_mixed.schedule.eps1[k])
+        gain = gamma_terms(Kw[k], eps1, dec.n1)
+        Gk = gk_matrix(dec, build_Ku(gain, eps1, Kw[k], dec.n1))
         ref = woodbury_shape(P_pred, dec.C2, Gk, beta)
         got = run_mixed.weak_states[k].P2hat
         rel = float(np.linalg.norm(got - ref) / np.linalg.norm(ref))

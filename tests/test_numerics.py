@@ -109,17 +109,17 @@ def test_unit_ball_volume_known_values():
 
 
 def test_norm_envelope_grid_scalar_decay():
-    norms = norm_envelope_grid(np.array([[-1.0]]), 0.05, 0.0)
+    norms = norm_envelope_grid(np.array([[-1.0]]), 0.05, 20.0)
     ts = 0.05 * np.arange(norms.size)
+    assert norms.size == 401
     assert np.allclose(norms, np.exp(-ts), rtol=1e-10)
-    # the walk stops at the first doubling of T past the decay
-    assert norms[-1] <= 1e-6 < norms[(norms.size - 1) // 2]
 
 
 def test_norm_envelope_grid_first_pass_covers_t_min():
-    """A t_min of n h (at least 64 h and 1) gives a first pass of exactly
-    n + 1 samples; a t_min past the decay ends the walk there."""
-    for n, h in [(6001, 0.0025), (400, 0.0025), (1001, 0.03)]:
+    """A t_end of n h gives exactly n + 1 samples, also where ||e^{Ah}||
+    has long decayed before t_end and where t_end is shorter than 1 or
+    than 64 h."""
+    for n, h in [(6001, 0.0025), (400, 0.0025), (1001, 0.03), (10, 0.05)]:
         norms = norm_envelope_grid(np.array([[-50.0]]), h, n * h)
         assert norms.size == n + 1
 
@@ -245,32 +245,20 @@ def test_power_norms_across_chunks_and_extension(monkeypatch):
             assert np.array_equal(power_norms(Eh, 1100), whole)
 
 
-def _fresh_norm_envelope_grid(A, h, t_min, decay_floor=1e-6, t_max=1e4):
-    """Reference: one power_norms call over the whole grid at every
-    doubling of T."""
-    T = max(t_min, 64 * h, 1.0)
-    while True:
-        ts = np.arange(0.0, T + 0.5 * h, h)
-        norms = power_norms(expm(A * h), ts.shape[0])
-        if norms[-1] <= decay_floor * norms.max() or T >= t_max:
-            return norms
-        T *= 2.0
-
-
-@pytest.mark.parametrize("A, h, t_max", [
-    (np.array([[-1.0, 4.0], [0.0, -0.3]]), 0.05, 1e4),
-    (np.array([[-0.2, 1.0], [-1.0, -0.2]]), 0.01, 1e4),
-    (np.array([[0.4, 0.0], [1.0, -2.0]]), 0.05, 8.0),  # stops at t_max
+@pytest.mark.parametrize("A, h", [
+    (np.array([[-1.0, 4.0], [0.0, -0.3]]), 0.05),
+    (np.array([[-0.2, 1.0], [-1.0, -0.2]]), 0.01),
+    (np.array([[0.4, 0.0], [1.0, -2.0]]), 0.05),   # grows
 ])
-def test_norm_envelope_grid_extension_equals_fresh_grid(A, h, t_max):
-    norms = norm_envelope_grid(A, h, 0.0, t_max=t_max)
-    assert norms.shape[0] > 64
-    assert np.array_equal(norms, _fresh_norm_envelope_grid(A, h, 0.0,
-                                                           t_max=t_max))
-    # a walk that starts past the first default T extends the same way
-    norms = norm_envelope_grid(A, 0.0025, 3.7, t_max=t_max)
-    assert np.array_equal(norms, _fresh_norm_envelope_grid(A, 0.0025, 3.7,
-                                                           t_max=t_max))
+def test_norm_envelope_grid_shorter_end_is_prefix(A, h):
+    """The samples up to a shorter t_end are the bit for bit prefix of a
+    longer walk's, across power-table and chunk edges."""
+    longer = norm_envelope_grid(A, h, 5000 * h)
+    assert longer.shape[0] == 5001
+    for n in (0, 63, 255, 256, 4095, 4097):
+        assert np.array_equal(norm_envelope_grid(A, h, n * h),
+                              longer[:n + 1])
+    assert np.array_equal(longer, power_norms(expm(A * h), 5001))
 
 
 # -- the certified stop of compensated_sup ---------------------------------

@@ -607,6 +607,22 @@ def test_cli_run_and_certify(tmp_path, cfg_mixed):
                      "--seed", "1"]) == 0
 
 
+def test_cli_mc_uses_the_scenario_seed(tmp_path, cfg_mixed, capsys):
+    """Without --seed, mc sweeps with the scenario's seed and prints what
+    --seed 7 prints; an explicit --seed still overrides it."""
+    scen = tmp_path / "mixed.yaml"
+    cfg_mixed.with_overrides(horizon=2.0, seed=7).save(scen)
+    assert yaml.safe_load(scen.read_text())["seed"] == 7
+    base = ["mc", "--scenario", str(scen), "--runs", "3"]
+    printed = []
+    for extra in ([], ["--seed", "7"], ["--seed", "0"]):
+        assert cli_main(base + extra) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert yaml.safe_load(printed[0])["seed"] == 7
+    assert yaml.safe_load(printed[2])["seed"] == 0
+
+
 def test_cli_run_reports_violation_times(tmp_path, cfg_mixed, monkeypatch,
                                          capsys):
     """A run whose every row fails containment exits 1 and names each

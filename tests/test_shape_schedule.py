@@ -75,9 +75,10 @@ def reference_beta(P_pred, C2, Gk):
 
 
 def reference_schedule(design, gates):
-    """(alpha, beta, P2_pred, P2, O) of steps 1..N, one step at a time, in
-    matrix form: alpha by its closed form at e^{A4 dt}, the updated shape
-    by woodbury_shape and the gain by the Kalman form."""
+    """(alpha, beta, P2_pred, P2, O, G_k) of steps 1..N, one step at a
+    time, in matrix form: alpha by its closed form at e^{A4 dt}, the updated
+    shape by woodbury_shape and the gain by the Kalman form; G_k is nan
+    where the gate is closed."""
     cfg, dec = design.cfg, design.dec
     n_q, dt, n1 = cfg.quad_substeps, cfg.dt, dec.n1
     Em = expm(dec.A4 * dt)
@@ -94,12 +95,13 @@ def reference_schedule(design, gates):
         a = np.sqrt(tp) / (np.sqrt(tp) + np.sqrt(tm))
         P_pred = Em @ P @ Em.T / a + dt * M2k / (1.0 - a)
         beta, O, P = 0.0, np.zeros((dec.n2, dec.system.n_y)), P_pred
+        Gk = np.full((dec.system.n_y,) * 2, np.nan)
         if opens:
             Gk = gk_matrix(dec, build_Ku(gain, eps1[-1], Kw[-1], n1))
             beta = reference_beta(P_pred, dec.C2, Gk)
             O = kalman_update(P_pred, dec.C2, Gk, beta)[1]
             P = woodbury_shape(P_pred, dec.C2, Gk, beta)
-        steps.append((a, beta, P_pred, P, O))
+        steps.append((a, beta, P_pred, P, O, Gk))
     return [np.array(column) for column in zip(*steps)]
 
 
@@ -123,7 +125,7 @@ def test_schedule_equals_step_by_step_reference(seed, n2, gates):
     design = random_design(seed, n2, gates)
     schedule = shape_schedule(design)
     assert np.array_equal(schedule.skipped[1:], ~np.asarray(gates))
-    alpha, beta, P2_pred, P2, O = reference_schedule(design, gates)
+    alpha, beta, P2_pred, P2, O, Gk = reference_schedule(design, gates)
     assert close(schedule.alpha[1:], alpha)
     assert close(schedule.beta[1:], beta)
     assert close(schedule.P2_pred[1:], P2_pred)
@@ -131,6 +133,6 @@ def test_schedule_equals_step_by_step_reference(seed, n2, gates):
     assert close(schedule.O[1:], O)
     C2 = design.dec.C2
     for k in np.flatnonzero(gates) + 1:
-        f = np.trace(woodbury_shape(schedule.P2_pred[k], C2,
-                                    schedule.Gk[k], schedule.beta[k]))
+        f = np.trace(woodbury_shape(schedule.P2_pred[k], C2, Gk[k - 1],
+                                    schedule.beta[k]))
         assert abs(np.trace(schedule.P2[k]) - f) <= 1e-12 * f

@@ -5,9 +5,12 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smobserver.errors import InvalidParameterError
-from smobserver.numerics import expm, spectral_norm, zoh
+from smobserver.numerics import (expm, lyapunov_tail, power_norms,
+                                 simpson_weights, spectral_norm, zoh)
 from smobserver.pipeline import build_design
 from smobserver.uio import (Epsilon1Evaluator, ErrorBoundParams,
                             GAIN_RESIDUAL_TOL, UioDesign,
@@ -172,10 +175,10 @@ def test_eps1_uniform_bounds_bracket_grid():
 
 
 def test_eps1_limit_comes_from_the_evaluator_walk(monkeypatch):
-    """uniform_bounds walks ||e^{Es}|| no further: the evaluator's one walk
-    already ran past its 1 s horizon to the decay, so the supremum holds
-    the limit delta ||F|| sqrt(n_y(l+1)) int_0^inf e^{-s/2} ds, which the
-    grid itself stays far below."""
+    """uniform_bounds walks ||e^{Es}|| no further: the evaluator's walk
+    ends at its 1 s horizon and bounds the tail in closed form, so the
+    supremum holds the limit delta ||F|| sqrt(n_y(l+1)) int_0^inf e^{-s/2}
+    ds, which the grid itself stays far below."""
     import smobserver.numerics as numerics
     import smobserver.uio as uio
 
@@ -187,12 +190,102 @@ def test_eps1_limit_comes_from_the_evaluator_walk(monkeypatch):
 
     for module, name in [(numerics, "power_norms"),
                          (numerics, "norm_envelope_grid"),
-                         (uio, "norm_envelope_grid")]:
+                         (numerics, "lyapunov_tail"),
+                         (uio, "norm_envelope_grid"),
+                         (uio, "lyapunov_tail")]:
         monkeypatch.setattr(module, name, forbidden)
     limit = p.delta * p.F_norm * np.sqrt(p.n_y * (p.l + 1.0)) * 2.0
     _, hi = ev.uniform_bounds()
-    assert limit * (1.0 - 2e-6) <= hi <= limit
+    assert limit * (1.0 - 1e-12) <= hi <= limit * (1.0 + 1e-9)
     assert np.max(ev.grid(ev.ts[-1])[1]) < 0.5 * limit
+
+
+def _tail_scale(p):
+    return p.delta * p.F_norm * np.sqrt(p.n_y * (p.l + 1.0))
+
+
+def _fine_i1(E, h=1e-3, T=60.0):
+    """int_0^T ||e^{Es}|| ds by Simpson's rule on a step-h walk: the
+    reference for I1(inf) of an E that has decayed by T."""
+    m = int(round(T / h))
+    return float(simpson_weights(m, h) @ power_norms(expm(E * h), m + 1))
+
+
+def test_eps1_limit_of_a_slow_decay_ends_the_walk_at_the_horizon(
+        monkeypatch):
+    """E = [-1e-3] on a 1 s horizon at grid step 0.1: one walk of exactly
+    2 m n_steps + 1 = 441 samples (m = 20 cells of 0.005 per step, 11
+    steps), and the tail bound I1(t_j) / (1 - g_j), exact for a scalar E,
+    gives the limit delta ||F|| sqrt(n_y(l+1)) / 1e-3 to 1e-9 and not
+    below it."""
+    import smobserver.numerics as numerics
+
+    counts, power_norms_ = [], numerics.power_norms
+
+    def counted(Eh, count, start=0):
+        counts.append(count)
+        return power_norms_(Eh, count, start)
+
+    monkeypatch.setattr(numerics, "power_norms", counted)
+    p = _scalar_params()
+    ev = Epsilon1Evaluator(p, np.array([[-1e-3]]), 0.1, 1.0)
+    assert counts == [441] and ev.gh.size == 441
+    exact = _tail_scale(p) / 1e-3
+    assert exact <= ev.limit <= exact * (1.0 + 1e-9)
+
+
+def test_eps1_limit_under_transient_growth():
+    """E = [[-1, 100], [0, -1]]: ||e^{Et}|| >= 1.27 at every cell end of a
+    1 s horizon, so no geometric tail bound applies.  The Lyapunov tail
+    I1(T) + g(T) amp / c still gives a finite limit above a fine reference
+    of I1(inf) (loose: about 150 times it)."""
+    E = np.array([[-1.0, 100.0], [0.0, -1.0]])
+    p = _scalar_params()
+    ev = Epsilon1Evaluator(p, E, 0.1, 1.0)
+    assert np.min(ev.gh[2::2]) > 1.0
+    amp, c = lyapunov_tail(E, 0.0)
+    i1_inf = ev.limit / _tail_scale(p)
+    assert i1_inf == pytest.approx(
+        _fine_i1(E, T=ev.ts[-1]) + ev.gh[-1] * amp / c, rel=1e-9)
+    assert _fine_i1(E) <= i1_inf
+    _, hi = ev.uniform_bounds()
+    assert hi == ev.limit
+
+
+def _random_schur_hurwitz(rng, n, skew):
+    """Q T Q^T with T block upper triangular: 1x1 blocks -a and 2x2 blocks
+    [[-a, w], [-w, -a]], a in [0.5, 3] and w in [0, 3], under entries of
+    scale ``skew`` above them; far from normal for a large skew."""
+    T = skew * np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+    i = 0
+    while i < n:
+        a = rng.uniform(0.5, 3.0)
+        if i + 1 < n and rng.random() < 0.5:
+            w = rng.uniform(0.0, 3.0)
+            T[i:i + 2, i:i + 2] = [[-a, w], [-w, -a]]
+            i += 2
+        else:
+            T[i, i] = -a
+            i += 1
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q @ T @ Q.T
+
+
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=1, max_value=4),
+       st.floats(min_value=0.0, max_value=4.0),
+       st.sampled_from([0.02, 0.05, 0.1]),
+       st.floats(min_value=0.1, max_value=6.0))
+@settings(max_examples=25, deadline=None)
+def test_eps1_limit_bounds_a_fine_reference(seed, n, skew, grid_step,
+                                            horizon):
+    """On random Hurwitz E, normal and far from normal, and random
+    horizons, the closed-form tail keeps the limit at or above a 60 s,
+    step-1e-3 Simpson reference of delta ||F|| sqrt(n_y(l+1)) I1(inf)."""
+    E = _random_schur_hurwitz(np.random.default_rng(seed), n, skew)
+    p = _scalar_params()
+    ev = Epsilon1Evaluator(p, E, grid_step, horizon)
+    assert ev.limit >= _tail_scale(p) * _fine_i1(E) * (1.0 - 1e-9)
 
 
 def test_psi_recoverable(design_ex2):
