@@ -29,11 +29,11 @@ EXIT_BAD_INPUT = 3
 
 def _add_substep_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--substeps", type=int, default=None,
-                   help="plant integration substeps per sample interval")
+                   help="input sampling substeps per sample interval")
     p.add_argument("--quad-substeps", type=int, default=None,
                    help="quadrature substeps per sample interval (even)")
     p.add_argument("--hgo-substeps", type=int, default=None,
-                   help="derivative-bank substeps per sample interval")
+                   help="input sampling substeps per sample interval")
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:

@@ -14,6 +14,14 @@ import numpy as np
 from .errors import InvalidParameterError, ScenarioFormatError
 
 
+def check_keys(d: dict, known, what: str = "scenario key",
+               prefix: str = "") -> None:
+    """Reject the first key of ``d`` outside ``known``, naming it."""
+    for key in d.keys():
+        if key not in known:
+            raise ScenarioFormatError(f"unknown {what} '{prefix}{key}'")
+
+
 @dataclass(frozen=True)
 class Term:
     """One additive term of a scalar signal: a constant or a sinusoid."""
@@ -50,8 +58,10 @@ class Term:
     def from_dict(cls, d: dict) -> "Term":
         kind = d.get("kind")
         if kind == "const":
+            check_keys(d, ("kind", "value"), "const term key")
             return cls(kind="const", value=float(d["value"]))
         if kind == "sin":
+            check_keys(d, ("kind", "amp", "freq", "phase"), "sin term key")
             return cls(kind="sin", amp=float(d["amp"]),
                        freq=float(d["freq"]), phase=float(d.get("phase", 0.0)))
         raise ScenarioFormatError(f"unknown term kind {kind!r}")
@@ -183,8 +193,10 @@ class ShapeGenerator:
     @classmethod
     def from_dict(cls, d: dict) -> "ShapeGenerator":
         if d.get("kind") == "const":
+            check_keys(d, ("kind", "matrix"), "const shape key")
             return cls(kind="const", matrix=np.asarray(d["matrix"], dtype=float))
         if d.get("kind") == "diag":
+            check_keys(d, ("kind", "entries"), "diag shape key")
             return cls(kind="diag",
                        entries=SignalGenerator.from_dict(d["entries"]))
         raise ScenarioFormatError(f"unknown shape kind {d.get('kind')!r}")

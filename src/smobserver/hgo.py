@@ -7,7 +7,6 @@ vector, so the bank steps as a single (l+1) x n_y matrix recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -96,29 +95,14 @@ def initial_state(cfg: HgoConfig, y0: np.ndarray) -> HgoState:
     return HgoState(zhat=z, t=0.0)
 
 
-@lru_cache(maxsize=64)
-def _discretization(l: int, eps: float, theta: tuple[float, ...],
-                    h: float) -> tuple[np.ndarray, np.ndarray]:
-    cfg = HgoConfig(l=l, eps=eps, theta=theta, n_y=1)
-    Ad, Bd = zoh(cfg.a_z, cfg.b_z[:, None], h)
-    Ad.setflags(write=False)
-    Bd.setflags(write=False)
-    return Ad, Bd
-
-
 def step_hgo(cfg: HgoConfig, st: HgoState, y_sample: np.ndarray,
              h: float) -> HgoState:
-    """Advance the bank over step h with the output held at ``y_sample``.
-
-    Uses the exact ZOH discretization of the bank dynamics, so the update is
-    unconditionally stable regardless of how stiff 1/eps makes the system.
-    The estimator folds the same discretization into the lifted center
-    recurrence (``pipeline.CenterLift``); this one-step form is its
-    reference.
-    """
+    """Advance the bank over step h by its exact ZOH step, the output held
+    at ``y_sample``.  The estimator holds nothing: ``pipeline.CenterLift``
+    drives the bank by the output as it evolves."""
     if h <= 0.0:
         raise InvalidParameterError("step size must be positive")
-    Ad, Bd = _discretization(cfg.l, cfg.eps, cfg.theta, float(h))
+    Ad, Bd = zoh(cfg.a_z, cfg.b_z[:, None], h)
     y = np.asarray(y_sample, dtype=float).ravel()
     z = Ad @ st.zhat + Bd * y[None, :]
     return HgoState(zhat=z, t=st.t + h)

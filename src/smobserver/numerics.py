@@ -1,7 +1,8 @@
 """Shared numerical kernels: matrix exponentials, rank decisions, quadrature.
 
 Every matrix exponential in the library goes through :func:`expm` so that
-discretization caches and error envelopes are mutually consistent.
+discretizations and error envelopes are mutually consistent; every fine
+step of a continuous system is :func:`quadratic_hold`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,32 @@ def zoh(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]
     M[:n, n:] = B * h
     E = expm(M)
     return E[:n, :n], E[:n, n:]
+
+
+def quadratic_hold(A: np.ndarray, B: np.ndarray, h: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact step x(h) = Ad x(0) + G0 w(0) + Gh w(h/2) + G1 w(h) of
+    ``dx = Ax + Bw`` for the w that is quadratic through those samples.
+
+    One exponential of [[Ah, B, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0] holds
+    Ad and the moments m_k = int_0^1 e^{Ah(1-s)} B s^k/k! ds in its top row
+    (Van Loan, IEEE TAC 23(3), 1978).  Entries that no path of its pattern
+    reaches are set to exact zero: on a stiff cascade the exponential
+    otherwise leaks rounding into states that no input drives.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    n, m = A.shape[0], B.shape[1]
+    N = np.zeros((n + 3 * m, n + 3 * m))
+    N[:n, :n], N[:n, n:n + m] = A * h, B
+    N[n:n + 2 * m, n + m:] = np.eye(2 * m)
+    reach = (N != 0.0) | np.eye(len(N), dtype=bool)
+    for _ in range(len(N).bit_length()):    # paths of every length
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    X = np.where(reach, expm(N), 0.0)[:n]
+    m0, m1, m2 = X[:, n:n + m], X[:, n + m:n + 2 * m], X[:, n + 2 * m:]
+    return (X[:, :n], h * (m0 - 3.0 * m1 + 4.0 * m2), h * (4.0 * m1 - 8.0 * m2),
+            h * (4.0 * m2 - m1))
 
 
 def spectral_norm(A: np.ndarray) -> float:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.recfunctions import structured_to_unstructured
+from scipy.linalg import block_diag
 
 from .certificates import (AssumptionConstants, CertificateReport, certify)
 from .decomposition import (Decomposition, LtiSystem, build_decomposition,
@@ -33,8 +34,8 @@ from .ellipsoid import (MEMBERSHIP_SLACK, Ellipsoid, axis_bounds,
 from .errors import InvalidDesignError, InvalidParameterError
 from .fusion import fuse
 from .generators import SignalGenerator, SineBank
-from .hgo import HgoConfig, _discretization, decay_constants, design_hgo
-from .numerics import spectral_norm, symmetrize, zoh
+from .hgo import HgoConfig, decay_constants, design_hgo
+from .numerics import quadratic_hold, spectral_norm, symmetrize
 from .scenario import ScenarioConfig, input_norm_bound, y_derivative_bound
 from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
                   solve_uio_gain)
@@ -45,48 +46,29 @@ from .weak import (build_Ku, center_drive, check_shape, gamma_terms,
 
 # -- plant simulation ------------------------------------------------------
 
-def rk4_recurrence(A: np.ndarray, B: np.ndarray, h: float
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Classical fourth-order step for dx = Ax + Bw as a linear recurrence.
-
-    x+ = R x + W1 w(t) + W2 w(t + h/2) + W3 w(t + h).
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    A2 = A @ A
-    A3 = A2 @ A
-    A4 = A3 @ A
-    n = A.shape[0]
-    R = np.eye(n) + h * A + h ** 2 / 2 * A2 + h ** 3 / 6 * A3 + h ** 4 / 24 * A4
-    W1 = h / 6 * (B + h * A @ B + h ** 2 / 2 * A2 @ B + h ** 3 / 4 * A3 @ B)
-    W2 = h / 6 * (4 * B + 2 * h * A @ B + h ** 2 / 2 * A2 @ B)
-    W3 = h / 6 * B
-    return R, W1, W2, W3
-
-
 def simulate_plant(sys: LtiSystem, x0: np.ndarray, w_fn, dt: float,
                    substeps: int, horizon: float
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 trajectory on the grid of spacing dt/substeps.
+    """The plant's trajectory on the grid of spacing dt/substeps.
 
     Returns (ts, xs) with xs[j] = x(ts[j]); w_fn maps an array of times to
-    an array of stacked input samples.  The estimator advances its plant
-    states by the lifted recurrence of :class:`CenterLift`; this
-    node-by-node loop is the reference it is tested against.
+    an array of stacked input samples.  Each step is exact for the input
+    quadratic through its node, half-node and next-node samples
+    (:func:`~smobserver.numerics.quadratic_hold`, as in :class:`CenterLift`).
     """
     if substeps < 1:
         raise InvalidParameterError("substeps must be >= 1")
     h = dt / substeps
     n_nodes = int(round(horizon / h))
     ts = h * np.arange(n_nodes + 1)
-    R, W1, W2, W3 = rk4_recurrence(sys.A, sys.B, h)
+    Ad, G0, Gh, G1 = quadratic_hold(sys.A, sys.B, h)
     w_nodes = np.asarray(w_fn(ts), dtype=float)
     w_half = np.asarray(w_fn(ts[:-1] + 0.5 * h), dtype=float)
     xs = np.empty((n_nodes + 1, sys.n_x))
     xs[0] = np.asarray(x0, dtype=float).ravel()
     for j in range(n_nodes):
-        xs[j + 1] = (R @ xs[j] + W1 @ w_nodes[j] + W2 @ w_half[j]
-                     + W3 @ w_nodes[j + 1])
+        xs[j + 1] = (Ad @ xs[j] + G0 @ w_nodes[j] + Gh @ w_half[j]
+                     + G1 @ w_nodes[j + 1])
     return ts, xs
 
 
@@ -97,16 +79,17 @@ class CenterLift:
     """The plant, the derivative bank and the unknown-input observer as one
     linear recurrence, lifted to the quadrature grid.
 
-    Over one fine step h the augmented state s = [x; vec(Z); x1hat] (the
-    bank state Z stacked derivative-order major, as ``assemble_z_hat``
-    does) advances as
+    The augmented state s = [x; vec(Z); x1hat] (the bank state Z stacked
+    derivative-order major, as ``assemble_z_hat`` does) obeys s' = A_s s +
+    B_s w with A_s = [[A, 0, 0], [B_z C, A_z (x) I, 0], [0, F, E]] and B_s
+    = [B; B_z D; 0]: the bank reads y = C x + D w and the observer reads the
+    bank as they evolve, the observer that eps1 bounds.  Over one fine step
+    h, for w quadratic through its samples at t, t + h/2 and t + h, its
+    exact step (:func:`~smobserver.numerics.quadratic_hold`) is
 
-        s+ = M s + G0 w(t) + Gh w(t + h/2) + G1 w(t + h),
+        s+ = M s + G0 w(t) + Gh w(t + h/2) + G1 w(t + h).
 
-    with the plant's RK4 recurrence and the exact ZOH steps of the bank and
-    of the observer: ``step_hgo`` and ``step_uio`` read the bank state and
-    the output at the start of the step.  Over one quad stride of p fine
-    steps this lifts to
+    Over one quad stride of p fine steps this lifts to
 
         s(t + p h) = Mp s(t) + W u,
 
@@ -141,26 +124,17 @@ class CenterLift:
 
 def build_center_lift(sys: LtiSystem, hgo_cfg: HgoConfig, uio: UioDesign,
                       h: float, stride: int, n_q: int) -> CenterLift:
-    """Lift the fine-step recurrence of :class:`CenterLift` to ``stride``
-    fine steps, for ``n_q`` strides per sample interval."""
+    """Lift the exact fine step of :class:`CenterLift`'s continuous system
+    to ``stride`` fine steps, for ``n_q`` strides per sample interval."""
     n, n_y, n_w = sys.n_x, sys.n_y, sys.n_w
-    R, W1, W2, W3 = rk4_recurrence(sys.A, sys.B, h)
-    Ad, Bd = _discretization(hgo_cfg.l, hgo_cfg.eps, hgo_cfg.theta, float(h))
-    Ed, Fd = zoh(uio.E, uio.F, h)
-    n_z = Ad.shape[0] * n_y
-    ds = n + n_z + Ed.shape[0]
-    z, x1 = slice(n, n + n_z), slice(n + n_z, ds)
-    Bz = np.kron(Bd, np.eye(n_y))          # output -> vec(Z)
-    M = np.zeros((ds, ds))
-    M[:n, :n] = R
-    M[z, :n] = Bz @ sys.C
-    M[z, z] = np.kron(Ad, np.eye(n_y))
-    M[x1, z] = Fd
-    M[x1, x1] = Ed
-    G0, Gh, G1 = (np.zeros((ds, n_w)) for _ in range(3))
-    G0[:n], G0[z] = W1, Bz @ sys.D
-    Gh[:n] = W2
-    G1[:n] = W3
+    n_z = (hgo_cfg.l + 1) * n_y
+    Bz = np.kron(hgo_cfg.b_z[:, None], np.eye(n_y))    # output -> vec(Z)
+    A_s = block_diag(sys.A, np.kron(hgo_cfg.a_z, np.eye(n_y)), uio.E)
+    z, ds = slice(n, n + n_z), A_s.shape[0]
+    A_s[z, :n], A_s[n + n_z:, z] = Bz @ sys.C, uio.F
+    B_s = np.zeros((ds, n_w))
+    B_s[:n], B_s[z] = sys.B, Bz @ sys.D
+    M, G0, Gh, G1 = quadratic_hold(A_s, B_s, h)
     powers = [np.eye(ds)]
     for _ in range(stride):
         powers.append(M @ powers[-1])

@@ -15,7 +15,7 @@ from .decomposition import LtiSystem
 from .ellipsoid import (MEMBERSHIP_SLACK, checked_shapes, inverse_factors,
                         quadratic_forms)
 from .errors import InvalidEllipsoidError, ScenarioFormatError
-from .generators import ShapeGenerator, SignalGenerator
+from .generators import ShapeGenerator, SignalGenerator, check_keys
 from .numerics import expm, power_norms, spectral_norm
 
 FORMAT_TAG = "smobserver-scenario/1"
@@ -58,6 +58,10 @@ class CertOptions:
         if not (np.isfinite(self.margin_scale) and self.margin_scale > 0.0):
             raise ScenarioFormatError("cert.margin_scale must be finite and "
                                       f"positive, got {self.margin_scale}")
+        if not (np.isfinite(self.harvest_margin)
+                and 0.0 <= self.harvest_margin <= 1.0):
+            raise ScenarioFormatError("cert.harvest_margin must be finite and "
+                                      f"in [0, 1], got {self.harvest_margin}")
         if self.mode == "declared":
             vals = (self.alpha_lo, self.alpha_hi, self.beta_lo, self.beta_hi)
             if any(v is None for v in vals):
@@ -169,8 +173,8 @@ class ScenarioConfig:
 
     @property
     def n_fine(self) -> int:
-        """Fine nodes per sample interval: a common refinement of the
-        plant, derivative-bank and quadrature grids."""
+        """Fine nodes per sample interval, where the input is sampled: a
+        common refinement of the three substep grids."""
         return lcm(self.plant_substeps, self.hgo_substeps, self.quad_substeps)
 
     @property
@@ -200,6 +204,7 @@ class ScenarioConfig:
         if d.get("format") != FORMAT_TAG:
             raise ScenarioFormatError(
                 f"unsupported scenario format {d.get('format')!r}")
+        check_keys(d, ("format", *_LOADERS))
         try:
             return cls(**{key: _read_key(d, key, *how)
                           for key, how in _LOADERS.items()})
@@ -235,10 +240,12 @@ def _optional(convert):
 
 def _section(cls, section: str, loaders: dict):
     """Loader of a nested ``section`` whose keys convert as in the table
-    ``loaders``; errors name them ``section.key``."""
-    return lambda d: cls(**{
-        key: _read_key(d, key, *how, name=f"{section}.{key}")
-        for key, how in loaders.items()})
+    ``loaders``; errors, also for an unknown key, name it ``section.key``."""
+    def load(d: dict):
+        check_keys(d, loaders, prefix=f"{section}.")
+        return cls(**{key: _read_key(d, key, *how, name=f"{section}.{key}")
+                      for key, how in loaders.items()})
+    return load
 
 
 #: each scenario key's converter, and its default where the key is optional

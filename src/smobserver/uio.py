@@ -20,7 +20,7 @@ from scipy.signal import lfilter, place_poles
 
 from .errors import (InvalidDesignError, InvalidParameterError,
                      NoStableObserverError)
-from .numerics import (expm, lyapunov_tail, norm_envelope_grid,
+from .numerics import (lyapunov_tail, norm_envelope_grid, quadratic_hold,
                        spectral_norm, zoh)
 
 #: residual tolerance on the gain constraint F G_l = [B1' 0 ... 0]
@@ -162,11 +162,9 @@ def solve_uio_gain(A1, C1, B1p, D1p, l, poles, pair=None) -> UioDesign:
 
 def step_uio(des: UioDesign, x1hat: np.ndarray, zhat: np.ndarray,
              h: float) -> np.ndarray:
-    """Advance x1hat over step h with the derivative stack zhat held constant.
-
-    The estimator folds the same step into the lifted center recurrence
-    (``pipeline.CenterLift``); this one-step form is its reference.
-    """
+    """Advance x1hat over step h with the derivative stack zhat held.  The
+    estimator holds nothing: ``pipeline.CenterLift`` drives the observer by
+    the bank's state as it evolves."""
     if h <= 0.0:
         raise InvalidParameterError("step size must be positive")
     Ed, Fd = zoh(des.E, des.F, h)
@@ -216,21 +214,6 @@ def derivative_error_envelope(p: ErrorBoundParams, order: int,
 EPS1_INT_STEP = 0.005
 
 
-def _cell_weights(r: float, H: float) -> np.ndarray:
-    """Weights w with int_0^H q(u) e^{-r(H-u)} du = w @ (q(0), q(H/2), q(H))
-    for every quadratic q; w at r = 0 is Simpson's rule H/6 (1, 4, 1).
-
-    The moments m_k = int_0^1 e^{-rH(1-s)} s^k/k! ds, k = 0..2, are the
-    first row of one 4x4 exponential (Van Loan, IEEE TAC 23(3), 1978); the
-    weights map them onto the node values of q.
-    """
-    T = np.diag(np.ones(3), 1)
-    T[0, 0] = -r * H
-    _, m0, m1, m2 = expm(T)[0]
-    return H * np.array([m0 - 3.0 * m1 + 4.0 * m2, 4.0 * m1 - 8.0 * m2,
-                         4.0 * m2 - m1])
-
-
 class Epsilon1Evaluator:
     """Evaluates the envelope eps1(t) from cached ||e^{Es}|| samples.
 
@@ -243,9 +226,11 @@ class Epsilon1Evaluator:
     grid of step h = ``grid_step``: m is the least whole number with h_int
     <= min(EPS1_INT_STEP, 0.1 / |lambda|max(E)).  On each cell ||e^{Es}|| is
     the quadratic through its samples at the cell's ends and midpoint, and
-    one weight vector per kernel (:func:`_cell_weights`) integrates it
-    exactly: I1 sums the cells, I2 follows the recursion I2 <- e^{-r h_int}
-    I2 + cell increment with r = a/eps.  Output node i is cell boundary m i.
+    one weight vector per kernel integrates it exactly, the input weights of
+    the exact step of dI/ds = -r I + q
+    (:func:`~smobserver.numerics.quadratic_hold`).  I1 sums the cells, I2
+    follows the recursion I2 <- e^{-r h_int} I2 + cell increment with r =
+    a/eps.  Output node i is cell boundary m i.
 
     Values at a shared time therefore agree exactly between output grids
     whose cells coincide (the same h_int, as for steps 0.1, 0.02 and 0.005
@@ -258,10 +243,11 @@ class Epsilon1Evaluator:
     form from samples it already holds: with g_j = ||e^{E t_j}|| at the cell
     ends, submultiplicativity gives I1(inf) <= I1(t_j) / (1 - g_j) for every
     g_j < 1, and the Lyapunov certificate ||e^{Et}|| <= amp e^{-ct} of
-    :func:`~smobserver.numerics.lyapunov_tail` gives I1(inf) <= I1(T) +
-    g(T) amp / c.  The smaller of the two enters; where both are inf, so is
-    the limit.  A design builds one evaluator and reads both its grid and
-    :meth:`uniform_bounds` from it.
+    :func:`~smobserver.numerics.lyapunov_tail` gives I1(inf) <= I1(t_j) +
+    g_j amp / c at every cell end, and amp / c at t = 0.  The smallest of
+    these enters; where every one is inf, so is the limit.  A design builds
+    one evaluator and reads both its grid and :meth:`uniform_bounds` from
+    it.
     """
 
     def __init__(self, params: ErrorBoundParams, E: np.ndarray,
@@ -286,9 +272,13 @@ class Epsilon1Evaluator:
         cells = sliding_window_view(self.gh, 3)[::2]
         p = params
         r = p.a / p.eps
-        i1 = np.cumsum(cells @ _cell_weights(0.0, self.h_int))
+
+        def weights(rate):  # int_0^h_int q(u) e^{-rate (h_int - u)} du
+            return np.ravel(quadratic_hold(-rate, 1.0, self.h_int)[1:])
+
+        i1 = np.cumsum(cells @ weights(0.0))
         i2 = lfilter([1.0], [1.0, -np.exp(-r * self.h_int)],
-                     cells @ _cell_weights(r, self.h_int))
+                     cells @ weights(r))
         coef = (p.K * np.sqrt(p.l + 1.0) / p.eps ** p.l) * p.zbar0 \
             - p.eps ** p.l * p.delta
         scale = p.F_norm * np.sqrt(p.n_y * (p.l + 1.0))
@@ -302,7 +292,7 @@ class Epsilon1Evaluator:
         i1_inf = np.min(i1[contracts] / (1.0 - g[contracts]), initial=np.inf)
         amp, c = lyapunov_tail(self.E, 0.0)
         if np.isfinite(amp):
-            i1_inf = min(i1_inf, i1[-1] + g[-1] * amp / c)
+            i1_inf = min(i1_inf, amp / c, float(np.min(i1 + g * amp / c)))
         self.limit = p.delta * scale * float(i1_inf)
 
     def _index(self, t: float) -> int:

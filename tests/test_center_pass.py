@@ -1,6 +1,7 @@
-"""Oracle tests of the lifted center recurrence: the plant, the derivative
-bank and the unknown-input observer stepped node by node with their public
-one-step functions, against ``estimate`` on one run and on a batch."""
+"""Oracle tests of the lifted center recurrence: the continuous plant /
+derivative-bank / observer cascade stepped node by node with a Van Loan
+step of its own, and advanced exactly with its input's exosystem, against
+``estimate`` on one run and on a batch."""
 
 import numpy as np
 import pytest
@@ -8,45 +9,45 @@ import pytest
 import smobserver.hgo as hgo
 import smobserver.pipeline as pipeline
 import smobserver.uio as uio
+from oracles import cascade, exosystem_centers, hold_step, \
+    initial_cascade_state
 from smobserver.ellipsoid import Ellipsoid
 from smobserver.generators import SignalGenerator, SineBank, Term
-from smobserver.hgo import assemble_z_hat, initial_state, step_hgo
 from smobserver.pipeline import (build_design, estimate,
                                  monte_carlo_containment, run_algorithm1,
-                                 shape_schedule, simulate_plant)
-from smobserver.uio import step_uio
+                                 shape_schedule)
 
 #: agreement asked of the lifted pass, relative to each block's maximum
 RTOL = 1e-10
 
 
 def node_by_node(design, x0, w_fn):
-    """Reference centers of one run: the plant on the fine grid, then the
-    bank and the observer one fine node at a time.
+    """Reference centers of one run: the cascade stepped one fine node at a
+    time, its input quadratic through the node, half-node and next-node
+    samples of ``w_fn``.
 
     Returns the plant state at every sample time, the output at every
     sample time after t = 0, the observer on every quad node, and
     eps1 - ||x1 - x1hat|| on every quad node after t = 0.
     """
     cfg, dec = design.cfg, design.dec
-    sys, n1, h = dec.system, dec.n1, cfg.h_fine
+    sys, n, n1, h = dec.system, dec.system.n_x, dec.n1, cfg.h_fine
     stride = cfg.n_fine // cfg.quad_substeps
-    ts, xs = simulate_plant(sys, x0, w_fn, cfg.dt, cfg.n_fine, cfg.horizon)
-    ys = xs @ sys.C.T + np.asarray(w_fn(ts)) @ sys.D.T
-    st = initial_state(design.hgo_cfg, ys[0])
-    x1hat = (dec.P1 @ cfg.xhat0)[:n1]
-    x1hat_q, gaps = [x1hat], []
+    ts = h * np.arange(cfg.n_steps * cfg.n_fine + 1)
+    w = np.asarray(w_fn(ts), dtype=float)
+    w_half = np.asarray(w_fn(ts[:-1] + 0.5 * h), dtype=float)
+    Ad, G = hold_step(*cascade(design), h)
+    s = [initial_cascade_state(design, x0, w[0])]
     for i in range(ts.size - 1):
-        z = assemble_z_hat(design.hgo_cfg, st)
-        x1hat = step_uio(design.uio, x1hat, z, h)
-        st = step_hgo(design.hgo_cfg, st, ys[i], h)
-        if (i + 1) % stride == 0:
-            x1hat_q.append(x1hat)
-            x1_true = (dec.P1 @ xs[i + 1])[:n1]
-            gaps.append(design.eps1_grid[len(gaps) + 1]
-                        - np.linalg.norm(x1_true - x1hat))
+        s.append(Ad @ s[-1] + G @ np.concatenate([w[i], w_half[i], w[i + 1]]))
+    xs, quad = np.array(s)[:, :n], np.array(s)[::stride]
+    x1hat_q = quad[:, -n1:]
+    gaps = (design.eps1_grid[1:]
+            - np.linalg.norm((quad[1:, :n] @ dec.P1.T)[:, :n1]
+                             - x1hat_q[1:], axis=1))
     samples = slice(0, None, cfg.n_fine)
-    return xs[samples], ys[samples][1:], np.array(x1hat_q), np.array(gaps)
+    ys = xs[samples] @ sys.C.T + w[samples] @ sys.D.T
+    return xs[samples], ys[1:], x1hat_q, gaps
 
 
 def lifted(design, X0, w_family):
@@ -116,6 +117,21 @@ def test_center_pass_matches_node_by_node_batch(cfg_mixed, cfg_ex1, cfg_ex2):
             ref = node_by_node(design, X0[:, r],
                                lambda ts, r=r: family(ts)[:, :, r])
             assert_blocks_close(ref, tuple(a[..., r] for a in got))
+
+
+def test_lifted_centers_match_the_exact_exosystem_reference(cfg_mixed,
+                                                           cfg_ex1, cfg_ex2):
+    """The plant at the sample times and x1hat on every quad node are those
+    of the continuous observer that eps1 bounds, driven by w_true itself
+    (not by its samples), to 1e-8 of each block's maximum."""
+    for cfg in scenarios(cfg_mixed, cfg_ex1, cfg_ex2):
+        design = build_design(cfg)
+        ref = exosystem_centers(design, cfg.xhat0, cfg.w_true)
+        x, _, x1hat_q, _ = lifted(design, cfg.xhat0[:, None],
+                                  cfg.w_true.sine_bank())
+        for r, g in zip(ref, (x[..., 0], x1hat_q[..., 0])):
+            assert r.shape == g.shape
+            assert np.max(np.abs(r - g)) <= 1e-8 * np.max(np.abs(r))
 
 
 def test_estimate_steps_no_fine_node(monkeypatch, cfg_mixed):

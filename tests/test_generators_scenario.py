@@ -1,6 +1,8 @@
 """Tests of the signal generators, scenario serialization, and the analytic
 signal bounds."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,11 @@ def test_scenario_yaml_round_trip_byte_exact(tmp_path, cfg_ex1, cfg_ex2):
         cfg.save(p1)
         ScenarioConfig.load(p1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+    # the benchmark's scenario file passes the unknown-key check unchanged
+    bench = (Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+             / "update_grammian.yaml")
+    ScenarioConfig.load(bench).save(tmp_path / "bench.yaml")
+    assert (tmp_path / "bench.yaml").read_bytes() == bench.read_bytes()
 
 
 def test_scenario_rejects_escaping_input(cfg_mixed):

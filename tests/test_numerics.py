@@ -8,10 +8,11 @@ import scipy.integrate
 import scipy.linalg as sla
 
 import smobserver.numerics as numerics
+from oracles import cascade, reachable
 from smobserver.numerics import (canonical_basis, compensated_sup, expm,
                                  lyapunov_tail, norm_envelope_grid,
-                                 null_basis, power_norms, range_basis,
-                                 simpson_weights, spectral_norm,
+                                 null_basis, power_norms, quadratic_hold,
+                                 range_basis, simpson_weights, spectral_norm,
                                  unit_ball_volume, zoh)
 
 
@@ -44,6 +45,49 @@ def test_zoh_integrator():
     Ad, Bd = zoh(np.zeros((1, 1)), np.ones((1, 1)), 0.25)
     assert Ad[0, 0] == pytest.approx(1.0)
     assert Bd[0, 0] == pytest.approx(0.25, rel=1e-13)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("h", [1e-3, 0.05, 1.0])
+def test_quadratic_hold_is_exact_for_quadratic_inputs(seed, h):
+    """x(h) = Ad x0 + G0 w(0) + Gh w(h/2) + G1 w(h) for w = a + b t + c t^2
+    on a random stable (A, B), against the dense exosystem solution
+    e^{Zh} [x0; w(0); w'(0); w''(0)], Z = [[A, B, 0, 0], [0, 0, I, 0],
+    [0, 0, 0, I], [0, 0, 0, 0]]."""
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(1, 6), rng.integers(1, 4)
+    A = rng.standard_normal((n, n))
+    A -= (np.max(np.linalg.eigvals(A).real) + rng.uniform(0.1, 2.0)) \
+        * np.eye(n)
+    B = rng.standard_normal((n, m))
+    x0, a, b, c = (rng.standard_normal(k) for k in (n, m, m, m))
+    Z = np.zeros((n + 3 * m, n + 3 * m))
+    Z[:n, :n], Z[:n, n:n + m] = A, B
+    Z[n:n + 2 * m, n + m:] = np.eye(2 * m)
+    ref = (sla.expm(Z * h) @ np.concatenate([x0, a, b, 2.0 * c]))[:n]
+    Ad, G0, Gh, G1 = quadratic_hold(A, B, h)
+    Ad_ref = sla.expm(A * h)
+    assert np.max(np.abs(Ad - Ad_ref)) <= 1e-13 * np.max(np.abs(Ad_ref))
+    got = (Ad @ x0 + G0 @ a + Gh @ (a + b * h / 2 + c * h ** 2 / 4)
+           + G1 @ (a + b * h + c * h ** 2))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_quadratic_hold_keeps_the_structural_zeros(design_ex2):
+    """On example2's stiff cascade every entry of the step that no path of
+    the block's pattern reaches is an exact zero: the stable plant states
+    x2, x3 never see the unstable x1."""
+    A_s, B_s = cascade(design_ex2)
+    n, m = B_s.shape
+    pattern = np.zeros((n + 3 * m, n + 3 * m))
+    pattern[:n, :n], pattern[:n, n:n + m] = A_s, B_s
+    pattern[n:n + 2 * m, n + m:] = np.eye(2 * m)
+    zero = ~reachable(pattern)[:n]
+    M, G0, Gh, G1 = quadratic_hold(A_s, B_s, design_ex2.cfg.h_fine)
+    step = np.concatenate([M, G0, Gh, G1], axis=1)
+    assert zero[1:3, 0].all() and not zero[0, 1:3].any()
+    assert np.all(step[zero] == 0.0)
+    assert np.all(step[~zero] != 0.0)
 
 
 def test_spectral_norm_diag():

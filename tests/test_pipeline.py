@@ -18,7 +18,7 @@ from smobserver.numerics import expm
 from smobserver.pipeline import (build_design, certify_scenario, emit_plot_data,
                                  emit_traces, estimate,
                                  monte_carlo_containment, parse_traces,
-                                 rk4_recurrence, run_algorithm1,
+                                 run_algorithm1,
                                  shape_schedule, simulate_plant, trace_header)
 from smobserver.scenario import ScenarioConfig
 
@@ -57,20 +57,6 @@ def test_simulate_plant_pure_integrator():
     ts, xs = simulate_plant(sys, np.array([0.5]), w_fn,
                             dt=0.1, substeps=20, horizon=3.0)
     assert np.allclose(xs[:, 0], 0.5 + np.sin(ts), atol=1e-10)
-
-
-def test_rk4_recurrence_weights_sum():
-    # for constant w the three weights must sum to the ZOH-like quadrature
-    # h/6 (B + hAB + ... + 4B + 2hAB + ... + B) -> compare one step against
-    # the augmented exponential to fourth order
-    A = np.array([[-0.3, 0.2], [0.0, -0.5]])
-    B = np.array([[1.0], [2.0]])
-    h = 0.01
-    R, W1, W2, W3 = rk4_recurrence(A, B, h)
-    from smobserver.numerics import zoh
-    Ad, Bd = zoh(A, B, h)
-    assert np.allclose(R, Ad, atol=1e-12)
-    assert np.allclose(W1 + W2 + W3, Bd, atol=1e-11)
 
 
 # -- estimation loop --------------------------------------------------------
@@ -842,19 +828,56 @@ def test_cli_rejects_malformed_optional_keys(tmp_path, capsys, section, key,
 
 @pytest.mark.parametrize("key,value", [
     ("r", 0), ("r", -3), ("margin_scale", -1.0), ("margin_scale", 0.0),
-    ("margin_scale", float("nan")), ("margin_scale", float("inf"))])
+    ("margin_scale", float("nan")), ("margin_scale", float("inf")),
+    ("harvest_margin", -0.01), ("harvest_margin", float("nan")),
+    ("harvest_margin", float("inf")), ("harvest_margin", 1.5)])
 def test_cli_rejects_out_of_range_cert_options(tmp_path, capsys, key, value):
-    """A window length r < 1, or an envelope margin that is not finite and
-    positive, is bad input (exit 3) named for its key where the scenario is
-    read: r <= 0 once gave a case-none certificate (``certify`` exit 2,
-    ``run`` exit 0), margin_scale 0 an uncertified amplitude walk, and a
-    negative or non-finite margin_scale a traceback (exit 1)."""
+    """A window length r < 1, an envelope margin that is not finite and
+    positive, or a harvest margin that is not finite and in [0, 1], is bad
+    input (exit 3) named for its key where the scenario is read: r <= 0
+    once gave a case-none certificate (``certify`` exit 2, ``run`` exit 0),
+    margin_scale 0 an uncertified amplitude walk, a negative or non-finite
+    margin_scale a traceback (exit 1), and harvest_margin -0.01 harvested
+    alpha/beta bounds inside the realized range, so that ``certify``
+    reported a certificate on false premises (exit 0)."""
     d = ScenarioConfig.load(UPDATE_GRAMMIAN).to_dict()
     d["horizon"] = 1.0
     d["cert"][key] = value
     scen = tmp_path / "bad.yaml"
     scen.write_text(yaml.safe_dump(d, sort_keys=False), encoding="utf-8")
     name = f"cert.{key}"
+    with pytest.raises(ScenarioFormatError, match=name):
+        ScenarioConfig.from_dict(d)
+    assert cli_main(["run", "--scenario", str(scen),
+                     "--out", str(tmp_path / "o")]) == 3
+    assert name in capsys.readouterr().err
+    assert cli_main(["certify", "--scenario", str(scen)]) == 3
+    assert name in capsys.readouterr().err
+
+
+def test_harvest_margin_accepts_its_closed_range():
+    """Both ends of [0, 1] load: no margin, and the widest one."""
+    d = ScenarioConfig.load(UPDATE_GRAMMIAN).to_dict()
+    for value in (0.0, 1.0):
+        d["cert"]["harvest_margin"] = value
+        assert ScenarioConfig.from_dict(d).cert.harvest_margin == value
+
+
+@pytest.mark.parametrize("name,misspell", [
+    ("quad_substep", lambda d: d.update(quad_substep=40)),
+    ("hgo.pol", lambda d: d["hgo"].update(pol=2.0)),
+    ("phse", lambda d: d["w_true"][0][1].update(phse=1.0))],
+    ids=["top-level", "section", "term"])
+def test_cli_rejects_unknown_scenario_keys(tmp_path, capsys, name, misspell):
+    """A misspelt key is bad input (exit 3) that names it, wherever it
+    sits: at the top level, in a section or in a signal term.  Each was
+    once dropped, so the run went on with the default it meant to
+    replace (``certify`` exit 0)."""
+    d = ScenarioConfig.load(UPDATE_GRAMMIAN).to_dict()
+    d["horizon"] = 1.0
+    misspell(d)
+    scen = tmp_path / "typo.yaml"
+    scen.write_text(yaml.safe_dump(d, sort_keys=False), encoding="utf-8")
     with pytest.raises(ScenarioFormatError, match=name):
         ScenarioConfig.from_dict(d)
     assert cli_main(["run", "--scenario", str(scen),

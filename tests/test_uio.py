@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from smobserver.errors import InvalidParameterError
 from smobserver.numerics import (expm, lyapunov_tail, power_norms,
-                                 simpson_weights, spectral_norm, zoh)
+                                 quadratic_hold, simpson_weights,
+                                 spectral_norm, zoh)
 from smobserver.pipeline import build_design
 from smobserver.uio import (Epsilon1Evaluator, ErrorBoundParams,
                             GAIN_RESIDUAL_TOL, UioDesign,
                             build_markov_matrices,
                             derivative_error_envelope,
-                            _cell_weights, epsilon1_uniform_bounds,
+                            epsilon1_uniform_bounds,
                             gain_target, solve_uio_gain, step_uio)
 
 
@@ -115,6 +116,12 @@ def test_eps1_scalar_closed_form(grid_step):
     I2 = (np.exp(-b * t) - np.exp(-r * t)) / (r - b)
     ref = np.exp(-b * t) * p.init_norm + scale * (p.delta * I1 + coef * I2)
     assert np.allclose(vals, ref, rtol=1e-8, atol=0.0)
+
+
+def _cell_weights(r, H):
+    """The eps1 evaluator's cell weights: the input weights of the exact
+    step of dI/du = -r I + q over H."""
+    return np.ravel(quadratic_hold(-r, 1.0, H)[1:])
 
 
 def test_cell_weights_integrate_quadratics_exactly():
@@ -237,17 +244,23 @@ def test_eps1_limit_of_a_slow_decay_ends_the_walk_at_the_horizon(
 def test_eps1_limit_under_transient_growth():
     """E = [[-1, 100], [0, -1]]: ||e^{Et}|| >= 1.27 at every cell end of a
     1 s horizon, so no geometric tail bound applies.  The Lyapunov tail
-    I1(T) + g(T) amp / c still gives a finite limit above a fine reference
-    of I1(inf) (loose: about 150 times it)."""
+    min(amp / c, min_j I1(t_j) + g_j amp / c) still gives a finite limit
+    above a fine reference of I1(inf) (about 4 times it)."""
     E = np.array([[-1.0, 100.0], [0.0, -1.0]])
     p = _scalar_params()
     ev = Epsilon1Evaluator(p, E, 0.1, 1.0)
-    assert np.min(ev.gh[2::2]) > 1.0
+    g = ev.gh[2::2]
+    assert np.min(g) > 1.0
     amp, c = lyapunov_tail(E, 0.0)
+    # I1 at the cell ends t_j = 0.005 j by Simpson pairs of step 2.5e-4
+    h = 2.5e-4
+    walk = power_norms(expm(E * h), int(round(ev.ts[-1] / h)) + 1)
+    i1 = np.cumsum(h / 3.0 * (walk[:-2:2] + 4.0 * walk[1:-1:2]
+                              + walk[2::2]))[9::10]
     i1_inf = ev.limit / _tail_scale(p)
-    assert i1_inf == pytest.approx(
-        _fine_i1(E, T=ev.ts[-1]) + ev.gh[-1] * amp / c, rel=1e-9)
-    assert _fine_i1(E) <= i1_inf
+    assert i1_inf == pytest.approx(min(amp / c, np.min(i1 + g * amp / c)),
+                                   rel=1e-9)
+    assert _fine_i1(E) <= i1_inf <= 5.0 * _fine_i1(E)
     _, hi = ev.uniform_bounds()
     assert hi == ev.limit
 
