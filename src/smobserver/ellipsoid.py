@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvalidEllipsoidError, InvalidParameterError
 from .numerics import symmetrize, unit_ball_volume
@@ -46,14 +45,6 @@ class Ellipsoid:
     @property
     def dim(self) -> int:
         return self.center.shape[0]
-
-    def boundary_points(self, n_points: int = 50) -> np.ndarray:
-        """Boundary polyline for 2-D ellipsoids (closed, n_points rows)."""
-        if self.dim != 2:
-            raise InvalidParameterError("boundary_points is 2-D only")
-        phi = np.linspace(0.0, 2.0 * np.pi, n_points)
-        L = sla.sqrtm(self.shape).real
-        return self.center[None, :] + (L @ np.vstack([np.cos(phi), np.sin(phi)])).T
 
     def sample(self, rng: np.random.Generator, n: int = 1,
                boundary: bool = False) -> np.ndarray:
@@ -88,11 +79,12 @@ def checked_shapes(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def boundary_polylines(centers: np.ndarray, shapes: np.ndarray,
                        n_points: int = 50) -> np.ndarray:
-    """:meth:`Ellipsoid.boundary_points` of each 2-D ellipsoid of a stack,
-    centers (N, 2) and shapes (N, 2, 2), as (N, n_points, 2), after one
-    batched :func:`checked_shapes`.  Each square root is closed form: with
-    eigenvalues l0, l1 of K, sqrt(det K) = sqrt(l0) sqrt(l1) and
-    sqrt(tr K + 2 sqrt(det K)) = sqrt(l0) + sqrt(l1), so
+    """The closed boundary polylines c + sqrt(K) [cos phi; sin phi], phi on
+    n_points equally spaced angles in [0, 2 pi], of each 2-D ellipsoid of
+    a stack, centers (N, 2) and shapes (N, 2, 2), as (N, n_points, 2),
+    after one batched :func:`checked_shapes`.  Each square root is closed
+    form: with eigenvalues l0, l1 of K, sqrt(det K) = sqrt(l0) sqrt(l1)
+    and sqrt(tr K + 2 sqrt(det K)) = sqrt(l0) + sqrt(l1), so
     sqrt(K) = (K + sqrt(det K) I) / sqrt(tr K + 2 sqrt(det K))."""
     if shapes.shape[1:] != (2, 2) or centers.shape != (len(shapes), 2):
         raise InvalidParameterError("boundary polylines are 2-D only")

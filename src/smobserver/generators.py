@@ -36,12 +36,6 @@ class Term:
         if self.kind not in ("const", "sin"):
             raise ScenarioFormatError(f"unknown term kind {self.kind!r}")
 
-    def __call__(self, t):
-        if self.kind == "const":
-            return self.value * np.ones_like(np.asarray(t, dtype=float))
-        return self.amp * np.sin(self.freq * np.asarray(t, dtype=float)
-                                 + self.phase)
-
     def deriv_bound(self, order: int) -> float:
         """sup over t of the order-th derivative's magnitude."""
         if self.kind == "const":
@@ -78,11 +72,9 @@ class SignalGenerator:
         return len(self.components)
 
     def __call__(self, t) -> np.ndarray:
+        """Samples of shape t.shape + (dim,), from :meth:`sine_bank`."""
         t = np.asarray(t, dtype=float)
-        out = np.stack([sum((term(t) for term in comp),
-                            np.zeros_like(t, dtype=float))
-                        for comp in self.components], axis=-1)
-        return out
+        return self.sine_bank()(t.ravel())[..., 0].reshape(*t.shape, self.dim)
 
     def deriv_bound(self, order: int) -> np.ndarray:
         """Per-component bound on the order-th derivative magnitude."""
@@ -125,8 +117,8 @@ class SineBank:
     def __call__(self, t) -> np.ndarray:
         """(len(t), n_w, runs) samples."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.einsum("ajr,tjr->tar", self.gains,
-                         np.sin(self.freqs * t[:, None, None] + self.phases))
+        sines = np.sin(self.freqs.T[:, :, None] * t + self.phases.T[:, :, None])
+        return (self.gains.transpose(2, 0, 1) @ sines).transpose(2, 1, 0)
 
     def __add__(self, other: "SineBank") -> "SineBank":
         """The bank of the summed signals: both term lists."""

@@ -9,12 +9,13 @@ alone.  :func:`shape_schedule` runs the shape recursion once, checks
 every weak-block shape once and records each step's update gate once, in
 ``skipped``; :func:`estimate` is the one center pass, which reads its
 shapes from that schedule and advances the centers of a whole batch of
-runs.  The plant, the derivative bank and the unknown-input observer form
-one linear time-invariant system, lifted once to the quadrature grid
-(:class:`CenterLift`).  A single run (:func:`run_algorithm1`) is the pass
-with one column; a Monte Carlo sweep (:func:`monte_carlo_containment`) is
-the pass with one column per run.  The certificate reads the schedule
-alone, its gate and information terms C2^T G_k^{-1} C2 included.
+runs.  The plant, the derivative bank, the unknown-input observer and the
+weak block's predictor form one linear time-invariant system, lifted once
+to the quadrature grid (:class:`CenterLift`).  A single run
+(:func:`run_algorithm1`) is the pass with one column; a Monte Carlo sweep
+(:func:`monte_carlo_containment`) is the pass with one column per run.
+The certificate reads the schedule alone, its gate and information terms
+C2^T G_k^{-1} C2 included.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .numerics import quadratic_hold, spectral_norm, symmetrize
 from .scenario import ScenarioConfig, input_norm_bound, y_derivative_bound
 from .uio import (Epsilon1Evaluator, ErrorBoundParams, UioDesign,
                   solve_uio_gain)
-from .weak import (build_Ku, center_drive, check_shape, gamma_terms,
-                   gk_matrix, propagate, quad_kernels, shape_recursion,
-                   update_information, update_is_informative)
+from .weak import (build_Ku, check_shape, gamma_terms, gk_matrix, propagate,
+                   quad_kernels, shape_recursion, update_information,
+                   update_is_informative)
 
 
 # -- plant simulation ------------------------------------------------------
@@ -76,16 +77,18 @@ def simulate_plant(sys: LtiSystem, x0: np.ndarray, w_fn, dt: float,
 
 @dataclass(frozen=True)
 class CenterLift:
-    """The plant, the derivative bank and the unknown-input observer as one
-    linear recurrence, lifted to the quadrature grid.
+    """The continuous system of every center as one linear recurrence,
+    lifted to the quadrature grid.
 
-    The augmented state s = [x; vec(Z); x1hat] (the bank state Z stacked
-    derivative-order major, as ``assemble_z_hat`` does) obeys s' = A_s s +
-    B_s w with A_s = [[A, 0, 0], [B_z C, A_z (x) I, 0], [0, F, E]] and B_s
-    = [B; B_z D; 0]: the bank reads y = C x + D w and the observer reads the
-    bank as they evolve, the observer that eps1 bounds.  Over one fine step
-    h, for w quadratic through its samples at t, t + h/2 and t + h, its
-    exact step (:func:`~smobserver.numerics.quadratic_hold`) is
+    The augmented state s = [x; vec(Z); x1hat; x2hat] (the bank state Z
+    stacked derivative-order major, as ``assemble_z_hat`` does) obeys s' =
+    A_s s + B_s w with A_s = [[A, 0, 0, 0], [B_z C, A_z (x) I, 0, 0],
+    [0, F, E, 0], [0, 0, A2, A4]] and B_s = [B; B_z D; 0; 0]: the bank
+    reads y = C x + D w, the observer reads the bank and x2hat reads x1hat
+    as they evolve, so x1hat is the observer that eps1 bounds and x2hat
+    integrates e^{A4 (t_k - tau)} A2 x1hat(tau) exactly.  Over one fine
+    step h, for w quadratic through its samples at t, t + h/2 and t + h,
+    its exact step (:func:`~smobserver.numerics.quadratic_hold`) is
 
         s+ = M s + G0 w(t) + Gh w(t + h/2) + G1 w(t + h).
 
@@ -106,52 +109,64 @@ class CenterLift:
     intervals by that recurrence alone, then takes the chunk's other quad
     nodes in one product with Phi.  For a sine bank whose interval table
     fits :data:`FOLD_BUDGET`, F comes from that table; otherwise the pass
-    steps stride by stride through Mp.
+    steps stride by stride through Mp.  ``Wc`` lifts ``quadratic_hold(A4,
+    B2, h)`` likewise to a whole sample interval: x2hat(t_k) gains Wc u, u
+    the p n_q + 1 node samples of the input center c_w, then its p n_q
+    half-node samples, the same in every run.
     """
 
     Mp: np.ndarray       # (ds, ds)
     Phi: np.ndarray      # (n_q ds, ds): Mp, Mp^2, .., Mp^{n_q} stacked
     W: np.ndarray        # (ds, (2p + 1) n_w)
+    Wc: np.ndarray       # (n2, (2 p n_q + 1) n_w)
     n_x: int
     n_z: int             # (l + 1) n_y bank states
+    x1: slice            # x1hat's rows of s
+    x2: slice            # x2hat's rows of s
     stride: int          # p fine steps per quad stride
     n_q: int             # quad strides per sample interval
 
-    @property
-    def x1(self) -> slice:
-        return slice(self.n_x + self.n_z, None)
+
+def _hold_lift(M: np.ndarray, G0: np.ndarray, Gh: np.ndarray,
+               G1: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M^steps, W): ``steps`` exact fine steps s+ = M s + G0 w(t) + Gh
+    w(t + h/2) + G1 w(t + h) as s(t + steps h) = M^steps s(t) + W u, with u
+    the steps + 1 node samples of w, then its steps half-node samples."""
+    d, n_w = G0.shape
+    powers = [np.eye(d)]
+    for _ in range(steps):
+        powers.append(M @ powers[-1])
+    P = np.array(powers[steps - 1::-1])     # M^(steps-1-m), m = 0..steps-1
+    nodes = np.zeros((steps + 1, d, n_w))
+    nodes[:-1] += P @ G0
+    nodes[1:] += P @ G1
+    W = np.concatenate([nodes, P @ Gh]).transpose(1, 0, 2)
+    return powers[steps], W.reshape(d, (2 * steps + 1) * n_w)
 
 
-def build_center_lift(sys: LtiSystem, hgo_cfg: HgoConfig, uio: UioDesign,
-                      h: float, stride: int, n_q: int) -> CenterLift:
+def build_center_lift(dec: Decomposition, hgo_cfg: HgoConfig,
+                      uio: UioDesign, h: float, stride: int,
+                      n_q: int) -> CenterLift:
     """Lift the exact fine step of :class:`CenterLift`'s continuous system
-    to ``stride`` fine steps, for ``n_q`` strides per sample interval."""
-    n, n_y, n_w = sys.n_x, sys.n_y, sys.n_w
+    to ``stride`` fine steps, for ``n_q`` strides per sample interval, and
+    c_w's drive of x2hat to a whole sample interval."""
+    sys = dec.system
+    n, n_y, n_w, n1 = sys.n_x, sys.n_y, sys.n_w, dec.n1
     n_z = (hgo_cfg.l + 1) * n_y
     Bz = np.kron(hgo_cfg.b_z[:, None], np.eye(n_y))    # output -> vec(Z)
-    A_s = block_diag(sys.A, np.kron(hgo_cfg.a_z, np.eye(n_y)), uio.E)
-    z, ds = slice(n, n + n_z), A_s.shape[0]
-    A_s[z, :n], A_s[n + n_z:, z] = Bz @ sys.C, uio.F
+    A_s = block_diag(sys.A, np.kron(hgo_cfg.a_z, np.eye(n_y)), uio.E, dec.A4)
+    z, x1, ds = slice(n, n + n_z), slice(n + n_z, n + n_z + n1), A_s.shape[0]
+    A_s[z, :n], A_s[x1, z], A_s[x1.stop:, x1] = Bz @ sys.C, uio.F, dec.A2
     B_s = np.zeros((ds, n_w))
     B_s[:n], B_s[z] = sys.B, Bz @ sys.D
-    M, G0, Gh, G1 = quadratic_hold(A_s, B_s, h)
-    powers = [np.eye(ds)]
-    for _ in range(stride):
-        powers.append(M @ powers[-1])
-    nodes = np.zeros((stride + 1, ds, n_w))
-    half = np.empty((stride, ds, n_w))
-    for m in range(stride):
-        P = powers[stride - 1 - m]
-        nodes[m] += P @ G0
-        nodes[m + 1] += P @ G1
-        half[m] = P @ Gh
-    W = np.concatenate([nodes, half]).transpose(1, 0, 2).reshape(ds, -1)
-    Mp = powers[stride]
+    Mp, W = _hold_lift(*quadratic_hold(A_s, B_s, h), stride)
+    _, Wc = _hold_lift(*quadratic_hold(dec.A4, dec.B2, h), stride * n_q)
     Phi = [Mp]
     for _ in range(n_q - 1):
         Phi.append(Mp @ Phi[-1])
-    return CenterLift(Mp=Mp, Phi=np.concatenate(Phi), W=W, n_x=n, n_z=n_z,
-                      stride=stride, n_q=n_q)
+    return CenterLift(Mp=Mp, Phi=np.concatenate(Phi), W=W, Wc=Wc, n_x=n,
+                      n_z=n_z, x1=x1, x2=slice(x1.stop, ds), stride=stride,
+                      n_q=n_q)
 
 
 # -- per-scenario design ---------------------------------------------------
@@ -222,7 +237,7 @@ def build_design(cfg: ScenarioConfig) -> DesignArtifacts:
         cfg=cfg, dec=dec, uio=uio, hgo_cfg=hgo_cfg, err=err,
         eps1_ts=eps1_ts, eps1_grid=eps1_grid,
         eps1_lo=eps1_lo, eps1_hi=eps1_hi,
-        lift=build_center_lift(sys, hgo_cfg, uio, cfg.h_fine, stride,
+        lift=build_center_lift(dec, hgo_cfg, uio, cfg.h_fine, stride,
                                cfg.quad_substeps))
 
 
@@ -278,9 +293,8 @@ class ShapeSchedule:
     """Every shape-side quantity of the estimator; entry k of each array
     belongs to sample time t_k, k = 0..n_steps.  Where no gain, weight or
     update gate ran (k = 0, or an empty weak block) the entries are nan
-    and ``skipped``, the one record of the update gate.  ``P1inv``, the
-    step's :func:`~smobserver.weak.quad_kernels` and ``inv_factor`` serve
-    the centers."""
+    and ``skipped``, the one record of the update gate.  ``P1inv``, ``O``
+    and ``inv_factor`` serve the centers."""
 
     eps1: np.ndarray       # (N+1,)
     gamma: np.ndarray      # (N+1,)
@@ -295,7 +309,6 @@ class ShapeSchedule:
     shape: np.ndarray      # (N+1, n, n) fused full-state shape
     inv_factor: np.ndarray  # (N+1, n, n) inverse_factors of ``shape``
     P1inv: np.ndarray      # (n, n)
-    kernels: np.ndarray    # (n_q + 1, n2, n2)
 
 
 def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
@@ -341,7 +354,7 @@ def shape_schedule(design: DesignArtifacts) -> ShapeSchedule:
     return ShapeSchedule(
         eps1=eps1, gamma=gamma, alpha=alpha, beta=beta, skipped=skipped,
         P2_pred=P2_pred, P2=P2s, info=info, O=O, mu=mu, shape=shape,
-        inv_factor=inverse_factors(shape), P1inv=P1inv, kernels=kernels)
+        inv_factor=inverse_factors(shape), P1inv=P1inv)
 
 
 # -- the estimator loop ----------------------------------------------------
@@ -358,7 +371,6 @@ class EstimateChunk:
 
     k: slice
     x: np.ndarray            # (b, n, runs) plant state at t_k
-    y: np.ndarray            # (b, n_y, runs) output at t_k
     #: (b, n_q + 1, n1, runs) observer on the quad nodes of [t_{k-1}, t_k];
     #: (1, 1, n1, runs) at k = 0
     x1hat_q: np.ndarray
@@ -379,37 +391,44 @@ class EstimateChunk:
 FOLD_BUDGET = 1 << 20
 
 
-def _fold_bank(lift: CenterLift, bank: SineBank, h: float
-               ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The input table of a sine bank, built once per :func:`estimate`.
-
-    Every quad stride samples its input at the same 2p + 1 offsets tau from
-    its anchor a: the p + 1 nodes, then the p half-nodes.  With c + i s =
+def _offset_table(W: np.ndarray, bank: SineBank, h: float, steps: int):
+    """Z (runs, 2 terms, rows of W) with W u = Z [c; s] for a sine bank
+    sampled at the 2 steps + 1 offsets tau = h (0, 1, .., steps, 1/2, ..,
+    steps - 1/2) from an anchor a, as W's columns take them: with c + i s =
     e^{i (w a + p)}, sin(w (a + tau) + p) = c sin(w tau) + s cos(w tau), so
-    the stride's lifted drive W u is Z [c; s] with
-    Z = sum_tau W_tau [g sin(w tau) | g cos(w tau)]; the anchor of stride q
-    is the interval's anchor e turned by rot_q = e^{i w q p h}.  Since rot_q
-    is geometric, the interval's forced response at the stride ends,
-    F_q = sum_{j <= q} Mp^{q-j} Z [e rot_j], is linear in e too: F = Y e
-    with Y_q = Mp Y_{q-1} + rot_q Z.
-
-    Returns (Y, None), Y (runs, 2 terms, n_q ds), when Y fits
-    :data:`FOLD_BUDGET`; else the stride table (Z, rot), Z (runs, 2 terms,
-    ds) and rot (runs, n_q, terms).  Each term's pair of rows is adjacent
-    as in the float view of a complex array.
-    """
-    n_q, stride = lift.n_q, lift.stride
-    tau = h * np.concatenate([np.arange(stride + 1), np.arange(stride) + 0.5])
+    Z = sum_tau W_tau [g sin(w tau) | g cos(w tau)].  Each term's pair of
+    rows is adjacent as in the float view of a complex array."""
+    tau = h * np.concatenate([np.arange(steps + 1), np.arange(steps) + 0.5])
     freqs = np.ascontiguousarray(bank.freqs.T)           # (runs, terms)
     rot = np.exp(1j * freqs * tau[:, None, None])        # (2p+1, runs, terms)
     samples = (bank.gains.transpose(0, 2, 1)[None, :, :, :, None]
                * np.stack([rot.imag, rot.real], axis=-1)[:, None])
     runs, terms = freqs.shape
-    Z = lift.W @ samples.reshape(lift.W.shape[1], 2 * runs * terms)
-    Z = np.ascontiguousarray(Z.reshape(len(Z), runs, 2 * terms)
-                             .transpose(1, 2, 0))
+    Z = W @ samples.reshape(W.shape[1], 2 * runs * terms)
+    return np.ascontiguousarray(Z.reshape(len(Z), runs, 2 * terms)
+                                .transpose(1, 2, 0))
+
+
+def _fold_bank(lift: CenterLift, bank: SineBank, h: float
+               ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The input table of a sine bank, built once per :func:`estimate`.
+
+    Every quad stride samples its input at the same 2p + 1 offsets from its
+    anchor: its lifted drive is W u = Z [c; s] (:func:`_offset_table`), and
+    the anchor of stride q is the interval's anchor e turned by rot_q =
+    e^{i w q p h}.  Since rot_q is geometric, the interval's forced
+    response at the stride ends, F_q = sum_{j <= q} Mp^{q-j} Z [e rot_j],
+    is linear in e too: F = Y e with Y_q = Mp Y_{q-1} + rot_q Z.
+
+    Returns (Y, None), Y (runs, 2 terms, n_q ds), when Y fits
+    :data:`FOLD_BUDGET`; else the stride table (Z, rot), Z (runs, 2 terms,
+    ds) and rot (runs, n_q, terms).
+    """
+    n_q, stride = lift.n_q, lift.stride
+    Z = _offset_table(lift.W, bank, h, stride)
+    runs, terms = Z.shape[0], Z.shape[1] // 2
     rot = np.exp(1j * (stride * h * np.arange(n_q))[:, None]
-                 * freqs[:, None, :])
+                 * bank.freqs.T[:, None, :])
     if Z.nbytes * n_q > FOLD_BUDGET:
         return Z, rot
     # the complex row Zc = Z_re - i Z_im gives Z [c; s] = Re(Zc (c + i s))
@@ -489,6 +508,19 @@ def _sampled_drive(design: DesignArtifacts, w_family, steps: int, runs: int):
         yield U, w[:nodes.size:n_fine].transpose(0, 2, 1)
 
 
+def _center_input(design: DesignArtifacts) -> tuple[np.ndarray, np.ndarray]:
+    """(drive, feed), the same in every run: the input center c_w's drive
+    of x2hat over each sample interval, (N, n2), the lift's ``Wc`` folded
+    with c_w's sine bank (:func:`_offset_table`) at each interval's anchor;
+    and D c_w(t_k) at the sample times, (N + 1, n_y)."""
+    cfg, bank = design.cfg, design.cfg.cw.sine_bank()
+    Z = _offset_table(design.lift.Wc, bank, cfg.h_fine, cfg.n_fine)[0]
+    t = cfg.h_fine * (cfg.n_fine * np.arange(cfg.n_steps + 1))
+    e = np.exp(1j * (bank.freqs[:, 0] * t[:, None] + bank.phases[:, 0]))
+    return (e[:-1].view(float) @ Z,
+            e.imag @ (cfg.system.D @ bank.gains[:, :, 0]).T)
+
+
 def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
              schedule: ShapeSchedule):
     """Run the estimator on a batch of runs, yielding one
@@ -506,20 +538,20 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
     of all runs on its quad nodes within :data:`FOLD_BUDGET`; its buffers
     are allocated once per call.
 
-    The pass only advances centers.  Per chunk it advances the continuous
-    blocks (plant, derivative bank, unknown-input observer) by the lifted
-    map of :class:`CenterLift`: for a folded bank, a loop of one product
-    with Mp^{n_q} per interval takes the states at the sample times, then
-    one product with Phi plus the forced responses takes every other quad
-    node; for a bank over :data:`FOLD_BUDGET` and for a callable, a loop of
-    one product with Mp per quad stride.  The rest is taken for the whole
-    chunk at once: the outputs, the eps1 gaps, the x2 block's quadrature
-    drive and innovation terms, the fused centers and each run's quadratic
-    form; only the x2 recursion (e^{A4 dt} and, on update steps, O_k times
-    the innovation) stays a loop over the chunk's steps.
+    The pass only advances centers, all by the lifted map of
+    :class:`CenterLift`: for a folded bank, a loop of one product with
+    Mp^{n_q} per interval takes the states at the sample times, then one
+    product with Phi plus the forced responses takes every other quad node;
+    for a bank over :data:`FOLD_BUDGET` and for a callable, a loop of one
+    product with Mp per quad stride.  At each t_k either loop adds c_w's
+    drive of x2hat (:func:`_center_input`) and, where the schedule's gate
+    is open, O_k (y_k - C1 x1hat - D c_w(t_k) - C2 x2hat): one map of the
+    state and one product with the gain.  x2hat is exact at the sample
+    times only.  The eps1 gaps, the fused centers and each run's quadratic
+    form are taken for the whole chunk at once.
     """
     cfg, dec, lift = design.cfg, design.dec, design.lift
-    sys, n, x1, n1, n2 = dec.system, lift.n_x, lift.x1, dec.n1, dec.n2
+    sys, n, x1, x2, n2 = dec.system, lift.n_x, lift.x1, lift.x2, dec.n2
     n_q, N, ds = lift.n_q, cfg.n_steps, lift.Mp.shape[0]
     X0 = np.asarray(X0, dtype=float)
     runs = X0.shape[1]
@@ -534,36 +566,28 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
     # (n_q, N) eps1 on the quad nodes after the start of each interval
     eps1_q = design.eps1_grid[1:N * n_q + 1].reshape(N, n_q).T[:, :, None]
     P1invT = schedule.P1inv.T
-    T1 = dec.P1[:n1]                    # x1 = T1 x
+    T1 = dec.P1[:dec.n1]                # x1 = T1 x
     MpT = np.ascontiguousarray(lift.Mp.T)
     PhiT = lift.Phi.reshape(n_q, ds, ds).transpose(0, 2, 1)
     MpnT = np.ascontiguousarray(PhiT[-1])
-    if n2:
-        # x2's quadrature drive from x1hat on an interval's quad nodes; the
-        # drive of c_w and the update's feedthrough of it are the same in
-        # every run: take them for all N steps at once
-        Dq = center_drive(dec.B2p, cfg.dt, schedule.kernels)
-        D0, Dn = Dq[0, :, :n1].T, Dq[1:, :, :n1].transpose(0, 2, 1)
-        cw_q = cfg.cw(design.eps1_ts)[n_q * np.arange(N)[:, None]
-                                      + np.arange(n_q + 1)]
-        cw_drive = (cw_q.reshape(N, -1) @ Dq[:, :, n1:].transpose(0, 2, 1)
-                    .reshape(-1, n2))[:, None]
-        cw_feed = (cw_q[:, -1] @ dec.D2p[:, n1:].T)[:, None]
-        K0T, C2T, D2T = schedule.kernels[0].T, dec.C2.T, dec.D2p[:, :n1].T
+    gate = (~schedule.skipped).tolist()
+    if n2:  # an empty weak block has no x2hat work to do
+        cw_drive, cw_feed = _center_input(design)
+        # the state's part of the innovation y_k - C1 x1hat - C2 x2hat
+        H = np.zeros((ds, sys.n_y))
+        H[:n], H[x1], H[x2] = sys.C.T, -dec.C1.T, -dec.C2.T
         OT = schedule.O.transpose(0, 2, 1)
 
     s = np.zeros((runs, ds))
     s[:, :n] = X0.T
-    xp0 = dec.P1 @ cfg.xhat0
-    s[:, x1] = xp0[:n1]
-    x2 = np.tile(xp0[n1:], (runs, 1))
+    s[:, x1.start:] = dec.P1 @ cfg.xhat0
     U, w = next(drive)
     s[:, n:n + sys.n_y] = X0.T @ sys.C.T + w[0] @ sys.D.T
-    xhat = np.concatenate([s[:, x1], x2], axis=1) @ P1invT
+    xhat = s[:, x1.start:] @ P1invT
     yield EstimateChunk(
-        k=slice(0, 1), x=X0[None].copy(), y=s[:, n:n + sys.n_y].T[None].copy(),
+        k=slice(0, 1), x=X0[None].copy(),
         x1hat_q=s[:, x1].T[None, None].copy(), eps1_gap=np.empty((1, 0, runs)),
-        x2hat=x2.T[None].copy(), xhat=xhat.T[None],
+        x2hat=s[:, x2].T[None].copy(), xhat=xhat.T[None],
         q=quadratic_forms(schedule.inv_factor[0], X0, xhat.T)[None])
 
     chain_buf = np.empty((steps + 1) * runs * ds)
@@ -572,6 +596,11 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
     for k0, b in _chunks(N, steps):
         if k0:
             U, w = next(drive)
+        # the interval ends' forced responses gain c_w's drive of x2hat
+        if n2:
+            last = U[:, :, -1] if folded else U[-1].swapaxes(0, 1)
+            last[..., x2] += cw_drive[k0:k0 + b]
+            feed = (w[1:] @ sys.D.T) - cw_feed[k0 + 1:k0 + b + 1, None]
         # chain: the states at t_{k0} .. t_{k0+b}; S: every quad node of the
         # chunk's intervals after their start, so S[-1] = chain[1:]
         chain = chain_buf[:(b + 1) * runs * ds].reshape(b + 1, runs, ds)
@@ -580,53 +609,41 @@ def estimate(design: DesignArtifacts, X0: np.ndarray, w_family,
             S = node_buf[:n_q * b * runs * ds].reshape(n_q, b, runs, ds)
             for j in range(b):
                 np.matmul(chain[j], MpnT, out=tmp)
-                np.add(tmp, U[:, j, -1], out=chain[j + 1])
+                s = np.add(tmp, U[:, j, -1], out=chain[j + 1])
+                if gate[k0 + 1 + j]:
+                    s[:, x2] += (s @ H + feed[j]) @ OT[k0 + 1 + j]
             np.matmul(chain[:b].reshape(-1, ds), PhiT[:-1],
                       out=S[:-1].reshape(n_q - 1, -1, ds))
             S[:-1] += U.transpose(2, 1, 0, 3)[:-1]
             S[-1] = chain[1:]
         else:   # each stride's drive turns into its end state in place
-            S, prev = U, s
+            S = U
             for j in range(b):
                 for q in range(n_q):
-                    np.matmul(prev, MpT, out=tmp)
-                    prev = S[q, j]
-                    prev += tmp
+                    np.matmul(s, MpT, out=tmp)
+                    s = S[q, j]
+                    s += tmp
+                if gate[k0 + 1 + j]:
+                    s[:, x2] += (s @ H + feed[j]) @ OT[k0 + 1 + j]
             chain[1:] = S[-1]
         s = chain[b].copy()
 
         nodes, ends = S.reshape(-1, ds), S[-1].reshape(-1, ds)
-        x, x1hat = ends[:, :n], ends[:, x1]
-        y = ((x @ sys.C.T).reshape(b, runs, -1)
-             + (w.reshape(-1, w.shape[-1]) @ sys.D.T).reshape(b + 1, runs, -1)
-             [1:])
         err = T1 @ nodes[:, :n].T
         err -= nodes[:, x1].T
         err = np.sqrt(np.einsum("ij,ij->j", err, err))
         gap = eps1_q[:, k0:k0 + b] - err.reshape(n_q, b, runs)
-        X2 = np.empty((b, runs, n2))
-        if n2:
-            pre = (np.einsum("qbri,qia->bra", S[..., x1], Dn)
-                   + (chain[:b, :, x1].reshape(-1, n1) @ D0).reshape(b, runs,
-                                                                     n2)
-                   + cw_drive[k0:k0 + b])
-            innov = (y - cw_feed[k0:k0 + b]
-                     - (x1hat @ D2T).reshape(b, runs, -1))
-            for j in range(b):
-                x2 = x2 @ K0T + pre[j]
-                if not schedule.skipped[k0 + 1 + j]:
-                    x2 = x2 + (innov[j] - x2 @ C2T) @ OT[k0 + 1 + j]
-                X2[j] = x2
-        xhat = (np.concatenate([x1hat, X2.reshape(b * runs, n2)], axis=1)
-                @ P1invT).reshape(b, runs, n).transpose(0, 2, 1)
-        x = x.reshape(b, runs, n).transpose(0, 2, 1).copy()
-        x1hat_q = np.empty((b, n_q + 1, n1, runs))
+        xhat = ((ends[:, x1.start:] @ P1invT).reshape(b, runs, n)
+                .transpose(0, 2, 1))
+        x = ends[:, :n].reshape(b, runs, n).transpose(0, 2, 1).copy()
+        x1hat_q = np.empty((b, n_q + 1, dec.n1, runs))
         x1hat_q[:, 0] = chain[:b, :, x1].transpose(0, 2, 1)
         x1hat_q[:, 1:] = S[..., x1].transpose(1, 0, 3, 2)
         yield EstimateChunk(
-            k=slice(k0 + 1, k0 + b + 1), x=x, y=y.transpose(0, 2, 1),
-            x1hat_q=x1hat_q, eps1_gap=gap.transpose(1, 0, 2),
-            x2hat=X2.transpose(0, 2, 1), xhat=xhat,
+            k=slice(k0 + 1, k0 + b + 1), x=x, x1hat_q=x1hat_q,
+            eps1_gap=gap.transpose(1, 0, 2),
+            x2hat=ends[:, x2].reshape(b, runs, n2).transpose(0, 2, 1).copy(),
+            xhat=xhat,
             q=quadratic_forms(schedule.inv_factor[k0 + 1:k0 + b + 1], x,
                               xhat))
 

@@ -302,9 +302,6 @@ class Epsilon1Evaluator:
                 f"t={t} is not on the cached quadrature grid (step {self.h})")
         return m
 
-    def at(self, t: float) -> float:
-        return float(self._vals[self._index(t)])
-
     def grid(self, t_end: float) -> tuple[np.ndarray, np.ndarray]:
         """eps1 at every output grid time up to t_end."""
         m_end = self._index(t_end)

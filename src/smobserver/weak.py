@@ -10,8 +10,9 @@ block.  The weak block's input bound (Q = K_w: gamma_k, K_u, G_k), the fused
 full-state set (Q = P2hat: mu_k) and the certificate's gain bounds all go
 through these two functions.
 
-Shapes and gains depend on the system only; the one center formula here is
-:func:`center_drive`, the x2 block's quadrature drive.  Only alpha_k, the
+Everything here is a shape or a gain and depends on the system only; the
+x2 center is advanced with the other centers by ``pipeline.CenterLift``.
+Only alpha_k, the
 predicted shape, beta_k and the update depend on the previous shape, so
 :func:`gamma_terms`, :func:`propagate` (M2k), :func:`gk_matrix`,
 :func:`update_is_informative` and :func:`update_information` take every
@@ -149,20 +150,6 @@ def propagate(dec, eps1_q: np.ndarray, Kw_q: np.ndarray, dt: float,
     KBs = kernels @ dec.B2p
     w = simpson_weights(substeps, dt / substeps)[:, None, None]
     return symmetrize(np.sum(w * (KBs @ Ku @ KBs.swapaxes(-1, -2)), axis=-3))
-
-
-def center_drive(B2p: np.ndarray, dt: float,
-                 kernels: np.ndarray) -> np.ndarray:
-    """The (m+1, n2, n1+n_w) stack w_j e^{A4 (t_k - tau_j)} B2', w_j the
-    :func:`~smobserver.numerics.simpson_weights` of the m + 1 quadrature
-    nodes of :func:`quad_kernels`.
-
-    The predicted x2 center of a step is e^{A4 dt} x2 + sum_j drive[j]
-    u(tau_j), which integrates e^{A4 (t_k - tau)} B2' u by Simpson's rule,
-    with u = col(x1hat, c_w) on the nodes.
-    """
-    m = kernels.shape[0] - 1
-    return simpson_weights(m, dt / m)[:, None, None] * (kernels @ B2p)
 
 
 def gk_matrix(dec, Ku_tk: np.ndarray) -> np.ndarray:

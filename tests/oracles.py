@@ -1,7 +1,8 @@
 """Test oracles: the two matrix forms of the weak-block measurement update,
 as references of the eigenbasis form that ``weak.measurement_update``
-implements, and the continuous plant / derivative-bank / observer cascade,
-as references of the lifted center recurrence."""
+implements, and the continuous plant / derivative-bank / observer cascade
+with the weak block's predictor, as references of the lifted center
+recurrence."""
 
 import numpy as np
 import scipy.linalg as sla
@@ -24,6 +25,15 @@ def kalman_update(P2_pred, C2, Gk, beta):
     S = C2 @ P2_pred @ C2.T / (1.0 - beta) + Gk / beta
     Ok = P2_pred @ C2.T @ np.linalg.inv(S) / (1.0 - beta)
     return (np.eye(P2_pred.shape[0]) - Ok @ C2) @ P2_pred / (1.0 - beta), Ok
+
+
+def sqrtm_polyline(center, K, n_points=50):
+    """The closed boundary polyline center + sqrtm(K) [cos phi; sin phi] of
+    a 2-D ellipsoid, phi on n_points equally spaced angles in [0, 2 pi]:
+    the per-row reference of ``ellipsoid.boundary_polylines``."""
+    phi = np.linspace(0.0, 2.0 * np.pi, n_points)
+    return center + (sla.sqrtm(K).real @ np.vstack([np.cos(phi),
+                                                    np.sin(phi)])).T
 
 
 # -- the continuous center cascade ------------------------------------------
@@ -82,34 +92,49 @@ def hold_step(A, B, h):
     return X[:, :n], G
 
 
-def exosystem_centers(design, x0, signal):
+def exosystem_centers(design, x0, signal, schedule):
     """The exact centers of one run whose input is the sum of sines (and
-    constants) ``signal``: the cascade plus one harmonic oscillator
-    [sin(w t + p); cos(w t + p)] per term, advanced by one exponential per
-    quad step.
+    constants) ``signal``: the cascade, the weak block's predictor
+    x2hat' = A4 x2hat + A2 x1hat + B2 c_w, and one harmonic oscillator
+    [sin(w t + p); cos(w t + p)] per term of ``signal`` and of c_w,
+    advanced by one exponential per quad step.  At every t_k where
+    ``schedule`` opens the gate, x2hat jumps by
+    O_k (y_k - C1 x1hat - D c_w(t_k) - C2 x2hat).
 
-    Returns the plant state at every sample time and x1hat on every quad
-    node.
+    Returns the plant state at every sample time, x1hat on every quad node
+    and x2hat at every sample time.
     """
-    cfg, n1 = design.cfg, design.dec.n1
+    cfg, dec = design.cfg, design.dec
+    sys, n1, n2, n_q = dec.system, dec.n1, dec.n2, cfg.quad_substeps
     A_s, B_s = cascade(design)
-    bank = signal.sine_bank()
-    gains, freqs, phases = bank.gains[..., 0], bank.freqs[:, 0], \
-        bank.phases[:, 0]
-    ds, terms = A_s.shape[0], freqs.size
-    A = np.zeros((ds + 2 * terms, ds + 2 * terms))
+    ds = A_s.shape[0]
+    x1, x2 = slice(ds - n1, ds), slice(ds, ds + n2)
+    w_bank, c_bank = signal.sine_bank(), cfg.cw.sine_bank()
+    g_w, g_c = w_bank.gains[..., 0], c_bank.gains[..., 0]
+    terms = [(f, p) for bank in (w_bank, c_bank)
+             for f, p in zip(bank.freqs[:, 0], bank.phases[:, 0])]
+    w_sin = slice(ds + n2, ds + n2 + 2 * g_w.shape[1], 2)
+    c_sin = slice(w_sin.stop, None, 2)
+    A = np.zeros((ds + n2 + 2 * len(terms),) * 2)
     A[:ds, :ds] = A_s
-    A[:ds, ds::2] = B_s @ gains             # w = sum_j g_j sin(w_j t + p_j)
-    for j, f in enumerate(freqs):
-        A[ds + 2 * j:ds + 2 * j + 2, ds + 2 * j:ds + 2 * j + 2] = \
-            [[0.0, f], [-f, 0.0]]
-    v = np.zeros(ds + 2 * terms)
-    v[:ds] = initial_cascade_state(design, x0, gains @ np.sin(phases))
-    v[ds::2], v[ds + 1::2] = np.sin(phases), np.cos(phases)
-    step = sla.expm(A * (cfg.dt / cfg.quad_substeps))
+    A[:ds, w_sin] = B_s @ g_w               # w = sum_j g_j sin(w_j t + p_j)
+    A[x2, x1], A[x2, x2], A[x2, c_sin] = dec.A2, dec.A4, dec.B2 @ g_c
+    v = np.zeros(len(A))
+    for j, (f, p) in enumerate(terms):
+        o = slice(ds + n2 + 2 * j, ds + n2 + 2 * j + 2)
+        A[o, o] = [[0.0, f], [-f, 0.0]]
+        v[o] = np.sin(p), np.cos(p)
+    v[:ds] = initial_cascade_state(design, x0, g_w @ v[w_sin])
+    v[x2] = (dec.P1 @ cfg.xhat0)[n1:]
+    step = sla.expm(A * (cfg.dt / n_q))
     nodes = [v]
-    for _ in range(cfg.n_steps * cfg.quad_substeps):
-        nodes.append(step @ nodes[-1])
+    for i in range(1, cfg.n_steps * n_q + 1):
+        v = step @ v
+        k, r = divmod(i, n_q)
+        if r == 0 and not schedule.skipped[k]:
+            y = sys.C @ v[:sys.n_x] + sys.D @ (g_w @ v[w_sin])
+            v[x2] += schedule.O[k] @ (y - sys.D @ (g_c @ v[c_sin])
+                                      - dec.C1 @ v[x1] - dec.C2 @ v[x2])
+        nodes.append(v)
     nodes = np.array(nodes)
-    n = design.dec.system.n_x
-    return nodes[::cfg.quad_substeps, :n], nodes[:, ds - n1:ds]
+    return nodes[::n_q, :sys.n_x], nodes[:, x1], nodes[::n_q, x2]

@@ -9,6 +9,7 @@ import pytest
 import smobserver.hgo as hgo
 import smobserver.pipeline as pipeline
 import smobserver.uio as uio
+from conftest import make_mixed3_scenario
 from oracles import cascade, exosystem_centers, hold_step, \
     initial_cascade_state
 from smobserver.ellipsoid import Ellipsoid
@@ -26,12 +27,11 @@ def node_by_node(design, x0, w_fn):
     time, its input quadratic through the node, half-node and next-node
     samples of ``w_fn``.
 
-    Returns the plant state at every sample time, the output at every
-    sample time after t = 0, the observer on every quad node, and
-    eps1 - ||x1 - x1hat|| on every quad node after t = 0.
+    Returns the plant state at every sample time, the observer on every
+    quad node, and eps1 - ||x1 - x1hat|| on every quad node after t = 0.
     """
     cfg, dec = design.cfg, design.dec
-    sys, n, n1, h = dec.system, dec.system.n_x, dec.n1, cfg.h_fine
+    n, n1, h = dec.system.n_x, dec.n1, cfg.h_fine
     stride = cfg.n_fine // cfg.quad_substeps
     ts = h * np.arange(cfg.n_steps * cfg.n_fine + 1)
     w = np.asarray(w_fn(ts), dtype=float)
@@ -45,9 +45,7 @@ def node_by_node(design, x0, w_fn):
     gaps = (design.eps1_grid[1:]
             - np.linalg.norm((quad[1:, :n] @ dec.P1.T)[:, :n1]
                              - x1hat_q[1:], axis=1))
-    samples = slice(0, None, cfg.n_fine)
-    ys = xs[samples] @ sys.C.T + w[samples] @ sys.D.T
-    return xs[samples], ys[1:], x1hat_q, gaps
+    return xs[::cfg.n_fine], x1hat_q, gaps
 
 
 def lifted(design, X0, w_family):
@@ -70,11 +68,11 @@ def lifted(design, X0, w_family):
     x1hat_q = np.concatenate([first.x1hat_q[0]] + [
         c.x1hat_q[:, 1:].reshape(-1, n1, runs) for c in chunks[1:]])
     gaps = np.concatenate([c.eps1_gap.reshape(-1, runs) for c in chunks])
-    return joined("x"), joined("y")[1:], x1hat_q, gaps
+    return joined("x"), x1hat_q, gaps
 
 
 def assert_blocks_close(ref, got):
-    for name, r, g in zip(("x", "y", "x1hat", "eps1 gap"), ref, got):
+    for name, r, g in zip(("x", "x1hat", "eps1 gap"), ref, got):
         assert r.shape == g.shape, name
         tol = RTOL * np.max(np.abs(r))
         if name == "eps1 gap":
@@ -82,7 +80,7 @@ def assert_blocks_close(ref, got):
             # against the size of the states it is made of, plus the one
             # rounding of that subtraction at the gap's own magnitude
             # (eps1 reaches 1e8 on example1, where one ulp is 1.5e-8)
-            tol = (RTOL * np.max(np.abs(ref[2]))
+            tol = (RTOL * np.max(np.abs(ref[1]))
                    + np.spacing(np.max(np.abs(r))))
         assert np.max(np.abs(r - g)) <= tol, name
 
@@ -126,12 +124,31 @@ def test_lifted_centers_match_the_exact_exosystem_reference(cfg_mixed,
     (not by its samples), to 1e-8 of each block's maximum."""
     for cfg in scenarios(cfg_mixed, cfg_ex1, cfg_ex2):
         design = build_design(cfg)
-        ref = exosystem_centers(design, cfg.xhat0, cfg.w_true)
-        x, _, x1hat_q, _ = lifted(design, cfg.xhat0[:, None],
-                                  cfg.w_true.sine_bank())
+        ref = exosystem_centers(design, cfg.xhat0, cfg.w_true,
+                                shape_schedule(design))
+        x, x1hat_q, _ = lifted(design, cfg.xhat0[:, None],
+                               cfg.w_true.sine_bank())
         for r, g in zip(ref, (x[..., 0], x1hat_q[..., 0])):
             assert r.shape == g.shape
             assert np.max(np.abs(r - g)) <= 1e-8 * np.max(np.abs(r))
+
+
+def test_weak_centers_match_the_exact_exosystem_reference(cfg_mixed, cfg_ex2):
+    """x2hat at the sample times is the continuous predictor driven by
+    x1hat and by c_w itself, with the schedule's update jump at every t_k,
+    to 1e-8 of its maximum: on the mixed system over 30 s (an update every
+    step), its two-state weak block over 1 s, and example2 over 3 s (no
+    update)."""
+    for cfg in (cfg_mixed.with_overrides(horizon=30.0), make_mixed3_scenario(),
+                cfg_ex2.with_overrides(horizon=3.0)):
+        design = build_design(cfg)
+        schedule = shape_schedule(design)
+        assert schedule.skipped[1:].all() == (cfg.name == "example2")
+        ref = exosystem_centers(design, cfg.xhat0, cfg.w_true, schedule)[2]
+        got = run_algorithm1(cfg, design=design,
+                             with_certificate=False).weak_states.x2hat
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
 def test_estimate_steps_no_fine_node(monkeypatch, cfg_mixed):
@@ -229,7 +246,7 @@ def test_input_family_is_admissible(cfg_ex1, design_ex2, kind):
 def test_sweep_builds_offset_table_once(monkeypatch, cfg_mixed):
     """A constant-K_w sweep folds its input bank into the stride table once
     and never samples the input, so no per-interval sample table is
-    built."""
+    built.  (The scenario, built first, checks w_true on its samples.)"""
     fold = pipeline._fold_bank
     builds = []
 
@@ -240,10 +257,10 @@ def test_sweep_builds_offset_table_once(monkeypatch, cfg_mixed):
     def forbidden(*args, **kwargs):
         raise AssertionError("input sampled by a constant-K_w sweep")
 
+    cfg = cfg_mixed.with_overrides(horizon=2.0)
     monkeypatch.setattr(pipeline, "_fold_bank", counting)
     monkeypatch.setattr(pipeline, "_sampled_drive", forbidden)
     monkeypatch.setattr(SineBank, "__call__", forbidden)
-    cfg = cfg_mixed.with_overrides(horizon=2.0)
     assert monte_carlo_containment(cfg, runs=4, seed=3)["runs"] == 4
     # one c_w term and mc_n_terms sines per run
     assert builds == [(1 + cfg.mc_n_terms, 4)]

@@ -11,6 +11,7 @@ from smobserver.ellipsoid import (MEMBERSHIP_SLACK, Ellipsoid, axis_bounds,
                                   quadratic_forms, volume)
 from smobserver.errors import InvalidEllipsoidError
 from smobserver.weak import stacking_gain
+from oracles import sqrtm_polyline
 
 
 def _random_spd(rng, n, scale=1.0):
@@ -102,12 +103,12 @@ def test_invalid_shapes_raise():
 
 def test_boundary_polylines_match_per_row_points():
     """The batched polylines (closed-form square roots) equal each row's
-    ``Ellipsoid.boundary_points`` (``sqrtm``) to 1e-12 of the row's largest
-    coordinate, from well-conditioned shapes to condition number 1e6 and
-    scales from 1e-6 to 1e90 (a 2x2 shape of condition number c fixes its
-    square root only to about 1e-16 sqrt(c) of its norm, whichever way it
-    is taken); a non-symmetric or an indefinite shape anywhere in the
-    stack raises the error ``Ellipsoid`` raises."""
+    ``sqrtm`` polyline (:func:`oracles.sqrtm_polyline`) to 1e-12 of the
+    row's largest coordinate, from well-conditioned shapes to condition
+    number 1e6 and scales from 1e-6 to 1e90 (a 2x2 shape of condition
+    number c fixes its square root only to about 1e-16 sqrt(c) of its
+    norm, whichever way it is taken); a non-symmetric or an indefinite
+    shape anywhere in the stack raises the error ``Ellipsoid`` raises."""
     rng = np.random.default_rng(3)
     N = 200
     rot = np.linalg.qr(rng.standard_normal((N, 2, 2)))[0]
@@ -119,7 +120,7 @@ def test_boundary_polylines_match_per_row_points():
     got = boundary_polylines(centers, shapes, 17)
     assert got.shape == (N, 17, 2)
     for c, K, pts in zip(centers, shapes, got):
-        ref = Ellipsoid(c, K).boundary_points(17)
+        ref = sqrtm_polyline(c, K, 17)
         assert np.max(np.abs(pts - ref)) <= 1e-12 * np.max(np.abs(ref))
     for bad, match in ((np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
                        (np.diag([1.0, 0.0]), "positive definite"),
@@ -133,7 +134,7 @@ def test_boundary_polylines_match_per_row_points():
 
 def test_boundary_points_closed_polyline():
     e = Ellipsoid(np.array([1.0, -1.0]), np.diag([4.0, 1.0]))
-    pts = e.boundary_points(33)
+    pts = boundary_polylines(e.center[None], e.shape[None], 33)[0]
     assert pts.shape == (33, 2)
     assert np.allclose(pts[0], pts[-1], atol=1e-12)
     q = quadratic_forms(inverse_factors(e.shape), pts.T, e.center[:, None])

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smobserver.certificates import (AssumptionConstants, CertificateReport,
                                      expm1_over_x, exponential_envelopes,
@@ -154,7 +157,6 @@ def test_exponential_envelopes_dominate_samples():
     rng = np.random.default_rng(6)
     A4 = rng.standard_normal((3, 3))
     l_hi, a_hi, l_lo, a_lo = exponential_envelopes(A4)
-    import scipy.linalg as sla
     for t in np.linspace(0.0, 3.0, 60):
         assert np.linalg.norm(sla.expm(A4 * t), 2) <= \
             a_hi * np.exp(l_hi * t) * (1.0 + 1e-9)
@@ -174,6 +176,49 @@ def test_grammian_kappa1_scalar_closed_form():
     ref = np.expm1(2.0 * a * dt) / (2.0 * a)
     assert grammian_kappa1(np.array([[a]]), dt) == pytest.approx(ref,
                                                                  rel=1e-8)
+
+
+def fine_grammian_kappa1(A4, dt):
+    """lambda_min of int_0^dt e^{A4 s} e^{A4^T s} ds by the composite
+    Simpson rule at step 1e-5.  e^{A4 s} at node j is e^{A4 (j mod 100) h}
+    e^{A4 (j // 100) 100 h}, each factor its own expm, so no long chain of
+    products accumulates rounding."""
+    m = 2 * int(round(dt / 2e-5))
+    h = dt / m
+    T = np.array([sla.expm(A4 * (h * i)) for i in range(100)])
+    Q = np.array([sla.expm(A4 * (100 * h * b)) for b in range(m // 100 + 1)])
+    j = np.arange(m + 1)
+    E = T[j % 100] @ Q[j // 100]
+    w = np.where(j % 2, 4.0, 2.0)
+    w[0] = w[-1] = 1.0
+    G = h / 3.0 * np.einsum("j,jab,jcb->ac", w, E, E)
+    return float(np.linalg.eigvalsh(0.5 * (G + G.T))[0])
+
+
+@st.composite
+def hurwitz_matrices(draw):
+    """Random A4 with n2 <= 3: entries in [-5, 5], shifted so that the
+    spectral abscissa lies in [-20, -0.05]."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    M = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    shift = draw(st.floats(0.05, 20.0))
+    return M - (np.max(np.linalg.eigvals(M).real) + shift) * np.eye(n)
+
+
+@given(hurwitz_matrices())
+@example(np.diag([-17.0, -20.0]))   # example2's A4
+@settings(max_examples=30, deadline=None)
+def test_grammian_kappa1_never_exceeds_the_fine_reference(A4):
+    """kappa1 scales q_lo, so it must not lie above the Grammian's true
+    lambda_min: at most the 1e-5-step reference times 1 + 1e-12 (example2's
+    A4 at dt = 0.1 is the case where 200 Simpson cells overshoot by 8.9e-10),
+    and within 1e-9 of it."""
+    dt = 0.1
+    ref = fine_grammian_kappa1(A4, dt)
+    kappa1 = grammian_kappa1(A4, dt)
+    assert kappa1 <= ref * (1.0 + 1e-12)
+    assert kappa1 >= ref * (1.0 - 1e-9)
 
 
 def test_gamma_bounds_order_and_consistency():

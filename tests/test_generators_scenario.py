@@ -17,8 +17,9 @@ def test_term_evaluation_and_bounds():
     c = Term(kind="const", value=2.0)
     s = Term(kind="sin", amp=0.5, freq=3.0, phase=0.1)
     ts = np.linspace(0.0, 1.0, 7)
-    assert np.allclose(c(ts), 2.0)
-    assert np.allclose(s(ts), 0.5 * np.sin(3.0 * ts + 0.1))
+    assert np.allclose(SignalGenerator(components=((c,),))(ts)[:, 0], 2.0)
+    assert np.allclose(SignalGenerator(components=((s,),))(ts)[:, 0],
+                       0.5 * np.sin(3.0 * ts + 0.1))
     assert c.deriv_bound(0) == 2.0 and c.deriv_bound(1) == 0.0
     assert s.deriv_bound(2) == pytest.approx(0.5 * 9.0)
 

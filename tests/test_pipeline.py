@@ -21,6 +21,7 @@ from smobserver.pipeline import (build_design, certify_scenario, emit_plot_data,
                                  run_algorithm1,
                                  shape_schedule, simulate_plant, trace_header)
 from smobserver.scenario import ScenarioConfig
+from oracles import sqrtm_polyline
 
 UPDATE_GRAMMIAN = (Path(__file__).resolve().parents[1] / "perfbench"
                    / "scenarios" / "update_grammian.yaml")
@@ -62,12 +63,11 @@ def test_simulate_plant_pure_integrator():
 # -- estimation loop --------------------------------------------------------
 
 def joined(chunks) -> dict:
-    """The centers, outputs and quadratic forms of :func:`estimate`'s
-    chunks joined along the step axis, and the eps1 gaps as one row per
-    quad node."""
+    """The centers and quadratic forms of :func:`estimate`'s chunks joined
+    along the step axis, and the eps1 gaps as one row per quad node."""
     chunks = list(chunks)
     out = {name: np.concatenate([getattr(c, name) for c in chunks])
-           for name in ("x", "y", "x2hat", "xhat", "q")}
+           for name in ("x", "x2hat", "xhat", "q")}
     out["eps1_gap"] = np.concatenate(
         [c.eps1_gap.reshape(-1, c.q.shape[-1]) for c in chunks])
     return out
@@ -325,10 +325,9 @@ def _row_emit_plot_data(run, out_dir, ellipse_axes) -> None:
         w = csv.writer(fh)
         w.writerow(["t", "px", "py"])
         for row, K in zip(run.traces, run.schedule.shape):
-            sub = Ellipsoid(
-                np.array([row.xhat[i], row.xhat[j]]),
-                np.array([[K[i, i], K[i, j]], [K[j, i], K[j, j]]]))
-            for p in sub.boundary_points(50):
+            for p in sqrtm_polyline(
+                    np.array([row.xhat[i], row.xhat[j]]),
+                    np.array([[K[i, i], K[i, j]], [K[j, i], K[j, j]]])):
                 w.writerow([_fmt(row.t), _fmt(p[0]), _fmt(p[1])])
 
 

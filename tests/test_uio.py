@@ -141,6 +141,11 @@ def test_cell_weights_integrate_quadratics_exactly():
             assert float(w @ nodes) == pytest.approx(exact, rel=1e-14)
 
 
+def eps1_at(ev, t):
+    """eps1 at the grid time t: the last value of ``ev.grid(t)``."""
+    return float(ev.grid(t)[1][-1])
+
+
 def test_eps1_grid_independence():
     """Values at shared times must not depend on the output spacing."""
     p = _scalar_params()
@@ -149,7 +154,7 @@ def test_eps1_grid_independence():
     e2 = Epsilon1Evaluator(p, E, 0.02, 2.0)
     e3 = Epsilon1Evaluator(p, E, 0.005, 2.0)
     for t in (0.1, 0.5, 1.0, 1.7, 2.0):
-        v1, v2, v3 = e1.at(t), e2.at(t), e3.at(t)
+        v1, v2, v3 = eps1_at(e1, t), eps1_at(e2, t), eps1_at(e3, t)
         assert v2 == pytest.approx(v1, rel=1e-11)
         assert v3 == pytest.approx(v1, rel=1e-11)
 
@@ -157,14 +162,14 @@ def test_eps1_grid_independence():
 def test_eps1_initial_value():
     p = _scalar_params()
     ev = Epsilon1Evaluator(p, np.array([[-1.0]]), 0.1, 1.0)
-    assert ev.at(0.0) == pytest.approx(p.init_norm, rel=1e-12)
+    assert eps1_at(ev, 0.0) == pytest.approx(p.init_norm, rel=1e-12)
 
 
 def test_eps1_off_grid_time_raises():
     p = _scalar_params()
     ev = Epsilon1Evaluator(p, np.array([[-1.0]]), 0.1, 1.0)
     with pytest.raises(InvalidParameterError):
-        ev.at(0.0501)
+        ev.grid(0.0501)
 
 
 def test_eps1_uniform_bounds_bracket_grid():
@@ -312,7 +317,8 @@ def test_psi_recoverable(design_ex2):
     ev0 = Epsilon1Evaluator(replace(p, init_norm=0.0), design.uio.E, 0.1, 1.0)
     for t in (0.0, 0.5, 1.0):
         lead = np.linalg.norm(expm(design.uio.E * t), 2) * p.init_norm
-        assert ev.at(t) == pytest.approx(lead + ev0.at(t), rel=1e-6)
+        assert eps1_at(ev, t) == pytest.approx(lead + eps1_at(ev0, t),
+                                               rel=1e-6)
 
 
 def test_step_uio_discretization_belongs_to_its_design():

@@ -5,17 +5,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 from smobserver.decomposition import build_decomposition
 from smobserver.errors import InvalidParameterError, SingularNoiseError
 from smobserver.numerics import expm
 from smobserver.weak import (ALPHA_CLIP, BETA_HI, BETA_LO, build_Ku,
-                             center_drive, check_shape, gamma_terms,
-                             gk_matrix, measurement_update, optimize_beta,
-                             propagate, quad_kernels, shape_recursion,
-                             stacking_gain, update_information,
-                             update_is_informative)
+                             check_shape, gamma_terms, gk_matrix,
+                             measurement_update, optimize_beta, propagate,
+                             quad_kernels, shape_recursion, stacking_gain,
+                             update_information, update_is_informative)
 from oracles import kalman_update, woodbury_shape
 
 
@@ -53,19 +51,16 @@ def dec_mixed(cfg_mixed):
     return build_decomposition(cfg_mixed.system)
 
 
-def _step_inputs(m=20, dt=0.1):
-    """(x1hat, eps1, c_w, K_w) on the m + 1 quadrature nodes of one step."""
-    ts = np.linspace(0.0, dt, m + 1)
-    return (0.5 * np.sin(3.0 * ts)[:, None], 0.2 * np.ones(m + 1),
-            0.3 * np.sin(ts)[:, None],
-            np.tile(np.array([[0.25]]), (m + 1, 1, 1)))
+def _step_inputs(m=20):
+    """(eps1, K_w) on the m + 1 quadrature nodes of one step."""
+    return 0.2 * np.ones(m + 1), np.tile(np.array([[0.25]]), (m + 1, 1, 1))
 
 
 def _propagate(P2, dec, inp, dt, m):
     """(P2_pred, alpha, M2k) of one step at the step's own gain, as the
     shape schedule forms them: M2k from propagate on a batch of one step,
     then the recursion's prediction."""
-    _, eps1, _, Kw = inp
+    eps1, Kw = inp
     gain = gamma_terms(Kw[-1], float(eps1[-1]), dec.n1)
     kernels = quad_kernels(dec.A4, dt / m, m)
     M2k = propagate(dec, eps1[None], Kw[None], dt, gain, kernels)[0]
@@ -73,19 +68,9 @@ def _propagate(P2, dec, inp, dt, m):
     return P2_pred, a, M2k
 
 
-def _predict_center(x2, dec, inp, dt, m):
-    """The predicted center of one run: e^{A4 dt} x2 plus the
-    center_drive of the step's nodes."""
-    x1hat, _, cw, _ = inp
-    u = np.concatenate([x1hat, cw], axis=1)
-    kernels = quad_kernels(dec.A4, dt / m, m)
-    return (kernels[0] @ x2
-            + np.einsum("jab,jb->a", center_drive(dec.B2p, dt, kernels), u))
-
-
 def _gk(dec, inp):
     """G_k of the step's last node."""
-    eps1, Kw = float(inp[1][-1]), inp[3][-1]
+    eps1, Kw = float(inp[0][-1]), inp[1][-1]
     return gk_matrix(dec, build_Ku(gamma_terms(Kw, eps1, dec.n1), eps1, Kw,
                                    dec.n1))
 
@@ -277,66 +262,17 @@ def test_optimize_beta_does_not_recheck_gk(monkeypatch):
     assert BETA_LO <= optimize_beta(check_shape(P), info)[0] <= BETA_HI
 
 
-def test_center_drive_is_simpson_of_the_kernels(dec_mixed):
-    """Contracting the Simpson-weighted stack with any node values u gives
-    the composite Simpson integral of kernels B2' u."""
-    dt, m = 0.1, 20
-    kernels = quad_kernels(dec_mixed.A4, dt / m, m)
-    u = np.random.default_rng(3).standard_normal(
-        (m + 1, dec_mixed.B2p.shape[1], 4))
-    ref = scipy.integrate.simpson(kernels @ dec_mixed.B2p @ u, dx=dt / m,
-                                  axis=0)
-    got = np.einsum("jab,jbr->ar", center_drive(dec_mixed.B2p, dt, kernels),
-                    u)
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
-def test_propagate_center_matches_fine_ode(dec_mixed):
-    """With the nominal signals the predicted center solves the x2 block ODE
-    driven by (x1hat, cw)."""
-    dt, m = 0.1, 20
-    x2, P2 = np.array([0.3]), np.array([[0.04]])
-    inp = _step_inputs(m, dt)
-    P2p, a, M2k = _propagate(P2, dec_mixed, inp, dt, m)
-    x2p = _predict_center(x2, dec_mixed, inp, dt, m)
-    # reference: RK4 at a much finer step on the same analytic signals
-    x = x2.copy()
-    N = 4000
-    h = dt / N
-    A4, B2p = dec_mixed.A4, dec_mixed.B2p
-
-    def rhs(xx, t):
-        u = np.array([0.5 * np.sin(3.0 * t), 0.3 * np.sin(t)])
-        return A4 @ xx + B2p @ u
-
-    for j in range(N):
-        t = j * h
-        k1 = rhs(x, t)
-        k2 = rhs(x + h / 2 * k1, t + h / 2)
-        k3 = rhs(x + h / 2 * k2, t + h / 2)
-        k4 = rhs(x + h * k3, t + h)
-        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    assert np.allclose(x2p, x, rtol=1e-9, atol=1e-10)
-    assert 0.0 < a < 1.0
-    assert np.all(np.linalg.eigvalsh(P2p) > 0.0)
-
-
 def test_propagate_containment_monte_carlo(dec_mixed):
     """Admissible trajectories started inside the current ellipsoid stay in
-    the predicted one."""
+    the predicted one, centered on the nominal trajectory (x1hat = 0.5
+    sin 3t, c_w = 0.3 sin t); every trajectory is RK4 at 500 steps."""
     rng = np.random.default_rng(0)
     dt, m = 0.1, 20
     x2, P2 = np.array([0.3]), np.array([[0.04]])
-    inp = _step_inputs(m, dt)
-    P2p, _, _ = _propagate(P2, dec_mixed, inp, dt, m)
-    x2p = _predict_center(x2, dec_mixed, inp, dt, m)
+    P2p, _, _ = _propagate(P2, dec_mixed, _step_inputs(m), dt, m)
     A4, B2p = dec_mixed.A4, dec_mixed.B2p
-    worst = 0.0
-    for _ in range(100):
-        x = x2 + np.sqrt(P2[0, 0]) * rng.uniform(-1.0, 1.0, 1)
-        th = rng.uniform(0.0, 2.0 * np.pi)
-        amp = rng.uniform(0.0, 1.0)
 
+    def solve(x, amp, th):
         def rhs(xx, t):
             x1 = 0.5 * np.sin(3.0 * t) + 0.2 * amp * np.sin(t + th)
             w = 0.3 * np.sin(t) + 0.5 * amp * np.cos(2.0 * t + th)
@@ -351,6 +287,14 @@ def test_propagate_containment_monte_carlo(dec_mixed):
             k3 = rhs(x + h / 2 * k2, t + h / 2)
             k4 = rhs(x + h * k3, t + h)
             x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return x
+
+    x2p = solve(x2, 0.0, 0.0)
+    worst = 0.0
+    for _ in range(100):
+        x = x2 + np.sqrt(P2[0, 0]) * rng.uniform(-1.0, 1.0, 1)
+        th = rng.uniform(0.0, 2.0 * np.pi)
+        x = solve(x, rng.uniform(0.0, 1.0), th)
         q = float((x - x2p) @ np.linalg.solve(P2p, x - x2p))
         worst = max(worst, q)
     assert worst <= 1.0 + 1e-9
@@ -366,7 +310,7 @@ def test_propagate_builds_ku_once_per_step(dec_mixed, monkeypatch):
         return build_Ku(*args, **kwargs)
 
     monkeypatch.setattr(weak, "build_Ku", counting_build_Ku)
-    _propagate(np.array([[0.04]]), dec_mixed, _step_inputs(20, 0.1), 0.1, 20)
+    _propagate(np.array([[0.04]]), dec_mixed, _step_inputs(20), 0.1, 20)
     assert len(calls) == 1
 
 
@@ -406,7 +350,7 @@ def test_measurement_update_matches_woodbury(dec_mixed):
     """The eigenbasis update equals the gain form and the
     inverse-combination form, shape and gain."""
     dt, m = 0.1, 20
-    inp = _step_inputs(m, dt)
+    inp = _step_inputs(m)
     P2p, _, _ = _propagate(np.array([[0.04]]), dec_mixed, inp, dt, m)
     Gk = _gk(dec_mixed, inp)
     assert update_is_informative(dec_mixed, Gk)
@@ -451,7 +395,7 @@ def test_measurement_update_rejects_beta_outside_the_interval():
 
 def test_measurement_update_shrinks_trace(dec_mixed):
     dt, m = 0.1, 20
-    inp = _step_inputs(m, dt)
+    inp = _step_inputs(m)
     P2p, _, _ = _propagate(np.array([[0.04]]), dec_mixed, inp, dt, m)
     Gk = _gk(dec_mixed, inp)
     _, P2, _ = update_of(P2p, dec_mixed.C2, Gk)
