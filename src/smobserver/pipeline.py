@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.recfunctions import structured_to_unstructured
 from scipy.linalg import block_diag
 
 from .certificates import (AssumptionConstants, CertificateReport, certify)
@@ -873,19 +872,43 @@ def monte_carlo_containment(cfg: ScenarioConfig, runs: int, seed: int,
 
 # -- emission --------------------------------------------------------------
 
-def _write_csv(path, header: list, values: np.ndarray,
-               flags: np.ndarray | None = None) -> None:
-    """A CSV file of ``header`` and one line per row of the float table
-    ``values``, followed by that row of the integer table ``flags``.  Floats
-    are written shortest-round-trip, so equal runs give byte-identical
-    files; lines end in CRLF, as :mod:`csv` writes them."""
-    rows = values.tolist()
-    if flags is not None:
-        for row, extra in zip(rows, flags.tolist()):
-            row += extra
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+def _format_column(col: np.ndarray) -> list:
+    """``repr`` of every value of the 1-D float64 or int64 column ``col``,
+    called once per distinct bit pattern: 0.0 and -0.0 stay apart, and
+    every NaN prints as ``nan``."""
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(col.dtype).tolist())),
+                    dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_csv(path, header: list, columns: list,
+               known: dict | None = None) -> dict:
+    """A CSV file of ``header`` and one line per row of the 1-D float64 or
+    int64 ``columns``.  Every value is written as its shortest round-trip
+    ``repr``, so equal runs give byte-identical files, and each column
+    calls ``repr`` once per distinct value.  A column whose dtype and bytes
+    are a key of ``known`` takes its strings from there.  Lines end in
+    CRLF, as :mod:`csv` writes them.  Returns ``known`` joined by the
+    strings of every column, keyed the same way."""
+    text, cells = dict(known or {}), []
+    for col in columns:
+        col = np.ascontiguousarray(col)
+        key = (col.dtype.str, col.tobytes())
+        if key not in text:
+            text[key] = _format_column(col)
+        cells.append(text[key])
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
+    return text
+
+
+# The column strings of the last ``traces.csv`` written, from _write_csv,
+# until emit_plot_data takes them.  Keyed by value, so the plot files reuse
+# exactly the columns they repeat; let go after, so no run's strings outlive
+# its writing.
+_traces_text: dict = {}
 
 
 def trace_header(n: int) -> list:
@@ -901,13 +924,16 @@ def trace_header(n: int) -> list:
 
 def emit_traces(traces: np.recarray, path) -> None:
     """``traces.csv``: every field of the :func:`trace_dtype` record
-    ``traces`` in column order, the two flags as 0 or 1."""
-    names = traces.dtype.names
-    flags = [name for name in names if traces.dtype[name] == bool]
-    floats = [name for name in names if name not in flags]
-    _write_csv(path, trace_header(traces.dtype["x_true"].shape[0]),
-               structured_to_unstructured(traces[floats], dtype=float),
-               structured_to_unstructured(traces[flags], dtype=int))
+    ``traces`` in column order, the two flags as 0 or 1.  Its column
+    strings stay until :func:`emit_plot_data` takes them."""
+    global _traces_text
+    columns = []
+    for name in traces.dtype.names:
+        col = traces[name]
+        columns += (list(col.T) if col.ndim == 2 else
+                    [col.astype(np.int64) if col.dtype == bool else col])
+    _traces_text = _write_csv(
+        path, trace_header(traces.dtype["x_true"].shape[0]), columns)
 
 
 def parse_traces(path) -> np.recarray:
@@ -921,24 +947,29 @@ def parse_traces(path) -> np.recarray:
 def emit_plot_data(run: RunResult, out_dir,
                    ellipse_axes: tuple | None = None) -> list:
     """Per-figure CSV series: volume curve, per-axis bound bands, and
-    (optionally) projected ellipse polylines for a chosen coordinate pair."""
+    (optionally) projected ellipse polylines for a chosen coordinate pair.
+    Each column that repeats one of the ``traces.csv`` just written takes
+    that column's strings, which are then let go."""
     import os
+    global _traces_text
+    known, _traces_text = _traces_text, {}
     tr = run.traces
     n = tr.dtype["x_true"].shape[0]
     written = [os.path.join(out_dir, name)
                for name in ("plot_volume.csv", "plot_bounds.csv")]
-    _write_csv(written[0], ["t", "vol", "trP"],
-               np.column_stack([tr.t, tr.vol, tr.trP]))
-    bands = np.stack([tr.x_true, tr.lo, tr.hi], axis=-1).reshape(len(tr), -1)
+    _write_csv(written[0], ["t", "vol", "trP"], [tr.t, tr.vol, tr.trP],
+               known)
     _write_csv(written[1], ["t"] + [f"{c}{i}" for i in range(n)
                                     for c in ("x", "lo", "hi")],
-               np.column_stack([tr.t, bands]))
+               [tr.t] + [col[:, i] for i in range(n)
+                         for col in (tr.x_true, tr.lo, tr.hi)], known)
     if ellipse_axes is not None:
         ij = list(ellipse_axes)
         path = os.path.join(out_dir, "plot_ellipses_x{}x{}.csv".format(*ij))
         points = boundary_polylines(tr.xhat[:, ij],
                                     run.schedule.shape[:, ij][:, :, ij])
-        _write_csv(path, ["t", "px", "py"], np.column_stack(
-            [np.repeat(tr.t, points.shape[1]), points.reshape(-1, 2)]))
+        _write_csv(path, ["t", "px", "py"],
+                   [np.repeat(tr.t, points.shape[1]),
+                    *points.reshape(-1, 2).T])
         written.append(path)
     return written

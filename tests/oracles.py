@@ -1,13 +1,17 @@
 """Test oracles: the two matrix forms of the weak-block measurement update,
 as references of the eigenbasis form that ``weak.measurement_update``
-implements, and the continuous plant / derivative-bank / observer cascade
+implements; the continuous plant / derivative-bank / observer cascade
 with the weak block's predictor, as references of the lifted center
-recurrence."""
+recurrence; and per-cell ``csv.writer`` writers of the output files, as
+byte references of the column writers."""
+
+import csv
 
 import numpy as np
 import scipy.linalg as sla
 
 from smobserver.numerics import symmetrize
+from smobserver.pipeline import trace_header
 
 
 def woodbury_shape(P2_pred, C2, Gk, beta):
@@ -138,3 +142,69 @@ def exosystem_centers(design, x0, signal, schedule):
         nodes.append(v)
     nodes = np.array(nodes)
     return nodes[::n_q, :sys.n_x], nodes[:, x1], nodes[::n_q, x2]
+
+
+# -- the per-cell CSV writers -----------------------------------------------
+
+def fmt_cell(v) -> str:
+    """One float cell: its shortest round-trip ``repr``."""
+    return repr(float(v))
+
+
+def row_emit_traces(traces, path) -> None:
+    """``traces.csv`` one row and one cell at a time: the byte reference of
+    ``pipeline.emit_traces``."""
+    n = traces.dtype["x_true"].shape[0]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(trace_header(n))
+        for row in traces:
+            writer.writerow(
+                [fmt_cell(row.t)] + [fmt_cell(v) for v in row.x_true]
+                + [fmt_cell(v) for v in row.xhat]
+                + [fmt_cell(v) for v in row.lo]
+                + [fmt_cell(v) for v in row.hi]
+                + [fmt_cell(row.trP), fmt_cell(row.vol), fmt_cell(row.eps1),
+                   fmt_cell(row.alpha), fmt_cell(row.beta),
+                   fmt_cell(row.gamma), fmt_cell(row.mu),
+                   str(int(row.contained)), str(int(row.skipped))])
+
+
+def row_emit_plot_data(run, out_dir, ellipse_axes=None) -> None:
+    """The plot files one row and one cell at a time: the byte reference of
+    ``pipeline.emit_plot_data``, whose ellipse polylines are closed form
+    where these take ``sqrtm`` per row."""
+    n = run.traces.dtype["x_true"].shape[0]
+    with open(out_dir / "plot_volume.csv", "w", newline="",
+              encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "vol", "trP"])
+        for row in run.traces:
+            w.writerow([fmt_cell(row.t), fmt_cell(row.vol),
+                        fmt_cell(row.trP)])
+    with open(out_dir / "plot_bounds.csv", "w", newline="",
+              encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        head = ["t"]
+        for i in range(n):
+            head += [f"x{i}", f"lo{i}", f"hi{i}"]
+        w.writerow(head)
+        for row in run.traces:
+            rec = [fmt_cell(row.t)]
+            for i in range(n):
+                rec += [fmt_cell(row.x_true[i]), fmt_cell(row.lo[i]),
+                        fmt_cell(row.hi[i])]
+            w.writerow(rec)
+    if ellipse_axes is None:
+        return
+    i, j = ellipse_axes
+    with open(out_dir / f"plot_ellipses_x{i}x{j}.csv", "w", newline="",
+              encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "px", "py"])
+        for row, K in zip(run.traces, run.schedule.shape):
+            for p in sqrtm_polyline(
+                    np.array([row.xhat[i], row.xhat[j]]),
+                    np.array([[K[i, i], K[i, j]], [K[j, i], K[j, j]]])):
+                w.writerow([fmt_cell(row.t), fmt_cell(p[0]),
+                            fmt_cell(p[1])])

@@ -187,10 +187,9 @@ def test_criterion_4b_beta_line_search():
         CGC = C2.T @ np.linalg.solve(Gk, C2)
 
         def f(bs):
-            out = np.empty(bs.shape)
-            for i, bb in enumerate(bs):
-                out[i] = np.trace(np.linalg.inv((1.0 - bb) * Pinv + bb * CGC))
-            return out
+            bs = bs[:, None, None]
+            return np.trace(np.linalg.inv((1.0 - bs) * Pinv + bs * CGC),
+                            axis1=-2, axis2=-1)
 
         coarse = np.arange(1e-3, 1.0, 1e-3)
         b0 = coarse[np.argmin(f(coarse))]

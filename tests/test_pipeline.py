@@ -1,12 +1,17 @@
 """Tests of the end-to-end pipeline: plant integration oracles, the
 estimation loop ordering, Monte Carlo batching, trace emission, and the CLI."""
 
-import csv
+import dataclasses
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import smobserver.pipeline as pipeline
 from smobserver.cli import main as cli_main
@@ -21,7 +26,7 @@ from smobserver.pipeline import (build_design, certify_scenario, emit_plot_data,
                                  run_algorithm1,
                                  shape_schedule, simulate_plant, trace_header)
 from smobserver.scenario import ScenarioConfig
-from oracles import sqrtm_polyline
+from oracles import row_emit_plot_data, row_emit_traces
 
 UPDATE_GRAMMIAN = (Path(__file__).resolve().parents[1] / "perfbench"
                    / "scenarios" / "update_grammian.yaml")
@@ -277,60 +282,6 @@ def test_emit_parse_round_trip(tmp_path, run_mixed, run_ex2):
                                           err_msg=name, strict=True)
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
-def _row_emit_traces(traces, path) -> None:
-    """Reference writer: ``traces.csv`` one row and one cell at a time."""
-    n = traces.dtype["x_true"].shape[0]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trace_header(n))
-        for row in traces:
-            writer.writerow(
-                [_fmt(row.t)] + [_fmt(v) for v in row.x_true]
-                + [_fmt(v) for v in row.xhat] + [_fmt(v) for v in row.lo]
-                + [_fmt(v) for v in row.hi]
-                + [_fmt(row.trP), _fmt(row.vol), _fmt(row.eps1),
-                   _fmt(row.alpha), _fmt(row.beta), _fmt(row.gamma),
-                   _fmt(row.mu), str(int(row.contained)),
-                   str(int(row.skipped))])
-
-
-def _row_emit_plot_data(run, out_dir, ellipse_axes) -> None:
-    """Reference writer: the plot files one row and one cell at a time."""
-    n = run.traces.dtype["x_true"].shape[0]
-    with open(out_dir / "plot_volume.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "vol", "trP"])
-        for row in run.traces:
-            w.writerow([_fmt(row.t), _fmt(row.vol), _fmt(row.trP)])
-    with open(out_dir / "plot_bounds.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        head = ["t"]
-        for i in range(n):
-            head += [f"x{i}", f"lo{i}", f"hi{i}"]
-        w.writerow(head)
-        for row in run.traces:
-            rec = [_fmt(row.t)]
-            for i in range(n):
-                rec += [_fmt(row.x_true[i]), _fmt(row.lo[i]), _fmt(row.hi[i])]
-            w.writerow(rec)
-    i, j = ellipse_axes
-    with open(out_dir / f"plot_ellipses_x{i}x{j}.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "px", "py"])
-        for row, K in zip(run.traces, run.schedule.shape):
-            for p in sqrtm_polyline(
-                    np.array([row.xhat[i], row.xhat[j]]),
-                    np.array([[K[i, i], K[i, j]], [K[j, i], K[j, j]]])):
-                w.writerow([_fmt(row.t), _fmt(p[0]), _fmt(p[1])])
-
-
 @pytest.mark.parametrize("run_name,axes", [("run_mixed", (0, 1)),
                                            ("run_ex2", (1, 2))])
 def test_column_writers_match_row_writers(run_name, axes, tmp_path, request):
@@ -342,8 +293,8 @@ def test_column_writers_match_row_writers(run_name, axes, tmp_path, request):
     new.mkdir(), ref.mkdir()
     emit_traces(run.traces, new / "traces.csv")
     written = emit_plot_data(run, new, ellipse_axes=axes)
-    _row_emit_traces(run.traces, ref / "traces.csv")
-    _row_emit_plot_data(run, ref, axes)
+    row_emit_traces(run.traces, ref / "traces.csv")
+    row_emit_plot_data(run, ref, axes)
     names = sorted(p.name for p in ref.iterdir())
     assert sorted(p.name for p in new.iterdir()) == names
     assert len(written) == 3
@@ -357,6 +308,81 @@ def test_column_writers_match_row_writers(run_name, axes, tmp_path, request):
         else:
             assert (new / name).read_bytes() == (ref / name).read_bytes(), \
                 name
+
+
+# Floats whose text is easy to get wrong: both zeros, NaNs of either sign
+# and another payload, the infinities, the smallest subnormal, and both sides
+# of each switch of repr to exponent notation.
+NANS = [float("nan"), -float("nan"),
+        float(np.int64(0x7FF8000000000001).view(float))]
+EDGE_FLOATS = [0.0, -0.0, *NANS, float("inf"), -float("inf"), 5e-324, 1e-4,
+               1e-5, 9.999999999999999e15, 1e16, 0.30000000000000004]
+
+
+@st.composite
+def trace_records(draw):
+    """A traces record of 0-12 rows whose float cells come from a pool of at
+    most 6 values, so that every column repeats values."""
+    n, rows = draw(st.integers(1, 3)), draw(st.integers(0, 12))
+    pool = np.array(draw(st.lists(
+        st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
+        min_size=1, max_size=6)))
+    index = st.integers(0, len(pool) - 1)
+    rec = np.zeros(rows, pipeline.trace_dtype(n)).view(np.recarray)
+    for name in rec.dtype.names:
+        shape = rec[name].shape
+        rec[name] = (draw(arrays(bool, shape)) if rec.dtype[name] == bool
+                     else pool[draw(arrays(np.intp, shape, elements=index))])
+    return rec
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_records())
+@example(np.zeros(0, pipeline.trace_dtype(2)).view(np.recarray))
+def test_column_writers_match_the_cell_oracle(rec):
+    """traces.csv, plot_volume.csv and plot_bounds.csv of a random record
+    with repeated values are the bytes of the per-cell writers."""
+    run = SimpleNamespace(traces=rec)
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = Path(tmp, "new"), Path(tmp, "ref")
+        new.mkdir(), ref.mkdir()
+        emit_traces(rec, new / "traces.csv")
+        emit_plot_data(run, new)
+        row_emit_traces(rec, ref / "traces.csv")
+        row_emit_plot_data(run, ref)
+        for name in ("traces.csv", "plot_volume.csv", "plot_bounds.csv"):
+            assert (new / name).read_bytes() == (ref / name).read_bytes(), \
+                name
+
+
+def test_each_bit_pattern_keeps_its_own_text(tmp_path):
+    """One column holding 0.0 and -0.0 writes each as itself, and every NaN
+    as nan, though repr runs once per distinct bit pattern."""
+    path = tmp_path / "z.csv"
+    pipeline._write_csv(path, ["z"], [np.array([0.0, -0.0, *NANS, 0.0, -0.0])])
+    assert path.read_bytes() == b"z\r\n" + b"\r\n".join(
+        [b"0.0", b"-0.0", b"nan", b"nan", b"nan", b"0.0", b"-0.0"]) + b"\r\n"
+
+
+def test_plot_files_follow_a_column_changed_after_writing(tmp_path,
+                                                          run_mixed):
+    """The plot files reuse the strings of traces.csv by value: a traces
+    column changed between emit_traces and emit_plot_data is written with
+    its new values, and a second emit_plot_data formats them itself."""
+    run = dataclasses.replace(run_mixed, traces=run_mixed.traces.copy())
+    emit_traces(run.traces, tmp_path / "traces.csv")
+    run.traces.vol *= 2.0
+    run.traces.lo[:, 0] -= 1.0
+    assert not np.any(parse_traces(tmp_path / "traces.csv").vol
+                      == run.traces.vol)
+    new, again, ref = tmp_path / "new", tmp_path / "again", tmp_path / "ref"
+    new.mkdir(), again.mkdir(), ref.mkdir()
+    emit_plot_data(run, new)
+    emit_plot_data(run, again)    # no strings left to reuse
+    row_emit_plot_data(run, ref)
+    for name in ("plot_volume.csv", "plot_bounds.csv"):
+        assert (new / name).read_bytes() == (ref / name).read_bytes(), name
+        assert (again / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_emit_traces_deterministic(tmp_path, run_mixed):
